@@ -71,8 +71,8 @@ struct SectionResult {
 };
 
 /// Latency accumulator behind every gated section: record one sample per
-/// timed unit (an op, or a batch on the pipelined paths), then fold the
-/// percentiles into a SectionResult. Percentile semantics are
+/// timed op, then fold the percentiles into a SectionResult. Percentile
+/// semantics are
 /// util::SampleSet's linear interpolation over the sorted samples
 /// (rank = pct/100 * (n-1)): with samples 1..100, p50 = 50.5 and
 /// p99 = 99.01 — pinned by tests/bench_stats_test.cpp, including the

@@ -4,7 +4,7 @@
 //
 //   ./churn_soak [--duration=60] [--seed=2006] [--policy=exact]
 //                [--sub-rate=2.0] [--pub-rate=5.0] [--ttl-fraction=0.5]
-//                [--shards=1] [--differential=true] [--pipelined=false]
+//                [--shards=1] [--differential=true]
 //                [--drop=0] [--dup=0] [--reorder=0] [--jitter=0]
 //                [--json=PATH]
 //                [--topology=NAME]   (substring filter, e.g. "grid")
@@ -86,7 +86,6 @@ void write_json(const std::string& path, const workload::ChurnConfig& config,
     json.member("messages", report.totals.total_messages());
     json.member("suppressed", report.totals.subscriptions_suppressed);
     json.member("peak_routing_entries", std::uint64_t{report.peak_routing_entries});
-    json.member("publish_coalescing", report.publish_coalescing);
     json.member("frames_dropped", report.totals.frames_dropped);
     json.member("retransmits", report.totals.retransmits);
     json.member("dups_suppressed", report.totals.dups_suppressed);
@@ -137,7 +136,6 @@ int main(int argc, char** argv) {
   config.faults.link.reorder_probability = flags.get_double("reorder", 0.0);
   config.faults.link.delay_jitter = flags.get_double("jitter", 0.0);
   const bool lossy = config.faults.any();
-  const bool pipelined = flags.get_bool("pipelined", false);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 2006));
   const auto policy =
       store::parse_coverage_policy(flags.get_string("policy", "exact"));
@@ -172,7 +170,6 @@ int main(int argc, char** argv) {
     routing::NetworkConfig net_config = routing::NetworkConfig::Builder()
                                             .store(store_config)
                                             .match_shards(shards)
-                                            .pipelined(pipelined)
                                             .build();
     config.link_latency = net_config.link_latency;
 
@@ -213,7 +210,6 @@ int main(int argc, char** argv) {
     const util::Timer timer;
     sim::ChurnDriver::Options driver_options;
     driver_options.differential = differential;
-    driver_options.pipelined_publish = pipelined;
     result.report = sim::ChurnDriver::run(net, result.trace, driver_options);
     result.elapsed_seconds = timer.elapsed_seconds();
 

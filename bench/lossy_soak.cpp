@@ -133,7 +133,6 @@ void write_json(const std::string& path, const workload::ChurnConfig& config,
     json.member("duplicated", m.notifications_duplicated);
     json.member("mismatched_publishes", report.mismatched_publishes);
     json.member("ghost_routes", std::uint64_t{report.membership.ghost_routes});
-    json.member("publish_coalescing", report.publish_coalescing);
     json.begin_object("link_protocol");
     json.member("frames_dropped", m.frames_dropped);
     json.member("frames_duplicated", m.frames_duplicated);

@@ -130,7 +130,6 @@ void write_json(const std::string& path, const workload::ChurnConfig& config,
     json.member("final_alive_brokers",
                 std::uint64_t{report.membership.final_alive_brokers});
     json.end_object();
-    json.member("publish_coalescing", report.publish_coalescing);
     json.member("elapsed_seconds", result.elapsed_seconds);
     json.end_object();
   }

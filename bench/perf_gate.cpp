@@ -28,33 +28,27 @@
 //     PR 4 headline speedup and is gated >= 3x in full runs (primary tier
 //     only: eager at 1M actives would take hours by construction)
 //   * broker_publish — Broker::handle_publication through PublishScratch
-//     (the zero-allocation publish path) against a routed table
-//   * broker_publish_pipelined — the same routed table through the staged
-//     PublishPipeline (origin-partitioned lanes + radix route stage);
-//     gated decision-identical to broker_publish in-run and >= 5x its
-//     throughput in full runs. Latency samples are per pipeline chunk
-//     (--pipeline-chunk publications each), not per publication.
-//     Knobs: --pipeline-workers=-1 (auto) --pipeline-batch=16
-//     --pipeline-depth=4 --pipeline-chunk=256 (see docs/TUNING.md)
+//     (the zero-allocation publish path: a stab of the origin-partitioned
+//     publish lanes) against a routed table, one publication per latency
+//     sample; routes are gated equal to a brute-force scan of the routed
+//     set in-run, from a local and a neighbour origin
 //   * churn_soak     — sim::ChurnDriver over the five standard topologies
-//     with the differential oracle on (ops/sec per topology); runs with
-//     the pipelined network config + publish coalescing, so the soak
-//     differentially exercises the staged path under churn
+//     with the differential oracle on (ops/sec per topology)
 //
 // --small shrinks every size for the CI smoke / ctest registration; small
 // runs still gate on correctness (oracles + checksums) but skip the
 // speedup threshold (tiny sizes are all noise).
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "index/interval_index.hpp"
 #include "routing/broker.hpp"
-#include "routing/publish_pipeline.hpp"
 #include "routing/topology.hpp"
 #include "sim/churn_driver.hpp"
 #include "util/json_writer.hpp"
@@ -364,6 +358,8 @@ int main(int argc, char** argv) {
   routing::Broker broker(0, broker_store, seed, /*match_shards=*/1);
   broker.add_neighbor(1);
   broker.add_neighbor(2);
+  std::vector<std::pair<Subscription, routing::Origin>> routes;
+  routes.reserve(actives);
   {
     workload::ComparisonStream route_stream(stream_config, seed + 3);
     util::Rng origin_rng(seed + 4);
@@ -372,7 +368,9 @@ int main(int argc, char** argv) {
       const auto draw = origin_rng.next_below(3);
       if (draw == 1) origin = routing::Origin{false, 1};
       if (draw == 2) origin = routing::Origin{false, 2};
-      (void)broker.handle_subscription(route_stream.next(), origin);
+      Subscription sub = route_stream.next();
+      (void)broker.handle_subscription(sub, origin);
+      routes.emplace_back(std::move(sub), origin);
     }
   }
   routing::Broker::PublishScratch scratch;
@@ -383,81 +381,45 @@ int main(int argc, char** argv) {
             broker.handle_publication(primary_probes[i], publish_origin, scratch);
         sink += route.local_matches.size() + route.destinations.size();
       });
-  // Oracle: scratch overload against the legacy vector-returning overload.
+  // Oracle: a brute-force scan of every route — box containment, local
+  // deliveries ascending, destinations by first (minimum) matching id,
+  // never back to the publication's origin.
   for (std::uint64_t i = 0; i < queries; i += std::max<std::uint64_t>(queries / 8, 1)) {
-    std::vector<SubscriptionId> legacy_local;
-    const auto legacy_dests =
-        broker.handle_publication(primary_probes[i], publish_origin, legacy_local);
-    const auto& route =
-        broker.handle_publication(primary_probes[i], publish_origin, scratch);
-    gate.check(route.local_matches == legacy_local &&
-                   route.destinations == legacy_dests,
-               "broker_publish route drift at probe " + std::to_string(i));
-  }
-
-  // --- Section: broker_publish_pipelined --------------------------------
-  // Same broker, same routed table, same probes — through the staged
-  // pipeline. Chunked timing: each latency sample covers one run() call of
-  // up to --pipeline-chunk publications (the pipeline amortizes across a
-  // chunk, so per-publication timing would measure the harness, not the
-  // path). ops stays the publication count, so ops_per_sec is comparable
-  // with broker_publish.
-  routing::PublishPipelineOptions pipeline_options;
-  const auto pipeline_workers = flags.get_int("pipeline-workers", -1);
-  if (pipeline_workers >= 0) {
-    pipeline_options.workers = static_cast<std::size_t>(pipeline_workers);
-  }
-  pipeline_options.batch_size =
-      static_cast<std::size_t>(flags.get_int("pipeline-batch", 16));
-  pipeline_options.queue_depth =
-      static_cast<std::size_t>(flags.get_int("pipeline-depth", 4));
-  const auto pipeline_chunk = static_cast<std::uint64_t>(
-      flags.get_int("pipeline-chunk", 256));
-  broker.enable_publish_lanes();
-  routing::PublishPipeline pipeline(pipeline_options);
-  std::vector<routing::Broker::PublicationRoute> pipe_routes;
-  const SectionResult broker_publish_pipelined = [&] {
-    bench::LatencyRecorder latencies;
-    const util::Timer timer;
-    std::uint64_t done = 0;
-    while (done < queries) {
-      const std::uint64_t n = std::min(pipeline_chunk, queries - done);
-      latencies.time([&] {
-        pipeline.run(broker,
-                     std::span<const Publication>(
-                         primary_probes.data() + done, n),
-                     publish_origin, pipe_routes);
-        for (const auto& route : pipe_routes) {
-          sink += route.local_matches.size() + route.destinations.size();
-        }
-      });
-      done += n;
-    }
-    return latencies.section("broker_publish_pipelined", queries,
-                             timer.elapsed_seconds());
-  }();
-  // Oracle: decision-for-decision equality against the sequential scratch
-  // path, from both a local and a neighbour origin (never-send-back).
-  for (std::uint64_t i = 0; i < queries;
-       i += std::max<std::uint64_t>(queries / 8, 1)) {
     for (const routing::Origin& origin :
          {publish_origin, routing::Origin{false, 1}}) {
-      pipeline.run(broker,
-                   std::span<const Publication>(primary_probes.data() + i, 1),
-                   origin, pipe_routes);
+      std::vector<SubscriptionId> expected_local;
+      std::vector<std::pair<SubscriptionId, routing::BrokerId>> first_match;
+      for (const auto& [sub, route_origin] : routes) {
+        if (!primary_probes[i].matches(sub)) continue;
+        if (route_origin.local) {
+          expected_local.push_back(sub.id());
+          continue;
+        }
+        if (!origin.local && route_origin.neighbor == origin.neighbor) continue;
+        auto hit = std::find_if(first_match.begin(), first_match.end(),
+                                [&](const auto& entry) {
+                                  return entry.second == route_origin.neighbor;
+                                });
+        if (hit == first_match.end()) {
+          first_match.emplace_back(sub.id(), route_origin.neighbor);
+        } else {
+          hit->first = std::min(hit->first, sub.id());
+        }
+      }
+      std::sort(expected_local.begin(), expected_local.end());
+      std::sort(first_match.begin(), first_match.end());
+      std::vector<routing::BrokerId> expected_destinations;
+      for (const auto& entry : first_match) {
+        expected_destinations.push_back(entry.second);
+      }
       const auto& route =
           broker.handle_publication(primary_probes[i], origin, scratch);
-      gate.check(pipe_routes.at(0).local_matches == route.local_matches &&
-                     pipe_routes.at(0).destinations == route.destinations,
-                 "broker_publish_pipelined route drift at probe " +
-                     std::to_string(i) +
+      gate.check(route.local_matches == expected_local &&
+                     route.destinations == expected_destinations,
+                 "broker_publish route drift at probe " + std::to_string(i) +
                      (origin.local ? " (local)" : " (neighbour)"));
     }
   }
-  const double pipeline_speedup =
-      broker_publish.ops_per_sec > 0
-          ? broker_publish_pipelined.ops_per_sec / broker_publish.ops_per_sec
-          : 0.0;
 
   // --- Section: churn_soak (five topologies, differential oracle on) ---
   struct SoakRow {
@@ -476,10 +438,7 @@ int main(int argc, char** argv) {
     churn_config.subscription_rate = 3.0;
     churn_config.publication_rate = 5.0;
     for (routing::Topology& topology : routing::standard_topologies(seed)) {
-      const routing::NetworkConfig net_config =
-          routing::NetworkConfig::Builder()
-              .pipelined(true, pipeline_options)
-              .build();
+      const routing::NetworkConfig net_config;
       churn_config.link_latency = net_config.link_latency;
       const auto trace =
           workload::generate_churn_trace(churn_config, topology.brokers, seed);
@@ -487,7 +446,6 @@ int main(int argc, char** argv) {
       const util::Timer timer;
       sim::ChurnDriver::Options driver_options;
       driver_options.differential = true;
-      driver_options.pipelined_publish = true;
       const auto report = sim::ChurnDriver::run(net, trace, driver_options);
       const double elapsed = timer.elapsed_seconds();
       SoakRow row;
@@ -517,8 +475,7 @@ int main(int argc, char** argv) {
                      r->p99_ns});
     }
   }
-  for (const SectionResult* r :
-       {&churn_eager, &broker_publish, &broker_publish_pipelined}) {
+  for (const SectionResult* r : {&churn_eager, &broker_publish}) {
     table.add_row({r->name, static_cast<long long>(actives),
                    static_cast<long long>(r->ops), r->ops_per_sec, r->p50_ns,
                    r->p99_ns});
@@ -526,8 +483,6 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "\nchurn speedup (amortized / eager) at " << actives
             << " actives: " << speedup << "x\n";
-  std::cout << "publish speedup (pipelined / sequential) at " << actives
-            << " actives: " << pipeline_speedup << "x\n";
   for (const SoakRow& row : soak_rows) {
     std::cout << "soak " << row.name << ": " << row.ops_per_sec
               << " ops/sec, mismatched=" << row.mismatched
@@ -565,7 +520,6 @@ int main(int argc, char** argv) {
     write_section(json, primary.churn_amortized);
     write_section(json, churn_eager);
     write_section(json, broker_publish);
-    write_section(json, broker_publish_pipelined);
     json.begin_object("churn_soak");
     json.begin_array("topologies");
     for (const SoakRow& row : soak_rows) {
@@ -606,8 +560,6 @@ int main(int argc, char** argv) {
     json.member("churn_speedup_vs_eager", speedup);
     json.member("churn_speedup_required",
                 small ? 0.0 : 3.0);
-    json.member("publish_speedup_pipelined", pipeline_speedup);
-    json.member("publish_speedup_required", small ? 0.0 : 5.0);
     json.end_object();
     json.member("checksum_sink", sink);  // defeats dead-code elimination
     json.end_object();
@@ -623,11 +575,6 @@ int main(int argc, char** argv) {
   if (!small && speedup < 3.0) {
     std::cerr << "\nFAIL: churn speedup " << speedup
               << "x below the 3x acceptance gate\n";
-    return 1;
-  }
-  if (!small && pipeline_speedup < 5.0) {
-    std::cerr << "\nFAIL: pipelined publish speedup " << pipeline_speedup
-              << "x below the 5x acceptance gate\n";
     return 1;
   }
   return 0;

@@ -89,7 +89,6 @@ void write_json(const std::string& path, const workload::ChurnConfig& config,
     json.member("frames_dropped", report.totals.frames_dropped);
     json.member("retransmits", report.totals.retransmits);
     json.member("dups_suppressed", report.totals.dups_suppressed);
-    json.member("publish_coalescing", report.publish_coalescing);
     json.member("elapsed_seconds", result.elapsed_seconds);
     json.end_object();
   }

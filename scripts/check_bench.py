@@ -68,24 +68,24 @@ DEFAULT_SECTIONS = [
     "box_intersect",
     "insert_erase_churn_amortized",
     "broker_publish",
-    "broker_publish_pipelined",
 ]
 # Sections whose p99 latency is gated alongside throughput: same-scale
 # pairs fail when current p99 rises more than threshold + jitter above the
 # baseline; cross-scale pairs are one-sided (the smaller run's p99 must not
 # exceed the full-size baseline's at all).
-P99_GATED = {"broker_publish", "broker_publish_pipelined"}
+P99_GATED = {"broker_publish"}
 JITTER_CAP = 0.20  # max extra allowance from latency jitter, absolute
 
 # Minimum ops/sec at REFERENCE_SCALE. stab/box_intersect: 3x the
 # pre-vectorization baseline (stab 3792.8, box_intersect 378.6 —
-# BENCH_core.json as of the tiered-index PR). broker_publish_pipelined:
-# 5x the sequential broker_publish baseline (1121.7) — the staged-pipeline
-# PR's acceptance gate. Ratchet upward only.
+# BENCH_core.json as of the tiered-index PR). broker_publish: 5x the old
+# sequential routing-table publish (1121.7) — the floor the staged pipeline
+# set, now carried by the one publish path (publish lanes). Ratchet upward
+# only.
 RATCHET_FLOORS = {
     "stab": 11378.3,
     "box_intersect": 1135.7,
-    "broker_publish_pipelined": 5608.5,
+    "broker_publish": 5608.5,
 }
 REFERENCE_SCALE = {"actives": 100000, "attributes": 4, "queries": 20000}
 

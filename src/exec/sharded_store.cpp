@@ -111,29 +111,21 @@ std::uint64_t ShardedStore::group_checks() const noexcept {
 }
 
 std::vector<store::InsertResult> ShardedStore::insert_batch(
-    std::span<const Subscription* const> subs, ThreadPool* pool) {
+    std::span<const Subscription> subs, ThreadPool* pool) {
   std::vector<store::InsertResult> results(subs.size());
   // Partition input positions by owning shard, preserving batch order, so
   // every shard replays exactly the subsequence a sequential insert() loop
   // would have handed it.
   std::vector<std::vector<std::size_t>> positions(shards_.size());
   for (std::size_t i = 0; i < subs.size(); ++i) {
-    positions[shard_of(subs[i]->id())].push_back(i);
+    positions[shard_of(subs[i].id())].push_back(i);
   }
   ThreadPool::run(pool, shards_.size(), [&](std::size_t s) {
     for (const std::size_t i : positions[s]) {
-      results[i] = shards_[s].insert(*subs[i]);
+      results[i] = shards_[s].insert(subs[i]);
     }
   });
   return results;
-}
-
-std::vector<store::InsertResult> ShardedStore::insert_batch(
-    std::span<const Subscription> subs, ThreadPool* pool) {
-  std::vector<const Subscription*> pointers;
-  pointers.reserve(subs.size());
-  for (const Subscription& sub : subs) pointers.push_back(&sub);
-  return insert_batch(std::span<const Subscription* const>(pointers), pool);
 }
 
 void ShardedStore::run_match_batch(
@@ -185,12 +177,6 @@ std::vector<std::vector<SubscriptionId>> ShardedStore::match_active_batch(
   std::vector<std::vector<SubscriptionId>> out;
   run_match_batch(pubs, pool, /*active_only=*/true, out);
   return out;
-}
-
-void ShardedStore::match_active_batch(
-    std::span<const Publication> pubs,
-    std::vector<std::vector<SubscriptionId>>& out, ThreadPool* pool) const {
-  run_match_batch(pubs, pool, /*active_only=*/true, out);
 }
 
 }  // namespace psc::exec

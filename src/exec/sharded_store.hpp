@@ -122,13 +122,6 @@ class ShardedStore {
   std::vector<store::InsertResult> insert_batch(
       std::span<const core::Subscription> subs, ThreadPool* pool = nullptr);
 
-  /// As above over a pointer set — the zero-copy entry point (the broker
-  /// batches pointers into its routing table). Preconditions: no null
-  /// pointers; pointees stay valid for the duration of the call.
-  std::vector<store::InsertResult> insert_batch(
-      std::span<const core::Subscription* const> subs,
-      ThreadPool* pool = nullptr);
-
   /// match() for every publication; results in input order.
   [[nodiscard]] std::vector<std::vector<core::SubscriptionId>> match_batch(
       std::span<const core::Publication> pubs, ThreadPool* pool = nullptr) const;
@@ -137,15 +130,6 @@ class ShardedStore {
   [[nodiscard]] std::vector<std::vector<core::SubscriptionId>>
   match_active_batch(std::span<const core::Publication> pubs,
                      ThreadPool* pool = nullptr) const;
-
-  /// Out-parameter form of match_active_batch: `out` is resized to
-  /// pubs.size() and out[p] is overwritten (cleared, capacity kept) with
-  /// the shard-id-major match_active ids of pubs[p]. Reusing one `out`
-  /// across calls keeps the steady-state batch free of per-publication
-  /// vector churn; the per-shard intermediates live in instance scratch.
-  void match_active_batch(std::span<const core::Publication> pubs,
-                          std::vector<std::vector<core::SubscriptionId>>& out,
-                          ThreadPool* pool = nullptr) const;
 
  private:
   ShardConfig config_;

@@ -204,8 +204,7 @@ int run_brokerd(int argc, const char* const* argv) {
     const util::Flags flags(argc, argv);
     BrokerNodeOptions options;
     options.id = static_cast<routing::BrokerId>(flags.get_int("id", 0));
-    options.network_seed =
-        static_cast<std::uint64_t>(flags.get_int("seed", 0xfeedbeefLL));
+    options.network_seed = flags.get_uint64("seed", 0xfeedbeefULL);
     options.match_shards =
         static_cast<std::size_t>(flags.get_int("match-shards", 1));
     const std::string policy = flags.get_string("policy", "exact");

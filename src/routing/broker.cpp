@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "util/radix_sort.hpp"
 #include "util/rng.hpp"
 #include "wire/snapshot.hpp"
 
@@ -14,17 +15,15 @@ using core::SubscriptionId;
 
 namespace {
 
-/// Configuration of the local match index: coverage-free (every routed
+/// Configuration of a publish lane: coverage-free (every routed
 /// subscription must stay individually matchable), index on/off and
 /// bucketing inherited from the broker's store config.
-exec::ShardConfig match_index_config(const store::StoreConfig& store_config,
-                                     std::size_t match_shards) {
-  exec::ShardConfig config;
-  config.shard_count = match_shards == 0 ? 1 : match_shards;
-  config.store.policy = store::CoveragePolicy::kNone;
-  config.store.demote_covered_actives = false;
-  config.store.use_index = store_config.use_index;
-  config.store.index = store_config.index;
+store::StoreConfig lane_config(const store::StoreConfig& store_config) {
+  store::StoreConfig config;
+  config.policy = store::CoveragePolicy::kNone;
+  config.demote_covered_actives = false;
+  config.use_index = store_config.use_index;
+  config.index = store_config.index;
   return config;
 }
 
@@ -35,8 +34,8 @@ Broker::Broker(BrokerId id, store::StoreConfig store_config, std::uint64_t seed,
     : id_(id),
       store_config_(store_config),
       seed_(seed),
-      routed_(match_index_config(store_config, match_shards),
-              util::splitmix64(seed)) {}
+      local_lane_(exec::ShardConfig{match_shards, lane_config(store_config)},
+                  util::splitmix64(seed)) {}
 
 void Broker::add_neighbor(BrokerId neighbor) {
   if (std::find(neighbors_.begin(), neighbors_.end(), neighbor) !=
@@ -50,6 +49,12 @@ void Broker::remove_neighbor(BrokerId neighbor) {
   neighbors_.erase(std::remove(neighbors_.begin(), neighbors_.end(), neighbor),
                    neighbors_.end());
   forwarded_.erase(neighbor);
+  // Routes learned over the link outlive it until the network purges them;
+  // drop_route retires the lane once the last one goes.
+  if (const auto lane = neighbor_lanes_.find(neighbor);
+      lane != neighbor_lanes_.end() && lane->second.total_count() == 0) {
+    neighbor_lanes_.erase(lane);
+  }
 }
 
 Broker::AnnounceOutcome Broker::announce_all_to(BrokerId neighbor) {
@@ -60,24 +65,23 @@ Broker::AnnounceOutcome Broker::announce_all_to(BrokerId neighbor) {
   if (forwarded_.find(neighbor) != forwarded_.end()) {
     throw std::logic_error("Broker::announce_all_to: link store is not fresh");
   }
-  std::vector<const RouteEntry*> entries;
+  std::vector<std::pair<SubscriptionId, Origin>> entries;
   entries.reserve(routing_table_.size());
-  routing_table_.for_each([&](SubscriptionId, const RouteEntry& entry) {
-    if (!entry.origin.local && entry.origin.neighbor == neighbor) return;
-    entries.push_back(&entry);
+  routing_table_.for_each([&](SubscriptionId sid, const Origin& origin) {
+    if (!origin.local && origin.neighbor == neighbor) return;
+    entries.emplace_back(sid, origin);
   });
   std::sort(entries.begin(), entries.end(),
-            [](const RouteEntry* a, const RouteEntry* b) {
-              return a->sub.id() < b->sub.id();
-            });
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   AnnounceOutcome outcome;
   store::SubscriptionStore& link_store = forwarded_mutable(neighbor);
-  for (const RouteEntry* entry : entries) {
-    if (link_store.insert(entry->sub).covered) {
+  for (const auto& [sid, origin] : entries) {
+    const Subscription& sub = *lane_find(sid, origin);
+    if (link_store.insert(sub).covered) {
       ++outcome.suppressed;
       continue;
     }
-    outcome.announce.push_back(entry->sub);
+    outcome.announce.push_back(sub);
   }
   return outcome;
 }
@@ -114,70 +118,58 @@ const store::SubscriptionStore* Broker::forwarded_store(BrokerId neighbor) const
   return it == forwarded_.end() ? nullptr : it->second.get();
 }
 
-void Broker::enable_publish_lanes(std::size_t local_shards) {
-  lane_local_shards_ =
-      local_shards == 0 ? routed_.shard_count() : local_shards;
-  lanes_ = std::make_unique<PublishLanes>();
-  std::uint64_t mix = seed_ ^ 0x6c616e65736c6fULL;  // lane-seed domain tag
-  lanes_->local = std::make_unique<exec::ShardedStore>(
-      match_index_config(store_config_, lane_local_shards_),
-      util::splitmix64(mix));
-  // Rebuild from whatever the table already holds (normally empty: the
-  // network enables lanes right after construction). Table iteration
-  // order is a hash artifact, but lane stores are coverage-free — their
-  // match SET is insert-order-invariant — so the rebuild is
-  // decision-neutral.
-  routing_table_.for_each([&](SubscriptionId, const RouteEntry& entry) {
-    lane_insert(entry.sub, entry.origin);
-  });
-}
-
-store::SubscriptionStore& Broker::neighbor_lane(BrokerId neighbor) {
-  auto it = lanes_->neighbor.find(neighbor);
-  if (it == lanes_->neighbor.end()) {
-    std::uint64_t mix =
-        seed_ ^ 0x6e6c616e65ULL ^ (static_cast<std::uint64_t>(neighbor) << 20);
-    it = lanes_->neighbor
-             .emplace(neighbor,
-                      std::make_unique<store::SubscriptionStore>(
-                          match_index_config(store_config_, 1).store,
-                          util::splitmix64(mix)))
-             .first;
-  }
-  return *it->second;
-}
-
-void Broker::lane_insert(const core::Subscription& sub, const Origin& origin) {
-  if (!lanes_) return;
+bool Broker::add_route(const Subscription& sub, const Origin& origin) {
+  if (!routing_table_.try_emplace(sub.id(), origin).second) return false;
   if (origin.local) {
-    (void)lanes_->local->insert(sub);
-  } else {
-    (void)neighbor_lane(origin.neighbor).insert(sub);
+    (void)local_lane_.insert(sub);
+    return true;
+  }
+  auto lane = neighbor_lanes_.find(origin.neighbor);
+  if (lane == neighbor_lanes_.end()) {
+    // Lanes are coverage-free: the engine seed never drives a decision.
+    lane = neighbor_lanes_
+               .try_emplace(origin.neighbor, lane_config(store_config_), seed_)
+               .first;
+  }
+  (void)lane->second.insert(sub);
+  return true;
+}
+
+void Broker::drop_route(SubscriptionId id, Origin origin) {
+  (void)routing_table_.erase(id);
+  if (origin.local) {
+    (void)local_lane_.erase(id);
+    return;
+  }
+  const auto lane = neighbor_lanes_.find(origin.neighbor);
+  if (lane == neighbor_lanes_.end()) return;
+  (void)lane->second.erase(id);
+  if (lane->second.total_count() == 0 &&
+      std::find(neighbors_.begin(), neighbors_.end(), origin.neighbor) ==
+          neighbors_.end()) {
+    neighbor_lanes_.erase(lane);  // the link is gone and so are its routes
   }
 }
 
-void Broker::lane_erase(SubscriptionId id, const Origin& origin) {
-  if (!lanes_) return;
-  if (origin.local) {
-    (void)lanes_->local->erase(id);
-  } else if (const auto it = lanes_->neighbor.find(origin.neighbor);
-             it != lanes_->neighbor.end()) {
-    (void)it->second->erase(id);
-  }
+const Subscription* Broker::lane_find(SubscriptionId id,
+                                      const Origin& origin) const {
+  if (origin.local) return local_lane_.find(id);
+  const auto lane = neighbor_lanes_.find(origin.neighbor);
+  return lane == neighbor_lanes_.end() ? nullptr : lane->second.find(id);
+}
+
+const Subscription* Broker::routed_subscription(SubscriptionId id) const {
+  const Origin* origin = routing_table_.find(id);
+  return origin == nullptr ? nullptr : lane_find(id, *origin);
 }
 
 std::vector<BrokerId> Broker::handle_subscription(const Subscription& sub,
                                                   const Origin& origin,
                                                   std::uint64_t* suppressed_out) {
   // Duplicate flood suppression: if we already route this subscription,
-  // do not re-forward (cycles in the overlay graph are cut here).
-  // try_emplace forwards the pieces, so a suppressed duplicate costs a
-  // probe — no RouteEntry (and no subscription copy) is built for it.
-  if (!routing_table_.try_emplace(sub.id(), sub, origin).second) {
-    return {};
-  }
-  (void)routed_.insert(sub);
-  lane_insert(sub, origin);
+  // do not re-forward (cycles in the overlay graph are cut here). A
+  // suppressed duplicate costs one table probe and no subscription copy.
+  if (!add_route(sub, origin)) return {};
 
   std::vector<BrokerId> forward_to;
   for (const BrokerId neighbor : neighbors_) {
@@ -193,81 +185,12 @@ std::vector<BrokerId> Broker::handle_subscription(const Subscription& sub,
   return forward_to;
 }
 
-std::vector<std::vector<BrokerId>> Broker::insert_batch(
-    std::span<const Subscription> subs, const Origin& origin,
-    exec::ThreadPool* pool, std::uint64_t* suppressed_out) {
-  std::vector<std::vector<BrokerId>> forward_lists(subs.size());
-
-  // Phase 1 (sequential): routing-table admission. Order matters — a
-  // duplicate id later in the batch must be dropped exactly as a second
-  // handle_subscription call would drop it. Downstream phases reference
-  // the routing-table copies instead of copying each subscription again;
-  // the reserve keeps the flat map rehash-free for the whole batch, so
-  // those pointers stay stable.
-  routing_table_.reserve(routing_table_.size() + subs.size());
-  std::vector<std::size_t> accepted;
-  accepted.reserve(subs.size());
-  std::vector<const Subscription*> accepted_subs;
-  for (std::size_t i = 0; i < subs.size(); ++i) {
-    const auto [entry, inserted] =
-        routing_table_.try_emplace(subs[i].id(), subs[i], origin);
-    if (!inserted) continue;
-    accepted.push_back(i);
-    accepted_subs.push_back(&entry->sub);
-  }
-
-  // Phase 2 (parallel over the match-index shards): mirror the accepted
-  // subscriptions into the local match index.
-  (void)routed_.insert_batch(accepted_subs, pool);
-  for (const Subscription* sub : accepted_subs) lane_insert(*sub, origin);
-
-  // Phase 3 (parallel over links): per-link coverage. Each lane owns one
-  // forwarded_ store and replays the accepted subsequence in batch order,
-  // so link-store state and verdicts are identical to sequential calls.
-  const std::size_t link_count = neighbors_.size();
-  std::vector<std::vector<char>> covered(link_count);
-  // Materialize the link stores up front: forwarded_mutable mutates the
-  // map and must not run concurrently.
-  std::vector<store::SubscriptionStore*> link_stores(link_count, nullptr);
-  for (std::size_t l = 0; l < link_count; ++l) {
-    if (!origin.local && origin.neighbor == neighbors_[l]) continue;
-    link_stores[l] = &forwarded_mutable(neighbors_[l]);
-  }
-  exec::ThreadPool::run(pool, link_count, [&](std::size_t l) {
-    if (link_stores[l] == nullptr) return;  // origin link: nothing to do
-    covered[l].resize(accepted_subs.size(), 0);
-    for (std::size_t j = 0; j < accepted_subs.size(); ++j) {
-      covered[l][j] = link_stores[l]->insert(*accepted_subs[j]).covered ? 1 : 0;
-    }
-  });
-
-  // Merge: forward lists in neighbour order, suppressions accumulated —
-  // the exact shape sequential handle_subscription calls produce.
-  for (std::size_t j = 0; j < accepted.size(); ++j) {
-    auto& forward_to = forward_lists[accepted[j]];
-    for (std::size_t l = 0; l < link_count; ++l) {
-      if (link_stores[l] == nullptr) continue;
-      if (covered[l][j]) {
-        if (suppressed_out) ++*suppressed_out;
-        continue;
-      }
-      forward_to.push_back(neighbors_[l]);
-    }
-  }
-  return forward_lists;
-}
-
 Broker::UnsubscriptionOutcome Broker::handle_unsubscription(
     SubscriptionId id, const Origin& origin) {
   UnsubscriptionOutcome outcome;
-  const RouteEntry* departing = routing_table_.find(id);
+  const Origin* departing = routing_table_.find(id);
   if (departing == nullptr) return outcome;
-  // Capture the reverse-path origin before the entry dies: the publish
-  // lanes are partitioned by it, so the mirror erase needs it.
-  const Origin route_origin = departing->origin;
-  (void)routing_table_.erase(id);
-  (void)routed_.erase(id);
-  lane_erase(id, route_origin);
+  drop_route(id, *departing);
 
   for (const BrokerId neighbor : neighbors_) {
     if (!origin.local && origin.neighbor == neighbor) continue;
@@ -282,46 +205,45 @@ Broker::UnsubscriptionOutcome Broker::handle_unsubscription(
     const auto erased = store_it->second->erase_reporting(id);
     if (was_active) outcome.forward_to.push_back(neighbor);
     for (const SubscriptionId promoted_id : erased.promoted) {
-      const RouteEntry* route = routing_table_.find(promoted_id);
+      const Subscription* route = routed_subscription(promoted_id);
       if (route == nullptr) continue;  // also being removed
-      outcome.reannounce.emplace_back(neighbor, route->sub);
+      outcome.reannounce.emplace_back(neighbor, *route);
     }
   }
   return outcome;
 }
 
-void Broker::route_matches_into(std::vector<SubscriptionId>& ids,
-                                const Origin& origin,
-                                PublicationRoute& route) const {
-  // Shard-merged ids arrive shard-major; sort so downstream order is
-  // independent of the shard count.
-  std::sort(ids.begin(), ids.end());
-  route.local_matches.clear();
-  route.destinations.clear();
-  for (const SubscriptionId sid : ids) {
-    const RouteEntry* entry = routing_table_.find(sid);
-    if (entry == nullptr) continue;
-    if (entry->origin.local) {
-      route.local_matches.push_back(sid);
-      continue;
-    }
-    if (!origin.local && entry->origin.neighbor == origin.neighbor) {
-      continue;  // never send a publication back where it came from
-    }
-    if (std::find(route.destinations.begin(), route.destinations.end(),
-                  entry->origin.neighbor) == route.destinations.end()) {
-      route.destinations.push_back(entry->origin.neighbor);
-    }
-  }
-}
-
 const Broker::PublicationRoute& Broker::handle_publication(
     const Publication& pub, const Origin& origin,
     PublishScratch& scratch) const {
-  scratch.ids.clear();
-  routed_.match_active(pub, scratch.ids);
-  route_matches_into(scratch.ids, origin, scratch.route);
-  return scratch.route;
+  PublicationRoute& route = scratch.route;
+  // Local lane: its matches are exactly the local deliveries. Shards
+  // append in shard-major order; one radix pass makes the result
+  // ascending and independent of the shard count.
+  route.local_matches.clear();
+  for (std::size_t s = 0; s < local_lane_.shard_count(); ++s) {
+    local_lane_.shard(s).match_active_unsorted(pub, route.local_matches);
+  }
+  util::radix_sort_u64(route.local_matches, scratch.sort_scratch);
+
+  // Neighbour lanes: a lane with any match is a destination, ordered by
+  // its minimum matching id — the first-match order over ascending ids.
+  // The origin's own lane is skipped: never send a publication back.
+  scratch.first_match.clear();
+  for (const auto& [neighbor, lane] : neighbor_lanes_) {
+    if (!origin.local && neighbor == origin.neighbor) continue;
+    scratch.ids.clear();
+    lane.match_active_unsorted(pub, scratch.ids);
+    if (scratch.ids.empty()) continue;
+    scratch.first_match.emplace_back(
+        *std::min_element(scratch.ids.begin(), scratch.ids.end()), neighbor);
+  }
+  std::sort(scratch.first_match.begin(), scratch.first_match.end());
+  route.destinations.clear();
+  for (const auto& [first_id, neighbor] : scratch.first_match) {
+    route.destinations.push_back(neighbor);
+  }
+  return route;
 }
 
 std::vector<BrokerId> Broker::handle_publication(
@@ -332,25 +254,6 @@ std::vector<BrokerId> Broker::handle_publication(
   local_matches.insert(local_matches.end(), route.local_matches.begin(),
                        route.local_matches.end());
   return std::move(scratch.route.destinations);
-}
-
-void Broker::match_batch(std::span<const Publication> pubs,
-                         const Origin& origin,
-                         std::vector<PublicationRoute>& out,
-                         exec::ThreadPool* pool) const {
-  routed_.match_active_batch(pubs, batch_ids_scratch_, pool);
-  out.resize(pubs.size());
-  for (std::size_t p = 0; p < pubs.size(); ++p) {
-    route_matches_into(batch_ids_scratch_[p], origin, out[p]);
-  }
-}
-
-std::vector<Broker::PublicationRoute> Broker::match_batch(
-    std::span<const Publication> pubs, const Origin& origin,
-    exec::ThreadPool* pool) const {
-  std::vector<PublicationRoute> routes;
-  match_batch(pubs, origin, routes, pool);
-  return routes;
 }
 
 std::vector<std::pair<BrokerId, Subscription>> Broker::handle_expiry(
@@ -367,15 +270,15 @@ std::vector<SubscriptionId> Broker::routed_ids() const {
   std::vector<SubscriptionId> ids;
   ids.reserve(routing_table_.size());
   routing_table_.for_each(
-      [&](SubscriptionId sid, const RouteEntry&) { ids.push_back(sid); });
+      [&](SubscriptionId sid, const Origin&) { ids.push_back(sid); });
   std::sort(ids.begin(), ids.end());
   return ids;
 }
 
 std::vector<SubscriptionId> Broker::subscriptions_from(const Origin& origin) const {
   std::vector<SubscriptionId> ids;
-  routing_table_.for_each([&](SubscriptionId sid, const RouteEntry& entry) {
-    if (entry.origin == origin) ids.push_back(sid);
+  routing_table_.for_each([&](SubscriptionId sid, const Origin& route_origin) {
+    if (route_origin == origin) ids.push_back(sid);
   });
   return ids;
 }
@@ -384,8 +287,8 @@ Broker::Snapshot Broker::export_snapshot() const {
   Snapshot snapshot;
   snapshot.id = id_;
   snapshot.routes.reserve(routing_table_.size());
-  routing_table_.for_each([&](SubscriptionId, const RouteEntry& entry) {
-    snapshot.routes.push_back({entry.sub, entry.origin});
+  routing_table_.for_each([&](SubscriptionId sid, const Origin& origin) {
+    snapshot.routes.push_back({*lane_find(sid, origin), origin});
   });
   // FlatMap iteration order is a hash artifact; canonicalize by id so two
   // snapshots of identical logical state are byte-identical.
@@ -415,15 +318,12 @@ void Broker::import_snapshot(const Snapshot& snapshot) {
   }
   routing_table_.reserve(snapshot.routes.size());
   for (const Snapshot::RouteRecord& record : snapshot.routes) {
-    if (!routing_table_.try_emplace(record.sub.id(), record.sub, record.origin)
-             .second) {
+    // Lanes are coverage-free and matches are ordered by id, so rebuild
+    // order is decision-neutral.
+    if (!add_route(record.sub, record.origin)) {
       throw std::invalid_argument(
           "Broker::import_snapshot: duplicate routing-table id");
     }
-    // Rebuild the derived match index; it is coverage-free (kNone) and
-    // sorts matches by id, so rebuild order is decision-neutral.
-    (void)routed_.insert(record.sub);
-    lane_insert(record.sub, record.origin);
   }
   for (const auto& [neighbor, store_snapshot] : snapshot.links) {
     if (std::find(neighbors_.begin(), neighbors_.end(), neighbor) ==

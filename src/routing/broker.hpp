@@ -1,13 +1,18 @@
 // Broker — one node of the distributed pub/sub overlay (paper, Section 2).
 //
 // State, per reverse-path forwarding:
-//   * routing_table_: subscription -> the neighbour (or local client) it
+//   * routing_table_: subscription id -> the neighbour (or local client) it
 //     arrived from. Publications matching the subscription are sent toward
 //     that neighbour (reverse path of the subscription flood).
-//   * routed_: a sharded, index-accelerated mirror of the routing table's
-//     subscriptions (exec::ShardedStore, coverage-free). Publication
-//     matching stabs this instead of scanning the routing table, and the
-//     batch entry points fan its shards out across a thread pool.
+//   * publish lanes: the routed subscriptions themselves, partitioned by
+//     that origin. local_lane_ holds every local-origin route (sharded,
+//     exec::ShardedStore); neighbor_lanes_[n] holds the routes whose
+//     reverse path points at n. Lanes are coverage-free stores, so each
+//     lane's match set is exact, and each routed subscription is stored
+//     exactly once — in its origin's lane. Publication matching stabs the
+//     lanes: local-lane matches ARE the local deliveries, and a neighbour
+//     lane with any match IS a destination, so no matched id is ever
+//     looked up again.
 //   * forwarded_[n]: store of subscriptions this broker has propagated to
 //     neighbour n. A new subscription is forwarded to n only if it is not
 //     covered (per the configured policy) by what n already received —
@@ -15,27 +20,21 @@
 //     group check plugs in.
 //
 // Concurrency model: a Broker is externally single-threaded — one event
-// (or one batch call) at a time. Parallelism lives INSIDE the batch entry
-// points, which fan out across state that is disjoint by construction
-// (routed_'s shards; the per-link forwarded_ stores) and merge results in
-// a deterministic order, so every batch call returns exactly what the
-// equivalent sequence of single-message calls would have returned.
+// at a time.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/publication.hpp"
 #include "core/subscription.hpp"
 #include "exec/sharded_store.hpp"
-#include "exec/thread_pool.hpp"
-#include "sim/metrics.hpp"
 #include "store/subscription_store.hpp"
 #include "util/flat_map.hpp"
 
@@ -55,9 +54,8 @@ struct Origin {
 /// Per-broker state. The BrokerNetwork owns Brokers and moves messages.
 class Broker {
  public:
-  /// `match_shards` partitions the local publication-match index
-  /// (see exec::ShardedStore); 1 keeps it sequential-equivalent while
-  /// still index-accelerated.
+  /// `match_shards` partitions the local publish lane (see
+  /// exec::ShardedStore); delivery decisions are identical for every value.
   Broker(BrokerId id, store::StoreConfig store_config, std::uint64_t seed,
          std::size_t match_shards = 1);
 
@@ -104,17 +102,6 @@ class Broker {
       const core::Subscription& sub, const Origin& origin,
       std::uint64_t* suppressed_out = nullptr);
 
-  /// Batch form of handle_subscription: all of `subs` arrive from `origin`
-  /// in batch order. Returns one forward list per subscription, equal to
-  /// what sequential handle_subscription calls would have produced
-  /// (duplicates of already-routed ids get an empty list). The per-link
-  /// coverage checks — the expensive part — fan out across `pool` with one
-  /// lane per outgoing link; nullptr runs inline. `suppressed_out`
-  /// accumulates suppressed link-forwards across the whole batch.
-  [[nodiscard]] std::vector<std::vector<BrokerId>> insert_batch(
-      std::span<const core::Subscription> subs, const Origin& origin,
-      exec::ThreadPool* pool = nullptr, std::uint64_t* suppressed_out = nullptr);
-
   /// Expires a subscription locally (paper, Section 5: expiration times as
   /// the message-free alternative to unsubscription flooding). Every
   /// broker that received the subscription fires its own expiry timer, so
@@ -140,53 +127,42 @@ class Broker {
 
   /// Handles a publication arriving from `origin`. Returns the neighbours
   /// the publication must travel to (reverse paths of matching
-  /// subscriptions) and reports local matches via `local_matches`.
-  /// Matching runs against the sharded local index; `local_matches` comes
-  /// back sorted by id and destinations in first-match order, both
-  /// deterministic and independent of the shard count.
+  /// subscriptions) and appends local matches to `local_matches`.
+  /// `local_matches` comes back sorted by id and destinations in
+  /// first-match order (ascending minimum matching id), both deterministic
+  /// and independent of the shard count. The origin's own lane is never
+  /// stabbed: a publication is never sent back where it came from.
   [[nodiscard]] std::vector<BrokerId> handle_publication(
       const core::Publication& pub, const Origin& origin,
       std::vector<core::SubscriptionId>& local_matches) const;
 
-  /// Where one publication of a batch must travel.
+  /// Where one publication must travel.
   struct PublicationRoute {
     std::vector<core::SubscriptionId> local_matches;  ///< sorted by id
     std::vector<BrokerId> destinations;  ///< first-match order, deduplicated
   };
 
-  /// Caller-owned scratch for the zero-allocation publish path: the match
-  /// buffer and route vectors are reused across calls, so once warm a
-  /// steady-state publish performs no heap allocations end to end
-  /// (pinned by tests/publish_alloc_test.cpp). One scratch per calling
-  /// thread; its contents are valid until the next call that uses it.
+  /// Caller-owned scratch for the zero-allocation publish path: the lane
+  /// stab buffer, radix-sort and destination-ordering scratch, and the
+  /// route vectors are reused across calls, so once warm a steady-state
+  /// publish performs no heap allocations end to end (pinned by
+  /// tests/publish_alloc_test.cpp). One scratch per calling thread; its
+  /// contents are valid until the next call that uses it.
   struct PublishScratch {
     std::vector<core::SubscriptionId> ids;
+    std::vector<core::SubscriptionId> sort_scratch;
+    /// (minimum matching id, neighbour) per matching neighbour lane.
+    std::vector<std::pair<core::SubscriptionId, BrokerId>> first_match;
     PublicationRoute route;
   };
 
-  /// Scratch form of handle_publication: matches `pub` against the local
-  /// index into `scratch` and returns the routed result (a reference into
+  /// Scratch form of handle_publication: stabs the publish lanes into
+  /// `scratch` and returns the routed result (a reference into
   /// `scratch.route`). Identical decisions and ordering to the
   /// vector-returning overload.
   const PublicationRoute& handle_publication(const core::Publication& pub,
                                              const Origin& origin,
                                              PublishScratch& scratch) const;
-
-  /// Batch form of handle_publication: all of `pubs` arrive from `origin`.
-  /// Matching fans out across the local index's shards on `pool` (nullptr
-  /// runs inline); results are in input order and identical to sequential
-  /// handle_publication calls.
-  [[nodiscard]] std::vector<PublicationRoute> match_batch(
-      std::span<const core::Publication> pubs, const Origin& origin,
-      exec::ThreadPool* pool = nullptr) const;
-
-  /// Out-parameter form of match_batch: `out` is resized to pubs.size()
-  /// and each route's vectors are overwritten in place (capacity kept), so
-  /// a caller reusing one `out` across steady-state batches avoids the
-  /// per-publication vector churn of the returning overload.
-  void match_batch(std::span<const core::Publication> pubs,
-                   const Origin& origin, std::vector<PublicationRoute>& out,
-                   exec::ThreadPool* pool = nullptr) const;
 
   /// Duplicate suppression for publications on cyclic overlays: marks the
   /// (network-assigned) token as seen and reports whether it was new.
@@ -219,50 +195,11 @@ class Broker {
   [[nodiscard]] const store::SubscriptionStore* forwarded_store(
       BrokerId neighbor) const;
 
-  /// The sharded local match index (tests introspect shard placement).
-  [[nodiscard]] const exec::ShardedStore& match_index() const noexcept {
-    return routed_;
-  }
-
-  // --- publish lanes (staged pipeline support) -------------------------
-  //
-  // The staged publish pipeline (routing/publish_pipeline.hpp) needs the
-  // routed set partitioned BY ORIGIN, so its route stage can classify a
-  // matched id by which lane emitted it instead of looking every id up in
-  // the routing table: local-lane matches ARE the local deliveries, and a
-  // neighbour lane with any match IS a destination. Lanes mirror the
-  // routing table exactly (same inserts/erases), cost one extra copy of
-  // the routed set, and are opt-in for that reason.
-
-  /// Origin-partitioned mirror of the routing table. `local` holds every
-  /// local-origin route (sharded like the match index so pipeline workers
-  /// can own disjoint shards); `neighbor[n]` holds the routes whose
-  /// reverse path points at n. Lanes are coverage-free stores, so the
-  /// match SET per lane is exact and shard-count-invariant.
-  struct PublishLanes {
-    std::unique_ptr<exec::ShardedStore> local;
-    /// Ordered map: lane iteration order is deterministic (ascending
-    /// neighbour id). Results do not depend on it — destinations are
-    /// ordered by minimum matching id — but the work schedule does.
-    std::map<BrokerId, std::unique_ptr<store::SubscriptionStore>> neighbor;
-  };
-
-  /// Builds (or rebuilds) the publish lanes from the current routing
-  /// table and keeps them in lockstep with every later mutation.
-  /// `local_shards` partitions the local lane; 0 reuses the match-index
-  /// shard count. Decision-neutral: lanes are a derived mirror.
-  void enable_publish_lanes(std::size_t local_shards = 0);
-
-  /// nullptr until enable_publish_lanes() was called.
-  [[nodiscard]] const PublishLanes* publish_lanes() const noexcept {
-    return lanes_ ? lanes_.get() : nullptr;
-  }
-
   /// Complete serializable state of a broker: the routing table (with
   /// reverse-path origins), every per-link forwarded store (full coverage
   /// state incl. engine RNG — see store::SubscriptionStore::Snapshot), and
-  /// the publication dedup tokens. The local match index (`routed_`) is
-  /// derived state and is rebuilt on import. Binary codec:
+  /// the publication dedup tokens. The lane indexes are rebuilt on import.
+  /// Binary codec:
   /// wire/snapshot.hpp; framed convenience forms: snapshot()/restore().
   struct Snapshot {
     BrokerId id = kInvalidBroker;
@@ -271,8 +208,8 @@ class Broker {
       Origin origin;
     };
     /// Routing-table entries sorted by subscription id (table order is a
-    /// hash artifact; matching sorts ids before routing, so rebuild order
-    /// is decision-neutral).
+    /// hash artifact; lanes are coverage-free and matches are ordered by
+    /// id, so rebuild order is decision-neutral).
     std::vector<RouteRecord> routes;
     /// Per-link coverage state, in neighbour order. Links that never
     /// forwarded anything have no entry.
@@ -304,19 +241,16 @@ class Broker {
   std::uint64_t seed_;
   std::vector<BrokerId> neighbors_;
 
-  struct RouteEntry {
-    core::Subscription sub;
-    Origin origin;
-  };
-  /// Open-addressing flat map (util::FlatMap): the publication hot path
-  /// looks every matched id up here, and under churn the table itself
-  /// mutates constantly — both want contiguous probes and no node churn.
-  /// insert_batch reserves ahead of admission so RouteEntry pointers stay
-  /// stable for the duration of a batch.
-  util::FlatMap<core::SubscriptionId, RouteEntry> routing_table_;
+  /// Open-addressing flat map (util::FlatMap): under churn the table
+  /// mutates constantly, which wants contiguous probes and no node churn.
+  /// The subscription itself lives in the lane named by the origin.
+  util::FlatMap<core::SubscriptionId, Origin> routing_table_;
 
-  /// Sharded mirror of the routed subscriptions (coverage-free, exact).
-  exec::ShardedStore routed_;
+  /// Publish lanes: local-origin routes, and routes per neighbour origin.
+  /// Ordered map so lane iteration (and so the work schedule) is
+  /// deterministic; results do not depend on it.
+  exec::ShardedStore local_lane_;
+  std::map<BrokerId, store::SubscriptionStore> neighbor_lanes_;
 
   /// Per outgoing link: what we already forwarded there (coverage state).
   std::unordered_map<BrokerId, std::unique_ptr<store::SubscriptionStore>> forwarded_;
@@ -324,27 +258,20 @@ class Broker {
   /// Publication tokens already processed (cycle suppression).
   std::unordered_set<std::uint64_t> seen_publications_;
 
-  /// Per-publication id buffers for the out-parameter match_batch, reused
-  /// across batches (batch calls are exclusive per broker by contract).
-  mutable std::vector<std::vector<core::SubscriptionId>> batch_ids_scratch_;
-
-  /// Origin-partitioned publish lanes; engaged by enable_publish_lanes.
-  std::unique_ptr<PublishLanes> lanes_;
-  std::size_t lane_local_shards_ = 0;
-
   store::SubscriptionStore& forwarded_mutable(BrokerId neighbor);
 
-  /// Maps matching subscription ids (sorted in place) to a
-  /// PublicationRoute via the routing table, honouring the never-send-back
-  /// rule for `origin`. `route`'s vectors are cleared (capacity kept) and
-  /// refilled — the zero-allocation workhorse behind both overloads.
-  void route_matches_into(std::vector<core::SubscriptionId>& ids,
-                          const Origin& origin, PublicationRoute& route) const;
-
-  /// Lane mirror maintenance (no-ops until lanes are enabled).
-  void lane_insert(const core::Subscription& sub, const Origin& origin);
-  void lane_erase(core::SubscriptionId id, const Origin& origin);
-  store::SubscriptionStore& neighbor_lane(BrokerId neighbor);
+  /// Records a new route: table entry plus the subscription in its lane.
+  /// Returns false (and changes nothing) if `sub`'s id is already routed.
+  bool add_route(const core::Subscription& sub, const Origin& origin);
+  /// Drops the route for `id` (table entry and lane copy); a neighbour
+  /// lane emptied for a detached neighbour is dropped with it. `origin`
+  /// is taken by value: callers pass the table entry this erases.
+  void drop_route(core::SubscriptionId id, Origin origin);
+  [[nodiscard]] const core::Subscription* lane_find(
+      core::SubscriptionId id, const Origin& origin) const;
+  /// The routed subscription stored under `id`, or nullptr.
+  [[nodiscard]] const core::Subscription* routed_subscription(
+      core::SubscriptionId id) const;
 };
 
 }  // namespace psc::routing

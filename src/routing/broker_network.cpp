@@ -20,18 +20,8 @@ BrokerNetwork::BrokerNetwork(NetworkConfig config) : config_(config) {}
 
 std::unique_ptr<Broker> BrokerNetwork::make_broker(BrokerId id) const {
   std::uint64_t seed = config_.seed ^ (0x9e3779b97f4a7c15ULL * (id + 1));
-  auto broker = std::make_unique<Broker>(id, config_.store,
-                                         util::splitmix64(seed),
-                                         config_.match_shards);
-  if (config_.pipelined_publish) broker->enable_publish_lanes();
-  return broker;
-}
-
-PublishPipeline& BrokerNetwork::ensure_pipeline() {
-  if (!pipeline_) {
-    pipeline_ = std::make_unique<PublishPipeline>(config_.pipeline);
-  }
-  return *pipeline_;
+  return std::make_unique<Broker>(id, config_.store, util::splitmix64(seed),
+                                  config_.match_shards);
 }
 
 SimTransport& BrokerNetwork::ensure_transport() {
@@ -695,32 +685,8 @@ void BrokerNetwork::account_delivery(BrokerId source, const Publication& pub,
   }
 }
 
-void BrokerNetwork::apply_source_route(BrokerId source, const Publication& pub,
-                                       const Broker::PublicationRoute& route,
-                                       std::vector<SubscriptionId>* sink) {
-  // Mirrors what deliver_publication does at the source hop, except the
-  // route was precomputed by the pipeline instead of handle_publication.
-  // The token is fresh, so marking it seen cannot fail.
-  const std::uint64_t token = ++publication_token_;
-  (void)brokers_.at(source)->mark_publication_seen(token);
-  pub_sinks_.emplace(token, sink);
-  if (sink) {
-    sink->insert(sink->end(), route.local_matches.begin(),
-                 route.local_matches.end());
-  }
-  for (const BrokerId next : route.destinations) {
-    ++metrics_.publication_messages;
-    wire::Announcement msg;
-    msg.kind = wire::Announcement::Kind::kPublication;
-    msg.from = source;
-    msg.pub = pub;
-    msg.token = token;
-    ensure_transport().send_frame(source, next, msg);
-  }
-}
-
-std::vector<SubscriptionId> BrokerNetwork::publish_one(BrokerId broker,
-                                                       const Publication& pub) {
+std::vector<SubscriptionId> BrokerNetwork::publish(BrokerId broker,
+                                                   const Publication& pub) {
   require_alive(broker, "publish");
   std::vector<SubscriptionId> delivered;
   const std::uint64_t token = ++publication_token_;
@@ -737,190 +703,18 @@ std::vector<SubscriptionId> BrokerNetwork::publish_one(BrokerId broker,
   return delivered;
 }
 
-std::vector<std::vector<SubscriptionId>> BrokerNetwork::publish_same_source(
-    BrokerId broker, const std::vector<Publication>& pubs) {
-  // Sinks must not move while scheduled handlers hold pointers to them:
-  // sized up front, never resized below.
-  require_alive(broker, "publish_batch");
-  std::vector<std::vector<SubscriptionId>> delivered(pubs.size());
-  if (config_.pipelined_publish && !config_.link.enabled) {
-    // Staged path: precompute every source-hop route in one pipeline run
-    // (matching never mutates routing state, so batching the matches ahead
-    // of the hop effects is decision-neutral), then apply the effects in
-    // publication order. The scheduled-event timeline is identical to the
-    // injection path below: tokens ascend in publication order and every
-    // first hop lands at now + link_latency.
-    ensure_pipeline().run(*brokers_.at(broker), pubs,
-                          Origin{true, kInvalidBroker}, pipeline_routes_);
-    for (std::size_t i = 0; i < pubs.size(); ++i) {
-      apply_source_route(broker, pubs[i], pipeline_routes_[i], &delivered[i]);
-    }
-    run_cascade();
-  } else {
-    std::vector<sim::EventQueue::Handler> injections;
-    injections.reserve(pubs.size());
-    for (std::size_t i = 0; i < pubs.size(); ++i) {
-      const std::uint64_t token = ++publication_token_;
-      auto* sink = &delivered[i];
-      pub_sinks_.emplace(token, sink);
-      injections.push_back([this, broker, pub = pubs[i], token, sink]() {
-        deliver_publication(broker, pub, Origin{true, kInvalidBroker}, token,
-                            sink);
-      });
-    }
-    queue_.schedule_batch_in(0, std::move(injections));
-    queue_.run_step();  // fire the whole injection front at one instant
-    run_cascade();
-  }
-  drain_escalations();
-  pub_sinks_.clear();
-
-  for (std::size_t i = 0; i < pubs.size(); ++i) {
-    account_delivery(broker, pubs[i], delivered[i]);
-  }
-  return delivered;
-}
-
-std::vector<std::vector<SubscriptionId>> BrokerNetwork::publish_multi_source(
-    std::span<const std::pair<BrokerId, Publication>> pubs) {
-  for (const auto& [source, pub] : pubs) require_alive(source, "publish_batch");
-  std::vector<std::vector<SubscriptionId>> delivered(pubs.size());
-  if (config_.pipelined_publish && !config_.link.enabled) {
-    // Group pair indices per source broker (first-appearance order) so each
-    // source needs one pipeline run, then apply the source-hop effects in
-    // the original pair order — tokens and the event timeline come out
-    // exactly as the per-pair injection path below produces them.
-    std::vector<BrokerId> sources;
-    std::vector<std::vector<std::size_t>> groups;
-    for (std::size_t i = 0; i < pubs.size(); ++i) {
-      std::size_t g = 0;
-      while (g < sources.size() && sources[g] != pubs[i].first) ++g;
-      if (g == sources.size()) {
-        sources.push_back(pubs[i].first);
-        groups.emplace_back();
-      }
-      groups[g].push_back(i);
-    }
-    std::vector<Broker::PublicationRoute> routes(pubs.size());
-    std::vector<Publication> batch;
-    for (std::size_t g = 0; g < sources.size(); ++g) {
-      batch.clear();
-      for (const std::size_t i : groups[g]) batch.push_back(pubs[i].second);
-      ensure_pipeline().run(*brokers_.at(sources[g]), batch,
-                            Origin{true, kInvalidBroker}, pipeline_routes_);
-      for (std::size_t k = 0; k < groups[g].size(); ++k) {
-        routes[groups[g][k]] = std::move(pipeline_routes_[k]);
-      }
-    }
-    for (std::size_t i = 0; i < pubs.size(); ++i) {
-      apply_source_route(pubs[i].first, pubs[i].second, routes[i],
-                         &delivered[i]);
-    }
-    run_cascade();
-  } else {
-    std::vector<sim::EventQueue::Handler> injections;
-    injections.reserve(pubs.size());
-    for (std::size_t i = 0; i < pubs.size(); ++i) {
-      const std::uint64_t token = ++publication_token_;
-      auto* sink = &delivered[i];
-      pub_sinks_.emplace(token, sink);
-      injections.push_back([this, source = pubs[i].first,
-                            pub = pubs[i].second, token, sink]() {
-        deliver_publication(source, pub, Origin{true, kInvalidBroker}, token,
-                            sink);
-      });
-    }
-    queue_.schedule_batch_in(0, std::move(injections));
-    queue_.run_step();
-    run_cascade();
-  }
-  drain_escalations();
-  pub_sinks_.clear();
-
-  for (std::size_t i = 0; i < pubs.size(); ++i) {
-    account_delivery(pubs[i].first, pubs[i].second, delivered[i]);
-  }
-  return delivered;
-}
-
-// --- consolidated publish surface ---------------------------------------
-
 PublishRequest PublishRequest::single(BrokerId broker, core::Publication pub) {
   PublishRequest request;
-  request.shape_ = Shape::kSingle;
   request.broker_ = broker;
   request.pub_ = std::move(pub);
   return request;
 }
 
-PublishRequest PublishRequest::batch(BrokerId broker,
-                                     std::vector<core::Publication> pubs) {
-  PublishRequest request;
-  request.shape_ = Shape::kSameSource;
-  request.broker_ = broker;
-  request.pubs_ = std::move(pubs);
-  return request;
-}
-
-PublishRequest PublishRequest::multi_source(
-    std::vector<SourcedPublication> pairs) {
-  PublishRequest request;
-  request.shape_ = Shape::kMultiSource;
-  request.owned_pairs_ = std::move(pairs);
-  return request;
-}
-
-PublishRequest PublishRequest::view(std::span<const SourcedPublication> pairs) {
-  PublishRequest request;
-  request.shape_ = Shape::kMultiSource;
-  request.view_ = pairs;
-  return request;
-}
-
-std::size_t PublishRequest::size() const noexcept {
-  switch (shape_) {
-    case Shape::kSingle:
-      return 1;
-    case Shape::kSameSource:
-      return pubs_.size();
-    case Shape::kMultiSource:
-      return pairs().size();
-  }
-  return 0;
-}
-
 std::vector<std::vector<SubscriptionId>> BrokerNetwork::publish(
     const PublishRequest& request) {
-  // Each shape dispatches to the legacy entry point's body verbatim, so a
-  // request built from a legacy call is timeline-identical to it (same
-  // token order, same injection events, same tie-break sequence numbers).
-  switch (request.shape_) {
-    case PublishRequest::Shape::kSingle: {
-      std::vector<std::vector<SubscriptionId>> delivered(1);
-      delivered[0] = publish_one(request.broker_, request.pub_);
-      return delivered;
-    }
-    case PublishRequest::Shape::kSameSource:
-      return publish_same_source(request.broker_, request.pubs_);
-    case PublishRequest::Shape::kMultiSource:
-      return publish_multi_source(request.pairs());
-  }
-  return {};
-}
-
-std::vector<SubscriptionId> BrokerNetwork::publish(BrokerId broker,
-                                                   const Publication& pub) {
-  return publish_one(broker, pub);
-}
-
-std::vector<std::vector<SubscriptionId>> BrokerNetwork::publish_batch(
-    BrokerId broker, const std::vector<Publication>& pubs) {
-  return publish_same_source(broker, pubs);
-}
-
-std::vector<std::vector<SubscriptionId>> BrokerNetwork::publish_batch(
-    std::span<const std::pair<BrokerId, Publication>> pubs) {
-  return publish_multi_source(pubs);
+  std::vector<std::vector<SubscriptionId>> delivered(1);
+  delivered[0] = publish(request.broker_, request.pub_);
+  return delivered;
 }
 
 std::vector<std::uint8_t> BrokerNetwork::snapshot_all() const {
@@ -980,14 +774,7 @@ std::vector<std::uint8_t> BrokerNetwork::snapshot_all() const {
 void BrokerNetwork::restore_all(std::span<const std::uint8_t> bytes) {
   wire::ByteReader in(bytes);
   wire::read_frame_header(in, wire::kNetworkSnapshotMagic, "network");
-  // Pipeline knobs are runtime-only execution policy, not serialized state:
-  // the restored network keeps this incarnation's settings (and its decisions
-  // are identical either way).
-  const bool pipelined = config_.pipelined_publish;
-  const PublishPipelineOptions pipeline_options = config_.pipeline;
   config_ = wire::read_network_config(in);
-  config_.pipelined_publish = pipelined;
-  config_.pipeline = pipeline_options;
 
   // Wipe this incarnation. Pending events (TTL timers of the old state)
   // die with the old queue; metrics restart at zero.

@@ -21,7 +21,6 @@
 #include "routing/broker.hpp"
 #include "routing/link_channel.hpp"
 #include "routing/membership.hpp"
-#include "routing/publish_pipeline.hpp"
 #include "routing/sim_transport.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/metrics.hpp"
@@ -33,19 +32,10 @@ struct NetworkConfig {
   store::StoreConfig store;      ///< coverage policy + engine tuning
   sim::SimTime link_latency = 0.001;  ///< seconds per hop
   std::uint64_t seed = 0xfeedbeefULL;
-  /// Shard count of every broker's local publication-match index
-  /// (exec::ShardedStore). Purely a throughput knob: delivery decisions
-  /// are identical for every value (see docs/ARCHITECTURE.md).
+  /// Shard count of every broker's local publish lane
+  /// (exec::ShardedStore). Delivery decisions are identical for every
+  /// value (see docs/ARCHITECTURE.md).
   std::size_t match_shards = 1;
-  /// Routes batch publishes through the staged PublishPipeline (every
-  /// broker keeps origin-partitioned publish lanes — one extra copy of
-  /// its routed set). Purely a throughput knob like match_shards:
-  /// delivered sets and message traffic are identical either way.
-  /// Runtime-only: not serialized by snapshot_all and preserved across
-  /// restore_all, mirroring how index runtime knobs are handled.
-  bool pipelined_publish = false;
-  /// Stage sizing for the pipeline (workers/queue depth/batch size).
-  PublishPipelineOptions pipeline;
   /// Reliable-link protocol + fault injection (link.enabled routes every
   /// hop through LinkChannels; disabled = the perfect zero-loss wire, with
   /// the pre-existing direct-schedule hot path byte-for-byte intact).
@@ -57,7 +47,6 @@ struct NetworkConfig {
   ///   auto config = NetworkConfig::Builder()
   ///                     .seed(42)
   ///                     .link_latency(0.002)
-  ///                     .pipelined(true, pipeline_options)
   ///                     .link(link_config)
   ///                     .build();
   ///
@@ -85,13 +74,6 @@ class NetworkConfig::Builder {
     config_.match_shards = value;
     return *this;
   }
-  /// Enables (or disables) the staged publish pipeline, routing its stage
-  /// sizing through in the same call so the two knobs cannot drift apart.
-  Builder& pipelined(bool on, PublishPipelineOptions options = {}) {
-    config_.pipelined_publish = on;
-    config_.pipeline = options;
-    return *this;
-  }
   /// Installs the reliable-link protocol config wholesale (enabled flag,
   /// timers, fault rates) — the one knob struct LinkChannels consumes.
   Builder& link(const LinkConfig& value) {
@@ -104,48 +86,16 @@ class NetworkConfig::Builder {
   NetworkConfig config_;
 };
 
-/// The consolidated publish surface: one request object covering the three
-/// legacy entry-point shapes (single publication, same-source batch,
-/// multi-source batch), so sim and TCP callers share one call. Each factory
-/// preserves the exact semantics — and the exact event timeline — of the
-/// legacy signature it wraps.
+/// One publication injected at one broker: the request form of
+/// BrokerNetwork::publish, shared by the simulator and TCP drivers.
 class PublishRequest {
  public:
-  using SourcedPublication = std::pair<BrokerId, core::Publication>;
-
-  /// One publication at `broker` (legacy publish(broker, pub)).
   static PublishRequest single(BrokerId broker, core::Publication pub);
-
-  /// A batch injected at one simulated instant from one source (legacy
-  /// publish_batch(broker, pubs)).
-  static PublishRequest batch(BrokerId broker,
-                              std::vector<core::Publication> pubs);
-
-  /// A multi-source batch, one instant, pair order preserved (legacy
-  /// publish_batch(span)). Owns its pairs.
-  static PublishRequest multi_source(std::vector<SourcedPublication> pairs);
-
-  /// Non-owning multi-source view: zero-copy over caller-held pairs, which
-  /// must outlive the publish call.
-  static PublishRequest view(std::span<const SourcedPublication> pairs);
-
-  /// Publications in the request.
-  [[nodiscard]] std::size_t size() const noexcept;
 
  private:
   friend class BrokerNetwork;
-  enum class Shape { kSingle, kSameSource, kMultiSource };
-
-  [[nodiscard]] std::span<const SourcedPublication> pairs() const noexcept {
-    return owned_pairs_.empty() ? view_ : std::span(owned_pairs_);
-  }
-
-  Shape shape_ = Shape::kSingle;
-  BrokerId broker_ = 0;                  ///< kSingle / kSameSource
-  core::Publication pub_;                ///< kSingle
-  std::vector<core::Publication> pubs_;  ///< kSameSource
-  std::vector<SourcedPublication> owned_pairs_;       ///< kMultiSource owning
-  std::span<const SourcedPublication> view_;          ///< kMultiSource view
+  BrokerId broker_ = 0;
+  core::Publication pub_;
 };
 
 class BrokerNetwork {
@@ -307,31 +257,15 @@ class BrokerNetwork {
   /// Client unsubscribes (id must have been subscribed).
   void unsubscribe(BrokerId broker, core::SubscriptionId id);
 
-  /// THE publish entry point: every request shape (single, same-source
-  /// batch, multi-source batch — see PublishRequest) runs to quiescence and
-  /// returns the delivered ids per publication, sorted/deduplicated, in
-  /// request order. Delivered sets are identical to calling the single
-  /// form once per publication (publication handling never mutates routing
-  /// state); batches are injected at one simulated instant so the combined
-  /// cascade runs once. With config.pipelined_publish the source-hop
-  /// matching of batch shapes runs through the staged PublishPipeline.
-  std::vector<std::vector<core::SubscriptionId>> publish(
-      const PublishRequest& request);
-
-  /// Deprecated shim for publish(PublishRequest::single(broker, pub)):
-  /// kept for existing call sites; prefer the request form.
+  /// Injects one publication at `broker`, runs the cascade to quiescence,
+  /// and returns the delivered subscription ids, sorted and deduplicated.
   std::vector<core::SubscriptionId> publish(BrokerId broker,
                                             const core::Publication& pub);
 
-  /// Deprecated shim for publish(PublishRequest::batch(...)); prefer the
-  /// request form.
-  std::vector<std::vector<core::SubscriptionId>> publish_batch(
-      BrokerId broker, const std::vector<core::Publication>& pubs);
-
-  /// Deprecated shim for publish(PublishRequest::view(pubs)); prefer the
-  /// request form.
-  std::vector<std::vector<core::SubscriptionId>> publish_batch(
-      std::span<const std::pair<BrokerId, core::Publication>> pubs);
+  /// Request form of publish: returns one delivered set, in a
+  /// one-element vector.
+  std::vector<std::vector<core::SubscriptionId>> publish(
+      const PublishRequest& request);
 
   // --- unreliable links --------------------------------------------------
 
@@ -428,11 +362,6 @@ class BrokerNetwork {
   /// handler runs, so one network-wide scratch keeps every broker hop
   /// allocation-free once warm.
   Broker::PublishScratch publish_scratch_;
-  /// Shared staged pipeline (config_.pipelined_publish): one pipeline —
-  /// and one set of stage workers — serves every broker, retargeted per
-  /// batch. Built lazily on the first pipelined publish_batch.
-  std::unique_ptr<PublishPipeline> pipeline_;
-  std::vector<Broker::PublicationRoute> pipeline_routes_;
 
   /// The hop-delivery transport (the Transport seam): SimTransport over
   /// the event queue — the perfect wire, or LinkChannels when
@@ -450,8 +379,8 @@ class BrokerNetwork {
   std::vector<std::pair<BrokerId, BrokerId>> escalated_links_;
   bool draining_escalations_ = false;
   /// Publication delivery sinks by token, for the transport dispatch path
-  /// (a wire frame cannot carry a pointer). Entries live for one publish
-  /// entry-point call; stale lookups resolve to a null sink.
+  /// (a wire frame cannot carry a pointer). An entry lives for one publish
+  /// call; stale lookups resolve to a null sink.
   std::unordered_map<std::uint64_t, std::vector<core::SubscriptionId>*> pub_sinks_;
 
   void deliver_subscription(BrokerId at, core::Subscription sub, Origin origin,
@@ -476,29 +405,11 @@ class BrokerNetwork {
 
   /// Constructs broker `id` with the same derived seed original
   /// construction would have used (shared by add_broker, crash wipes, and
-  /// restore_all). Pipelined networks get their publish lanes here, so
-  /// crash wipes and restores keep the lane mirror in lockstep.
+  /// restore_all).
   [[nodiscard]] std::unique_ptr<Broker> make_broker(BrokerId id) const;
 
-  PublishPipeline& ensure_pipeline();
-  /// The three publish shapes behind publish(PublishRequest) — each is the
-  /// former public entry point's body verbatim, so the legacy shims and
-  /// the request form share one timeline-identical implementation.
-  std::vector<core::SubscriptionId> publish_one(BrokerId broker,
-                                                const core::Publication& pub);
-  std::vector<std::vector<core::SubscriptionId>> publish_same_source(
-      BrokerId broker, const std::vector<core::Publication>& pubs);
-  std::vector<std::vector<core::SubscriptionId>> publish_multi_source(
-      std::span<const std::pair<BrokerId, core::Publication>> pubs);
-  /// Source-hop effects of one precomputed route, in sequential-injection
-  /// shape: assign the next token, mark it seen at the source, sink the
-  /// local matches, and schedule one hop per destination.
-  void apply_source_route(BrokerId source, const core::Publication& pub,
-                          const Broker::PublicationRoute& route,
-                          std::vector<core::SubscriptionId>* sink);
-  /// Post-cascade accounting shared by the publish entry points: sorts and
-  /// dedups `ids` in place and tallies delivered/lost against the
-  /// component-aware expected set.
+  /// Post-cascade accounting for publish: sorts and dedups `ids` in place
+  /// and tallies delivered/lost against the component-aware expected set.
   void account_delivery(BrokerId source, const core::Publication& pub,
                         std::vector<core::SubscriptionId>& ids);
 

@@ -85,9 +85,7 @@ std::vector<core::SubscriptionId> replay_op(BrokerNetwork& net,
       net.unsubscribe(op.broker, op.id);
       break;
     case ChurnOpKind::kPublish:
-      delivered = std::move(
-          net.publish(routing::PublishRequest::single(op.broker, op.pub))
-              .front());
+      delivered = net.publish(op.broker, op.pub);
       break;
     case ChurnOpKind::kAdvance:
       break;
@@ -162,7 +160,6 @@ ChurnReport ChurnDriver::run(BrokerNetwork& net, const ChurnTrace& trace,
   ChurnReport report;
   FlatOracle oracle;
   std::vector<core::SubscriptionId> oracle_delivered;  // reused per publish
-  std::vector<std::pair<BrokerId, core::Publication>> publish_pairs;
 
   // Membership setup: the network must start on the trace's universe (the
   // same live forest the generator planned against), its standby bridges
@@ -192,13 +189,7 @@ ChurnReport ChurnDriver::run(BrokerNetwork& net, const ChurnTrace& trace,
   };
   if (trace.has_membership) refresh_images();
 
-  // Lossy-link setup: install the trace's scripted burst windows and
-  // record how publishes will actually be issued (satellite knob audit —
-  // a "pipelined" soak that quietly ran per-op must be visible).
-  report.publish_coalescing = !options.pipelined_publish ? "off"
-                              : failure.enabled ? "disabled-failure-injection"
-                              : net.lossy_links() ? "disabled-link-faults"
-                                                  : "pipelined";
+  // Lossy-link setup: install the trace's scripted burst windows.
   if (net.lossy_links() && !trace.bursts.empty()) {
     std::vector<routing::LinkChannels::BurstWindow> bursts;
     bursts.reserve(trace.bursts.size());
@@ -297,45 +288,6 @@ ChurnReport ChurnDriver::run(BrokerNetwork& net, const ChurnTrace& trace,
       }
     }
 
-    // Pipelined mode: a run of consecutive publish ops inside the current
-    // epoch becomes one multi-source publish_batch. Per-op bookkeeping and
-    // the differential check are unchanged; only the clock settles once, at
-    // the batch's last instant, for both replicas.
-    if (options.pipelined_publish && !failure.enabled && !net.lossy_links() &&
-        op.kind == ChurnOpKind::kPublish) {
-      std::size_t end = op_index;
-      while (end < trace.ops.size() &&
-             trace.ops[end].kind == ChurnOpKind::kPublish &&
-             trace.ops[end].time <= epoch_end) {
-        ++end;
-      }
-      const std::size_t count = end - op_index;
-      publish_pairs.clear();
-      for (std::size_t k = op_index; k < end; ++k) {
-        publish_pairs.emplace_back(trace.ops[k].broker, trace.ops[k].pub);
-      }
-      const double batch_time = trace.ops[end - 1].time;
-      net.advance_time(batch_time);
-      if (options.differential) oracle.advance_time(batch_time);
-      epoch.ops += count;
-      report.ops += count;
-      epoch.publishes += count;
-      report.publishes += count;
-      const auto delivered_sets =
-          net.publish(routing::PublishRequest::view(publish_pairs));
-      if (options.differential) {
-        for (std::size_t k = 0; k < count; ++k) {
-          oracle.publish(trace.ops[op_index + k].broker,
-                         trace.ops[op_index + k].pub, oracle_delivered);
-          if (delivered_sets[k] != oracle_delivered) {
-            ++epoch.mismatched_publishes;
-          }
-        }
-      }
-      op_index = end - 1;  // the for-increment steps past the batch
-      continue;
-    }
-
     // Crash point: wipe the live network, restore the newest snapshot,
     // replay the WAL gap, then fall through to normal processing of this
     // op against the recovered state.
@@ -391,9 +343,7 @@ ChurnReport ChurnDriver::run(BrokerNetwork& net, const ChurnTrace& trace,
       case ChurnOpKind::kPublish: {
         ++epoch.publishes;
         ++report.publishes;
-        const auto delivered = std::move(
-            net.publish(routing::PublishRequest::single(op.broker, op.pub))
-                .front());
+        const auto delivered = net.publish(op.broker, op.pub);
         // Escalations fire inside net.publish before its own delivery
         // accounting; the oracle needs the same fail_links applied before
         // its delivered set is computed.

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "routing/broker_network.hpp"
@@ -118,14 +117,6 @@ struct ChurnReport {
   std::size_t final_live_subscriptions = 0;
   RecoveryStats recovery;
   MembershipStats membership;
-  /// How publish ops were actually issued: "pipelined" (coalesced batches
-  /// through the staged pipeline), "off" (per-op, pipelining not
-  /// requested), or the reason a requested pipeline was silently refused —
-  /// "disabled-failure-injection" (WAL replay is per-op) or
-  /// "disabled-link-faults" (per-link frame sequencing makes a coalesced
-  /// batch's per-op oracle compare unsound). Soak JSON prints this so a
-  /// "pipelined" soak that quietly ran per-op is visible.
-  std::string publish_coalescing = "off";
 };
 
 class ChurnDriver {
@@ -162,18 +153,6 @@ class ChurnDriver {
     /// Replay the trace against a FlatOracle in lockstep and count
     /// publications whose delivered set diverges from the network's.
     bool differential = false;
-    /// Coalesce runs of consecutive publish ops into one multi-source
-    /// BrokerNetwork::publish_batch call — the staged-pipeline entry point
-    /// when the network is configured with NetworkConfig::pipelined_publish.
-    /// Both replicas settle at the batch's last op time before the batch
-    /// fires (so TTL expiries stay in lockstep), and the differential check
-    /// still runs op for op against the oracle. Batches never span an epoch
-    /// boundary. Ignored when failure injection is enabled (the WAL replay
-    /// discipline is per-op) and when the network runs lossy links (frames
-    /// of a coalesced batch share per-link sequence numbers, so a retry-cap
-    /// escalation mid-batch would shift which ops the oracle mirrors it
-    /// for); ChurnReport::publish_coalescing records what actually ran.
-    bool pipelined_publish = false;
     FailureInjection failure;
   };
 

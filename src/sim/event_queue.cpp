@@ -8,13 +8,6 @@ void EventQueue::schedule_at(SimTime at, Handler handler) {
   heap_.push(Event{at < now_ ? now_ : at, next_seq_++, std::move(handler)});
 }
 
-void EventQueue::schedule_batch_at(SimTime at, std::vector<Handler> handlers) {
-  const SimTime time = at < now_ ? now_ : at;
-  for (Handler& handler : handlers) {
-    heap_.push(Event{time, next_seq_++, std::move(handler)});
-  }
-}
-
 EventQueue::TimerId EventQueue::schedule_cancelable_at(SimTime at,
                                                        Handler handler) {
   const TimerId id = next_timer_id_++;

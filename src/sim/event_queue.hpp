@@ -33,18 +33,6 @@ class EventQueue {
     schedule_at(now_ + (delay > 0 ? delay : 0), std::move(handler));
   }
 
-  /// Batch dispatch: schedules all handlers at the same absolute time with
-  /// consecutive sequence numbers, so they fire back-to-back in vector
-  /// order with no unrelated event interleaved between two batch members
-  /// scheduled at an equal timestamp. This is the injection point for the
-  /// broker batch APIs: one batch = one timestamp = one cascade front.
-  void schedule_batch_at(SimTime at, std::vector<Handler> handlers);
-
-  /// Batch form of schedule_in (delay >= 0, clamped like schedule_at).
-  void schedule_batch_in(SimTime delay, std::vector<Handler> handlers) {
-    schedule_batch_at(now_ + (delay > 0 ? delay : 0), std::move(handlers));
-  }
-
   /// Schedules a CANCELABLE timer at absolute time `at`. The handler is
   /// owned by a side table, not the heap entry; cancel() destroys it
   /// immediately (releasing everything it captured) while the heap entry
@@ -77,9 +65,7 @@ class EventQueue {
   /// Runs every event due at the earliest pending timestamp — one batch
   /// step — including events a handler schedules AT that same timestamp
   /// (schedule_at clamps past times to now, so nothing can sneak in
-  /// earlier). Returns events fired; 0 when the queue is empty. Callers
-  /// that fan a step's events out to a batch API use this as the step
-  /// boundary.
+  /// earlier). Returns events fired; 0 when the queue is empty.
   std::size_t run_step();
 
   /// Runs until the queue drains or `max_events` fire. Returns events fired.

@@ -164,8 +164,8 @@ class SubscriptionStore {
   void match_active(const core::Publication& pub,
                     std::vector<core::SubscriptionId>& out) const;
 
-  /// Raw form for callers that order downstream (the staged publish
-  /// pipeline radix-sorts the union of several stores' matches once):
+  /// Raw form for callers that order downstream (Broker's publish lanes
+  /// radix-sort the union of several stores' matches once):
   /// appends the same id SET as match_active but in an UNSPECIFIED order
   /// (index emission order, or flat slot order). Same arity and
   /// concurrency contract as match().

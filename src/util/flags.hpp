@@ -22,8 +22,14 @@ class Flags {
 
   [[nodiscard]] std::string get_string(const std::string& name,
                                        const std::string& fallback) const;
+  /// Numeric getters parse the WHOLE value: a malformed, empty, partial
+  /// ("12abc") or out-of-range value throws std::invalid_argument naming
+  /// the flag and the value.
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const;
+  /// Unsigned 64-bit form, for values such as seeds that use the full range.
+  [[nodiscard]] std::uint64_t get_uint64(const std::string& name,
+                                         std::uint64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
 

@@ -3,8 +3,7 @@
 // std::unordered_map where node allocation and pointer-chasing dominate:
 // every probe is a linear walk over one contiguous bucket array, a lookup
 // performs zero allocations, and reserve() pre-sizes the table so a batch
-// of insertions triggers no rehash (Broker::insert_batch relies on this to
-// keep value pointers stable for the duration of a batch).
+// of insertions triggers no rehash (value pointers stay stable across it).
 //
 // Design:
 //   * keys are unsigned integers; key 0 is RESERVED as the empty-bucket

@@ -12,21 +12,13 @@
 //      pool size (0 = inline, or multi-worker), as id sets per
 //      publication. For a coverage-free store matching is exact and
 //      partition-independent, so this holds with equality.
-//
-//   3. Broker batch APIs reproduce their sequential counterparts:
-//      insert_batch == handle_subscription loop (forward lists, link-store
-//      states, suppression counts), match_batch == handle_publication loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <span>
-#include <utility>
 #include <vector>
 
 #include "exec/sharded_store.hpp"
 #include "exec/thread_pool.hpp"
-#include "match/sharded_matcher.hpp"
-#include "routing/broker.hpp"
 #include "store/subscription_store.hpp"
 #include "workload/comparison_stream.hpp"
 #include "workload/publications.hpp"
@@ -163,145 +155,6 @@ TEST(MatchBatchDeterminism, ShardCountsAgreeWithSequentialStore) {
         EXPECT_EQ(ids, expected[i]) << "shards=" << shards << " pub=" << i;
       }
     }
-  }
-}
-
-// Same property through the notification layer: ShardedMatcher's matched
-// sets and destination fan-out are shard-count-invariant and agree with
-// the sequential Matcher.
-TEST(MatchBatchDeterminism, ShardedMatcherNotificationsMatchSequentialMatcher) {
-  workload::ComparisonConfig stream_config;
-  stream_config.attribute_count = 6;
-  std::vector<Subscription> subs;
-  {
-    workload::ComparisonStream stream(stream_config, 31);
-    subs = stream.take(180);
-  }
-  std::vector<Publication> pubs;
-  util::Rng pub_rng(32);
-  for (int i = 0; i < 60; ++i) {
-    pubs.push_back(workload::uniform_publication(stream_config.attribute_count,
-                                                 0.0, 1000.0, pub_rng));
-  }
-
-  store::StoreConfig flat_config;
-  flat_config.policy = store::CoveragePolicy::kNone;
-  flat_config.demote_covered_actives = false;
-  match::Matcher matcher(flat_config, 1);
-  for (std::size_t i = 0; i < subs.size(); ++i) {
-    (void)matcher.subscribe(subs[i],
-                            static_cast<match::NeighborId>(i % 5));
-  }
-
-  ThreadPool pool(2);
-  for (const std::size_t shards : {1UL, 2UL, 8UL}) {
-    ShardConfig config;
-    config.shard_count = shards;
-    config.store = flat_config;
-    match::ShardedMatcher sharded(config, 1, &pool);
-    for (std::size_t i = 0; i < subs.size(); ++i) {
-      (void)sharded.subscribe(subs[i], static_cast<match::NeighborId>(i % 5));
-    }
-    const auto outcomes = sharded.match_batch(pubs);
-    ASSERT_EQ(outcomes.size(), pubs.size());
-    for (std::size_t i = 0; i < pubs.size(); ++i) {
-      auto expected = matcher.match(pubs[i]);
-      std::sort(expected.matched.begin(), expected.matched.end());
-      std::sort(expected.destinations.begin(), expected.destinations.end());
-      auto destinations = outcomes[i].destinations;
-      std::sort(destinations.begin(), destinations.end());
-      EXPECT_EQ(outcomes[i].matched, expected.matched)
-          << "shards=" << shards << " pub=" << i;
-      EXPECT_EQ(destinations, expected.destinations)
-          << "shards=" << shards << " pub=" << i;
-    }
-  }
-}
-
-// Property 3: broker batch entry points reproduce sequential handling.
-TEST(BrokerBatchDeterminism, InsertAndMatchBatchesReproduceSequentialBroker) {
-  workload::ComparisonConfig stream_config;
-  stream_config.attribute_count = 4;
-  stream_config.max_constrained = 3;
-  std::vector<Subscription> subs;
-  {
-    workload::ComparisonStream stream(stream_config, 55);
-    subs = stream.take(120);
-  }
-  // Duplicate ids in the batch must be dropped like repeated deliveries.
-  subs.push_back(subs.front());
-  std::vector<Publication> pubs;
-  util::Rng pub_rng(56);
-  for (int i = 0; i < 40; ++i) {
-    pubs.push_back(workload::uniform_publication(stream_config.attribute_count,
-                                                 0.0, 1000.0, pub_rng));
-  }
-
-  store::StoreConfig config;
-  config.policy = store::CoveragePolicy::kGroup;
-  config.engine.max_iterations = 2'000;
-
-  const routing::Origin local{true, routing::kInvalidBroker};
-  ThreadPool pool(2);
-
-  routing::Broker sequential(7, config, 42, /*match_shards=*/1);
-  routing::Broker batched(7, config, 42, /*match_shards=*/4);
-  for (const routing::BrokerId n : {1u, 2u, 3u}) {
-    sequential.add_neighbor(n);
-    batched.add_neighbor(n);
-  }
-
-  // Three batches with distinct origins, so matching later exercises both
-  // local delivery and reverse-path destinations (including the
-  // never-send-back rule).
-  const std::size_t third = subs.size() / 3;
-  const std::vector<std::pair<routing::Origin, std::span<const Subscription>>>
-      batches = {
-          {local, std::span<const Subscription>(subs).subspan(0, third)},
-          {routing::Origin{false, 1},
-           std::span<const Subscription>(subs).subspan(third, third)},
-          {routing::Origin{false, 3},
-           std::span<const Subscription>(subs).subspan(2 * third)},
-      };
-  std::uint64_t suppressed_sequential = 0;
-  std::uint64_t suppressed_batched = 0;
-  for (const auto& [origin, slice] : batches) {
-    std::vector<std::vector<routing::BrokerId>> expected_forwards;
-    expected_forwards.reserve(slice.size());
-    for (const auto& sub : slice) {
-      expected_forwards.push_back(
-          sequential.handle_subscription(sub, origin, &suppressed_sequential));
-    }
-    const auto forwards =
-        batched.insert_batch(slice, origin, &pool, &suppressed_batched);
-    EXPECT_EQ(forwards, expected_forwards);
-  }
-  EXPECT_EQ(suppressed_batched, suppressed_sequential);
-  EXPECT_EQ(batched.routing_table_size(), sequential.routing_table_size());
-  for (const routing::BrokerId n : {1u, 2u, 3u}) {
-    ASSERT_NE(batched.forwarded_store(n), nullptr);
-    ASSERT_NE(sequential.forwarded_store(n), nullptr);
-    EXPECT_EQ(batched.forwarded_store(n)->active_count(),
-              sequential.forwarded_store(n)->active_count());
-    EXPECT_EQ(batched.forwarded_store(n)->covered_count(),
-              sequential.forwarded_store(n)->covered_count());
-  }
-
-  const routing::Origin from_link{false, 2};
-  const auto routes = batched.match_batch(pubs, from_link, &pool);
-  ASSERT_EQ(routes.size(), pubs.size());
-  for (std::size_t i = 0; i < pubs.size(); ++i) {
-    std::vector<SubscriptionId> expected_local;
-    const auto expected_destinations =
-        sequential.handle_publication(pubs[i], from_link, expected_local);
-    EXPECT_EQ(routes[i].local_matches, expected_local) << i;
-    EXPECT_EQ(routes[i].destinations, expected_destinations) << i;
-    // And the batch path equals the same broker's own sequential path.
-    std::vector<SubscriptionId> own_local;
-    const auto own_destinations =
-        batched.handle_publication(pubs[i], from_link, own_local);
-    EXPECT_EQ(routes[i].local_matches, own_local) << i;
-    EXPECT_EQ(routes[i].destinations, own_destinations) << i;
   }
 }
 

@@ -6,6 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
+#include "util/rng.hpp"
+#include "workload/comparison_stream.hpp"
+#include "workload/publications.hpp"
 
 namespace psc::routing {
 namespace {
@@ -150,6 +158,148 @@ TEST(Broker, SubscriptionsFromFiltersByOrigin) {
 TEST(Broker, AddNeighborIdempotent) {
   Broker broker = make_broker({1, 1, 1});
   EXPECT_EQ(broker.neighbors().size(), 1u);
+}
+
+// --- publication routes vs a brute-force reference ------------------------
+//
+// The reference scans routed_ids(), classifies each id by the origin the
+// test recorded for it, checks box containment, and applies never-send-back:
+// local deliveries ascending, destinations in first-match order (by the
+// minimum matching id of each neighbour). The broker must reproduce it
+// exactly — contents and order — for every shard count, from every origin,
+// across subscribe, unsubscribe, expiry, remove_neighbor, and
+// import_snapshot.
+
+constexpr std::size_t kAttrs = 4;
+
+struct RouteModel {
+  /// What the test inserted: id -> (subscription, origin).
+  std::unordered_map<SubscriptionId, std::pair<Subscription, Origin>> routes;
+
+  Broker::PublicationRoute expected(const Broker& broker,
+                                    const Publication& pub,
+                                    const Origin& from) const {
+    Broker::PublicationRoute route;
+    std::vector<std::pair<SubscriptionId, BrokerId>> first_match;
+    for (const SubscriptionId id : broker.routed_ids()) {  // ascending
+      const auto& [sub, origin] = routes.at(id);
+      if (!pub.matches(sub)) continue;
+      if (origin.local) {
+        route.local_matches.push_back(id);
+        continue;
+      }
+      if (!from.local && origin.neighbor == from.neighbor) continue;
+      const bool seen = std::any_of(
+          first_match.begin(), first_match.end(),
+          [&](const auto& entry) { return entry.second == origin.neighbor; });
+      if (!seen) first_match.emplace_back(id, origin.neighbor);
+    }
+    for (const auto& entry : first_match) {
+      route.destinations.push_back(entry.second);
+    }
+    return route;
+  }
+};
+
+void expect_routes_match(const Broker& broker, const RouteModel& model,
+                         const std::vector<Publication>& pubs,
+                         const std::string& what) {
+  ASSERT_EQ(broker.routing_table_size(), model.routes.size()) << what;
+  Broker::PublishScratch scratch;
+  for (const Origin& from : {Origin{true, kInvalidBroker}, Origin{false, 1},
+                             Origin{false, 2}, Origin{false, 3}}) {
+    const std::string where =
+        what + " from " +
+        (from.local ? std::string("local") : std::to_string(from.neighbor));
+    for (std::size_t p = 0; p < pubs.size(); ++p) {
+      const Broker::PublicationRoute expected =
+          model.expected(broker, pubs[p], from);
+      const Broker::PublicationRoute& route =
+          broker.handle_publication(pubs[p], from, scratch);
+      ASSERT_EQ(route.local_matches, expected.local_matches)
+          << where << " pub " << p;
+      ASSERT_EQ(route.destinations, expected.destinations)
+          << where << " pub " << p;
+      std::vector<SubscriptionId> local;
+      EXPECT_EQ(broker.handle_publication(pubs[p], from, local),
+                expected.destinations)
+          << where << " pub " << p;
+      EXPECT_EQ(local, expected.local_matches) << where << " pub " << p;
+    }
+  }
+}
+
+TEST(Broker, PublicationRoutesMatchBruteForceReference) {
+  for (const std::size_t shards : {1UL, 2UL, 8UL}) {
+    const std::string tag = "shards=" + std::to_string(shards);
+    Broker broker(0, pairwise(), 2006, shards);
+    for (const BrokerId n : {1u, 2u, 3u}) broker.add_neighbor(n);
+    RouteModel model;
+
+    workload::ComparisonConfig stream_config;
+    stream_config.attribute_count = kAttrs;
+    stream_config.max_constrained = 3;
+    workload::ComparisonStream stream(stream_config, 41);
+    util::Rng rng(42);
+    const auto subscribe = [&](std::size_t count) {
+      for (std::size_t i = 0; i < count; ++i) {
+        const auto draw = rng.next_below(4);
+        const Origin origin = draw == 0
+                                  ? Origin{true, kInvalidBroker}
+                                  : Origin{false, static_cast<BrokerId>(draw)};
+        Subscription sub = stream.next();
+        (void)broker.handle_subscription(sub, origin);
+        model.routes.emplace(sub.id(), std::make_pair(std::move(sub), origin));
+      }
+    };
+    std::vector<Publication> pubs;
+    for (int i = 0; i < 40; ++i) {
+      pubs.push_back(workload::uniform_publication(kAttrs, 0.0, 1000.0, rng));
+    }
+
+    subscribe(600);
+    expect_routes_match(broker, model, pubs, tag + " subscribe");
+
+    std::vector<SubscriptionId> ids = broker.routed_ids();
+    for (std::size_t i = 0; i < ids.size(); i += 3) {
+      (void)broker.handle_unsubscription(ids[i], model.routes.at(ids[i]).second);
+      model.routes.erase(ids[i]);
+    }
+    expect_routes_match(broker, model, pubs, tag + " unsubscribe");
+
+    ids = broker.routed_ids();
+    for (std::size_t i = 0; i < ids.size(); i += 5) {
+      (void)broker.handle_expiry(ids[i]);
+      model.routes.erase(ids[i]);
+    }
+    expect_routes_match(broker, model, pubs, tag + " expiry");
+
+    // Detaching a link keeps its routes until they are purged; purging
+    // them (as the network's detach cascade does) empties that lane.
+    broker.remove_neighbor(2);
+    expect_routes_match(broker, model, pubs, tag + " detach");
+    for (const SubscriptionId id : broker.subscriptions_from(Origin{false, 2})) {
+      (void)broker.handle_unsubscription(id, Origin{false, 2});
+      model.routes.erase(id);
+    }
+    expect_routes_match(broker, model, pubs, tag + " purge");
+
+    // Re-attach and learn fresh routes over the link again.
+    broker.add_neighbor(2);
+    (void)broker.announce_all_to(2);
+    subscribe(150);
+    expect_routes_match(broker, model, pubs, tag + " reattach");
+
+    Broker restored(0, pairwise(), 2006, shards);
+    for (const BrokerId n : broker.neighbors()) restored.add_neighbor(n);
+    restored.import_snapshot(broker.export_snapshot());
+    expect_routes_match(restored, model, pubs, tag + " import_snapshot");
+    for (const auto& record : restored.export_snapshot().routes) {
+      const auto& [sub, origin] = model.routes.at(record.sub.id());
+      EXPECT_EQ(record.sub, sub);
+      EXPECT_EQ(record.origin, origin);
+    }
+  }
 }
 
 }  // namespace

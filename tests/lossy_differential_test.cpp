@@ -204,29 +204,5 @@ TEST(LossyDifferential, DeliveryIsFaultScheduleInvariant) {
   }
 }
 
-TEST(LossyDifferential, ReportRecordsCoalescingRefusal) {
-  const LinkConfig link = lossy_link();
-  const Topology topology = standard_topologies(2006).front();
-  const ChurnConfig churn = lossy_churn(link, topology.brokers, 60);
-  const ChurnTrace trace =
-      workload::generate_churn_trace(churn, topology.brokers, 9);
-  sim::ChurnDriver::Options options;
-  options.differential = true;
-  options.pipelined_publish = true;  // must be refused on lossy links
-
-  auto net = topology.build(lossy_net_config(link, 9));
-  const auto report = sim::ChurnDriver::run(net, trace, options);
-  EXPECT_EQ(report.publish_coalescing, "disabled-link-faults");
-  EXPECT_EQ(report.mismatched_publishes, 0u);
-
-  NetworkConfig perfect;
-  perfect.link_latency = kLatency;
-  perfect.pipelined_publish = true;
-  auto perfect_net = topology.build(perfect);
-  const auto piped = sim::ChurnDriver::run(perfect_net, trace, options);
-  EXPECT_EQ(piped.publish_coalescing, "pipelined");
-  EXPECT_EQ(piped.mismatched_publishes, 0u);
-}
-
 }  // namespace
 }  // namespace psc::routing

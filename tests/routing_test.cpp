@@ -240,41 +240,6 @@ TEST(BrokerNetwork, SelfLinkRejected) {
   EXPECT_THROW(net.connect(a, a), std::invalid_argument);
 }
 
-TEST(BrokerNetwork, PublishBatchMatchesSequentialPublishes) {
-  // Two identical networks; one consumes the publications as a batch at a
-  // single simulated instant, the other one by one. Deliveries and loss
-  // accounting must agree, for a sharded local match index too.
-  for (const std::size_t shards : {1UL, 4UL}) {
-    NetworkConfig config = with_policy(store::CoveragePolicy::kGroup);
-    config.match_shards = shards;
-    auto sequential = BrokerNetwork::figure1_topology(config);
-    auto batched = BrokerNetwork::figure1_topology(config);
-    for (auto* net : {&sequential, &batched}) {
-      net->subscribe(B(1), box2(0, 10, 0, 10, 1));
-      net->subscribe(B(6), box2(2, 8, 2, 8, 2));
-      net->subscribe(B(8), box2(5, 20, 5, 20, 3));
-    }
-    const std::vector<Publication> pubs{
-        Publication({5.0, 5.0}), Publication({9.5, 9.5}),
-        Publication({15.0, 15.0}), Publication({50.0, 50.0})};
-    std::vector<std::vector<SubscriptionId>> expected;
-    expected.reserve(pubs.size());
-    for (const auto& pub : pubs) {
-      expected.push_back(sequential.publish(B(9), pub));
-    }
-    EXPECT_EQ(batched.publish_batch(B(9), pubs), expected) << shards;
-    EXPECT_EQ(batched.metrics().notifications_delivered,
-              sequential.metrics().notifications_delivered)
-        << shards;
-    EXPECT_EQ(batched.metrics().notifications_lost,
-              sequential.metrics().notifications_lost)
-        << shards;
-    EXPECT_EQ(batched.metrics().publication_messages,
-              sequential.metrics().publication_messages)
-        << shards;
-  }
-}
-
 TEST(BrokerNetwork, CyclicTopologyTerminates) {
   // Ring of 4 brokers: duplicate suppression must stop infinite flooding.
   auto net = BrokerNetwork(with_policy(store::CoveragePolicy::kPairwise));

@@ -106,35 +106,6 @@ TEST(EventQueue, EmptyQueueRunsZero) {
   EXPECT_TRUE(queue.empty());
 }
 
-TEST(EventQueue, BatchKeepsVectorOrderAmongEqualTimestamps) {
-  EventQueue queue;
-  std::vector<int> order;
-  // An unrelated event at the same time, scheduled BEFORE the batch,
-  // fires first (lower sequence); the batch then fires in vector order.
-  queue.schedule_at(1.0, [&] { order.push_back(-1); });
-  std::vector<EventQueue::Handler> batch;
-  for (int i = 0; i < 4; ++i) {
-    batch.push_back([&order, i] { order.push_back(i); });
-  }
-  queue.schedule_batch_at(1.0, std::move(batch));
-  queue.run();
-  EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3}));
-}
-
-TEST(EventQueue, BatchClampsPastTimesToNow) {
-  EventQueue queue;
-  queue.schedule_at(5.0, [] {});
-  queue.run();
-  ASSERT_DOUBLE_EQ(queue.now(), 5.0);
-  int fired = 0;
-  std::vector<EventQueue::Handler> batch;
-  batch.push_back([&] { ++fired; });
-  queue.schedule_batch_at(1.0, std::move(batch));  // in the past
-  queue.run();
-  EXPECT_EQ(fired, 1);
-  EXPECT_DOUBLE_EQ(queue.now(), 5.0);  // did not travel back in time
-}
-
 TEST(EventQueue, RunStepFiresExactlyTheEarliestTimestampGroup) {
   EventQueue queue;
   std::vector<int> order;
@@ -168,18 +139,16 @@ TEST(EventQueue, RunStepIncludesEventsScheduledAtTheStepTime) {
 
 TEST(EventQueue, SameTimestampOrderIsGlobalFifoAcrossScheduleForms) {
   // Churn-replay determinism regression pin: equal-timestamp events fire
-  // in exact scheduling order no matter how they were scheduled (single,
-  // batch, or from inside a handler) and no matter which drive API runs
+  // in exact scheduling order no matter how they were scheduled (before
+  // the run or from inside a handler) and no matter which drive API runs
   // them. TTL expiries armed by a subscription flood rely on this — a
   // heap that broke FIFO ties would reorder expiry against message
   // delivery and desynchronize the differential oracle.
   std::vector<int> order;
   const auto build = [&order](EventQueue& queue) {
     queue.schedule_at(1.0, [&order] { order.push_back(0); });
-    std::vector<EventQueue::Handler> batch;
-    batch.push_back([&order] { order.push_back(1); });
-    batch.push_back([&order] { order.push_back(2); });
-    queue.schedule_batch_at(1.0, std::move(batch));
+    queue.schedule_at(1.0, [&order] { order.push_back(1); });
+    queue.schedule_at(1.0, [&order] { order.push_back(2); });
     queue.schedule_at(1.0, [&order, &queue] {
       order.push_back(3);
       // Scheduled mid-step at the step's own timestamp: fires after every

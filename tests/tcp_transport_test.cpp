@@ -68,6 +68,21 @@ TEST(TcpTransportTest, FiveBrokerChainMatchesOracle) {
   EXPECT_EQ(report.skipped, 0u);
 }
 
+TEST(TcpTransportTest, SeedAboveInt64MaxMatchesOracle) {
+  // psc_brokerd parses --seed as an unsigned 64-bit value: a network seed
+  // at or above 2^63 must reach every broker intact.
+  const std::uint64_t seed = (1ULL << 63) + 5;
+  const auto trace = make_trace(3, 0x5eed6, 10.0);
+  net::Cluster cluster(chain_options(3, seed));
+  cluster.start();
+  const net::ReplayReport report =
+      net::replay_trace_vs_oracle(cluster, trace);
+  cluster.shutdown();
+  EXPECT_GT(report.publishes, 0u);
+  EXPECT_EQ(report.divergences, 0u);
+  EXPECT_EQ(report.skipped, 0u);
+}
+
 TEST(TcpTransportTest, StarTopologyMatchesOracle) {
   net::ClusterOptions options;
   options.brokerd_path = PSC_BROKERD_BIN;

@@ -217,9 +217,8 @@ TEST(SimTransportTest, TimerSurfaceForwardsToQueue) {
   EXPECT_EQ(transport.now(), 3.0);
 }
 
-// The publish surface consolidation: every request shape must equal the
-// legacy entry point it wraps.
-TEST(PublishRequestTest, ShapesMatchLegacyEntryPoints) {
+// The request form of publish must equal the direct call it wraps.
+TEST(PublishRequestTest, RequestFormMatchesDirectPublish) {
   const auto make = [] {
     return routing::BrokerNetwork::figure1_topology(
         routing::NetworkConfig::Builder().seed(7).build());
@@ -232,26 +231,10 @@ TEST(PublishRequestTest, ShapesMatchLegacyEntryPoints) {
   b.subscribe(2, sub);
   core::Publication pub({50.0});
 
-  const auto single_legacy = a.publish(3, pub);
-  const auto single_request =
-      b.publish(routing::PublishRequest::single(3, pub));
-  ASSERT_EQ(single_request.size(), 1u);
-  EXPECT_EQ(single_legacy, single_request[0]);
-
-  std::vector<core::Publication> batch{pub, core::Publication({500.0})};
-  const auto batch_legacy = a.publish_batch(4, batch);
-  const auto batch_request =
-      b.publish(routing::PublishRequest::batch(4, batch));
-  EXPECT_EQ(batch_legacy, batch_request);
-
-  const std::vector<std::pair<routing::BrokerId, core::Publication>> pairs{
-      {0, pub}, {5, core::Publication({25.0})}};
-  const auto multi_legacy = a.publish_batch(pairs);
-  const auto multi_request =
-      b.publish(routing::PublishRequest::multi_source(pairs));
-  EXPECT_EQ(multi_legacy, multi_request);
-  const auto view_request = b.publish(routing::PublishRequest::view(pairs));
-  EXPECT_EQ(multi_legacy, view_request);
+  const auto direct = a.publish(3, pub);
+  const auto request = b.publish(routing::PublishRequest::single(3, pub));
+  ASSERT_EQ(request.size(), 1u);
+  EXPECT_EQ(direct, request[0]);
 }
 
 }  // namespace

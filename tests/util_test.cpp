@@ -2,12 +2,17 @@
 // table output.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "util/distributions.hpp"
 #include "util/flags.hpp"
+#include "util/radix_sort.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table_writer.hpp"
@@ -272,6 +277,55 @@ TEST(Flags, BadBooleanThrows) {
   const char* argv[] = {"prog", "--flag=banana"};
   const Flags flags(2, argv);
   EXPECT_THROW((void)flags.get_bool("flag", false), std::invalid_argument);
+}
+
+TEST(Flags, MalformedNumbersThrowNamingTheFlag) {
+  const char* argv[] = {"prog", "--partial=12abc", "--word=abc", "--empty="};
+  const Flags flags(4, argv);
+  for (const char* name : {"partial", "word", "empty"}) {
+    try {
+      (void)flags.get_int(name, 0);
+      ADD_FAILURE() << "--" << name << " parsed";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(std::string("--") + name),
+                std::string::npos)
+          << error.what();
+    }
+    EXPECT_THROW((void)flags.get_uint64(name, 0), std::invalid_argument);
+    EXPECT_THROW((void)flags.get_double(name, 0.0), std::invalid_argument);
+  }
+}
+
+TEST(Flags, Uint64CoversTheFullRange) {
+  const char* argv[] = {"prog", "--seed=18446744073709551615",
+                        "--negative=-1", "--over=18446744073709551616"};
+  const Flags flags(4, argv);
+  EXPECT_EQ(flags.get_uint64("seed", 0), 18446744073709551615ULL);
+  EXPECT_EQ(flags.get_uint64("missing", 7), 7u);
+  EXPECT_THROW((void)flags.get_uint64("negative", 0), std::invalid_argument);
+  EXPECT_THROW((void)flags.get_uint64("over", 0), std::invalid_argument);
+  // The signed getter rejects what does not fit instead of clamping.
+  EXPECT_THROW((void)flags.get_int("seed", 0), std::invalid_argument);
+  EXPECT_EQ(flags.get_int("negative", 0), -1);
+}
+
+TEST(RadixSort, MatchesStdSortAcrossSizesAndKeyWidths) {
+  Rng rng(2006);
+  std::vector<std::uint64_t> scratch;
+  for (const std::size_t n : {0UL, 1UL, 63UL, 64UL, 1000UL, 5000UL}) {
+    // Key widths: one digit, dense ids past 2^18 (three digits), full 64.
+    for (const std::uint64_t bound : {300ULL, 1ULL << 20, 0ULL}) {
+      std::vector<std::uint64_t> keys(n);
+      for (auto& key : keys) {
+        key = bound == 0 ? rng() : rng.next_below(bound);
+      }
+      if (n > 2) keys[1] = keys[0];  // duplicates keep their multiplicity
+      std::vector<std::uint64_t> expected = keys;
+      std::sort(expected.begin(), expected.end());
+      radix_sort_u64(keys, scratch);
+      EXPECT_EQ(keys, expected) << "n=" << n << " bound=" << bound;
+    }
+  }
 }
 
 TEST(TableWriter, AlignedOutputAndCsv) {
