@@ -30,12 +30,12 @@ store::StoreConfig lane_config(const store::StoreConfig& store_config) {
 }  // namespace
 
 Broker::Broker(BrokerId id, store::StoreConfig store_config, std::uint64_t seed,
-               std::size_t match_shards)
+               std::size_t /*match_shards*/)
     : id_(id),
       store_config_(store_config),
       seed_(seed),
-      local_lane_(exec::ShardConfig{match_shards, lane_config(store_config)},
-                  util::splitmix64(seed)) {}
+      // Lanes are coverage-free: the engine seed never drives a decision.
+      local_lane_(lane_config(store_config), seed) {}
 
 void Broker::add_neighbor(BrokerId neighbor) {
   if (std::find(neighbors_.begin(), neighbors_.end(), neighbor) !=
@@ -49,12 +49,6 @@ void Broker::remove_neighbor(BrokerId neighbor) {
   neighbors_.erase(std::remove(neighbors_.begin(), neighbors_.end(), neighbor),
                    neighbors_.end());
   forwarded_.erase(neighbor);
-  // Routes learned over the link outlive it until the network purges them;
-  // drop_route retires the lane once the last one goes.
-  if (const auto lane = neighbor_lanes_.find(neighbor);
-      lane != neighbor_lanes_.end() && lane->second.total_count() == 0) {
-    neighbor_lanes_.erase(lane);
-  }
 }
 
 Broker::AnnounceOutcome Broker::announce_all_to(BrokerId neighbor) {
@@ -126,7 +120,6 @@ bool Broker::add_route(const Subscription& sub, const Origin& origin) {
   }
   auto lane = neighbor_lanes_.find(origin.neighbor);
   if (lane == neighbor_lanes_.end()) {
-    // Lanes are coverage-free: the engine seed never drives a decision.
     lane = neighbor_lanes_
                .try_emplace(origin.neighbor, lane_config(store_config_), seed_)
                .first;
@@ -144,11 +137,7 @@ void Broker::drop_route(SubscriptionId id, Origin origin) {
   const auto lane = neighbor_lanes_.find(origin.neighbor);
   if (lane == neighbor_lanes_.end()) return;
   (void)lane->second.erase(id);
-  if (lane->second.total_count() == 0 &&
-      std::find(neighbors_.begin(), neighbors_.end(), origin.neighbor) ==
-          neighbors_.end()) {
-    neighbor_lanes_.erase(lane);  // the link is gone and so are its routes
-  }
+  if (lane->second.total_count() == 0) neighbor_lanes_.erase(lane);
 }
 
 const Subscription* Broker::lane_find(SubscriptionId id,
@@ -217,13 +206,10 @@ const Broker::PublicationRoute& Broker::handle_publication(
     const Publication& pub, const Origin& origin,
     PublishScratch& scratch) const {
   PublicationRoute& route = scratch.route;
-  // Local lane: its matches are exactly the local deliveries. Shards
-  // append in shard-major order; one radix pass makes the result
-  // ascending and independent of the shard count.
+  // Local lane: its matches are exactly the local deliveries, made
+  // ascending by one radix pass.
   route.local_matches.clear();
-  for (std::size_t s = 0; s < local_lane_.shard_count(); ++s) {
-    local_lane_.shard(s).match_active_unsorted(pub, route.local_matches);
-  }
+  local_lane_.match_active_unsorted(pub, route.local_matches);
   util::radix_sort_u64(route.local_matches, scratch.sort_scratch);
 
   // Neighbour lanes: a lane with any match is a destination, ordered by

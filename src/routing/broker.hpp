@@ -5,14 +5,13 @@
 //     arrived from. Publications matching the subscription are sent toward
 //     that neighbour (reverse path of the subscription flood).
 //   * publish lanes: the routed subscriptions themselves, partitioned by
-//     that origin. local_lane_ holds every local-origin route (sharded,
-//     exec::ShardedStore); neighbor_lanes_[n] holds the routes whose
-//     reverse path points at n. Lanes are coverage-free stores, so each
-//     lane's match set is exact, and each routed subscription is stored
-//     exactly once — in its origin's lane. Publication matching stabs the
-//     lanes: local-lane matches ARE the local deliveries, and a neighbour
-//     lane with any match IS a destination, so no matched id is ever
-//     looked up again.
+//     that origin. local_lane_ holds every local-origin route;
+//     neighbor_lanes_[n] holds the routes whose reverse path points at n.
+//     Lanes are coverage-free stores, so each lane's match set is exact,
+//     and each routed subscription is stored exactly once — in its
+//     origin's lane. Publication matching stabs the lanes: local-lane
+//     matches ARE the local deliveries, and a neighbour lane with any
+//     match IS a destination, so no matched id is ever looked up again.
 //   * forwarded_[n]: store of subscriptions this broker has propagated to
 //     neighbour n. A new subscription is forwarded to n only if it is not
 //     covered (per the configured policy) by what n already received —
@@ -34,7 +33,6 @@
 
 #include "core/publication.hpp"
 #include "core/subscription.hpp"
-#include "exec/sharded_store.hpp"
 #include "store/subscription_store.hpp"
 #include "util/flat_map.hpp"
 
@@ -54,8 +52,8 @@ struct Origin {
 /// Per-broker state. The BrokerNetwork owns Brokers and moves messages.
 class Broker {
  public:
-  /// `match_shards` partitions the local publish lane (see
-  /// exec::ShardedStore); delivery decisions are identical for every value.
+  /// `match_shards` is accepted for source compatibility and ignored: the
+  /// local publish lane is one store, and routes never depended on it.
   Broker(BrokerId id, store::StoreConfig store_config, std::uint64_t seed,
          std::size_t match_shards = 1);
 
@@ -129,9 +127,10 @@ class Broker {
   /// the publication must travel to (reverse paths of matching
   /// subscriptions) and appends local matches to `local_matches`.
   /// `local_matches` comes back sorted by id and destinations in
-  /// first-match order (ascending minimum matching id), both deterministic
-  /// and independent of the shard count. The origin's own lane is never
-  /// stabbed: a publication is never sent back where it came from.
+  /// first-match order (ascending minimum matching id), both a pure
+  /// function of the routed set and the publication. The origin's own
+  /// lane is never stabbed: a publication is never sent back where it
+  /// came from.
   [[nodiscard]] std::vector<BrokerId> handle_publication(
       const core::Publication& pub, const Origin& origin,
       std::vector<core::SubscriptionId>& local_matches) const;
@@ -222,7 +221,7 @@ class Broker {
 
   /// Rebuilds this broker from `snapshot`. Preconditions: the broker holds
   /// no routing state (freshly constructed, or after a crash wiped it),
-  /// was constructed with the same (id, config, seed, shards) as the
+  /// was constructed with the same (id, config, seed) as the
   /// exporter, and already has its neighbour links attached (topology is
   /// owned by the network layer and is not part of broker state).
   /// Violations throw std::invalid_argument / std::logic_error. Afterwards
@@ -249,7 +248,7 @@ class Broker {
   /// Publish lanes: local-origin routes, and routes per neighbour origin.
   /// Ordered map so lane iteration (and so the work schedule) is
   /// deterministic; results do not depend on it.
-  exec::ShardedStore local_lane_;
+  store::SubscriptionStore local_lane_;
   std::map<BrokerId, store::SubscriptionStore> neighbor_lanes_;
 
   /// Per outgoing link: what we already forwarded there (coverage state).
@@ -264,8 +263,9 @@ class Broker {
   /// Returns false (and changes nothing) if `sub`'s id is already routed.
   bool add_route(const core::Subscription& sub, const Origin& origin);
   /// Drops the route for `id` (table entry and lane copy); a neighbour
-  /// lane emptied for a detached neighbour is dropped with it. `origin`
-  /// is taken by value: callers pass the table entry this erases.
+  /// lane left empty is dropped with it (add_route re-creates lanes on
+  /// demand). `origin` is taken by value: callers pass the table entry
+  /// this erases.
   void drop_route(core::SubscriptionId id, Origin origin);
   [[nodiscard]] const core::Subscription* lane_find(
       core::SubscriptionId id, const Origin& origin) const;

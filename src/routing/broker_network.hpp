@@ -32,9 +32,9 @@ struct NetworkConfig {
   store::StoreConfig store;      ///< coverage policy + engine tuning
   sim::SimTime link_latency = 0.001;  ///< seconds per hop
   std::uint64_t seed = 0xfeedbeefULL;
-  /// Shard count of every broker's local publish lane
-  /// (exec::ShardedStore). Delivery decisions are identical for every
-  /// value (see docs/ARCHITECTURE.md).
+  /// Accepted and ignored: a broker's local publish lane is one store
+  /// (see docs/ARCHITECTURE.md, "Publish lanes"). Kept in the config and
+  /// its snapshot encoding for compatibility.
   std::size_t match_shards = 1;
   /// Reliable-link protocol + fault injection (link.enabled routes every
   /// hop through LinkChannels; disabled = the perfect zero-loss wire, with

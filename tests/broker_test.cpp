@@ -166,9 +166,9 @@ TEST(Broker, AddNeighborIdempotent) {
 // test recorded for it, checks box containment, and applies never-send-back:
 // local deliveries ascending, destinations in first-match order (by the
 // minimum matching id of each neighbour). The broker must reproduce it
-// exactly — contents and order — for every shard count, from every origin,
-// across subscribe, unsubscribe, expiry, remove_neighbor, and
-// import_snapshot.
+// exactly — contents and order — for every match_shards value (accepted
+// and ignored), from every origin, across subscribe, unsubscribe, expiry,
+// remove_neighbor, and import_snapshot.
 
 constexpr std::size_t kAttrs = 4;
 
@@ -283,6 +283,14 @@ TEST(Broker, PublicationRoutesMatchBruteForceReference) {
       model.routes.erase(id);
     }
     expect_routes_match(broker, model, pubs, tag + " purge");
+
+    // A lane emptied while its link is still up is dropped as well; the
+    // next route over that link re-creates it.
+    for (const SubscriptionId id : broker.subscriptions_from(Origin{false, 3})) {
+      (void)broker.handle_unsubscription(id, Origin{false, 3});
+      model.routes.erase(id);
+    }
+    expect_routes_match(broker, model, pubs, tag + " empty attached lane");
 
     // Re-attach and learn fresh routes over the link again.
     broker.add_neighbor(2);
