@@ -50,11 +50,12 @@ Correctness is never noise: gates.oracle_divergences must be 0 in both
 files, and every scale block that records scalar/SIMD checksums must have
 them equal.
 
-tcp_soak artifacts (bench == "tcp_soak") are recording-only: their
-wall-clock numbers are kernel-scheduler noise (real processes, real
-sockets), so nothing is perf-compared against any baseline — but the
-correctness gates are still hard: gates.oracle_divergences must be 0 and
-every run's gates_pass must be true, or the check exits 1.
+Soak artifacts (bench == "soak", every scenario of bench/soak) are
+recording-only: a soak's wall clock is not a regression signal (for the
+tcp scenario it is kernel-scheduler noise), so nothing is perf-compared
+against any baseline. Their correctness gates are hard: the artifact must
+have runs, every run's gates_pass must be true, gates.oracle_divergences
+must be 0 and gates.pass must be true, or the check exits 1.
 """
 
 import argparse
@@ -218,6 +219,36 @@ def check_checksums(blob, name, failures):
                 f"({simd} vs {scalar})")
 
 
+def check_soak(current):
+    """Correctness gates of a bench/soak artifact; never perf-compared."""
+    scenario = current.get("scenario")
+    gates = current.get("gates", {})
+    runs = current.get("runs", [])
+    failures = []
+    if not runs:
+        failures.append(f"{scenario} soak artifact has no runs")
+    for run in runs:
+        if not run.get("gates_pass", False):
+            failures.append(f"run {run.get('name')}/{run.get('seed')}: "
+                            f"gates_pass false {run.get('failures', [])}")
+    divergences = gates.get("oracle_divergences")
+    if divergences is None:
+        failures.append("missing gates.oracle_divergences")
+    elif divergences != 0:
+        failures.append(f"{divergences} oracle divergences")
+    if not gates.get("pass", False):
+        failures.append(f"gates.pass false {gates.get('matrix_failures', [])}")
+    if failures:
+        print(f"check_bench: FAIL ({scenario} soak correctness gates)")
+        for failure in failures:
+            print(f"  - {failure}")
+        return 1
+    print(f"check_bench: {scenario} soak artifact sound — {len(runs)} runs, "
+          "0 oracle divergences. Recording only; soak wall clock is never "
+          "perf-gated.")
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("current", help="fresh perf_gate JSON")
@@ -230,33 +261,8 @@ def main():
     args = parser.parse_args()
 
     current = load(args.current)
-    if current.get("bench") == "tcp_soak":
-        # Recording-only: multi-process wall clock is scheduler noise, so
-        # no baseline comparison ever — but correctness gates stay hard.
-        failures = []
-        divergences = current.get("gates", {}).get("oracle_divergences")
-        if divergences is None:
-            failures.append("current: missing gates.oracle_divergences")
-        elif divergences != 0:
-            failures.append(f"current: {divergences} oracle divergences")
-        runs = current.get("runs", [])
-        if not runs:
-            failures.append("current: tcp_soak artifact has no runs")
-        for run in runs:
-            if not run.get("gates_pass", False):
-                failures.append(
-                    f"run {run.get('name')}/{run.get('seed')}: gates_pass "
-                    f"false (divergences={run.get('divergences')}, "
-                    f"publishes={run.get('publishes')})")
-        if failures:
-            print("check_bench: FAIL (tcp_soak correctness gates)")
-            for failure in failures:
-                print(f"  - {failure}")
-            sys.exit(1)
-        print(f"check_bench: tcp_soak artifact sound — {len(runs)} runs, "
-              "0 oracle divergences. Recording only; TCP wall-clock is "
-              "never perf-gated.")
-        sys.exit(0)
+    if current.get("bench") == "soak":
+        sys.exit(check_soak(current))
     if not os.path.exists(args.baseline):
         # First run on a fresh checkout (or a new machine): nothing to gate
         # against yet. Still insist the current file is well-formed and its

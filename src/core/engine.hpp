@@ -101,9 +101,8 @@ struct EngineWorkspace {
 ///
 /// Thread-safety: NOT safe for concurrent check() calls on one instance —
 /// the engine owns a reusable workspace and an RNG stream, both mutated
-/// per query. Use one engine per thread; in the sharded execution model
-/// (exec::ShardedStore) every shard's store embeds its own engine, which
-/// is how the batch APIs parallelize without locks.
+/// per query. Use one engine per thread; every SubscriptionStore embeds
+/// its own engine.
 ///
 /// Error behavior: the constructor and set_config validate the config and
 /// throw std::invalid_argument on violations (delta outside (0,1),

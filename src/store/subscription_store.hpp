@@ -98,8 +98,7 @@ struct StoreConfig {
 /// serialized, and the const query methods (match, match_active) mutate
 /// internal scratch/epoch state, so two queries must not run concurrently
 /// on one instance either. For parallelism, partition ids across
-/// instances — that is exactly what exec::ShardedStore does, and it is
-/// the only supported concurrency model for this type.
+/// instances; that is the only supported concurrency model for this type.
 ///
 /// Determinism: all decisions are a pure function of (config, seed,
 /// call sequence); the engine's RNG stream advances only on group checks,

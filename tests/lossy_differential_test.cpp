@@ -4,7 +4,7 @@
 // protocol makes the fault schedule invisible to the application, except
 // where a burst outlives the whole retransmit chain and deterministically
 // escalates into the same fail_link the oracle mirrors. This is the
-// tier-1 slice of the bench/lossy_soak.cpp headline gate.
+// tier-1 slice of the `bench/soak --scenario=lossy` headline gate.
 #include <gtest/gtest.h>
 
 #include <string>

@@ -1,7 +1,7 @@
 // Pins the allocation-free publish pipeline: once warm, a steady-state
 // publication performs ZERO heap allocations through every layer —
-// IntervalIndex::stab into a reused buffer, the SubscriptionStore /
-// ShardedStore out-parameter match overloads, and
+// IntervalIndex::stab into a reused buffer, the SubscriptionStore
+// out-parameter match overloads, and
 // Broker::handle_publication with caller-owned PublishScratch (flat-map
 // routing-table lookups included).
 //

@@ -3,7 +3,7 @@
 // must be delivery-invisible — delivered sets identical to FlatOracle
 // before, across, and after the crash, with zero losses and zero replayed
 // divergence — on every standard topology. This is the tier-1 version of
-// bench/recovery_soak (same machinery, CI-friendly sizes).
+// `bench/soak --scenario=recovery` (same machinery, CI-friendly sizes).
 #include "sim/churn_driver.hpp"
 
 #include <gtest/gtest.h>
