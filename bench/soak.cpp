@@ -1,62 +1,53 @@
-// Soak harness — every end-to-end differential soak behind one binary. Each
-// scenario replays seeded churn traces across a topology family and gates
-// the delivered sets against the flat oracle; the scenario picks the
-// family, what is injected, and the proof that the injection fired:
+// Soak harness: every end-to-end differential soak behind one binary. Each
+// scenario (README "Soaks") replays seeded churn traces across a topology
+// family and gates the delivered sets against the flat oracle: zero
+// mismatched publishes, lost notifications, duplicates and ghost routes
+// (tcp: divergent publishes), a non-empty run set, and proof that the
+// scenario's injection fired (recovery: a crash; lossy: drops, retransmits,
+// acks and, somewhere in the run matrix, a burst escalation; tcp: publishes).
 //
-//   churn       open-workload subscription/publication churn over the five
-//               standard topologies, with a per-epoch metrics series.
-//   recovery    churn plus a mid-run crash recovered from the last snapshot
-//               and a WAL replay of the gap ops; the kill must fire and
-//               every replayed publish must re-deliver its oracle set.
-//   membership  broker join/leave/crash/replacement and link fail/heal over
-//               the seven membership shapes; exact reconvergence.
-//   lossy       membership churn over drop/dup/reorder/jitter wires with
-//               scripted burst-loss windows, behind the reliable link
-//               protocol; frames must be dropped, retransmitted and acked,
-//               and somewhere in the run matrix a burst must escalate.
-//   tcp         real psc_brokerd processes over loopback TCP (chain, star,
-//               random tree): a clean leg, then a kill leg that SIGKILLs an
-//               internal broker half way; publishes must happen.
-//
-// Every scenario gates on zero mismatched publishes, lost notifications,
-// duplicates and ghost routes (tcp: divergent publishes), and an empty run
-// set (a --topology filter that matches nothing) fails.
-//
-//   ./soak --scenario=NAME [flags]          defaults per scenario:
+//   ./soak --scenario=NAME [flags]   a scenario takes only the flags with a
+//                                    default in its column ('-': rejected):
 //                             churn recovery membership lossy   tcp
 //     --duration=S              60      60         40     -      -
 //     --brokers=N                -       -         60    24      8
 //     --ops=N  (work per run)    -       -          -   400    300
-//     --seeds=N                  1       1          1     3      2
-//     --latency=S            0.001   0.001      0.001 0.0001     -
-//     --sub-rate=R / --pub-rate=R   2 / 5 (membership, lossy: 2 / 4)
-//     --ttl-fraction=F           0.5 (tcp: 0, TTLs become unsubscribes)
-//     --drop --dup --reorder --jitter   0 (lossy: 0.2 0.1 0.1 0.5); nonzero
-//                                       runs churn/recovery over lossy wires
-//     --bursts=N --burst-slots=K        0, 2.5 (lossy: 4, 2.5)
+//     --seeds=N                  -       -          -     3      2
+//     --latency=S                -       -      0.001 0.0001     -
+//     --sub-rate=R               2       2          2     2      -
+//     --pub-rate=R               5       5          4     4      -
+//     --ttl-fraction=F         0.5     0.5          -     -      -
+//     --drop --dup --reorder --jitter   churn, recovery: 0 (nonzero runs
+//                                       over lossy wires); lossy: .2 .1 .1 .5
+//     --differential=true               churn, membership, lossy
 //     --join-rate --leave-rate --crash-rate --partition-rate
 //                                       membership: 0.15 0.1 0.15 0.3
+//     --bursts=N --burst-slots=K        lossy: 4, 2.5
 //     --rto --rto-max --retries --window   lossy: 4x, 8x latency, 12, 128
-//     --membership=true  (lossy: membership churn on the lossy wires)
+//     --membership=true                 lossy: membership churn on the wires
 //     --snapshot-every=S --kill-fraction=F   recovery: 0 (= epoch), 0.5
 //     --kill=true --brokerd=PATH             tcp
-//   shared: --seed=2006 --policy=exact --differential=true (recovery and
-//     tcp always gate) --topology=SUBSTRING --json=PATH --dump-dir=.
-//     --replay=FILE
+//   every scenario: --seed=2006 --policy=exact --topology=SUBSTRING
+//     --json=PATH --dump-dir=. --replay=FILE
+// In place of a rejected flag: link latency 0.001, TTL share 0.5, one seed;
+// recovery and tcp always gate; tcp turns TTLs into unsubscribes.
 //
 // Runs are deterministic: equal flags give equal counters, and wall-clock
 // time is the only nondeterministic field in the JSON. A tripped gate dumps
 // the run's trace as a PSCT file and prints the one-liner that replays it:
 // the original flags (less --json) plus --replay=FILE --topology=NAME
-// --seed=SEED. Membership traces embed their overlay, so membership/lossy
-// replays rebuild it from the file; the other scenarios pick it with
-// --topology. Malformed flags print the error and exit 2; a gate failure or
-// any other error exits 1.
+// --seed=SEED. --seed stays the seed of the topology family; a replay takes
+// the run's own seed from the trace. Membership traces embed their overlay,
+// so membership/lossy replays rebuild it from the file; the other scenarios
+// pick it with --topology. Malformed or rejected flags print the error and
+// exit 2; a gate failure or any other error exits 1.
 #include <algorithm>
 #include <array>
 #include <cstdint>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -88,10 +79,22 @@ Scenario parse_scenario(const std::string& name) {
   for (std::size_t i = 0; i < kScenarioNames.size(); ++i) {
     if (kScenarioNames[i] == name) return static_cast<Scenario>(i);
   }
-  throw std::invalid_argument(
-      "--scenario must be churn|recovery|membership|lossy|tcp, got '" + name +
-      "'");
+  throw std::invalid_argument("--scenario must be churn|recovery|membership|"
+                              "lossy|tcp, got '" + name + "'");
 }
+
+/// The scenarios (by initial: c r m l t) that take each flag; the header's
+/// "every scenario" flags are not listed.
+constexpr std::pair<std::string_view, std::string_view> kScopedFlags[] = {
+    {"duration", "crm"}, {"brokers", "mlt"}, {"ops", "lt"}, {"seeds", "lt"},
+    {"latency", "ml"}, {"sub-rate", "crml"}, {"pub-rate", "crml"},
+    {"ttl-fraction", "cr"}, {"drop", "crl"}, {"dup", "crl"},
+    {"reorder", "crl"}, {"jitter", "crl"}, {"differential", "cml"},
+    {"join-rate", "m"}, {"leave-rate", "m"}, {"crash-rate", "m"},
+    {"partition-rate", "m"}, {"bursts", "l"}, {"burst-slots", "l"},
+    {"rto", "l"}, {"rto-max", "l"}, {"retries", "l"}, {"window", "l"},
+    {"membership", "l"}, {"snapshot-every", "r"}, {"kill-fraction", "r"},
+    {"kill", "t"}, {"brokerd", "t"}};
 
 /// Every flag, parsed once with the scenario's defaults.
 struct Options {
@@ -100,18 +103,12 @@ struct Options {
   std::uint64_t seed = 0;
   store::CoveragePolicy policy = store::CoveragePolicy::kExact;
   bool differential = true;
-  std::size_t brokers = 0;
-  std::size_t ops = 0;
-  std::size_t seeds = 1;
+  std::size_t brokers = 0, ops = 0, seeds = 1;
   workload::ChurnConfig config;  ///< before per-overlay slot shaping
   routing::LinkConfig link;      ///< enabled: lossy scenario or fault flags
-  double burst_slots = 0.0;
-  double snapshot_every = 0.0;
-  double kill_time = 0.0;
-  bool with_membership = true;
-  bool kill = true;
-  std::string brokerd;
-  std::string json_path, topology_filter, dump_dir, replay_path;
+  double burst_slots = 0.0, snapshot_every = 0.0, kill_time = 0.0;
+  bool with_membership = true, kill = true;
+  std::string brokerd, json_path, topology_filter, dump_dir, replay_path;
   std::vector<std::string> args;  ///< argv, for the replay one-liner
 };
 
@@ -123,14 +120,26 @@ Options parse(int argc, char** argv) {
   const bool membership = o.scenario == Scenario::kMembership;
   const bool lossy = o.scenario == Scenario::kLossy;
   const bool tcp = o.scenario == Scenario::kTcp;
+  // A rejected flag is never set, so every read below that the scenario
+  // does not take falls back to its fixed value.
+  const char letter = "crmlt"[static_cast<std::size_t>(o.scenario)];
+  for (const auto& [flag, scenarios] : kScopedFlags) {
+    if (scenarios.find(letter) == std::string_view::npos &&
+        flags.has(std::string(flag))) {
+      throw std::invalid_argument("--" + std::string(flag) +
+                                  " has no effect in --scenario=" + o.name);
+    }
+  }
   const auto size = [&](const char* flag, std::int64_t fallback) {
     return static_cast<std::size_t>(flags.get_int(flag, fallback));
+  };
+  const auto num = [&](const char* flag, double fallback) {
+    return flags.get_double(flag, fallback);
   };
 
   o.seed = flags.get_uint64("seed", 2006);
   o.policy = store::parse_coverage_policy(flags.get_string("policy", "exact"));
-  o.differential = o.scenario == Scenario::kRecovery || tcp ||
-                   flags.get_bool("differential", true);
+  o.differential = flags.get_bool("differential", true);
   o.brokers = size("brokers", membership ? 60 : lossy ? 24 : 8);
   o.ops = size("ops", lossy ? 400 : 300);
   o.seeds = size("seeds", lossy ? 3 : tcp ? 2 : 1);
@@ -143,25 +152,21 @@ Options parse(int argc, char** argv) {
   o.replay_path = flags.get_string("replay", "");
 
   workload::ChurnConfig& c = o.config;
-  c.duration = flags.get_double("duration", membership ? 40.0 : 60.0);
-  c.link_latency = flags.get_double("latency", lossy ? 0.0001 : 0.001);
-  c.subscription_rate = flags.get_double("sub-rate", 2.0);
-  c.publication_rate =
-      flags.get_double("pub-rate", membership || lossy ? 4.0 : 5.0);
-  c.ttl_fraction = flags.get_double("ttl-fraction", 0.5);
-  c.faults.link.drop_probability = flags.get_double("drop", lossy ? 0.2 : 0.0);
-  c.faults.link.dup_probability = flags.get_double("dup", lossy ? 0.1 : 0.0);
-  c.faults.link.reorder_probability =
-      flags.get_double("reorder", lossy ? 0.1 : 0.0);
-  c.faults.link.delay_jitter = flags.get_double("jitter", lossy ? 0.5 : 0.0);
+  c.duration = num("duration", membership ? 40.0 : 60.0);
+  c.link_latency = num("latency", lossy ? 0.0001 : 0.001);
+  c.subscription_rate = num("sub-rate", 2.0);
+  c.publication_rate = num("pub-rate", membership || lossy ? 4.0 : 5.0);
+  c.ttl_fraction = num("ttl-fraction", 0.5);
+  c.faults.link.drop_probability = num("drop", lossy ? 0.2 : 0.0);
+  c.faults.link.dup_probability = num("dup", lossy ? 0.1 : 0.0);
+  c.faults.link.reorder_probability = num("reorder", lossy ? 0.1 : 0.0);
+  c.faults.link.delay_jitter = num("jitter", lossy ? 0.5 : 0.0);
   c.faults.burst_count = size("bursts", lossy ? 4 : 0);
-  o.burst_slots = flags.get_double("burst-slots", 2.5);
-  c.membership.join_rate = flags.get_double("join-rate", membership ? 0.15 : 0);
-  c.membership.leave_rate = flags.get_double("leave-rate", membership ? 0.1 : 0);
-  c.membership.crash_rate =
-      flags.get_double("crash-rate", membership ? 0.15 : 0);
-  c.membership.partition_rate =
-      flags.get_double("partition-rate", membership ? 0.3 : 0);
+  o.burst_slots = num("burst-slots", 2.5);
+  c.membership.join_rate = num("join-rate", membership ? 0.15 : 0);
+  c.membership.leave_rate = num("leave-rate", membership ? 0.1 : 0);
+  c.membership.crash_rate = num("crash-rate", membership ? 0.15 : 0);
+  c.membership.partition_rate = num("partition-rate", membership ? 0.3 : 0);
 
   o.link.enabled = lossy || c.faults.any();
   o.link.faults = c.faults.link;
@@ -169,18 +174,17 @@ Options parse(int argc, char** argv) {
     // A short explicit chain (4x/8x latency, not the 4x/32x derivation)
     // keeps the slot dense; 4x is the floor below which an ack round trip
     // (~3 latencies) fires spurious retransmits.
-    o.link.rto = flags.get_double("rto", 4.0 * c.link_latency);
-    o.link.rto_max = flags.get_double("rto-max", 8.0 * c.link_latency);
+    o.link.rto = num("rto", 4.0 * c.link_latency);
+    o.link.rto_max = num("rto-max", 8.0 * c.link_latency);
     o.link.max_retries = size("retries", 12);
     o.link.window = size("window", 128);
   }
   // Land the kill half a snapshot interval past the fraction point so the
   // recovery always replays a non-trivial WAL gap.
-  o.snapshot_every = flags.get_double("snapshot-every", 0.0);
+  o.snapshot_every = num("snapshot-every", 0.0);
   const double cadence = o.snapshot_every > 0 ? o.snapshot_every
                                               : c.epoch_length;
-  o.kill_time =
-      c.duration * flags.get_double("kill-fraction", 0.5) + cadence / 2;
+  o.kill_time = c.duration * num("kill-fraction", 0.5) + cadence / 2;
 
   if (tcp && o.brokerd.empty()) {
     throw std::invalid_argument("no psc_brokerd path (pass --brokerd=PATH)");
@@ -373,8 +377,16 @@ Run run_tcp(const Options& o, const TcpTopology& topology, std::uint64_t seed,
 }
 
 std::vector<Run> run_all(const Options& o) {
-  const bool replay = !o.replay_path.empty();
-  const std::size_t seeds = replay ? 1 : o.seeds;
+  // A replay runs the dumped trace once, on the seed it was recorded with;
+  // --seed keeps picking the topology family (and the tcp kill victim).
+  std::optional<workload::ChurnTrace> replayed;
+  std::vector<std::uint64_t> seeds;
+  if (!o.replay_path.empty()) {
+    replayed = bench::read_trace_file(o.replay_path);
+    seeds.push_back(replayed->seed);
+  } else {
+    for (std::size_t s = 0; s < o.seeds; ++s) seeds.push_back(o.seed + s);
+  }
   const auto selected = [&](const std::string& name) {
     return name.find(o.topology_filter) != std::string::npos;
   };
@@ -384,43 +396,38 @@ std::vector<Run> run_all(const Options& o) {
     case Scenario::kRecovery:
       for (routing::Topology& topology : routing::standard_topologies(o.seed)) {
         if (!selected(topology.name)) continue;
-        for (std::size_t s = 0; s < seeds; ++s) {
-          const std::uint64_t seed = o.seed + s;
-          workload::ChurnTrace trace =
-              replay ? bench::read_trace_file(o.replay_path)
-                     : workload::generate_churn_trace(
-                           shape(o, topology.brokers), topology.brokers, seed);
-          runs.push_back(run_sim(o, topology.name, seed, topology.brokers,
+        for (const std::uint64_t seed : seeds) {
+          const std::size_t n = topology.brokers;
+          runs.push_back(run_sim(o, topology.name, seed, n,
                                  topology.build(network_config(o, seed)),
-                                 std::move(trace)));
+                                 replayed ? *replayed
+                                          : workload::generate_churn_trace(
+                                                shape(o, n), n, seed)));
         }
       }
       break;
     case Scenario::kMembership:
     case Scenario::kLossy:
-      if (replay) {
-        workload::ChurnTrace trace = bench::read_trace_file(o.replay_path);
-        if (!trace.has_membership) {
-          throw std::invalid_argument("replay file has no membership universe: " +
-                                      o.replay_path);
+      if (replayed) {
+        if (!replayed->has_membership) {
+          throw std::invalid_argument(
+              "replay file has no membership universe: " + o.replay_path);
         }
         // The dump carries latency, fault rates and bursts verbatim; the
         // link-protocol knobs ride the command line.
-        routing::NetworkConfig config = network_config(o, trace.seed);
-        config.link_latency = trace.config.link_latency;
-        config.link.faults = trace.config.faults.link;
-        const std::uint64_t seed = trace.seed;
-        const std::size_t brokers = trace.universe.brokers;
-        auto net = build_from_universe(trace.universe, config);
-        runs.push_back(run_sim(o, "replay", seed, brokers, std::move(net),
-                               std::move(trace)));
+        routing::NetworkConfig config = network_config(o, replayed->seed);
+        config.link_latency = replayed->config.link_latency;
+        config.link.faults = replayed->config.faults.link;
+        const std::size_t brokers = replayed->universe.brokers;
+        auto net = build_from_universe(replayed->universe, config);
+        runs.push_back(run_sim(o, "replay", replayed->seed, brokers,
+                               std::move(net), std::move(*replayed)));
         break;
       }
       for (const routing::MembershipTopology& topology :
            routing::membership_topologies(o.brokers, o.seed)) {
         if (!selected(topology.name)) continue;
-        for (std::size_t s = 0; s < seeds; ++s) {
-          const std::uint64_t seed = o.seed + s;
+        for (const std::uint64_t seed : seeds) {
           routing::BrokerNetwork net =
               topology.build(network_config(o, seed));
           workload::ChurnTrace trace = workload::generate_churn_trace(
@@ -433,12 +440,11 @@ std::vector<Run> run_all(const Options& o) {
     case Scenario::kTcp:
       for (const TcpTopology& topology : tcp_topologies(o.brokers, o.seed)) {
         if (!selected(topology.name)) continue;
-        for (std::size_t s = 0; s < seeds; ++s) {
-          const std::uint64_t seed = o.seed + s;
+        for (const std::uint64_t seed : seeds) {
           const workload::ChurnTrace trace =
-              replay ? bench::read_trace_file(o.replay_path)
-                     : workload::generate_churn_trace(shape(o, o.brokers),
-                                                      o.brokers, seed);
+              replayed ? *replayed
+                       : workload::generate_churn_trace(shape(o, o.brokers),
+                                                        o.brokers, seed);
           runs.push_back(run_tcp(o, topology, seed, trace, {}));
           if (o.kill && o.brokers >= 3) {
             net::ReplayOptions kill;
@@ -486,52 +492,47 @@ std::vector<std::string> gate(Scenario scenario, const Run& run) {
   return failures;
 }
 
+using Column = std::pair<std::string, std::uint64_t>;
+
 /// Table columns: the oracle counters plus what shows the scenario fired.
-std::vector<std::pair<std::string, std::uint64_t>> counters(Scenario scenario,
-                                                            const Run& run) {
+std::vector<Column> counters(Scenario scenario, const Run& run) {
   if (scenario == Scenario::kTcp) {
-    return {{"ops", run.tcp.ops},
-            {"publishes", run.tcp.publishes},
-            {"skipped", run.tcp.skipped},
-            {"divergences", run.tcp.divergences}};
+    return {{"ops", run.tcp.ops}, {"publishes", run.tcp.publishes},
+            {"skipped", run.tcp.skipped}, {"divergences", run.tcp.divergences}};
   }
   const sim::ChurnReport& r = run.sim;
   const sim::Metrics& m = r.totals;
-  std::vector<std::pair<std::string, std::uint64_t>> columns = {
-      {"ops", r.ops},
-      {"publishes", r.publishes},
-      {"delivered", m.notifications_delivered},
-      {"lost", m.notifications_lost},
-      {"dup", m.notifications_duplicated},
-      {"mismatch", r.mismatched_publishes},
-      {"ghosts", r.membership.ghost_routes}};
+  std::vector<Column> columns = {{"ops", r.ops},
+                                 {"publishes", r.publishes},
+                                 {"delivered", m.notifications_delivered},
+                                 {"lost", m.notifications_lost},
+                                 {"dup", m.notifications_duplicated},
+                                 {"mismatch", r.mismatched_publishes},
+                                 {"ghosts", r.membership.ghost_routes}};
+  const auto add = [&](std::initializer_list<Column> more) {
+    columns.insert(columns.end(), more);
+  };
   switch (scenario) {
     case Scenario::kChurn:
-      columns.insert(columns.end(),
-                     {{"messages", m.total_messages()},
-                      {"suppressed", m.subscriptions_suppressed},
-                      {"peak_routing", r.peak_routing_entries}});
+      add({{"messages", m.total_messages()},
+           {"suppressed", m.subscriptions_suppressed},
+           {"peak_routing", r.peak_routing_entries}});
       break;
     case Scenario::kRecovery:
-      columns.insert(columns.end(),
-                     {{"snapshots", r.recovery.snapshots},
-                      {"snap_bytes", r.recovery.snapshot_bytes},
-                      {"gap_ops", r.recovery.gap_ops_replayed},
-                      {"replay_mismatch", r.recovery.replay_mismatches}});
+      add({{"snapshots", r.recovery.snapshots},
+           {"snap_bytes", r.recovery.snapshot_bytes},
+           {"gap_ops", r.recovery.gap_ops_replayed},
+           {"replay_mismatch", r.recovery.replay_mismatches}});
       break;
     case Scenario::kMembership:
-      columns.insert(columns.end(),
-                     {{"members", r.membership.events},
-                      {"crashes", r.membership.crashes},
-                      {"heals", r.membership.link_heals},
-                      {"alive_end", r.membership.final_alive_brokers}});
+      add({{"members", r.membership.events}, {"crashes", r.membership.crashes},
+           {"heals", r.membership.link_heals},
+           {"alive_end", r.membership.final_alive_brokers}});
       break;
     case Scenario::kLossy:
-      columns.insert(columns.end(),
-                     {{"dropped", m.frames_dropped},
-                      {"retx", m.retransmits},
-                      {"dupsup", m.dups_suppressed},
-                      {"escal", r.membership.link_escalations}});
+      add({{"dropped", m.frames_dropped}, {"retx", m.retransmits},
+           {"dupsup", m.dups_suppressed},
+           {"escal", r.membership.link_escalations}});
       break;
     case Scenario::kTcp:
       break;
@@ -768,7 +769,7 @@ int soak(const Options& o) {
     std::cerr << "\n  trace dumped; replay with:\n    ./soak";
     for (const std::string& arg : o.args) std::cerr << " " << arg;
     std::cerr << " --replay=" << dump << " --topology=" << run.topology
-              << " --seed=" << run.seed << "\n";
+              << " --seed=" << o.seed << "\n";
   }
   for (const std::string& failure : matrix_failures) {
     std::cerr << "\nFAIL: " << failure << "\n";
