@@ -3,10 +3,10 @@
 // Measures ops/sec and p50/p99 latency for the hot paths every PR is
 // judged against, emits machine-readable BENCH_core.json, and GATES on
 // correctness while doing so: every timed section cross-checks its results
-// against a flat-scan oracle, the vectorized and scalar index paths must
-// produce identical result checksums in the same run, and the
-// five-topology churn soak runs with the differential network oracle on.
-// Any divergence exits non-zero (the CI perf-smoke job relies on this).
+// against a flat-scan oracle, the index and flat-scan result checksums over
+// the sampled queries must agree, and the five-topology churn soak runs
+// with the differential network oracle on. Any divergence exits non-zero
+// (the CI perf-smoke job relies on this).
 //
 //   ./perf_gate [--small] [--json=BENCH_core.json]
 //               [--actives=100000,1000000] [--attrs=4] [--queries=N]
@@ -22,11 +22,9 @@
 // Sections (see docs/PERFORMANCE.md for the methodology):
 //   * stab           — point-stab on the interval index at tier size
 //   * box_intersect  — box-intersect on the same index
-//   * insert_erase_churn — mutation-heavy steady state (erase+insert per
-//     op) on BOTH the churn-amortized tiered index and the eager pre-tier
-//     ablation (IndexConfig::amortize_mutations = false); the ratio is the
-//     PR 4 headline speedup and is gated >= 3x in full runs (primary tier
-//     only: eager at 1M actives would take hours by construction)
+//   * insert_erase_churn_amortized — mutation-heavy steady state
+//     (erase+insert per op) on the index at tier size; its absolute floor
+//     at 100k actives lives in scripts/check_bench.py
 //   * broker_publish — Broker::handle_publication through PublishScratch
 //     (the zero-allocation publish path: a stab of the origin-partitioned
 //     publish lanes) against a routed table, one publication per latency
@@ -36,8 +34,7 @@
 //     with the differential oracle on (ops/sec per topology)
 //
 // --small shrinks every size for the CI smoke / ctest registration; small
-// runs still gate on correctness (oracles + checksums) but skip the
-// speedup threshold (tiny sizes are all noise).
+// runs gate on correctness (oracles + checksums) exactly like full ones.
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
@@ -85,9 +82,9 @@ struct GateState {
 };
 
 /// One scale tier's measurements: the index-bound sections plus the
-/// order-independent result checksums of the vectorized and scalar paths
-/// over the same sampled queries (gated equal — the in-run ablation
-/// oracle, and a dead-code-elimination defeat for the SIMD sweeps).
+/// order-independent result checksums of the index and of the flat-scan
+/// oracle over the same sampled queries (gated equal; the fold also keeps
+/// the compiler from dead-code-eliminating the sweeps).
 struct ScaleResult {
   std::size_t actives = 0;
   std::uint64_t queries = 0;
@@ -95,8 +92,8 @@ struct ScaleResult {
   SectionResult stab;
   SectionResult box;
   SectionResult churn_amortized;
-  std::uint64_t checksum_simd = 0;
-  std::uint64_t checksum_scalar = 0;
+  std::uint64_t checksum_index = 0;
+  std::uint64_t checksum_flat = 0;
 };
 
 std::vector<std::size_t> parse_actives_list(const std::string& csv) {
@@ -148,11 +145,11 @@ int main(int argc, char** argv) {
   // the query fixtures). Oracle: exact stab equality against a flat scan
   // over the mirrored live set after the full run — catches both ghost ids
   // and silently dropped matches.
-  const auto run_churn = [&](index::IndexConfig config, std::size_t fixture,
-                             std::uint64_t ops, const std::string& label,
+  const std::string churn_label = "insert_erase_churn_amortized";
+  const auto run_churn = [&](std::size_t fixture, std::uint64_t ops,
                              const std::vector<Publication>& oracle_probes) {
     workload::ComparisonStream churn_stream(stream_config, seed);
-    index::IntervalIndex index(attrs, config);
+    index::IntervalIndex index(attrs);
     std::vector<Subscription> live_subs;
     live_subs.reserve(fixture);
     for (std::size_t i = 0; i < fixture; ++i) {
@@ -164,13 +161,13 @@ int main(int argc, char** argv) {
     incoming.reserve(ops);
     for (std::uint64_t i = 0; i < ops; ++i) incoming.push_back(churn_stream.next());
     util::Rng churn_rng(seed ^ 0x5eedULL);
-    SectionResult result = time_section(label, ops, [&](std::uint64_t i) {
+    SectionResult result = time_section(churn_label, ops, [&](std::uint64_t i) {
       const std::size_t victim = churn_rng.next_below(live_subs.size());
       index.erase(live_subs[victim].id());
       index.insert(incoming[i]);
       live_subs[victim] = incoming[i];
     });
-    gate.check(index.size() == live_subs.size(), label + ": size drift");
+    gate.check(index.size() == live_subs.size(), churn_label + ": size drift");
     const std::uint64_t probe_count = oracle_probes.size();
     for (std::uint64_t p = 0; p < probe_count;
          p += std::max<std::uint64_t>(probe_count / 8, 1)) {
@@ -179,15 +176,15 @@ int main(int argc, char** argv) {
         if (oracle_probes[p].matches(sub)) expected.push_back(sub.id());
       }
       gate.check(sorted(index.stab(oracle_probes[p].values())) == sorted(expected),
-                 label + ": post-churn stab drift at probe " + std::to_string(p));
+                 churn_label + ": post-churn stab drift at probe " +
+                     std::to_string(p));
     }
     return result;
   };
 
   // ---------------------------------------------------------------------
   // One scale tier: query fixture at `tier_actives` mirrored in a flat
-  // vector (the oracle), the production index, and a scalar-path twin
-  // (IndexConfig::use_simd = false) for the in-run checksum ablation.
+  // vector (the oracle) and the index.
   const auto run_scale = [&](std::size_t tier_actives) {
     ScaleResult scale;
     scale.actives = tier_actives;
@@ -198,14 +195,10 @@ int main(int argc, char** argv) {
     workload::ComparisonStream stream(stream_config, seed);
     std::vector<Subscription> live;
     live.reserve(tier_actives);
-    index::IntervalIndex tiered(attrs);
-    index::IndexConfig scalar_config;
-    scalar_config.use_simd = false;
-    index::IntervalIndex scalar_twin(attrs, scalar_config);
+    index::IntervalIndex index(attrs);
     for (std::size_t i = 0; i < tier_actives; ++i) {
       Subscription sub = stream.next();
-      tiered.insert(sub);
-      scalar_twin.insert(sub);
+      index.insert(sub);
       live.push_back(std::move(sub));
     }
 
@@ -224,66 +217,57 @@ int main(int argc, char** argv) {
       box_probes.push_back(workload::random_box(box_config, 0.02, 0.2, probe_rng));
     }
 
+    // Oracle: every 64th query is re-run against a flat scan of `live`.
+    // The id-sum folds are order-independent, so equal checksums pin
+    // identical RESULT SETS without sorting.
+    const std::uint64_t oracle_stride = std::max<std::uint64_t>(queries / 64, 1);
+    const auto fold = [](const std::vector<SubscriptionId>& ids,
+                          std::uint64_t& checksum) {
+      for (const SubscriptionId id : ids) checksum += id;
+    };
+
     // --- stab ----------------------------------------------------------
     std::vector<SubscriptionId> out;
     scale.stab = time_section("stab", queries, [&](std::uint64_t i) {
       out.clear();
-      tiered.stab(probes[i].values(), out);
+      index.stab(probes[i].values(), out);
       sink += out.size();
     });
-    for (std::uint64_t i = 0; i < queries;
-         i += std::max<std::uint64_t>(queries / 16, 1)) {
+    for (std::uint64_t i = 0; i < queries; i += oracle_stride) {
       std::vector<SubscriptionId> expected;
       for (const Subscription& sub : live) {
         if (probes[i].matches(sub)) expected.push_back(sub.id());
       }
-      gate.check(sorted(tiered.stab(probes[i].values())) == sorted(expected),
+      const auto got = index.stab(probes[i].values());
+      fold(got, scale.checksum_index);
+      fold(expected, scale.checksum_flat);
+      gate.check(sorted(got) == sorted(expected),
                  "stab probe " + std::to_string(i) + suffix);
     }
 
     // --- box_intersect -------------------------------------------------
     scale.box = time_section("box_intersect", queries, [&](std::uint64_t i) {
       out.clear();
-      tiered.box_intersect(box_probes[i], out);
+      index.box_intersect(box_probes[i], out);
       sink += out.size();
     });
-    for (std::uint64_t i = 0; i < queries;
-         i += std::max<std::uint64_t>(queries / 16, 1)) {
+    for (std::uint64_t i = 0; i < queries; i += oracle_stride) {
       std::vector<SubscriptionId> expected;
       for (const Subscription& sub : live) {
         if (sub.intersects(box_probes[i])) expected.push_back(sub.id());
       }
-      gate.check(sorted(tiered.box_intersect(box_probes[i])) == sorted(expected),
+      const auto got = index.box_intersect(box_probes[i]);
+      fold(got, scale.checksum_index);
+      fold(expected, scale.checksum_flat);
+      gate.check(sorted(got) == sorted(expected),
                  "box_intersect probe " + std::to_string(i) + suffix);
     }
+    gate.check(scale.checksum_index == scale.checksum_flat,
+               "index/flat checksum mismatch" + suffix);
+    sink += scale.checksum_index;
 
-    // --- scalar/SIMD checksum ablation ---------------------------------
-    // Sampled queries run on both the production index and the scalar
-    // twin; the id-sum fold is order-independent, so equal checksums pin
-    // identical RESULT SETS without sorting. This is also the fold that
-    // keeps the compiler from dead-code-eliminating either sweep.
-    for (std::uint64_t i = 0; i < queries;
-         i += std::max<std::uint64_t>(queries / 64, 1)) {
-      for (const auto* index : {&tiered, &scalar_twin}) {
-        auto& checksum =
-            index == &tiered ? scale.checksum_simd : scale.checksum_scalar;
-        out.clear();
-        index->stab(probes[i].values(), out);
-        for (const SubscriptionId id : out) checksum += id;
-        out.clear();
-        index->box_intersect(box_probes[i], out);
-        for (const SubscriptionId id : out) checksum += id;
-      }
-    }
-    gate.check(scale.checksum_simd == scale.checksum_scalar,
-               "scalar/SIMD checksum mismatch" + suffix);
-    sink += scale.checksum_simd;
-
-    // --- churn (amortized only; the eager ablation runs at the primary
-    // tier, where its quadratic fixture build is still tractable) --------
-    scale.churn_amortized =
-        run_churn(index::IndexConfig{}, tier_actives, churn_ops,
-                  "insert_erase_churn_amortized", probes);
+    // --- churn ---------------------------------------------------------
+    scale.churn_amortized = run_churn(tier_actives, churn_ops, probes);
     return scale;
   };
 
@@ -294,9 +278,7 @@ int main(int argc, char** argv) {
   }
   const ScaleResult& primary = scales.front();
 
-  // --- Section: insert_erase_churn_eager (primary tier, full ablation) --
-  // The eager path is orders of magnitude slower at 100k actives; cap its
-  // op count so the baseline measurement stays tractable.
+  // The primary tier's publication probes, replayed by broker_publish.
   std::vector<Publication> primary_probes;
   {
     std::uint64_t probe_seed = seed;
@@ -305,49 +287,6 @@ int main(int argc, char** argv) {
     for (std::uint64_t i = 0; i < queries; ++i) {
       primary_probes.push_back(
           workload::uniform_publication(attrs, 0.0, 1000.0, probe_rng));
-    }
-  }
-  index::IndexConfig eager_config;
-  eager_config.amortize_mutations = false;
-  const std::uint64_t eager_ops = std::min<std::uint64_t>(
-      churn_ops, small ? churn_ops : 4'000);
-  const SectionResult churn_eager =
-      run_churn(eager_config, actives, eager_ops, "insert_erase_churn_eager",
-                primary_probes);
-  const SectionResult& churn_amortized = primary.churn_amortized;
-  const double speedup = churn_eager.ops_per_sec > 0
-                             ? churn_amortized.ops_per_sec / churn_eager.ops_per_sec
-                             : 0.0;
-
-  // Deep equivalence check between the two mutation modes on a smaller
-  // churned instance: identical stab/box results op for op.
-  {
-    const std::size_t n = small ? 300 : 2'000;
-    workload::ComparisonStream a_stream(stream_config, seed + 1);
-    workload::ComparisonStream b_stream(stream_config, seed + 1);
-    index::IntervalIndex amortized(attrs);
-    index::IntervalIndex eager(attrs, eager_config);
-    std::vector<SubscriptionId> ids;
-    util::Rng rng(seed + 2);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!ids.empty() && rng.bernoulli(0.4)) {
-        const std::size_t victim = rng.next_below(ids.size());
-        amortized.erase(ids[victim]);
-        eager.erase(ids[victim]);
-        ids[victim] = ids.back();
-        ids.pop_back();
-      } else {
-        const Subscription sub = a_stream.next();
-        (void)b_stream.next();
-        amortized.insert(sub);
-        eager.insert(sub);
-        ids.push_back(sub.id());
-      }
-      const Publication probe =
-          workload::uniform_publication(attrs, 0.0, 1000.0, rng);
-      gate.check(sorted(amortized.stab(probe.values())) ==
-                     sorted(eager.stab(probe.values())),
-                 "amortized/eager stab drift at op " + std::to_string(i));
     }
   }
 
@@ -475,14 +414,11 @@ int main(int argc, char** argv) {
                      r->p99_ns});
     }
   }
-  for (const SectionResult* r : {&churn_eager, &broker_publish}) {
-    table.add_row({r->name, static_cast<long long>(actives),
-                   static_cast<long long>(r->ops), r->ops_per_sec, r->p50_ns,
-                   r->p99_ns});
-  }
+  table.add_row({broker_publish.name, static_cast<long long>(actives),
+                 static_cast<long long>(broker_publish.ops),
+                 broker_publish.ops_per_sec, broker_publish.p50_ns,
+                 broker_publish.p99_ns});
   table.print(std::cout);
-  std::cout << "\nchurn speedup (amortized / eager) at " << actives
-            << " actives: " << speedup << "x\n";
   for (const SoakRow& row : soak_rows) {
     std::cout << "soak " << row.name << ": " << row.ops_per_sec
               << " ops/sec, mismatched=" << row.mismatched
@@ -518,7 +454,6 @@ int main(int argc, char** argv) {
     write_section(json, primary.stab);
     write_section(json, primary.box);
     write_section(json, primary.churn_amortized);
-    write_section(json, churn_eager);
     write_section(json, broker_publish);
     json.begin_object("churn_soak");
     json.begin_array("topologies");
@@ -550,16 +485,13 @@ int main(int argc, char** argv) {
       write_section(json, scale.box);
       write_section(json, scale.churn_amortized);
       json.end_object();
-      json.member("checksum_simd", scale.checksum_simd);
-      json.member("checksum_scalar", scale.checksum_scalar);
+      json.member("checksum_index", scale.checksum_index);
+      json.member("checksum_flat", scale.checksum_flat);
       json.end_object();
     }
     json.end_array();
     json.begin_object("gates");
     json.member("oracle_divergences", gate.divergences);
-    json.member("churn_speedup_vs_eager", speedup);
-    json.member("churn_speedup_required",
-                small ? 0.0 : 3.0);
     json.end_object();
     json.member("checksum_sink", sink);  // defeats dead-code elimination
     json.end_object();
@@ -570,11 +502,6 @@ int main(int argc, char** argv) {
   // ---------------------------------------------------------------- gates
   if (gate.divergences > 0) {
     std::cerr << "\nFAIL: " << gate.divergences << " oracle divergences\n";
-    return 1;
-  }
-  if (!small && speedup < 3.0) {
-    std::cerr << "\nFAIL: churn speedup " << speedup
-              << "x below the 3x acceptance gate\n";
     return 1;
   }
   return 0;

@@ -39,16 +39,16 @@ Latency gating: sections in P99_GATED (the broker publish paths) also gate
 on p99_ns — same-scale pairs allow threshold + jitter of rise, cross-scale
 pairs are one-sided (a smaller run must not have a larger p99).
 
-Absolute ratchets: the vectorized-matching PR is acceptance-gated on
-stab/box_intersect throughput at the reference scale (100k actives, 4
-attributes, 20k queries). Any file containing a tier at exactly that scale
-— in particular the committed full-size baseline — must meet the
-RATCHET_FLOORS, so the trajectory can never silently slide back below the
-3x mark even if both baseline and current regress together.
+Absolute ratchets: stab, box_intersect, insert_erase_churn_amortized and
+broker_publish throughput at the reference scale (100k actives, 4
+attributes, 20k queries) have absolute floors. Any file containing a tier
+at exactly that scale — in particular the committed full-size baseline —
+must meet the RATCHET_FLOORS, so the trajectory can never silently slide
+back below them even if both baseline and current regress together.
 
 Correctness is never noise: gates.oracle_divergences must be 0 in both
-files, and every scale block that records scalar/SIMD checksums must have
-them equal.
+files, and every scale block that records index/flat-scan checksums must
+have them equal.
 
 Soak artifacts (bench == "soak", every scenario of bench/soak) are
 recording-only: a soak's wall clock is not a regression signal (for the
@@ -79,13 +79,15 @@ JITTER_CAP = 0.20  # max extra allowance from latency jitter, absolute
 
 # Minimum ops/sec at REFERENCE_SCALE. stab/box_intersect: 3x the
 # pre-vectorization baseline (stab 3792.8, box_intersect 378.6 —
-# BENCH_core.json as of the tiered-index PR). broker_publish: 5x the old
-# sequential routing-table publish (1121.7) — the floor the staged pipeline
-# set, now carried by the one publish path (publish lanes). Ratchet upward
-# only.
+# BENCH_core.json as of the tiered-index PR). insert_erase_churn_amortized:
+# 3x the last recorded eager sorted-endpoint index (5968.52), the in-run
+# speedup gate it replaces. broker_publish: 5x the old sequential
+# routing-table publish (1121.7) — the floor the staged pipeline set, now
+# carried by the one publish path (publish lanes). Ratchet upward only.
 RATCHET_FLOORS = {
     "stab": 11378.3,
     "box_intersect": 1135.7,
+    "insert_erase_churn_amortized": 17905.5,
     "broker_publish": 5608.5,
 }
 REFERENCE_SCALE = {"actives": 100000, "attributes": 4, "queries": 20000}
@@ -206,17 +208,17 @@ def check_ratchet(config, sections, label, failures, require_all=False):
 
 
 def check_checksums(blob, name, failures):
-    """scalar/SIMD result checksums recorded per scale block must agree."""
+    """index/flat-scan result checksums recorded per scale block must agree."""
     for scale in blob.get("scales", []):
-        if "checksum_simd" not in scale and "checksum_scalar" not in scale:
+        if "checksum_index" not in scale and "checksum_flat" not in scale:
             continue
-        simd = scale.get("checksum_simd")
-        scalar = scale.get("checksum_scalar")
-        if simd != scalar:
+        index = scale.get("checksum_index")
+        flat = scale.get("checksum_flat")
+        if index != flat:
             actives = scale.get("config", {}).get("actives")
             failures.append(
-                f"{name} @{actives}: scalar/SIMD checksum mismatch "
-                f"({simd} vs {scalar})")
+                f"{name} @{actives}: index/flat checksum mismatch "
+                f"({index} vs {flat})")
 
 
 def check_soak(current):

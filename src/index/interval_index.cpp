@@ -17,28 +17,16 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-struct EndpointLess {
-  template <typename Endpoint>
-  bool operator()(const Endpoint& a, const Endpoint& b) const {
-    return a.value < b.value;
-  }
-};
-
 }  // namespace
 
 IntervalIndex::IntervalIndex(std::size_t attribute_count, IndexConfig config)
-    : m_(attribute_count), config_(config), lows_(attribute_count),
-      highs_(attribute_count), selective_count_(attribute_count, 0),
-      verify_groups_((attribute_count + kVerifyGroup - 1) / kVerifyGroup),
-      delta_lows_(attribute_count), delta_highs_(attribute_count) {
+    : m_(attribute_count), config_(config), selective_count_(attribute_count, 0),
+      verify_groups_((attribute_count + kVerifyGroup - 1) / kVerifyGroup) {
   if (!(config_.domain_lo < config_.domain_hi)) {
     throw std::invalid_argument("IndexConfig: domain_lo must be < domain_hi");
   }
   if (config_.bucket_count == 0) {
     throw std::invalid_argument("IndexConfig: bucket_count must be > 0");
-  }
-  if (config_.compaction_slack < 0.0) {
-    throw std::invalid_argument("IndexConfig: compaction_slack must be >= 0");
   }
   // Two padded probe rows (stab point / box lows+highs), zero-filled so
   // padding lanes always hold comparable reals.
@@ -62,17 +50,12 @@ std::size_t IntervalIndex::bucket_of(Value v) const noexcept {
   return bucket;
 }
 
-std::size_t IntervalIndex::compaction_threshold() const noexcept {
-  const auto slack = static_cast<std::size_t>(
-      config_.compaction_slack * static_cast<double>(size_));
-  return std::max<std::size_t>(std::max(config_.compaction_min, slack), 1);
-}
-
 void IntervalIndex::grow_bitmaps() {
   const std::size_t new_words =
       words_ == 0 ? simd::kBlockWords : words_ * 2;
-  // Mask rows default to all-ones in BOTH lanes (free and wide slots must
-  // neither block the sweep nor void certainty); occupancy defaults to 0.
+  // Mask rows default to all-ones in BOTH lanes (a never-used slot reads
+  // as wide on every attribute until insert writes it); occupancy
+  // defaults to 0.
   simd::AlignedVector<Word> mask_bits(m_ * config_.bucket_count * 2 * new_words,
                                       ~Word{0});
   simd::AlignedVector<Word> occupied_bits(2 * new_words, 0);
@@ -90,30 +73,24 @@ void IntervalIndex::grow_bitmaps() {
 }
 
 void IntervalIndex::write_mask_bits(std::size_t attribute, std::uint32_t slot,
-                                    const Interval& iv, bool erase_restore) {
+                                    const Interval& iv) {
   const std::size_t word = 2 * (slot / kWordBits);
   const Word mask = Word{1} << (slot % kWordBits);
   const auto buckets = static_cast<std::ptrdiff_t>(config_.bucket_count);
-  std::ptrdiff_t first = 0, last = buckets - 1;      // possible span
-  std::ptrdiff_t cfirst = 0, clast = buckets - 1;    // certain span
-  if (!erase_restore) {
-    first = static_cast<std::ptrdiff_t>(bucket_of(iv.lo));
-    last = static_cast<std::ptrdiff_t>(bucket_of(iv.hi));
-    // Exact certain span via bucket monotonicity (header file comment):
-    // strictly between the endpoint buckets, saturating past the edges
-    // for infinite endpoints. bucket(lo) < b < bucket(hi) forces
-    // lo < v < hi for every real v in bucket b — pure integer compares,
-    // no float boundary arithmetic to get subtly wrong. A NaN or empty
-    // interval voids every certainty claim (its possible bits already
-    // come from the clamped endpoint buckets; verification rejects).
-    const std::ptrdiff_t bl = iv.lo == -kInf ? -1 : first;
-    const std::ptrdiff_t bh = iv.hi == kInf ? buckets : last;
-    cfirst = bl + 1;
-    clast = bh - 1;
-    if (!(iv.lo <= iv.hi)) {
-      cfirst = 1;
-      clast = 0;
-    }
+  const auto first = static_cast<std::ptrdiff_t>(bucket_of(iv.lo));
+  const auto last = static_cast<std::ptrdiff_t>(bucket_of(iv.hi));
+  // Exact certain span via bucket monotonicity (header file comment):
+  // strictly between the endpoint buckets, saturating past the edges for
+  // infinite endpoints. bucket(lo) < b < bucket(hi) forces lo < v < hi
+  // for every real v in bucket b — pure integer compares, no float
+  // boundary arithmetic to get subtly wrong. A NaN or empty interval voids
+  // every certainty claim (its possible bits already come from the
+  // clamped endpoint buckets; verification rejects).
+  std::ptrdiff_t cfirst = (iv.lo == -kInf ? -1 : first) + 1;
+  std::ptrdiff_t clast = (iv.hi == kInf ? buckets : last) - 1;
+  if (!(iv.lo <= iv.hi)) {
+    cfirst = 1;
+    clast = 0;
   }
   for (std::ptrdiff_t bucket = 0; bucket < buckets; ++bucket) {
     Word* row = pair_row(attribute, static_cast<std::size_t>(bucket)) + word;
@@ -132,7 +109,7 @@ void IntervalIndex::write_mask_bits(std::size_t attribute, std::uint32_t slot,
 
 void IntervalIndex::write_verify_row(std::uint32_t slot,
                                      const Subscription& sub) {
-  const std::size_t row_doubles = verify_groups_ * 2 * kVerifyGroup;
+  const std::size_t row_doubles = verify_row_doubles();
   if (verify_blob_.size() < (slot + 1) * row_doubles) {
     verify_blob_.resize((slot + 1) * row_doubles);
   }
@@ -147,23 +124,12 @@ void IntervalIndex::write_verify_row(std::uint32_t slot,
   }
 }
 
-void IntervalIndex::restore_mask_bits(std::uint32_t slot) {
-  const Interval* slot_ranges = ranges_.data() + slot * m_;
-  for (std::size_t j = 0; j < m_; ++j) {
-    if (is_wide(slot_ranges[j])) continue;  // never written: still all-ones
-    write_mask_bits(j, slot, slot_ranges[j], /*erase_restore=*/true);
-  }
-}
-
-void IntervalIndex::release_slot(std::uint32_t slot) {
-  ids_[slot] = core::kInvalidSubscriptionId;
-  required_[slot] = 0;
-  semantic_attrs_[slot] = 0;
-  wide_attrs_[slot] = 0;
-  delta_pos_[slot] = kNoPos;
-  unselective_pos_[slot] = kNoPos;
-  ++slot_gen_[slot];  // invalidates this slot's pending delta-run entries
-  free_slots_.push_back(slot);
+Interval IntervalIndex::stored_range(std::uint32_t slot,
+                                     std::size_t attribute) const noexcept {
+  const double* rec = verify_blob_.data() + slot * verify_row_doubles() +
+                      (attribute / kVerifyGroup) * 2 * kVerifyGroup +
+                      attribute % kVerifyGroup;
+  return Interval{rec[0], rec[kVerifyGroup]};
 }
 
 void IntervalIndex::insert(const Subscription& sub) {
@@ -178,23 +144,15 @@ void IntervalIndex::insert(const Subscription& sub) {
                                 std::to_string(sub.id()));
   }
 
+  const bool reused = !free_slots_.empty();
   std::uint32_t slot;
-  if (!free_slots_.empty()) {
+  if (reused) {
     slot = free_slots_.back();
     free_slots_.pop_back();
   } else {
     slot = static_cast<std::uint32_t>(ids_.size());
     ids_.push_back(core::kInvalidSubscriptionId);
     ids32_.push_back(0);
-    slot_gen_.push_back(0);
-    required_.push_back(0);
-    ranges_.resize(ranges_.size() + m_, Interval::everything());
-    semantic_attrs_.push_back(0);
-    wide_attrs_.push_back(0);
-    delta_pos_.push_back(kNoPos);
-    unselective_pos_.push_back(kNoPos);
-    counts_.push_back(0);
-    epochs_.push_back(0);
     if (slot >= slot_capacity_) grow_bitmaps();
   }
 
@@ -202,80 +160,22 @@ void IntervalIndex::insert(const Subscription& sub) {
   ids32_[slot] = static_cast<std::uint32_t>(sub.id());
   if ((sub.id() >> 32) != 0) ++big_id_count_;
   (void)slot_of_.try_emplace(sub.id(), slot);
-  write_verify_row(slot, sub);
-
-  std::uint32_t required = 0;
-  std::uint64_t semantic_mask = 0;
-  std::uint64_t wide_mask = 0;
   for (std::size_t j = 0; j < m_; ++j) {
     const Interval& iv = sub.range(j);
-    ranges_[slot * m_ + j] = iv;
-    const std::uint64_t bit = j < 64 ? std::uint64_t{1} << j : 0;
-    if (iv != Interval::everything()) semantic_mask |= bit;
-    if (is_wide(iv)) {
-      if (iv != Interval::everything()) wide_mask |= bit;
-      continue;
+    if (!is_wide(iv)) {
+      ++selective_count_[j];
+      write_mask_bits(j, slot, iv);
+    } else if (reused && !is_wide(stored_range(slot, j))) {
+      // The slot's previous subscription left its bits on this row.
+      write_mask_bits(j, slot, Interval::everything());
     }
-    ++required;
-    ++selective_count_[j];
-    if (!config_.amortize_mutations) {
-      // Eager (pre-tier) path: O(k) sorted insert per selective attribute.
-      auto& lows = lows_[j];
-      lows.insert(std::upper_bound(lows.begin(), lows.end(),
-                                   Endpoint{iv.lo, slot}, EndpointLess{}),
-                  Endpoint{iv.lo, slot});
-      auto& highs = highs_[j];
-      highs.insert(std::upper_bound(highs.begin(), highs.end(),
-                                    Endpoint{iv.hi, slot}, EndpointLess{}),
-                   Endpoint{iv.hi, slot});
-    } else {
-      // Delta-run logs: cheap appends now, a linear mostly-sorted stream
-      // for the next compaction. Block-sort each run as it fills, while
-      // its entries are still cache-resident.
-      const auto append = [&](std::vector<DeltaEndpoint>& log, Value value) {
-        log.push_back(DeltaEndpoint{value, slot, slot_gen_[slot]});
-        if (log.size() % kDeltaRun == 0) {
-          std::sort(log.end() - static_cast<std::ptrdiff_t>(kDeltaRun),
-                    log.end(), EndpointLess{});
-        }
-      };
-      append(delta_lows_[j], iv.lo);
-      append(delta_highs_[j], iv.hi);
-    }
-    write_mask_bits(j, slot, iv, /*erase_restore=*/false);
   }
-  required_[slot] = required;
-  semantic_attrs_[slot] = semantic_mask;
-  wide_attrs_[slot] = wide_mask;
-  if (required == 0) {
-    unselective_pos_[slot] =
-        static_cast<std::uint32_t>(unselective_slots_.size());
-    unselective_slots_.push_back(slot);
-  } else if (config_.amortize_mutations) {
-    // Delta tier: masks are live (stab prunes normally); endpoints wait
-    // for the next compaction.
-    delta_pos_[slot] = static_cast<std::uint32_t>(delta_slots_.size());
-    delta_slots_.push_back(slot);
-  }
+  write_verify_row(slot, sub);
   const std::size_t occ_word = 2 * (slot / kWordBits);
   const Word occ_mask = Word{1} << (slot % kWordBits);
   occupied_bits_[occ_word] |= occ_mask;
   occupied_bits_[occ_word + 1] |= occ_mask;
   ++size_;
-  maybe_compact();
-}
-
-void IntervalIndex::remove_endpoint(std::vector<Endpoint>& endpoints,
-                                    Value value, std::uint32_t slot) {
-  const auto [first, last] = std::equal_range(
-      endpoints.begin(), endpoints.end(), Endpoint{value, slot}, EndpointLess{});
-  for (auto it = first; it != last; ++it) {
-    if (it->slot == slot) {
-      endpoints.erase(it);
-      return;
-    }
-  }
-  throw std::logic_error("IntervalIndex: endpoint missing on erase");
 }
 
 bool IntervalIndex::erase(SubscriptionId id) {
@@ -289,171 +189,14 @@ bool IntervalIndex::erase(SubscriptionId id) {
   const Word occ_mask = Word{1} << (slot % kWordBits);
   occupied_bits_[occ_word] &= ~occ_mask;
   occupied_bits_[occ_word + 1] &= ~occ_mask;
-  const Interval* slot_ranges = ranges_.data() + slot * m_;
+  // The slot's mask rows and verify record stay as they are (occupancy
+  // hides them) until insert reuses the slot and rewrites them.
   for (std::size_t j = 0; j < m_; ++j) {
-    if (!is_wide(slot_ranges[j])) --selective_count_[j];
+    if (!is_wide(stored_range(slot, j))) --selective_count_[j];
   }
-
-  if (required_[slot] == 0) {
-    // Unselective slots have no endpoints and untouched (all-ones) masks:
-    // release immediately in O(1) via the position index.
-    const std::uint32_t pos = unselective_pos_[slot];
-    const std::uint32_t moved = unselective_slots_.back();
-    unselective_slots_[pos] = moved;
-    unselective_pos_[moved] = pos;
-    unselective_slots_.pop_back();
-    unselective_pos_[slot] = kNoPos;
-    release_slot(slot);
-  } else if (delta_pos_[slot] != kNoPos) {
-    // Delta-tier slot: no merged endpoints exist yet; restore its mask
-    // rows and release outright. Its delta-run entries die with the
-    // generation bump in release_slot — no log surgery.
-    const std::uint32_t pos = delta_pos_[slot];
-    const std::uint32_t moved = delta_slots_.back();
-    delta_slots_[pos] = moved;
-    delta_pos_[moved] = pos;
-    delta_slots_.pop_back();
-    delta_pos_[slot] = kNoPos;
-    restore_mask_bits(slot);
-    release_slot(slot);
-  } else if (config_.amortize_mutations) {
-    // Tombstoned lazy erase: the occupancy bit already hides the slot from
-    // stab; its stale endpoints are skipped at emission (ids_ == kInvalid)
-    // and reclaimed by the next compaction. ranges_/required_ survive
-    // until then (compaction needs them to restore the mask rows).
-    ids_[slot] = core::kInvalidSubscriptionId;
-    dead_slots_.push_back(slot);
-  } else {
-    // Eager path: O(k) endpoint removal per selective attribute.
-    for (std::size_t j = 0; j < m_; ++j) {
-      const Interval& iv = slot_ranges[j];
-      if (is_wide(iv)) continue;
-      remove_endpoint(lows_[j], iv.lo, slot);
-      remove_endpoint(highs_[j], iv.hi, slot);
-      write_mask_bits(j, slot, iv, /*erase_restore=*/true);
-    }
-    release_slot(slot);
-  }
+  ids_[slot] = core::kInvalidSubscriptionId;
+  free_slots_.push_back(slot);
   --size_;
-  maybe_compact();
-  return true;
-}
-
-void IntervalIndex::maybe_compact() {
-  if (!config_.amortize_mutations) return;
-  if (pending_mutations() >= compaction_threshold()) compact();
-}
-
-void IntervalIndex::compact() {
-  if (pending_mutations() == 0) return;
-  ++compactions_;
-
-  // Per attribute: drop endpoints of tombstoned slots in place (they are
-  // exactly the entries whose slot id is kInvalid — dead slots are not
-  // released, so no freed-and-reused slot can alias one), then fold the
-  // delta-run log in. The log is consumed linearly (block-sorted runs, so
-  // the tail sort sees mostly-ordered input); entries of erased delta
-  // slots are dropped by their generation tag.
-  const auto is_dead = [this](const Endpoint& e) {
-    return ids_[e.slot] == core::kInvalidSubscriptionId;
-  };
-  for (std::size_t j = 0; j < m_; ++j) {
-    auto merge_in = [&](std::vector<Endpoint>& endpoints,
-                        std::vector<DeltaEndpoint>& log) {
-      if (!dead_slots_.empty()) {
-        endpoints.erase(
-            std::remove_if(endpoints.begin(), endpoints.end(), is_dead),
-            endpoints.end());
-      }
-      const auto mid = static_cast<std::ptrdiff_t>(endpoints.size());
-      for (const DeltaEndpoint& e : log) {
-        if (delta_pos_[e.slot] != kNoPos && slot_gen_[e.slot] == e.gen) {
-          endpoints.push_back(Endpoint{e.value, e.slot});
-        }
-      }
-      log.clear();
-      std::sort(endpoints.begin() + mid, endpoints.end(), EndpointLess{});
-      std::inplace_merge(endpoints.begin(), endpoints.begin() + mid,
-                         endpoints.end(), EndpointLess{});
-    };
-    merge_in(lows_[j], delta_lows_[j]);
-    merge_in(highs_[j], delta_highs_[j]);
-  }
-
-  for (const std::uint32_t slot : dead_slots_) {
-    restore_mask_bits(slot);
-    release_slot(slot);
-  }
-  dead_slots_.clear();
-  for (const std::uint32_t slot : delta_slots_) delta_pos_[slot] = kNoPos;
-  delta_slots_.clear();
-}
-
-void IntervalIndex::clear() {
-  for (std::size_t j = 0; j < m_; ++j) {
-    lows_[j].clear();
-    highs_[j].clear();
-    delta_lows_[j].clear();
-    delta_highs_[j].clear();
-    selective_count_[j] = 0;
-  }
-  ids_.clear();
-  ids32_.clear();
-  slot_gen_.clear();
-  big_id_count_ = 0;
-  required_.clear();
-  ranges_.clear();
-  verify_blob_.clear();
-  semantic_attrs_.clear();
-  wide_attrs_.clear();
-  free_slots_.clear();
-  slot_of_.clear();
-  unselective_slots_.clear();
-  unselective_pos_.clear();
-  delta_slots_.clear();
-  delta_pos_.clear();
-  dead_slots_.clear();
-  counts_.clear();
-  epochs_.clear();
-  mask_bits_.clear();
-  occupied_bits_.clear();
-  words_ = 0;
-  slot_capacity_ = 0;
-  size_ = 0;
-}
-
-bool IntervalIndex::verify_stab(std::uint32_t slot,
-                                std::span<const Value> point) const {
-  const Interval* slot_ranges = ranges_.data() + slot * m_;
-  if (m_ <= 64) {
-    std::uint64_t attrs = semantic_attrs_[slot];
-    while (attrs != 0) {
-      const std::size_t j = static_cast<std::size_t>(std::countr_zero(attrs));
-      attrs &= attrs - 1;
-      if (!slot_ranges[j].contains(point[j])) return false;
-    }
-    return true;
-  }
-  for (std::size_t j = 0; j < m_; ++j) {
-    if (!slot_ranges[j].contains(point[j])) return false;
-  }
-  return true;
-}
-
-bool IntervalIndex::verify_box(std::uint32_t slot, const Subscription& box,
-                               std::uint64_t attrs) const {
-  const Interval* slot_ranges = ranges_.data() + slot * m_;
-  if (m_ <= 64) {
-    while (attrs != 0) {
-      const std::size_t j = static_cast<std::size_t>(std::countr_zero(attrs));
-      attrs &= attrs - 1;
-      if (!slot_ranges[j].intersects(box.range(j))) return false;
-    }
-    return true;
-  }
-  for (std::size_t j = 0; j < m_; ++j) {
-    if (!slot_ranges[j].intersects(box.range(j))) return false;
-  }
   return true;
 }
 
@@ -498,7 +241,7 @@ std::uint64_t IntervalIndex::emit_candidates(
   // hides the data-dependent line fetches both loops are bound by.
   const bool small_ids = big_id_count_ == 0;
   const double* blob = verify_blob_.data();
-  const std::size_t row_doubles = verify_groups_ * 2 * kVerifyGroup;
+  const std::size_t row_doubles = verify_row_doubles();
   for (std::size_t i = 0; i < n_certain; ++i) {
     if (i + 32 < n_certain) {
       simd::prefetch(small_ids
@@ -518,8 +261,17 @@ std::uint64_t IntervalIndex::emit_candidates(
   return n_certain + n_uncertain;
 }
 
-void IntervalIndex::stab_simd(std::span<const Value> point,
-                              std::vector<SubscriptionId>& out) const {
+void IntervalIndex::stab(std::span<const Value> point,
+                         std::vector<SubscriptionId>& out) const {
+  if (point.size() != m_) {
+    throw std::invalid_argument("IntervalIndex::stab: schema mismatch");
+  }
+  last_query_cost_ = 0;
+  // A NaN value lies in no interval (Interval::contains compares false).
+  if (size_ == 0 || std::any_of(point.begin(), point.end(),
+                                [](Value v) { return std::isnan(v); })) {
+    return;
+  }
   const std::size_t paired = 2 * sweep_words();
   if (acc_scratch_.size() < 2 * words_) acc_scratch_.resize(2 * words_);
   Word* acc = acc_scratch_.data();
@@ -527,8 +279,8 @@ void IntervalIndex::stab_simd(std::span<const Value> point,
 
   // Fused paired-lane sweep with per-attribute early exit. The certain
   // lane of an attribute is only trusted for in-domain probe values (see
-  // the header): out-of-domain or non-comparable values zero it and fall
-  // back to verify-everything, for that attribute's contribution.
+  // the header): out-of-domain values zero it and fall back to
+  // verify-everything, for that attribute's contribution.
   bool zero_certain = false;
   for (std::size_t j = 0; j < m_; ++j) {
     const Value v = point[j];
@@ -543,10 +295,7 @@ void IntervalIndex::stab_simd(std::span<const Value> point,
     const Word* row = pair_row(j, bucket_of(v));
     const bool alive = trusted ? simd::and_into(acc, row, paired)
                                : simd::and_into_even(acc, row, paired);
-    if (!alive) {
-      last_query_cost_ = 0;
-      return;
-    }
+    if (!alive) return;
   }
   if (zero_certain) simd::zero_odd_words(acc, paired);
 
@@ -555,7 +304,7 @@ void IntervalIndex::stab_simd(std::span<const Value> point,
     padded[lane] = lane < m_ ? point[lane] : 0.0;
   }
   const double* blob = verify_blob_.data();
-  const std::size_t row_doubles = verify_groups_ * 2 * kVerifyGroup;
+  const std::size_t row_doubles = verify_row_doubles();
   last_query_cost_ = emit_candidates(out, [&](std::uint32_t slot) {
     const double* rec = blob + slot * row_doubles;
     for (std::size_t g = 0; g < verify_groups_; ++g) {
@@ -568,65 +317,6 @@ void IntervalIndex::stab_simd(std::span<const Value> point,
   });
 }
 
-void IntervalIndex::stab(std::span<const Value> point,
-                         std::vector<SubscriptionId>& out) const {
-  if (point.size() != m_) {
-    throw std::invalid_argument("IntervalIndex::stab: schema mismatch");
-  }
-  if (size_ == 0) {
-    last_query_cost_ = 0;
-    return;
-  }
-  if (config_.use_simd && simd::vectorized()) {
-    // The vectorized verify checks the full padded schema, which is only
-    // equivalent to the semantic-mask verify for comparable values: a NaN
-    // must fail constrained attributes yet pass unconstrained ones.
-    bool has_nan = false;
-    for (std::size_t j = 0; j < m_; ++j) {
-      if (std::isnan(point[j])) {
-        has_nan = true;
-        break;
-      }
-    }
-    if (!has_nan) {
-      stab_simd(point, out);
-      return;
-    }
-  }
-
-  std::uint64_t cost = 0;
-  const std::size_t words = words_in_use();
-
-  // Scalar ablation path: the pre-vectorization fused word sweep, reading
-  // the possible lane of the paired rows. Delta-tier slots participate
-  // like main-tier ones (their mask bits are written at insert time);
-  // tombstoned slots are excluded by the occupancy row. Attributes nobody
-  // (live) constrains selectively are skipped outright: their rows can
-  // carry stale zero-bits of dead slots, but ANDing them would only
-  // re-clear already-dead candidates.
-  if (acc_scratch_.size() < 2 * words_) acc_scratch_.resize(2 * words_);
-  Word* acc = acc_scratch_.data();
-  for (std::size_t w = 0; w < words; ++w) acc[w] = occupied_bits_[2 * w];
-  for (std::size_t j = 0; j < m_; ++j) {
-    if (selective_count_[j] == 0) continue;
-    const Word* row = pair_row(j, bucket_of(point[j]));
-    for (std::size_t w = 0; w < words; ++w) acc[w] &= row[2 * w];
-  }
-
-  // Exact verification of the surviving bucket-granularity superset.
-  for (std::size_t w = 0; w < words; ++w) {
-    Word bits = acc[w];
-    while (bits != 0) {
-      const std::uint32_t slot = static_cast<std::uint32_t>(
-          w * kWordBits + static_cast<std::size_t>(std::countr_zero(bits)));
-      bits &= bits - 1;
-      ++cost;
-      if (verify_stab(slot, point)) out.push_back(ids_[slot]);
-    }
-  }
-  last_query_cost_ = cost;
-}
-
 std::vector<SubscriptionId> IntervalIndex::stab(
     std::span<const Value> point) const {
   std::vector<SubscriptionId> out;
@@ -634,8 +324,19 @@ std::vector<SubscriptionId> IntervalIndex::stab(
   return out;
 }
 
-void IntervalIndex::box_intersect_simd(const Subscription& box,
-                                       std::vector<SubscriptionId>& out) const {
+void IntervalIndex::box_intersect(const Subscription& box,
+                                  std::vector<SubscriptionId>& out) const {
+  if (box.attribute_count() != m_) {
+    throw std::invalid_argument("IntervalIndex::box_intersect: schema mismatch");
+  }
+  last_query_cost_ = 0;
+  // A NaN bound intersects nothing (Interval::intersects compares false).
+  if (size_ == 0 ||
+      std::any_of(box.ranges().begin(), box.ranges().end(), [](const Interval& q) {
+        return std::isnan(q.lo) || std::isnan(q.hi);
+      })) {
+    return;
+  }
   const std::size_t wp = sweep_words();
   const std::size_t paired = 2 * wp;
   if (acc_scratch_.size() < 2 * words_) acc_scratch_.resize(2 * words_);
@@ -689,10 +390,7 @@ void IntervalIndex::box_intersect_simd(const Subscription& box,
       acc[2 * w + 1] &= or_certain[w];
       any |= possible;
     }
-    if (any == 0) {
-      last_query_cost_ = 0;
-      return;
-    }
+    if (any == 0) return;
   }
   if (zero_certain) simd::zero_odd_words(acc, paired);
 
@@ -704,7 +402,7 @@ void IntervalIndex::box_intersect_simd(const Subscription& box,
     qhi[lane] = lane < m_ ? box.range(lane).hi : kInf;
   }
   const double* blob = verify_blob_.data();
-  const std::size_t row_doubles = verify_groups_ * 2 * kVerifyGroup;
+  const std::size_t row_doubles = verify_row_doubles();
   last_query_cost_ = emit_candidates(out, [&](std::uint32_t slot) {
     const double* rec = blob + slot * row_doubles;
     for (std::size_t g = 0; g < verify_groups_; ++g) {
@@ -715,84 +413,6 @@ void IntervalIndex::box_intersect_simd(const Subscription& box,
     }
     return true;
   });
-}
-
-void IntervalIndex::box_intersect(const Subscription& box,
-                                  std::vector<SubscriptionId>& out) const {
-  if (box.attribute_count() != m_) {
-    throw std::invalid_argument("IntervalIndex::box_intersect: schema mismatch");
-  }
-  if (size_ == 0) {
-    last_query_cost_ = 0;
-    return;
-  }
-  if (config_.use_simd && simd::vectorized()) {
-    bool has_nan = false;
-    for (std::size_t j = 0; j < m_; ++j) {
-      if (std::isnan(box.range(j).lo) || std::isnan(box.range(j).hi)) {
-        has_nan = true;
-        break;
-      }
-    }
-    if (!has_nan) {
-      box_intersect_simd(box, out);
-      return;
-    }
-  }
-  const std::uint64_t epoch = ++epoch_;
-  std::uint64_t cost = 0;
-  auto touch = [&](std::uint32_t slot) {
-    if (epochs_[slot] != epoch) {
-      epochs_[slot] = epoch;
-      counts_[slot] = 0;
-    }
-  };
-
-  // Two-phase counting over the sorted endpoints; see the header. Phase 1
-  // rules out slots whose interval lies entirely below the probe; all
-  // decrements precede every increment, so phase 2's running count is
-  // monotone and crossing required_[slot] certifies that every selective
-  // attribute intersects. Wide attributes are re-checked on emission.
-  // Tombstoned slots may still be counted through their stale endpoints;
-  // the liveness test at emission drops them.
-  for (std::size_t j = 0; j < m_; ++j) {
-    const Value qlo = box.range(j).lo;
-    for (const Endpoint& e : highs_[j]) {
-      if (!(e.value < qlo)) break;
-      touch(e.slot);
-      --counts_[e.slot];
-    }
-  }
-  for (std::size_t j = 0; j < m_; ++j) {
-    const Value qhi = box.range(j).hi;
-    for (const Endpoint& e : lows_[j]) {
-      if (e.value > qhi) break;
-      touch(e.slot);
-      if (static_cast<std::uint32_t>(++counts_[e.slot]) == required_[e.slot] &&
-          ids_[e.slot] != core::kInvalidSubscriptionId) {
-        ++cost;
-        if (verify_box(e.slot, box, wide_attrs_[e.slot])) {
-          out.push_back(ids_[e.slot]);
-        }
-      }
-    }
-  }
-
-  // Delta tier: endpoints not merged yet, so these slots are checked
-  // exactly, against every semantically constrained attribute (the
-  // counting pass certified nothing for them).
-  for (const std::uint32_t slot : delta_slots_) {
-    ++cost;
-    if (verify_box(slot, box, semantic_attrs_[slot])) {
-      out.push_back(ids_[slot]);
-    }
-  }
-
-  for (const std::uint32_t slot : unselective_slots_) {
-    ++cost;
-    if (verify_box(slot, box, wide_attrs_[slot])) out.push_back(ids_[slot]);
-  }
-  last_query_cost_ = cost;
 }
 
 std::vector<SubscriptionId> IntervalIndex::box_intersect(

@@ -5,29 +5,17 @@
 #include <cstdio>
 #include <exception>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "util/flags.hpp"
-#include "util/rng.hpp"
 
 namespace psc::net {
 
-namespace {
-
-std::uint64_t derive_broker_seed(std::uint64_t network_seed,
-                                 routing::BrokerId id) {
-  // Must match BrokerNetwork::make_broker, or TCP brokers would make
-  // different (kGroup-policy) coverage decisions than their sim twins.
-  std::uint64_t seed = network_seed ^ (0x9e3779b97f4a7c15ULL * (id + 1));
-  return util::splitmix64(seed);
-}
-
-}  // namespace
-
 BrokerNode::BrokerNode(BrokerNodeOptions options)
     : broker_(options.id, options.store,
-              derive_broker_seed(options.network_seed, options.id),
+              routing::broker_seed(options.network_seed, options.id),
               options.match_shards),
       transport_(options.transport) {
   for (const routing::BrokerId neighbor : options.transport.neighbors) {
@@ -207,18 +195,11 @@ int run_brokerd(int argc, const char* const* argv) {
     options.network_seed = flags.get_uint64("seed", 0xfeedbeefULL);
     options.match_shards =
         static_cast<std::size_t>(flags.get_int("match-shards", 1));
-    const std::string policy = flags.get_string("policy", "exact");
-    if (policy == "exact") {
-      options.store.policy = store::CoveragePolicy::kExact;
-    } else if (policy == "none") {
-      options.store.policy = store::CoveragePolicy::kNone;
-    } else if (policy == "pairwise") {
-      options.store.policy = store::CoveragePolicy::kPairwise;
-    } else if (policy == "group") {
-      options.store.policy = store::CoveragePolicy::kGroup;
-    } else {
-      std::fprintf(stderr, "psc_brokerd: unknown --policy '%s'\n",
-                   policy.c_str());
+    try {
+      options.store.policy =
+          store::parse_coverage_policy(flags.get_string("policy", "exact"));
+    } catch (const std::invalid_argument& error) {
+      std::fprintf(stderr, "psc_brokerd: --policy: %s\n", error.what());
       return 2;
     }
     options.transport.self = options.id;

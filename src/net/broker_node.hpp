@@ -34,8 +34,8 @@ namespace psc::net {
 struct BrokerNodeOptions {
   routing::BrokerId id = 0;
   /// The cluster-wide seed (NetworkConfig::seed). The per-broker store
-  /// seed derives from it exactly like BrokerNetwork::make_broker, so a
-  /// TCP broker's coverage decisions match its sim twin's.
+  /// seed derives from it through routing::broker_seed, as in the
+  /// simulator, so a TCP broker's coverage decisions match its sim twin's.
   std::uint64_t network_seed = 0xfeedbeefULL;
   std::size_t match_shards = 1;
   store::StoreConfig store;

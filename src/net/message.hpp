@@ -17,9 +17,9 @@
 //     and kEvent notifications (broker ready, peer-death purge complete).
 //
 // Handshake: each side sends kHello{version = wire::kCodecVersion, sender}
-// first; a receiver accepts versions in [wire::kMinPeerVersion,
-// wire::kCodecVersion] (v3 peers speak identical element codecs) and must
-// treat anything else — or any non-Hello first message — as fatal.
+// first; a receiver accepts exactly wire::kCodecVersion (every peer is
+// built from the same tree) and must treat anything else — or any
+// non-Hello first message — as fatal.
 #pragma once
 
 #include <cstdint>
@@ -111,9 +111,9 @@ void write_net_message(wire::ByteWriter& out, const NetMessage& msg);
 [[nodiscard]] NetMessage decode_frame(std::span<const std::uint8_t> payload);
 
 /// True iff a handshake hello announcing `version` is acceptable:
-/// wire::kMinPeerVersion <= version <= wire::kCodecVersion.
+/// version == wire::kCodecVersion.
 [[nodiscard]] constexpr bool handshake_version_ok(std::uint32_t version) noexcept {
-  return version >= wire::kMinPeerVersion && version <= wire::kCodecVersion;
+  return version == wire::kCodecVersion;
 }
 
 }  // namespace psc::net

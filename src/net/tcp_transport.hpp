@@ -9,9 +9,9 @@
 //     a per-connection FrameReader and partial writes drain from a
 //     per-connection outbound buffer gated on EPOLLOUT.
 //   * the versioned handshake: every connection opens with
-//     kHello{wire::kCodecVersion, self}; a hello outside
-//     [kMinPeerVersion, kCodecVersion] — or any other first message — is
-//     fatal (the process exits; the supervisor sees EOF).
+//     kHello{wire::kCodecVersion, self}; a hello announcing any other
+//     version — or any other first message — is fatal (the process
+//     exits; the supervisor sees EOF).
 //   * frame integrity: every Announcement rides a v3 wire::LinkFrame with a
 //     per-directed-connection sequence number checked against the
 //     receiver's cumulative count — TCP already guarantees ordered

@@ -29,6 +29,11 @@ store::StoreConfig lane_config(const store::StoreConfig& store_config) {
 
 }  // namespace
 
+std::uint64_t broker_seed(std::uint64_t network_seed, BrokerId id) noexcept {
+  std::uint64_t seed = network_seed ^ (0x9e3779b97f4a7c15ULL * (id + 1));
+  return util::splitmix64(seed);
+}
+
 Broker::Broker(BrokerId id, store::StoreConfig store_config, std::uint64_t seed,
                std::size_t /*match_shards*/)
     : id_(id),

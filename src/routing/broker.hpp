@@ -49,6 +49,12 @@ struct Origin {
   friend bool operator==(const Origin&, const Origin&) = default;
 };
 
+/// Engine seed of broker `id` in a network seeded with `network_seed`. The
+/// simulator (BrokerNetwork) and psc_brokerd both derive it here, so a TCP
+/// broker makes the same (kGroup-policy) coverage decisions as its sim twin.
+[[nodiscard]] std::uint64_t broker_seed(std::uint64_t network_seed,
+                                        BrokerId id) noexcept;
+
 /// Per-broker state. The BrokerNetwork owns Brokers and moves messages.
 class Broker {
  public:

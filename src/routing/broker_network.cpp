@@ -19,8 +19,8 @@ using core::SubscriptionId;
 BrokerNetwork::BrokerNetwork(NetworkConfig config) : config_(config) {}
 
 std::unique_ptr<Broker> BrokerNetwork::make_broker(BrokerId id) const {
-  std::uint64_t seed = config_.seed ^ (0x9e3779b97f4a7c15ULL * (id + 1));
-  return std::make_unique<Broker>(id, config_.store, util::splitmix64(seed),
+  return std::make_unique<Broker>(id, config_.store,
+                                  broker_seed(config_.seed, id),
                                   config_.match_shards);
 }
 

@@ -40,50 +40,6 @@ struct NetworkConfig {
   /// hop through LinkChannels; disabled = the perfect zero-loss wire, with
   /// the pre-existing direct-schedule hot path byte-for-byte intact).
   LinkConfig link;
-
-  /// Fluent construction for the growing knob set — the preferred spelling
-  /// at call sites that set more than one field (benches, soaks, drivers):
-  ///
-  ///   auto config = NetworkConfig::Builder()
-  ///                     .seed(42)
-  ///                     .link_latency(0.002)
-  ///                     .link(link_config)
-  ///                     .build();
-  ///
-  /// Builder() starts from the defaulted NetworkConfig, so a builder that
-  /// sets nothing builds exactly `NetworkConfig{}`. Aggregate designated
-  /// initialization keeps working for terse literal configs.
-  class Builder;
-};
-
-class NetworkConfig::Builder {
- public:
-  Builder& store(store::StoreConfig value) {
-    config_.store = value;
-    return *this;
-  }
-  Builder& link_latency(sim::SimTime value) {
-    config_.link_latency = value;
-    return *this;
-  }
-  Builder& seed(std::uint64_t value) {
-    config_.seed = value;
-    return *this;
-  }
-  Builder& match_shards(std::size_t value) {
-    config_.match_shards = value;
-    return *this;
-  }
-  /// Installs the reliable-link protocol config wholesale (enabled flag,
-  /// timers, fault rates) — the one knob struct LinkChannels consumes.
-  Builder& link(const LinkConfig& value) {
-    config_.link = value;
-    return *this;
-  }
-  [[nodiscard]] NetworkConfig build() const { return config_; }
-
- private:
-  NetworkConfig config_;
 };
 
 /// One publication injected at one broker: the request form of

@@ -457,8 +457,8 @@ void SubscriptionStore::import_snapshot(const Snapshot& snapshot) {
           "SubscriptionStore::import_snapshot: invalid or duplicate active id");
     }
     // Rebuild the index in slot order; the store normalizes candidate
-    // emission to slot order anyway, so the index's internal tiering state
-    // never influences decisions (property-tested in tiered_index_test).
+    // emission to slot order anyway, so the index's internal slot layout
+    // never influences decisions.
     index_insert_active(active_[slot]);
   }
   for (const Snapshot::CoveredRecord& record : snapshot.covered) {

@@ -5,10 +5,11 @@
 // built with -mavx2 (CMake adds it on x86-64 unless -DPSC_NO_SIMD=ON),
 // NEON on AArch64, scalar otherwise. `kBackend` / `backend_name()` expose
 // the choice at runtime so benches can record which kernel produced a
-// number, and the scalar implementations are ALWAYS compiled (they are the
-// `kScalar` bodies) so a SIMD build can still run the ablation path via
-// IndexConfig::use_simd = false. Decision-for-decision identity between
-// backends is a hard contract, property-tested by tests/simd_kernel_test:
+// number. There is no runtime fallback: IntervalIndex runs one mask sweep
+// on every backend, and a scalar build runs it through the plain-loop
+// bodies below (CI builds one with -DPSC_NO_SIMD=ON and runs the index
+// suites on it). Decision-for-decision identity between backends is a
+// hard contract, property-tested by tests/simd_kernel_test:
 //
 //   * the bitset kernels are pure word arithmetic — identical on every
 //     backend by construction;
@@ -57,8 +58,8 @@ inline constexpr Backend kBackend = Backend::kScalar;
   return "scalar";
 }
 
-/// True when a vector backend was compiled in (the runtime-dispatch query:
-/// callers pair it with their own use_simd knob to pick a path).
+/// True when a vector backend was compiled in (recorded by the benches
+/// next to backend_name()).
 [[nodiscard]] constexpr bool vectorized() noexcept {
   return kBackend != Backend::kScalar;
 }
@@ -221,7 +222,7 @@ inline void andnot_into(Word* acc, const Word* row, std::size_t words) noexcept 
 /// lanes carry lo = -inf / hi = +inf so they pass every real value.
 /// contains4: point[i] in [rec[i], rec[i+4]] for all four lanes.
 /// Ordered-quiet compares — any NaN operand fails the lane, exactly like
-/// the scalar `>=` / `<=` the ablation path uses.
+/// the scalar `>=` / `<=` of Interval::contains.
 [[nodiscard]] inline bool contains4(const double* point4,
                                     const double* rec8) noexcept {
 #if defined(PSC_SIMD_AVX2)

@@ -337,10 +337,10 @@ routing::MembershipUniverse read_universe(ByteReader& in) {
 
 namespace {
 
-// v3 fault-schedule block: the probabilistic fault rates the trace was
+// Fault-schedule block: the probabilistic fault rates the trace was
 // generated for, the fault-aware cascade hop bound its slot validation
 // used, and the scripted burst-loss windows (absolute sim-time, per
-// undirected link). Absent from v2 traces; readers default it to zero.
+// undirected link).
 void write_fault_block(ByteWriter& out, const ChurnTrace& trace) {
   out.f64(trace.config.faults.link.drop_probability);
   out.f64(trace.config.faults.link.dup_probability);
@@ -418,7 +418,7 @@ ChurnTrace read_churn_trace(ByteReader& in) {
     throw DecodeError("wire: not a churn trace (bad magic)");
   }
   const std::uint32_t version = in.u32();
-  if (version < kMinTraceVersion || version > kCodecVersion) {
+  if (version != kCodecVersion) {
     throw DecodeError("wire: unsupported trace version " +
                       std::to_string(version));
   }
@@ -433,7 +433,7 @@ ChurnTrace read_churn_trace(ByteReader& in) {
   if (has_membership > 1) throw DecodeError("wire: bad membership flag");
   trace.has_membership = has_membership != 0;
   if (trace.has_membership) trace.universe = read_universe(in);
-  if (version >= 3) read_fault_block(in, trace);  // v2: perfect links
+  read_fault_block(in, trace);
   const std::size_t op_count = in.count(10);  // kind + time + broker floor
   trace.ops.reserve(op_count);
   for (std::size_t i = 0; i < op_count; ++i) {

@@ -33,21 +33,12 @@ namespace psc::wire {
 
 /// Format version of the headerless element codecs in this file. Bumped on
 /// any layout change; embedded by the stream-level headers (trace,
-/// snapshot) so readers can reject encodings they do not speak. v3 adds
-/// the reliable-link frame header (LinkFrame) and the fault-schedule block
-/// of churn traces; v4 adds the TCP transport's NetMessage envelope
-/// (net/message.hpp) and the peer handshake that carries this version —
-/// the v3 element codecs themselves are unchanged, so v4 peers interop
-/// with v3 ones (see kMinPeerVersion) and v2/v3 traces still decode.
+/// snapshot) and the TCP peer handshake, and readers accept exactly this
+/// version. v3 added the reliable-link frame header (LinkFrame) and the
+/// fault-schedule block of churn traces; v4 adds the TCP transport's
+/// NetMessage envelope (net/message.hpp) and the handshake that carries
+/// this version.
 inline constexpr std::uint32_t kCodecVersion = 4;
-
-/// Oldest trace version read_churn_trace still decodes.
-inline constexpr std::uint32_t kMinTraceVersion = 2;
-
-/// Oldest codec version a TCP peer may announce in its handshake hello and
-/// still be accepted (net/message.hpp): v3 speaks the same Announcement /
-/// LinkFrame element codecs, it just predates the envelope's extras.
-inline constexpr std::uint32_t kMinPeerVersion = 3;
 
 /// Magic prefix of a serialized churn trace ("PSCT" little-endian).
 inline constexpr std::uint32_t kTraceMagic = 0x54435350U;

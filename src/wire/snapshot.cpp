@@ -160,9 +160,6 @@ void write_network_config(ByteWriter& out, const NetworkConfig& config) {
   out.f64(config.store.index.domain_lo);
   out.f64(config.store.index.domain_hi);
   out.varint(config.store.index.bucket_count);
-  out.u8(config.store.index.amortize_mutations ? 1 : 0);
-  out.varint(config.store.index.compaction_min);
-  out.f64(config.store.index.compaction_slack);
   // Network-level knobs.
   out.f64(config.link_latency);
   out.u64(config.seed);
@@ -205,9 +202,6 @@ NetworkConfig read_network_config(ByteReader& in) {
   config.store.index.domain_lo = in.f64();
   config.store.index.domain_hi = in.f64();
   config.store.index.bucket_count = static_cast<std::size_t>(in.varint());
-  config.store.index.amortize_mutations = flag("amortize_mutations");
-  config.store.index.compaction_min = static_cast<std::size_t>(in.varint());
-  config.store.index.compaction_slack = in.f64();
   config.link_latency = in.f64();
   if (std::isnan(config.link_latency)) {
     throw DecodeError("wire: NaN link latency");

@@ -131,9 +131,9 @@ TEST(NetMessageTest, HelloRoundTripsAndVersionGateHolds) {
   EXPECT_EQ(got.version, wire::kCodecVersion);
   EXPECT_EQ(got.sender, 3u);
 
+  // Only the current codec is spoken: a version-3 hello is rejected.
   EXPECT_TRUE(net::handshake_version_ok(wire::kCodecVersion));
-  EXPECT_TRUE(net::handshake_version_ok(wire::kMinPeerVersion));
-  EXPECT_FALSE(net::handshake_version_ok(wire::kMinPeerVersion - 1));
+  EXPECT_FALSE(net::handshake_version_ok(3));
   EXPECT_FALSE(net::handshake_version_ok(wire::kCodecVersion + 1));
 }
 

@@ -59,20 +59,24 @@ StoreConfig make_config(CoveragePolicy policy, bool use_index) {
 
 class IndexEquivalence : public ::testing::TestWithParam<CoveragePolicy> {};
 
-TEST_P(IndexEquivalence, IdenticalDecisionsAndMatchesUnderChurn) {
-  const CoveragePolicy policy = GetParam();
-  const std::uint64_t seed = 0xfeedULL;
+/// Drives an index-backed and a flat store through the same insert/erase
+/// stream, checking every decision and match output step by step.
+void expect_identical_under_churn(CoveragePolicy policy, std::uint64_t seed,
+                                  std::size_t attributes,
+                                  std::uint64_t stream_seed,
+                                  std::uint64_t rng_seed, double erase_p,
+                                  int steps) {
   SubscriptionStore indexed(make_config(policy, true), seed);
   SubscriptionStore flat(make_config(policy, false), seed);
 
   workload::ComparisonConfig stream_config;
-  stream_config.attribute_count = 8;
-  workload::ComparisonStream stream(stream_config, 99);
-  util::Rng rng(7);
+  stream_config.attribute_count = attributes;
+  workload::ComparisonStream stream(stream_config, stream_seed);
+  util::Rng rng(rng_seed);
   std::vector<SubscriptionId> live;
 
-  for (int step = 0; step < 400; ++step) {
-    if (!live.empty() && rng.bernoulli(0.2)) {
+  for (int step = 0; step < steps; ++step) {
+    if (!live.empty() && rng.bernoulli(erase_p)) {
       const SubscriptionId victim = live[rng.next_below(live.size())];
       const auto erased_indexed = indexed.erase_reporting(victim);
       const auto erased_flat = flat.erase_reporting(victim);
@@ -103,6 +107,12 @@ TEST_P(IndexEquivalence, IdenticalDecisionsAndMatchesUnderChurn) {
     EXPECT_EQ(indexed.is_active(id), flat.is_active(id));
     EXPECT_EQ(indexed.coverers_of(id), flat.coverers_of(id));
   }
+}
+
+TEST_P(IndexEquivalence, IdenticalDecisionsAndMatchesUnderChurn) {
+  expect_identical_under_churn(GetParam(), 0xfeedULL, 8, 99, 7, 0.2, 400);
+  // Erase-heavier, narrower schema: more promotions, more slot reuse.
+  expect_identical_under_churn(GetParam(), 0xadd5ULL, 6, 314, 15, 0.3, 300);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, IndexEquivalence,
@@ -147,55 +157,6 @@ TEST(IndexEquivalence, PrefilterDisabledStillIdentical) {
     expect_same_insert(indexed.insert(sub), flat.insert(sub), step);
   }
   EXPECT_EQ(indexed.active_count(), flat.active_count());
-}
-
-TEST_P(IndexEquivalence, AmortizedTiersIdenticalToEagerIndexUnderChurn) {
-  // The two-tier churn-amortized index (delta tier + tombstones +
-  // compaction) must be decision-for-decision identical to the eager
-  // pre-tier index AND to the flat scans, through the full store: same
-  // InsertResults, promotions, and match outputs at every step. Tiny
-  // compaction thresholds make compactions fire mid-trace.
-  const CoveragePolicy policy = GetParam();
-  const std::uint64_t seed = 0xadd5ULL;
-  StoreConfig amortized_config = make_config(policy, true);
-  amortized_config.index.compaction_min = 8;
-  amortized_config.index.compaction_slack = 0.0;
-  StoreConfig eager_config = make_config(policy, true);
-  eager_config.index.amortize_mutations = false;
-  SubscriptionStore amortized(amortized_config, seed);
-  SubscriptionStore eager(eager_config, seed);
-  SubscriptionStore flat(make_config(policy, false), seed);
-
-  workload::ComparisonConfig stream_config;
-  stream_config.attribute_count = 6;
-  workload::ComparisonStream stream(stream_config, 314);
-  util::Rng rng(15);
-  std::vector<SubscriptionId> live;
-
-  for (int step = 0; step < 300; ++step) {
-    if (!live.empty() && rng.bernoulli(0.3)) {
-      const SubscriptionId victim = live[rng.next_below(live.size())];
-      const auto erased_amortized = amortized.erase_reporting(victim);
-      const auto erased_eager = eager.erase_reporting(victim);
-      const auto erased_flat = flat.erase_reporting(victim);
-      EXPECT_EQ(erased_amortized.promoted, erased_eager.promoted) << step;
-      EXPECT_EQ(erased_amortized.promoted, erased_flat.promoted) << step;
-      live.erase(std::find(live.begin(), live.end(), victim));
-    } else {
-      const Subscription sub = stream.next();
-      const auto inserted_amortized = amortized.insert(sub);
-      const auto inserted_eager = eager.insert(sub);
-      expect_same_insert(inserted_amortized, inserted_eager, step);
-      expect_same_insert(inserted_amortized, flat.insert(sub), step);
-      live.push_back(sub.id());
-    }
-    const Publication pub = workload::uniform_publication(
-        stream_config.attribute_count, 0.0, 1000.0, rng);
-    const auto expected = flat.match(pub);
-    EXPECT_EQ(amortized.match(pub), expected) << step;
-    EXPECT_EQ(eager.match(pub), expected) << step;
-    EXPECT_EQ(amortized.match_active(pub), eager.match_active(pub)) << step;
-  }
 }
 
 TEST(IndexEquivalenceScenario, ScenarioInstancesAgreeOnVerdicts) {

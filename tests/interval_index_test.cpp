@@ -1,6 +1,6 @@
 // Tests for the IntervalIndex candidate-pruning structure: exactness of
 // point-stab and box-intersect against flat scans, incremental insert/erase,
-// unbounded and unconstrained attributes, and slot reuse after churn.
+// unbounded and unconstrained attributes, and slot and id reuse after churn.
 #include "index/interval_index.hpp"
 
 #include <gtest/gtest.h>
@@ -96,10 +96,34 @@ TEST(IntervalIndex, EraseRemovesAndReusesSlots) {
   EXPECT_FALSE(index.contains(1));
   EXPECT_EQ(index.stab(std::vector<Value>{5.0, 5.0}),
             (std::vector<SubscriptionId>{2}));
+  EXPECT_EQ(index.box_intersect(box2(0, 20, 0, 20, 99)),
+            (std::vector<SubscriptionId>{2}));
   // Slot of #1 is reused by #3.
   index.insert(box2(20, 30, 20, 30, 3));
   EXPECT_EQ(index.stab(std::vector<Value>{25.0, 25.0}),
             (std::vector<SubscriptionId>{3}));
+
+  // Erase then re-insert the same id over a different region: the erase
+  // restored the slot's mask rows, so no stale bit prunes (or keeps) the
+  // new box in either region.
+  EXPECT_TRUE(index.erase(2));
+  index.insert(box2(500, 600, 500, 600, 2));
+  EXPECT_TRUE(index.stab(std::vector<Value>{5.0, 5.0}).empty());
+  EXPECT_EQ(index.stab(std::vector<Value>{550.0, 550.0}),
+            (std::vector<SubscriptionId>{2}));
+  EXPECT_EQ(sorted(index.box_intersect(box2(0, 1000, 0, 1000, 99))),
+            (std::vector<SubscriptionId>{2, 3}));
+  EXPECT_TRUE(index.box_intersect(box2(0, 10, 0, 10, 99)).empty());
+  EXPECT_EQ(index.size(), 2u);
+
+  // The next insert reuses #3's slot and leaves attribute 1 wide, where #3
+  // constrained it: the row must not keep #3's bits.
+  EXPECT_TRUE(index.erase(3));
+  index.insert(Subscription({Interval{20, 30}, Interval::everything()}, 4));
+  EXPECT_EQ(index.stab(std::vector<Value>{25.0, 900.0}),
+            (std::vector<SubscriptionId>{4}));
+  EXPECT_EQ(index.box_intersect(box2(20, 30, 900, 950, 99)),
+            (std::vector<SubscriptionId>{4}));
 }
 
 TEST(IntervalIndex, DuplicateIdAndSchemaMismatchThrow) {
@@ -112,20 +136,22 @@ TEST(IntervalIndex, DuplicateIdAndSchemaMismatchThrow) {
   EXPECT_THROW((void)index.stab(std::vector<Value>{1.0}), std::invalid_argument);
 }
 
-TEST(IntervalIndex, RandomizedEquivalenceWithFlatScanUnderChurn) {
-  // Realistic power-law stream with partial schemas, interleaving inserts,
-  // erasures and both query kinds; every query is cross-checked against a
-  // flat scan of the currently-live subscriptions.
+/// Interleaves inserts and erasures of a realistic power-law stream with
+/// partial schemas, cross-checking both query kinds against a flat scan of
+/// the currently-live subscriptions after every step.
+void expect_flat_equivalent_under_churn(std::size_t attributes,
+                                        std::uint64_t seed, int steps,
+                                        double erase_p) {
   workload::ComparisonConfig config;
-  config.attribute_count = 6;
-  workload::ComparisonStream stream(config, 20260730);
-  util::Rng rng(42);
+  config.attribute_count = attributes;
+  workload::ComparisonStream stream(config, seed);
+  util::Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
 
   IntervalIndex index(config.attribute_count);
   std::vector<Subscription> live;
 
-  for (int step = 0; step < 600; ++step) {
-    if (!live.empty() && rng.bernoulli(0.25)) {
+  for (int step = 0; step < steps; ++step) {
+    if (!live.empty() && rng.bernoulli(erase_p)) {
       const std::size_t victim = rng.next_below(live.size());
       ASSERT_TRUE(index.erase(live[victim].id()));
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
@@ -156,40 +182,37 @@ TEST(IntervalIndex, RandomizedEquivalenceWithFlatScanUnderChurn) {
   }
 }
 
-TEST(IntervalIndex, QueryCostIsReported) {
-  // last_query_cost counts candidates EXAMINED (certainty-emitted,
-  // verified, or probed), comparable against the 50 a flat scan would
-  // touch — on both query paths, so run the contract against each.
-  for (const bool use_simd : {true, false}) {
-    IndexConfig config;
-    config.use_simd = use_simd;
-    IntervalIndex index(1, config);
-    for (SubscriptionId id = 1; id <= 50; ++id) {
-      index.insert(
-          Subscription({Interval{static_cast<double>(id), 1000.0}}, id));
-    }
-    // Stab below every lower bound: only the handful of subscriptions
-    // whose lower bound shares the probe's edge bucket are examined.
-    (void)index.stab(std::vector<Value>{0.5});
-    const std::uint64_t cheap = index.last_query_cost();
-    // Mid-domain stab: every subscription is a candidate.
-    (void)index.stab(std::vector<Value>{500.0});
-    EXPECT_GE(index.last_query_cost(), 50u);
-    EXPECT_LT(cheap, index.last_query_cost());
+TEST(IntervalIndex, RandomizedEquivalenceWithFlatScanUnderChurn) {
+  expect_flat_equivalent_under_churn(6, 20260730, 600, 0.25);
+  expect_flat_equivalent_under_churn(6, 20260807, 400, 0.25);
+  expect_flat_equivalent_under_churn(6, 42, 250, 0.3);
+  expect_flat_equivalent_under_churn(6, 7, 150, 0.3);
+  // Erase-heavy: most slots are freed and reused many times over.
+  expect_flat_equivalent_under_churn(5, 404, 400, 0.45);
+}
 
-    // Box probe below every interval. The counting path pays one probe
-    // per pending delta slot; the mask path prunes to the probe's edge
-    // bucket. Neither examines more than the delta tier holds.
-    (void)index.box_intersect(Subscription({Interval{-100.0, -50.0}}, 999));
-    EXPECT_LE(index.last_query_cost(), index.delta_size());
-    index.compact();
-    EXPECT_EQ(index.delta_size(), 0u);
-    (void)index.box_intersect(Subscription({Interval{-100.0, -50.0}}, 999));
-    EXPECT_LT(index.last_query_cost(), 50u);
-    // A full-domain probe must examine every subscription.
-    (void)index.box_intersect(Subscription({Interval{-100.0, 2000.0}}, 999));
-    EXPECT_GE(index.last_query_cost(), 50u);
+TEST(IntervalIndex, QueryCostIsReported) {
+  // last_query_cost counts candidates EXAMINED (certainty-emitted or
+  // verified), comparable against the 50 a flat scan would touch.
+  IntervalIndex index(1);
+  for (SubscriptionId id = 1; id <= 50; ++id) {
+    index.insert(Subscription({Interval{static_cast<double>(id), 1000.0}}, id));
   }
+  // Stab below every lower bound: only the handful of subscriptions whose
+  // lower bound shares the probe's edge bucket are examined.
+  (void)index.stab(std::vector<Value>{0.5});
+  const std::uint64_t cheap = index.last_query_cost();
+  // Mid-domain stab: every subscription is a candidate.
+  (void)index.stab(std::vector<Value>{500.0});
+  EXPECT_GE(index.last_query_cost(), 50u);
+  EXPECT_LT(cheap, index.last_query_cost());
+
+  // Box probe below every interval: pruned to the probe's edge bucket.
+  (void)index.box_intersect(Subscription({Interval{-100.0, -50.0}}, 999));
+  EXPECT_LT(index.last_query_cost(), 50u);
+  // A full-domain probe must examine every subscription.
+  (void)index.box_intersect(Subscription({Interval{-100.0, 2000.0}}, 999));
+  EXPECT_GE(index.last_query_cost(), 50u);
 }
 
 }  // namespace

@@ -105,8 +105,8 @@ TEST(TcpTransportTest, DeliveredSetsMatchSimTransportPublishForPublish) {
 
   // Sim twin: same chain, same seed, the differential kExact store policy
   // the brokerd default uses — decisions are deterministic on both sides.
-  routing::NetworkConfig config =
-      routing::NetworkConfig::Builder().seed(seed).build();
+  routing::NetworkConfig config;
+  config.seed = seed;
   config.store.policy = store::CoveragePolicy::kExact;
   auto sim_net = routing::BrokerNetwork::chain_topology(5, config);
 

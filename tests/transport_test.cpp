@@ -220,8 +220,9 @@ TEST(SimTransportTest, TimerSurfaceForwardsToQueue) {
 // The request form of publish must equal the direct call it wraps.
 TEST(PublishRequestTest, RequestFormMatchesDirectPublish) {
   const auto make = [] {
-    return routing::BrokerNetwork::figure1_topology(
-        routing::NetworkConfig::Builder().seed(7).build());
+    routing::NetworkConfig config;
+    config.seed = 7;
+    return routing::BrokerNetwork::figure1_topology(config);
   };
   auto a = make();
   auto b = make();

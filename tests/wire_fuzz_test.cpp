@@ -1,5 +1,5 @@
-// Deterministic decode-fuzz harness over every wire decoder (codec v2 and
-// v3): seeded structural mutations — multi-byte flips, truncations, span
+// Deterministic decode-fuzz harness over every wire decoder (current codec
+// version): seeded structural mutations — multi-byte flips, truncations, span
 // deletions, insertions, and cross-corpus splices — applied to valid
 // encodings. The contract under test: a decoder either returns a
 // structurally valid object or throws wire::DecodeError; it never crashes,
@@ -106,32 +106,20 @@ workload::ChurnTrace lossy_membership_trace() {
   return workload::generate_churn_trace(config, universe, 17);
 }
 
-std::vector<std::uint8_t> encode_trace_v3() {
+std::vector<std::uint8_t> encode_lossy_trace() {
   ByteWriter out;
   write_churn_trace(out, lossy_membership_trace());
   return out.buffer();
 }
 
-/// A v2 stream: a fault-free v3 encoding with the fixed 50-byte fault
-/// block spliced out and the header version patched down (the same
-/// construction wire_test.cpp's V2TraceStillDecodes verifies decodes
-/// correctly; here it only seeds the mutation corpus).
-std::vector<std::uint8_t> encode_trace_v2() {
+/// A fault-free, membership-free trace: the other trace shape, a donor of
+/// foreign-but-valid trace bytes for the lossy one and vice versa.
+std::vector<std::uint8_t> encode_plain_trace() {
   workload::ChurnConfig config;
   config.duration = 5.0;
-  const auto trace = workload::generate_churn_trace(config, 5, 63);
-  ByteWriter full;
-  write_churn_trace(full, trace);
-  ByteWriter tail;
-  tail.varint(trace.ops.size());
-  for (const auto& op : trace.ops) write_churn_op(tail, op);
-  std::vector<std::uint8_t> v2 = full.buffer();
-  const std::size_t block_at = v2.size() - tail.buffer().size() - 50;
-  v2.erase(v2.begin() + static_cast<std::ptrdiff_t>(block_at),
-           v2.begin() + static_cast<std::ptrdiff_t>(block_at + 50));
-  v2[4] = 2;
-  v2[5] = v2[6] = v2[7] = 0;
-  return v2;
+  ByteWriter out;
+  write_churn_trace(out, workload::generate_churn_trace(config, 5, 63));
+  return out.buffer();
 }
 
 // --- mutation engine ---------------------------------------------------
@@ -237,13 +225,13 @@ TEST(WireFuzz, LinkFrameDecoderNeverExhibitsUB) {
   EXPECT_GT(rejected, 400u);
 }
 
-TEST(WireFuzz, TraceDecodersNeverExhibitUBAcrossVersions) {
-  const auto v3 = encode_trace_v3();
-  const auto v2 = encode_trace_v2();
+TEST(WireFuzz, TraceDecoderNeverExhibitsUB) {
+  const auto lossy = encode_lossy_trace();
+  const auto plain = encode_plain_trace();
   std::size_t rejected = 0;
-  rejected += fuzz(v3, v2, 4001, 400,
+  rejected += fuzz(lossy, plain, 4001, 400,
                    [](ByteReader& in) { (void)read_churn_trace(in); });
-  rejected += fuzz(v2, v3, 4002, 400,
+  rejected += fuzz(plain, lossy, 4002, 400,
                    [](ByteReader& in) { (void)read_churn_trace(in); });
   EXPECT_GT(rejected, 300u);
 }

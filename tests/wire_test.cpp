@@ -353,55 +353,20 @@ TEST(Codec, FaultScheduleBlockRoundTrips) {
   }
 }
 
-TEST(Codec, V2TraceStillDecodes) {
-  // A v2 stream is a v3 stream minus the fault-schedule block (and with
-  // version 2 in the header). Synthesize one from a fault-free v3 encoding
-  // by splicing the block out: for zero fault rates and no bursts it is a
-  // fixed 50 bytes (6 f64 + two zero varints) sitting immediately before
-  // the op records, whose size we can measure independently.
+TEST(Codec, TraceOfAnotherVersionIsRejected) {
+  // Readers speak only kCodecVersion: older (v2/v3) and newer headers both
+  // throw.
   workload::ChurnConfig config;
   config.duration = 10.0;
   const auto trace = workload::generate_churn_trace(config, 6, 321);
-  ASSERT_TRUE(trace.bursts.empty());
-
   ByteWriter full;
   write_churn_trace(full, trace);
-
-  ByteWriter tail;  // opcount + ops, re-encoded via the public op codec
-  tail.varint(trace.ops.size());
-  for (const auto& op : trace.ops) write_churn_op(tail, op);
-  ASSERT_GT(full.buffer().size(), tail.buffer().size() + 50);
-
-  std::vector<std::uint8_t> v2 = full.buffer();
-  const std::size_t block_at = v2.size() - tail.buffer().size() - 50;
-  v2.erase(v2.begin() + static_cast<std::ptrdiff_t>(block_at),
-           v2.begin() + static_cast<std::ptrdiff_t>(block_at + 50));
-  v2[4] = 2;  // version u32 little-endian, after the 4-byte magic
-  v2[5] = v2[6] = v2[7] = 0;
-
-  ByteReader in(v2);
-  const auto back = read_churn_trace(in);
-  EXPECT_TRUE(in.at_end());
-  EXPECT_EQ(back.broker_count, trace.broker_count);
-  EXPECT_EQ(back.seed, trace.seed);
-  ASSERT_EQ(back.ops.size(), trace.ops.size());
-  // v2 carries no fault schedule: readers must default to perfect links.
-  EXPECT_FALSE(back.config.faults.any());
-  EXPECT_TRUE(back.bursts.empty());
-  for (std::size_t i = 0; i < trace.ops.size(); ++i) {
-    EXPECT_EQ(back.ops[i].kind, trace.ops[i].kind);
-    EXPECT_EQ(back.ops[i].time, trace.ops[i].time);
+  for (const std::uint8_t version : {1, 2, 3, 9}) {
+    std::vector<std::uint8_t> bytes = full.buffer();
+    bytes[4] = version;  // version u32 little-endian, after the 4-byte magic
+    ByteReader in(bytes);
+    EXPECT_THROW((void)read_churn_trace(in), DecodeError) << int{version};
   }
-
-  // Versions outside [kMinTraceVersion, kCodecVersion] are rejected.
-  std::vector<std::uint8_t> v1 = v2;
-  v1[4] = 1;
-  ByteReader v1_in(v1);
-  EXPECT_THROW((void)read_churn_trace(v1_in), DecodeError);
-  std::vector<std::uint8_t> v9 = full.buffer();
-  v9[4] = 9;
-  ByteReader v9_in(v9);
-  EXPECT_THROW((void)read_churn_trace(v9_in), DecodeError);
 }
 
 // --- corruption robustness ---------------------------------------------
