@@ -294,7 +294,7 @@ int main(int argc, char** argv) {
   // One broker, two links, `actives` routed subscriptions from a mix of
   // local and neighbour origins; the zero-allocation scratch publish path.
   store::StoreConfig broker_store;
-  routing::Broker broker(0, broker_store, seed, /*match_shards=*/1);
+  routing::Broker broker(0, broker_store, seed);
   broker.add_neighbor(1);
   broker.add_neighbor(2);
   std::vector<std::pair<Subscription, routing::Origin>> routes;

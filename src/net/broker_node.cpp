@@ -4,185 +4,73 @@
 #include <csignal>
 #include <cstdio>
 #include <exception>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "net/message.hpp"
+#include "net/tcp_transport.hpp"
+#include "routing/broker.hpp"
+#include "routing/broker_runtime.hpp"
+#include "sim/metrics.hpp"
+#include "store/subscription_store.hpp"
 #include "util/flags.hpp"
 
 namespace psc::net {
+namespace {
 
-BrokerNode::BrokerNode(BrokerNodeOptions options)
-    : broker_(options.id, options.store,
-              routing::broker_seed(options.network_seed, options.id),
-              options.match_shards),
-      transport_(options.transport) {
-  for (const routing::BrokerId neighbor : options.transport.neighbors) {
-    broker_.add_neighbor(neighbor);
-  }
-  transport_.set_frame_handler(
-      [this](routing::BrokerId from, routing::BrokerId,
-             const wire::Announcement& msg) { dispatch_frame(from, msg); });
-  transport_.set_client_handler(
-      [this](const NetMessage& msg) { handle_client_op(msg); });
-  transport_.set_peer_death_handler(
-      [this](routing::BrokerId peer) { handle_peer_death(peer); });
-  transport_.set_ready_handler([this]() {
-    transport_.send_to_client(
-        make_event(EventKind::kReady, transport_.self(), 0));
-  });
-}
-
-void BrokerNode::run() {
-  transport_.connect_peers();
-  transport_.run();
-}
-
-void BrokerNode::dispatch_frame(routing::BrokerId from,
-                                const wire::Announcement& msg) {
-  // Mirror of BrokerNetwork::dispatch_frame.
-  const routing::Origin origin{false, from};
-  switch (msg.kind) {
-    case wire::Announcement::Kind::kSubscribe:
-      deliver_subscription(msg.sub, origin, msg.expiry);
-      break;
-    case wire::Announcement::Kind::kUnsubscribe:
-      deliver_unsubscription(msg.id, origin);
-      break;
-    case wire::Announcement::Kind::kPublication:
-      deliver_publication(msg.pub, origin, msg.token);
-      break;
-    case wire::Announcement::Kind::kMembership:
-      break;  // membership ops are driver-issued, never link traffic
-  }
-}
-
-void BrokerNode::deliver_subscription(const core::Subscription& sub,
-                                      const routing::Origin& origin,
-                                      std::optional<double> expiry) {
-  const std::vector<routing::BrokerId> forward_to =
-      broker_.handle_subscription(sub, origin);
-  if (expiry) {
-    // Accepted for wire parity; cluster traces keep TTLs off (sim time and
-    // wall time are not comparable), so this timer is never armed there.
-    const auto id = sub.id();
-    (void)transport_.schedule_timer_at(*expiry, [this, id]() {
-      const auto reannounce = broker_.handle_expiry(id);
-      for (const auto& [next, promoted] : reannounce) {
-        wire::Announcement msg;
-        msg.kind = wire::Announcement::Kind::kSubscribe;
-        msg.from = transport_.self();
-        msg.sub = promoted;
-        transport_.send_frame(transport_.self(), next, msg);
-      }
-    });
-  }
-  for (const routing::BrokerId next : forward_to) {
-    wire::Announcement msg;
-    msg.kind = wire::Announcement::Kind::kSubscribe;
-    msg.from = transport_.self();
-    msg.sub = sub;
-    msg.expiry = expiry;
-    transport_.send_frame(transport_.self(), next, msg);
-  }
-}
-
-void BrokerNode::deliver_unsubscription(core::SubscriptionId id,
-                                        const routing::Origin& origin) {
-  const routing::Broker::UnsubscriptionOutcome outcome =
-      broker_.handle_unsubscription(id, origin);
-  for (const routing::BrokerId next : outcome.forward_to) {
-    wire::Announcement msg;
-    msg.kind = wire::Announcement::Kind::kUnsubscribe;
-    msg.from = transport_.self();
-    msg.id = id;
-    transport_.send_frame(transport_.self(), next, msg);
-  }
-  // Promotions travel as fresh subscription announcements, like the sim's
-  // schedule_reannounce. No registry TTL lookup here: the TCP vocabulary
-  // is TTL-free, so every promoted subscription is live with no expiry.
-  for (const auto& [next, sub] : outcome.reannounce) {
-    wire::Announcement msg;
-    msg.kind = wire::Announcement::Kind::kSubscribe;
-    msg.from = transport_.self();
-    msg.sub = sub;
-    transport_.send_frame(transport_.self(), next, msg);
-  }
-}
-
-void BrokerNode::deliver_publication(const core::Publication& pub,
-                                     const routing::Origin& origin,
-                                     std::uint64_t token) {
-  if (!broker_.mark_publication_seen(token)) return;
-  const routing::Broker::PublicationRoute& route =
-      broker_.handle_publication(pub, origin, publish_scratch_);
-  transport_.add_delivered(route.local_matches);
-  for (const routing::BrokerId next : route.destinations) {
-    wire::Announcement msg;
-    msg.kind = wire::Announcement::Kind::kPublication;
-    msg.from = transport_.self();
-    msg.pub = pub;
-    msg.token = token;
-    transport_.send_frame(transport_.self(), next, msg);
-  }
-}
-
-void BrokerNode::handle_client_op(const NetMessage& msg) {
+/// One client op as a cascade root; the kOpResult carries the delivered set
+/// once the whole cascade has completed.
+void serve_client_op(TcpTransport& transport, routing::BrokerRuntime& runtime,
+                     const NetMessage& msg) {
   const routing::Origin local{true, routing::kInvalidBroker};
   if (msg.op == ClientOpKind::kShutdown) {
-    transport_.stop();
+    transport.stop();
     return;
   }
   const std::uint64_t op_id = msg.op_id;
-  transport_.begin_root();
+  transport.begin_root();
   switch (msg.op) {
     case ClientOpKind::kSubscribe:
-      deliver_subscription(msg.sub, local, std::nullopt);
+      runtime.subscribe(msg.sub, local, std::nullopt);
       break;
     case ClientOpKind::kUnsubscribe:
-      deliver_unsubscription(msg.id, local);
+      runtime.unsubscribe(msg.id, local);
       break;
     case ClientOpKind::kPublish:
       // The token is driver-assigned (globally unique without broker
-      // coordination); marking it seen at the source mirrors publish_one.
-      deliver_publication(msg.pub, local, msg.token);
+      // coordination); the source marks it seen like any other hop.
+      runtime.publish(msg.pub, local, msg.token);
       break;
     case ClientOpKind::kShutdown:
       break;  // handled above
   }
-  transport_.end_root([this, op_id](std::vector<core::SubscriptionId> ids) {
-    // The root's merged ids arrive in cascade-completion order; the
-    // supervisor compares sets, so sort/dedup here once.
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    NetMessage result;
-    result.kind = NetMessage::Kind::kOpResult;
-    result.op_id = op_id;
-    result.ids = std::move(ids);
-    transport_.send_to_client(result);
-  });
+  transport.end_root(
+      [&transport, op_id](std::vector<core::SubscriptionId> ids) {
+        // The root's merged ids arrive in cascade-completion order; the
+        // supervisor compares sets, so sort/dedup here once.
+        std::sort(ids.begin(), ids.end());
+        ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+        NetMessage result;
+        result.kind = NetMessage::Kind::kOpResult;
+        result.op_id = op_id;
+        result.ids = std::move(ids);
+        transport.send_to_client(result);
+      });
 }
 
-void BrokerNode::handle_peer_death(routing::BrokerId peer) {
-  // Mirror of BrokerNetwork::detach_and_purge: drop the link, then purge
-  // every route learned over it with the normal unsubscription cascade in
-  // ascending id order. The kPeerDown event fires only when the purge's
-  // cascade tree has quiesced, so the supervisor can serialize repair
-  // against in-flight traffic.
-  broker_.remove_neighbor(peer);
-  std::vector<core::SubscriptionId> ids =
-      broker_.subscriptions_from(routing::Origin{false, peer});
-  std::sort(ids.begin(), ids.end());
-  transport_.begin_root();
-  for (const core::SubscriptionId sid : ids) {
-    deliver_unsubscription(sid, routing::Origin{false, peer});
+std::vector<std::string> split_csv(const std::string& list) {
+  std::vector<std::string> items;
+  std::stringstream in(list);
+  for (std::string item; std::getline(in, item, ',');) {
+    if (!item.empty()) items.push_back(item);
   }
-  const routing::BrokerId self = transport_.self();
-  transport_.end_root([this, self, peer](std::vector<core::SubscriptionId>) {
-    transport_.send_to_client(make_event(EventKind::kPeerDown, self, peer));
-  });
+  return items;
 }
+
+}  // namespace
 
 int run_brokerd(int argc, const char* const* argv) {
   // A peer SIGKILLed mid-write must surface as EPIPE (handled by the
@@ -190,41 +78,73 @@ int run_brokerd(int argc, const char* const* argv) {
   std::signal(SIGPIPE, SIG_IGN);
   try {
     const util::Flags flags(argc, argv);
-    BrokerNodeOptions options;
-    options.id = static_cast<routing::BrokerId>(flags.get_int("id", 0));
-    options.network_seed = flags.get_uint64("seed", 0xfeedbeefULL);
-    options.match_shards =
-        static_cast<std::size_t>(flags.get_int("match-shards", 1));
+    const auto id = static_cast<routing::BrokerId>(flags.get_int("id", 0));
+    // The cluster-wide seed (NetworkConfig::seed): the per-broker store
+    // seed derives from it through routing::broker_seed, as in the
+    // simulator, so a TCP broker's coverage decisions match its sim twin's.
+    const std::uint64_t network_seed = flags.get_uint64("seed", 0xfeedbeefULL);
+    store::StoreConfig store;
     try {
-      options.store.policy =
+      store.policy =
           store::parse_coverage_policy(flags.get_string("policy", "exact"));
     } catch (const std::invalid_argument& error) {
       std::fprintf(stderr, "psc_brokerd: --policy: %s\n", error.what());
       return 2;
     }
-    options.transport.self = options.id;
-    options.transport.listen_fd =
-        static_cast<int>(flags.get_int("listen-fd", -1));
-    for (std::stringstream in(flags.get_string("neighbors", ""));
-         in.good() && in.peek() != std::stringstream::traits_type::eof();) {
-      std::string item;
-      std::getline(in, item, ',');
-      if (!item.empty()) {
-        options.transport.neighbors.push_back(
-            static_cast<routing::BrokerId>(std::stoul(item)));
-      }
+    TcpTransportConfig config;
+    config.self = id;
+    config.listen_fd = static_cast<int>(flags.get_int("listen-fd", -1));
+    for (const std::string& item :
+         split_csv(flags.get_string("neighbors", ""))) {
+      config.neighbors.push_back(
+          static_cast<routing::BrokerId>(std::stoul(item)));
     }
-    for (std::stringstream in(flags.get_string("ports", ""));
-         in.good() && in.peek() != std::stringstream::traits_type::eof();) {
-      std::string item;
-      std::getline(in, item, ',');
-      if (!item.empty()) {
-        options.transport.ports.push_back(
-            static_cast<std::uint16_t>(std::stoul(item)));
-      }
+    for (const std::string& item : split_csv(flags.get_string("ports", ""))) {
+      config.ports.push_back(static_cast<std::uint16_t>(std::stoul(item)));
     }
-    BrokerNode node(std::move(options));
-    node.run();
+
+    routing::Broker broker(id, store, routing::broker_seed(network_seed, id));
+    for (const routing::BrokerId neighbor : config.neighbors) {
+      broker.add_neighbor(neighbor);
+    }
+    TcpTransport transport(config);
+    sim::Metrics metrics;
+    routing::Broker::PublishScratch scratch;
+    routing::BrokerRuntime runtime(
+        broker, transport, metrics, scratch,
+        [&transport](std::uint64_t, std::span<const core::SubscriptionId> ids) {
+          transport.add_delivered(ids);
+        },
+        [](core::SubscriptionId) {
+          return routing::BrokerRuntime::Registration{};
+        });
+
+    transport.set_frame_handler(
+        [&runtime](routing::BrokerId from, routing::BrokerId,
+                   const wire::Announcement& msg) {
+          runtime.on_frame(from, msg);
+        });
+    transport.set_client_handler([&transport, &runtime](const NetMessage& msg) {
+      serve_client_op(transport, runtime, msg);
+    });
+    transport.set_peer_death_handler([&transport, &runtime, id](
+                                         routing::BrokerId peer) {
+      // The purge is a cascade root: kPeerDown fires only once its cascade
+      // tree has quiesced, so the supervisor can serialize repair against
+      // in-flight traffic.
+      transport.begin_root();
+      runtime.purge_peer(peer);
+      transport.end_root(
+          [&transport, id, peer](std::vector<core::SubscriptionId>) {
+            transport.send_to_client(
+                make_event(EventKind::kPeerDown, id, peer));
+          });
+    });
+    transport.set_ready_handler([&transport, id]() {
+      transport.send_to_client(make_event(EventKind::kReady, id, 0));
+    });
+    transport.connect_peers();
+    transport.run();
     return 0;
   } catch (const std::exception& error) {
     std::fprintf(stderr, "psc_brokerd: fatal: %s\n", error.what());

@@ -73,7 +73,6 @@ void Cluster::spawn(routing::BrokerId id) {
   args.push_back("--id=" + std::to_string(id));
   args.push_back("--listen-fd=" + std::to_string(member.listener.get()));
   args.push_back("--seed=" + std::to_string(options_.seed));
-  args.push_back("--match-shards=" + std::to_string(options_.match_shards));
   args.push_back("--policy=" + options_.policy);
   args.push_back("--neighbors=" + join_csv(member.neighbors));
   args.push_back("--ports=" + join_csv(ports));

@@ -21,7 +21,7 @@
 //
 // kill_broker is the fault leg: SIGKILL mid-trace, then wait for every
 // surviving neighbour's kPeerDown (its EOF-triggered purge finished — the
-// same detach_and_purge semantics the sim's fail_link repair path runs).
+// same BrokerRuntime::purge_peer the sim's fail_link repair path runs).
 #pragma once
 
 #include <cstdint>
@@ -47,6 +47,8 @@ struct ClusterOptions {
   /// Undirected overlay links; must form a tree over [0, brokers).
   std::vector<std::pair<routing::BrokerId, routing::BrokerId>> links;
   std::uint64_t seed = 0xfeedbeefULL;
+  /// Ignored: a broker's publish lane is one store and psc_brokerd takes
+  /// no shard count. Kept because the repository benchmark sets it.
   std::size_t match_shards = 1;
   /// Coverage policy name passed through to brokerd (--policy). The
   /// differential default is "exact": every suppression is definite, so

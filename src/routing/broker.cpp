@@ -34,8 +34,7 @@ std::uint64_t broker_seed(std::uint64_t network_seed, BrokerId id) noexcept {
   return util::splitmix64(seed);
 }
 
-Broker::Broker(BrokerId id, store::StoreConfig store_config, std::uint64_t seed,
-               std::size_t /*match_shards*/)
+Broker::Broker(BrokerId id, store::StoreConfig store_config, std::uint64_t seed)
     : id_(id),
       store_config_(store_config),
       seed_(seed),
@@ -235,16 +234,6 @@ const Broker::PublicationRoute& Broker::handle_publication(
     route.destinations.push_back(neighbor);
   }
   return route;
-}
-
-std::vector<BrokerId> Broker::handle_publication(
-    const Publication& pub, const Origin& origin,
-    std::vector<SubscriptionId>& local_matches) const {
-  PublishScratch scratch;
-  const PublicationRoute& route = handle_publication(pub, origin, scratch);
-  local_matches.insert(local_matches.end(), route.local_matches.begin(),
-                       route.local_matches.end());
-  return std::move(scratch.route.destinations);
 }
 
 std::vector<std::pair<BrokerId, Subscription>> Broker::handle_expiry(

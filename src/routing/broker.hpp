@@ -55,13 +55,10 @@ struct Origin {
 [[nodiscard]] std::uint64_t broker_seed(std::uint64_t network_seed,
                                         BrokerId id) noexcept;
 
-/// Per-broker state. The BrokerNetwork owns Brokers and moves messages.
+/// Per-broker state. A BrokerRuntime turns its decisions into messages.
 class Broker {
  public:
-  /// `match_shards` is accepted for source compatibility and ignored: the
-  /// local publish lane is one store, and routes never depended on it.
-  Broker(BrokerId id, store::StoreConfig store_config, std::uint64_t seed,
-         std::size_t match_shards = 1);
+  Broker(BrokerId id, store::StoreConfig store_config, std::uint64_t seed);
 
   [[nodiscard]] BrokerId id() const noexcept { return id_; }
 
@@ -129,18 +126,6 @@ class Broker {
   [[nodiscard]] UnsubscriptionOutcome handle_unsubscription(
       core::SubscriptionId id, const Origin& origin);
 
-  /// Handles a publication arriving from `origin`. Returns the neighbours
-  /// the publication must travel to (reverse paths of matching
-  /// subscriptions) and appends local matches to `local_matches`.
-  /// `local_matches` comes back sorted by id and destinations in
-  /// first-match order (ascending minimum matching id), both a pure
-  /// function of the routed set and the publication. The origin's own
-  /// lane is never stabbed: a publication is never sent back where it
-  /// came from.
-  [[nodiscard]] std::vector<BrokerId> handle_publication(
-      const core::Publication& pub, const Origin& origin,
-      std::vector<core::SubscriptionId>& local_matches) const;
-
   /// Where one publication must travel.
   struct PublicationRoute {
     std::vector<core::SubscriptionId> local_matches;  ///< sorted by id
@@ -161,10 +146,13 @@ class Broker {
     PublicationRoute route;
   };
 
-  /// Scratch form of handle_publication: stabs the publish lanes into
-  /// `scratch` and returns the routed result (a reference into
-  /// `scratch.route`). Identical decisions and ordering to the
-  /// vector-returning overload.
+  /// Handles a publication arriving from `origin`: stabs the publish lanes
+  /// into `scratch` and returns where it must travel (a reference into
+  /// `scratch.route`). `local_matches` comes back sorted by id and
+  /// destinations in first-match order (ascending minimum matching id),
+  /// both a pure function of the routed set and the publication. The
+  /// origin's own lane is never stabbed: a publication is never sent back
+  /// where it came from.
   const PublicationRoute& handle_publication(const core::Publication& pub,
                                              const Origin& origin,
                                              PublishScratch& scratch) const;

@@ -18,10 +18,8 @@ using core::SubscriptionId;
 
 BrokerNetwork::BrokerNetwork(NetworkConfig config) : config_(config) {}
 
-std::unique_ptr<Broker> BrokerNetwork::make_broker(BrokerId id) const {
-  return std::make_unique<Broker>(id, config_.store,
-                                  broker_seed(config_.seed, id),
-                                  config_.match_shards);
+Broker BrokerNetwork::make_broker(BrokerId id) const {
+  return Broker(id, config_.store, broker_seed(config_.seed, id));
 }
 
 SimTransport& BrokerNetwork::ensure_transport() {
@@ -33,30 +31,30 @@ SimTransport& BrokerNetwork::ensure_transport() {
         });
     transport_->set_frame_handler(
         [this](BrokerId from, BrokerId to, const wire::Announcement& msg) {
-          dispatch_frame(from, to, msg);
+          runtimes_.at(to)->on_frame(from, msg);
         });
   }
   return *transport_;
 }
 
-void BrokerNetwork::dispatch_frame(BrokerId from, BrokerId to,
-                                   const wire::Announcement& msg) {
-  switch (msg.kind) {
-    case wire::Announcement::Kind::kSubscribe:
-      deliver_subscription(to, msg.sub, Origin{false, from}, msg.expiry);
-      break;
-    case wire::Announcement::Kind::kUnsubscribe:
-      deliver_unsubscription(to, msg.id, Origin{false, from});
-      break;
-    case wire::Announcement::Kind::kPublication: {
-      const auto sink = pub_sinks_.find(msg.token);
-      deliver_publication(to, msg.pub, Origin{false, from}, msg.token,
-                          sink == pub_sinks_.end() ? nullptr : sink->second);
-      break;
-    }
-    case wire::Announcement::Kind::kMembership:
-      break;  // membership ops are driver-issued, never link traffic
+BrokerRuntime& BrokerNetwork::runtime(BrokerId id) {
+  SimTransport& transport = ensure_transport();
+  while (runtimes_.size() < brokers_.size()) {
+    runtimes_.push_back(std::make_unique<BrokerRuntime>(
+        *brokers_[runtimes_.size()], transport, metrics_, publish_scratch_,
+        [this](std::uint64_t token, std::span<const SubscriptionId> ids) {
+          if (sink_ && token == publication_token_) {
+            sink_->insert(sink_->end(), ids.begin(), ids.end());
+          }
+        },
+        [this](SubscriptionId sid) {
+          const auto live = local_subs_.find(sid);
+          return live == local_subs_.end()
+                     ? BrokerRuntime::Registration{false, std::nullopt}
+                     : BrokerRuntime::Registration{true, live->second.expiry};
+        }));
   }
+  return *runtimes_.at(id);
 }
 
 void BrokerNetwork::drain_escalations() {
@@ -86,7 +84,7 @@ void BrokerNetwork::set_link_bursts(std::vector<LinkChannels::BurstWindow> burst
 
 BrokerId BrokerNetwork::add_broker() {
   const auto id = static_cast<BrokerId>(brokers_.size());
-  brokers_.push_back(make_broker(id));
+  brokers_.push_back(std::make_unique<Broker>(make_broker(id)));
   // Keep the membership link-state in lockstep once it is engaged.
   if (link_state_) (void)link_state_->add_broker();
   return id;
@@ -231,20 +229,24 @@ BrokerNetwork BrokerNetwork::random_regular_topology(std::size_t n,
 
 // --- runtime membership -------------------------------------------------
 
-void BrokerNetwork::ensure_membership() {
-  if (link_state_) return;
-  LinkState state;
-  for (std::size_t b = 0; b < brokers_.size(); ++b) (void)state.add_broker();
-  // Normalize the neighbour lists into an undirected link set; add_link
-  // enforces the forest invariant, so a cyclic static topology is rejected
-  // here — membership repair (purge-on-detach) is only correct on trees.
+std::set<std::pair<BrokerId, BrokerId>> BrokerNetwork::neighbor_links() const {
   std::set<std::pair<BrokerId, BrokerId>> links;
   for (std::size_t b = 0; b < brokers_.size(); ++b) {
     for (const BrokerId neighbor : brokers_[b]->neighbors()) {
       links.insert(std::minmax(static_cast<BrokerId>(b), neighbor));
     }
   }
-  for (const auto& [a, b] : links) state.add_link(a, b);
+  return links;
+}
+
+void BrokerNetwork::ensure_membership() {
+  if (link_state_) return;
+  LinkState state;
+  for (std::size_t b = 0; b < brokers_.size(); ++b) (void)state.add_broker();
+  // add_link enforces the forest invariant, so a cyclic static topology is
+  // rejected here — membership repair (purge-on-detach) is only correct on
+  // trees.
+  for (const auto& [a, b] : neighbor_links()) state.add_link(a, b);
   link_state_.emplace(std::move(state));
 }
 
@@ -283,12 +285,7 @@ MembershipUniverse BrokerNetwork::universe() const {
                             link_state_->failed_links().end());
     return universe;
   }
-  std::set<std::pair<BrokerId, BrokerId>> links;
-  for (std::size_t b = 0; b < brokers_.size(); ++b) {
-    for (const BrokerId neighbor : brokers_[b]->neighbors()) {
-      links.insert(std::minmax(static_cast<BrokerId>(b), neighbor));
-    }
-  }
+  const auto links = neighbor_links();
   universe.links.assign(links.begin(), links.end());
   return universe;
 }
@@ -311,39 +308,7 @@ void BrokerNetwork::detach_and_purge(BrokerId at, BrokerId dead) {
   // link must never arrive, and a future heal restarts both streams at
   // sequence zero. (Idempotent — both endpoints' detaches may call this.)
   if (transport_) transport_->reset_link(at, dead);
-  brokers_.at(at)->remove_neighbor(dead);
-  // Every route learned over the dead link describes a subscription that
-  // is no longer reachable through this endpoint: purge it with the normal
-  // unsubscription cascade (ascending id for determinism — the routing
-  // table iterates in hash order). The origin marks the dead link so the
-  // cascade never tries to cross it (it is already detached anyway).
-  std::vector<SubscriptionId> ids =
-      brokers_.at(at)->subscriptions_from(Origin{false, dead});
-  std::sort(ids.begin(), ids.end());
-  for (const SubscriptionId sid : ids) {
-    deliver_unsubscription(at, sid, Origin{false, dead});
-  }
-}
-
-void BrokerNetwork::announce_over(BrokerId from, BrokerId to) {
-  Broker::AnnounceOutcome outcome = brokers_.at(from)->announce_all_to(to);
-  metrics_.subscriptions_suppressed += outcome.suppressed;
-  for (Subscription& sub : outcome.announce) {
-    // Re-announcements carry the registry's TTL expiry, exactly like a
-    // promotion re-announcement. A routed id missing from the registry is
-    // a ghost (gated to zero elsewhere); skip rather than spread it.
-    const auto live = local_subs_.find(sub.id());
-    if (live == local_subs_.end()) continue;
-    const std::optional<sim::SimTime> expiry = live->second.expiry;
-    ++metrics_.subscription_messages;
-    ++metrics_.reannounced_subscriptions;
-    wire::Announcement msg;
-    msg.kind = wire::Announcement::Kind::kSubscribe;
-    msg.from = from;
-    msg.sub = std::move(sub);
-    msg.expiry = expiry;
-    ensure_transport().send_frame(from, to, msg);
-  }
+  runtime(at).purge_peer(dead);
 }
 
 void BrokerNetwork::attach_link(BrokerId a, BrokerId b) {
@@ -352,8 +317,8 @@ void BrokerNetwork::attach_link(BrokerId a, BrokerId b) {
   if (transport_) transport_->reset_link(a, b);
   brokers_.at(a)->add_neighbor(b);
   brokers_.at(b)->add_neighbor(a);
-  announce_over(a, b);
-  announce_over(b, a);
+  runtime(a).announce_over(b);
+  runtime(b).announce_over(a);
   run_cascade();
 }
 
@@ -388,7 +353,7 @@ void BrokerNetwork::remove_peer(BrokerId broker) {
   //    leaver's own state dies with it.
   for (const BrokerId neighbor : former) detach_and_purge(neighbor, broker);
   run_cascade();
-  brokers_[broker] = make_broker(broker);
+  *brokers_[broker] = make_broker(broker);
   // 4. Bring the repair links up with mutual re-announcement.
   for (const auto& [a, b] : repairs) attach_link(a, b);
   drain_escalations();
@@ -424,8 +389,8 @@ void BrokerNetwork::crash_peer(BrokerId broker) {
   const auto downed = link_state_->crash_peer(broker);
   // Crash-stop: state is lost wholesale. Registry entries homed here stay
   // (their clients are unaware); TTL timers in the queue keep firing and
-  // resolve against the fresh broker as no-ops.
-  brokers_[broker] = make_broker(broker);
+  // resolve against the fresh broker (wiped in place) as no-ops.
+  *brokers_[broker] = make_broker(broker);
   for (const auto& [a, b] : downed) {
     detach_and_purge(a == broker ? b : a, broker);
   }
@@ -470,7 +435,7 @@ BrokerNetwork::ReplaceOutcome BrokerNetwork::replace_peer(
       pruned.routes.push_back(record);
     }
   }
-  brokers_[broker] = make_broker(broker);
+  *brokers_[broker] = make_broker(broker);
   brokers_[broker]->import_snapshot(pruned);
   outcome.restored_routes = pruned.routes.size();
 
@@ -487,8 +452,8 @@ BrokerNetwork::ReplaceOutcome BrokerNetwork::replace_peer(
   for (const SubscriptionId sid : homed) {
     if (brokers_[broker]->routes(sid)) continue;
     const LocalSub& local = local_subs_.at(sid);
-    deliver_subscription(broker, local.sub, Origin{true, kInvalidBroker},
-                         local.expiry);
+    runtime(broker).subscribe(local.sub, Origin{true, kInvalidBroker},
+                              local.expiry);
     ++outcome.gap_subs_replayed;
   }
   run_cascade();
@@ -497,100 +462,6 @@ BrokerNetwork::ReplaceOutcome BrokerNetwork::replace_peer(
   for (const auto& [a, b] : outcome.healed_links) attach_link(a, b);
   drain_escalations();
   return outcome;
-}
-
-void BrokerNetwork::deliver_subscription(BrokerId at, Subscription sub,
-                                         Origin origin,
-                                         std::optional<sim::SimTime> expiry) {
-  std::uint64_t suppressed = 0;
-  const std::vector<BrokerId> forward_to =
-      brokers_.at(at)->handle_subscription(sub, origin, &suppressed);
-  metrics_.subscriptions_suppressed += suppressed;
-  // Each broker arms its own timer — expiry removes the subscription
-  // everywhere with zero unsubscription traffic (Section 5).
-  if (expiry) {
-    const auto id = sub.id();
-    (void)ensure_transport().schedule_timer_at(*expiry, [this, at, id]() {
-      const auto reannounce = brokers_.at(at)->handle_expiry(id);
-      for (const auto& [next, promoted] : reannounce) {
-        schedule_reannounce(at, next, promoted);
-      }
-    });
-  }
-  for (const BrokerId next : forward_to) {
-    ++metrics_.subscription_messages;
-    wire::Announcement msg;
-    msg.kind = wire::Announcement::Kind::kSubscribe;
-    msg.from = at;
-    msg.sub = sub;
-    msg.expiry = expiry;
-    ensure_transport().send_frame(at, next, msg);
-  }
-}
-
-void BrokerNetwork::deliver_unsubscription(BrokerId at, SubscriptionId id,
-                                           Origin origin) {
-  const Broker::UnsubscriptionOutcome outcome =
-      brokers_.at(at)->handle_unsubscription(id, origin);
-  for (const BrokerId next : outcome.forward_to) {
-    ++metrics_.unsubscription_messages;
-    wire::Announcement msg;
-    msg.kind = wire::Announcement::Kind::kUnsubscribe;
-    msg.from = at;
-    msg.id = id;
-    ensure_transport().send_frame(at, next, msg);
-  }
-  // Promoted subscriptions flow as fresh subscription messages: the
-  // neighbour never saw them while they were covered. The receiving broker
-  // treats it like any subscription arrival (duplicate-suppressed if it
-  // somehow already routes the id).
-  for (const auto& [next, sub] : outcome.reannounce) {
-    schedule_reannounce(at, next, sub);
-  }
-}
-
-void BrokerNetwork::schedule_reannounce(BrokerId at, BrokerId next,
-                                        const Subscription& promoted) {
-  // A promoted subscription must travel with its original TTL expiry, or
-  // the receiving broker would hold it forever. If the subscription is no
-  // longer live (its own removal fires at this same instant), announcing
-  // it would plant a route nothing ever cleans up — skip; every broker
-  // that already routes it runs its own expiry/unsubscription anyway.
-  const auto live = local_subs_.find(promoted.id());
-  if (live == local_subs_.end()) return;
-  const std::optional<sim::SimTime> expiry = live->second.expiry;
-  ++metrics_.subscription_messages;
-  wire::Announcement msg;
-  msg.kind = wire::Announcement::Kind::kSubscribe;
-  msg.from = at;
-  msg.sub = promoted;
-  msg.expiry = expiry;
-  ensure_transport().send_frame(at, next, msg);
-}
-
-void BrokerNetwork::deliver_publication(BrokerId at, Publication pub,
-                                        Origin origin, std::uint64_t token,
-                                        std::vector<SubscriptionId>* sink) {
-  // Cycle suppression: each broker processes one publication token once.
-  if (!brokers_.at(at)->mark_publication_seen(token)) return;
-  // The returned route lives in publish_scratch_ and is consumed before
-  // this frame returns; scheduled hops copy what they need into their
-  // handlers, so the next hop reusing the scratch is safe.
-  const Broker::PublicationRoute& route =
-      brokers_.at(at)->handle_publication(pub, origin, publish_scratch_);
-  if (sink) {
-    sink->insert(sink->end(), route.local_matches.begin(),
-                 route.local_matches.end());
-  }
-  for (const BrokerId next : route.destinations) {
-    ++metrics_.publication_messages;
-    wire::Announcement msg;
-    msg.kind = wire::Announcement::Kind::kPublication;
-    msg.from = at;
-    msg.pub = pub;
-    msg.token = token;
-    ensure_transport().send_frame(at, next, msg);
-  }
 }
 
 void BrokerNetwork::subscribe(BrokerId broker, const Subscription& sub) {
@@ -602,7 +473,7 @@ void BrokerNetwork::subscribe(BrokerId broker, const Subscription& sub) {
   }
   require_alive(broker, "subscribe");
   local_subs_.emplace(sub.id(), LocalSub{broker, sub, std::nullopt});
-  deliver_subscription(broker, sub, Origin{true, kInvalidBroker});
+  runtime(broker).subscribe(sub, Origin{true, kInvalidBroker}, std::nullopt);
   run_cascade();
   drain_escalations();
 }
@@ -621,7 +492,7 @@ void BrokerNetwork::subscribe_with_ttl(BrokerId broker, const Subscription& sub,
   require_alive(broker, "subscribe_with_ttl");
   const sim::SimTime expiry = queue_.now() + ttl;
   local_subs_.emplace(sub.id(), LocalSub{broker, sub, expiry});
-  deliver_subscription(broker, sub, Origin{true, kInvalidBroker}, expiry);
+  runtime(broker).subscribe(sub, Origin{true, kInvalidBroker}, expiry);
   // The subscriber side forgets the subscription at expiry too.
   (void)ensure_transport().schedule_timer_at(
       expiry, [this, id = sub.id()]() { local_subs_.erase(id); });
@@ -661,45 +532,39 @@ void BrokerNetwork::unsubscribe(BrokerId broker, SubscriptionId id) {
     throw std::invalid_argument("BrokerNetwork::unsubscribe: unknown id");
   }
   local_subs_.erase(it);
-  deliver_unsubscription(broker, id, Origin{true, kInvalidBroker});
+  runtime(broker).unsubscribe(id, Origin{true, kInvalidBroker});
   run_cascade();
   drain_escalations();
-}
-
-void BrokerNetwork::account_delivery(BrokerId source, const Publication& pub,
-                                     std::vector<SubscriptionId>& ids) {
-  const std::size_t raw = ids.size();
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  metrics_.notifications_duplicated += raw - ids.size();
-
-  // Loss accounting against ground truth (component-aware once membership
-  // is engaged — a partitioned subscriber is unreachable, not lost).
-  const std::vector<SubscriptionId> expected = expected_recipients(source, pub);
-  for (const SubscriptionId id : expected) {
-    if (std::binary_search(ids.begin(), ids.end(), id)) {
-      ++metrics_.notifications_delivered;
-    } else {
-      ++metrics_.notifications_lost;
-    }
-  }
 }
 
 std::vector<SubscriptionId> BrokerNetwork::publish(BrokerId broker,
                                                    const Publication& pub) {
   require_alive(broker, "publish");
   std::vector<SubscriptionId> delivered;
-  const std::uint64_t token = ++publication_token_;
-  pub_sinks_.emplace(token, &delivered);
-  deliver_publication(broker, pub, Origin{true, kInvalidBroker}, token,
-                      &delivered);
+  sink_ = &delivered;
+  runtime(broker).publish(pub, Origin{true, kInvalidBroker},
+                          ++publication_token_);
   run_cascade();
   // Escalations fire BEFORE accounting: a link the protocol gave up on is
   // already effectively down for this publication, so the expected set
   // must be computed against the post-fail_link components.
   drain_escalations();
-  pub_sinks_.erase(token);
-  account_delivery(broker, pub, delivered);
+  sink_ = nullptr;
+
+  const std::size_t raw = delivered.size();
+  std::sort(delivered.begin(), delivered.end());
+  delivered.erase(std::unique(delivered.begin(), delivered.end()),
+                  delivered.end());
+  metrics_.notifications_duplicated += raw - delivered.size();
+  // Loss accounting against ground truth (component-aware once membership
+  // is engaged — a partitioned subscriber is unreachable, not lost).
+  for (const SubscriptionId id : expected_recipients(broker, pub)) {
+    if (std::binary_search(delivered.begin(), delivered.end(), id)) {
+      ++metrics_.notifications_delivered;
+    } else {
+      ++metrics_.notifications_lost;
+    }
+  }
   return delivered;
 }
 
@@ -778,6 +643,7 @@ void BrokerNetwork::restore_all(std::span<const std::uint8_t> bytes) {
 
   // Wipe this incarnation. Pending events (TTL timers of the old state)
   // die with the old queue; metrics restart at zero.
+  runtimes_.clear();
   brokers_.clear();
   local_subs_.clear();
   queue_ = sim::EventQueue{};
@@ -794,7 +660,7 @@ void BrokerNetwork::restore_all(std::span<const std::uint8_t> bytes) {
   transport_.reset();
   pending_escalations_.clear();
   escalated_links_.clear();
-  pub_sinks_.clear();
+  sink_ = nullptr;
 
   // Brokers are rebuilt through add_broker so per-broker seeds re-derive
   // from the serialized config exactly as original construction did.
@@ -847,14 +713,8 @@ void BrokerNetwork::restore_all(std::span<const std::uint8_t> bytes) {
     // own invariant checks catch inconsistent (corrupted) combinations.
     LinkState state;
     for (std::size_t b = 0; b < broker_count; ++b) (void)state.add_broker();
-    std::set<std::pair<BrokerId, BrokerId>> live;
-    for (std::size_t b = 0; b < broker_count; ++b) {
-      for (const BrokerId neighbor : neighbor_lists[b]) {
-        live.insert(std::minmax(static_cast<BrokerId>(b), neighbor));
-      }
-    }
     try {
-      for (const auto& [a, b] : live) state.add_link(a, b);
+      for (const auto& [a, b] : neighbor_links()) state.add_link(a, b);
       for (const auto& [a, b] : failed_links) state.add_standby(a, b);
       for (std::size_t b = 0; b < broker_count; ++b) {
         if (!alive_bits[b]) state.set_dead(static_cast<BrokerId>(b));
@@ -911,21 +771,13 @@ void BrokerNetwork::restore_all(std::span<const std::uint8_t> bytes) {
     const LocalSub& local = local_subs_.at(sid);
     if (!local.expiry) continue;
     const sim::SimTime expiry = *local.expiry;
-    const auto arm = [this, expiry, sid](BrokerId at) {
-      (void)ensure_transport().schedule_timer_at(expiry, [this, at, sid]() {
-        const auto reannounce = brokers_.at(at)->handle_expiry(sid);
-        for (const auto& [next, promoted] : reannounce) {
-          schedule_reannounce(at, next, promoted);
-        }
-      });
-    };
-    arm(local.home);
+    runtime(local.home).arm_expiry(sid, expiry);
     (void)ensure_transport().schedule_timer_at(
         expiry, [this, sid]() { local_subs_.erase(sid); });
     for (std::size_t b = 0; b < broker_count; ++b) {
       const auto id = static_cast<BrokerId>(b);
       if (id == local.home) continue;
-      if (brokers_[b]->routes(sid)) arm(id);
+      if (brokers_[b]->routes(sid)) runtime(id).arm_expiry(sid, expiry);
     }
   }
 }

@@ -1,7 +1,8 @@
 // BrokerNetwork — the distributed overlay: brokers + logical links driven by
-// the discrete-event simulator. Implements subscription flooding with
-// coverage-based pruning and reverse-path publication forwarding
-// (paper, Section 2 and Figure 1), with full traffic accounting.
+// the discrete-event simulator. Each broker runs the routing protocol
+// (paper, Section 2 and Figure 1) in its BrokerRuntime over one shared
+// SimTransport; the network owns the topology, runtime membership, the
+// client registry, traffic and loss accounting, and snapshots.
 //
 // Loss accounting: when a publication is injected, the network computes the
 // ground-truth recipient set (every local subscription anywhere whose box
@@ -11,14 +12,15 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
+#include <set>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "routing/broker.hpp"
+#include "routing/broker_runtime.hpp"
 #include "routing/link_channel.hpp"
 #include "routing/membership.hpp"
 #include "routing/sim_transport.hpp"
@@ -32,10 +34,6 @@ struct NetworkConfig {
   store::StoreConfig store;      ///< coverage policy + engine tuning
   sim::SimTime link_latency = 0.001;  ///< seconds per hop
   std::uint64_t seed = 0xfeedbeefULL;
-  /// Accepted and ignored: a broker's local publish lane is one store
-  /// (see docs/ARCHITECTURE.md, "Publish lanes"). Kept in the config and
-  /// its snapshot encoding for compatibility.
-  std::size_t match_shards = 1;
   /// Reliable-link protocol + fault injection (link.enabled routes every
   /// hop through LinkChannels; disabled = the perfect zero-loss wire, with
   /// the pre-existing direct-schedule hot path byte-for-byte intact).
@@ -296,7 +294,12 @@ class BrokerNetwork {
  private:
   NetworkConfig config_;
   sim::EventQueue queue_;
+  /// Heap-held so each runtime's Broker reference survives growth; a crash
+  /// wipes a broker in place.
   std::vector<std::unique_ptr<Broker>> brokers_;
+  /// One protocol runtime per broker, built with the transport (their
+  /// callbacks close over `this`): runtime(id) builds any that are missing.
+  std::vector<std::unique_ptr<BrokerRuntime>> runtimes_;
   /// Engaged by the first membership operation (or add_standby_link);
   /// nullopt means the overlay is static and pre-membership semantics
   /// apply everywhere.
@@ -313,7 +316,7 @@ class BrokerNetwork {
   std::unordered_map<core::SubscriptionId, LocalSub> local_subs_;
   sim::Metrics metrics_;
   std::uint64_t publication_token_ = 0;
-  /// Shared publish scratch for deliver_publication: the cascade is
+  /// Publish scratch shared by every runtime: the cascade is
   /// single-threaded and each hop finishes with the route before the next
   /// handler runs, so one network-wide scratch keeps every broker hop
   /// allocation-free once warm.
@@ -334,13 +337,15 @@ class BrokerNetwork {
   /// Escalations already applied, awaiting take_escalated_links().
   std::vector<std::pair<BrokerId, BrokerId>> escalated_links_;
   bool draining_escalations_ = false;
-  /// Publication delivery sinks by token, for the transport dispatch path
-  /// (a wire frame cannot carry a pointer). An entry lives for one publish
-  /// call; stale lookups resolve to a null sink.
-  std::unordered_map<std::uint64_t, std::vector<core::SubscriptionId>*> pub_sinks_;
+  /// The delivered set of the publish call in progress, whose token is
+  /// publication_token_ (a wire frame cannot carry a pointer). Local
+  /// matches of any other token, such as a late retransmit of an earlier
+  /// publication, go nowhere.
+  std::vector<core::SubscriptionId>* sink_ = nullptr;
 
-  void deliver_subscription(BrokerId at, core::Subscription sub, Origin origin,
-                            std::optional<sim::SimTime> expiry = std::nullopt);
+  /// The runtime of broker `id`, building the transport and any missing
+  /// runtimes first.
+  BrokerRuntime& runtime(BrokerId id);
 
   /// Runs the message cascade triggered "now" to completion: every hop adds
   /// one link latency and the cascade depth is bounded by the broker count,
@@ -348,52 +353,31 @@ class BrokerNetwork {
   /// not to this cascade. Keeps publish/subscribe from fast-forwarding the
   /// clock into future expiries.
   void run_cascade();
-  void deliver_unsubscription(BrokerId at, core::SubscriptionId id, Origin origin);
-  /// Schedules a promotion re-announcement of `promoted` from `at` to
-  /// `next`, carrying the subscription's TTL expiry (if any) so the
-  /// receiver arms its own timer; no-op if the subscription is no longer
-  /// live at this instant.
-  void schedule_reannounce(BrokerId at, BrokerId next,
-                           const core::Subscription& promoted);
-  void deliver_publication(BrokerId at, core::Publication pub, Origin origin,
-                           std::uint64_t token,
-                           std::vector<core::SubscriptionId>* sink);
 
   /// Constructs broker `id` with the same derived seed original
   /// construction would have used (shared by add_broker, crash wipes, and
   /// restore_all).
-  [[nodiscard]] std::unique_ptr<Broker> make_broker(BrokerId id) const;
-
-  /// Post-cascade accounting for publish: sorts and dedups `ids` in place
-  /// and tallies delivered/lost against the component-aware expected set.
-  void account_delivery(BrokerId source, const core::Publication& pub,
-                        std::vector<core::SubscriptionId>& ids);
+  [[nodiscard]] Broker make_broker(BrokerId id) const;
 
   /// Builds the transport on first send (callbacks close over `this`, so
   /// construction is deferred past the moveable-config phase).
   SimTransport& ensure_transport();
-  /// Transport frame handler: routes an arrived Announcement to the
-  /// matching deliver_* handler (the receiving half of each send site).
-  void dispatch_frame(BrokerId from, BrokerId to, const wire::Announcement& msg);
   /// Applies pending retry-cap escalations as fail_link calls, looping
   /// until none remain (a purge cascade can escalate further links).
   /// Re-entrant calls (fail_link runs inside the drain) are no-ops.
   void drain_escalations();
 
+  /// The undirected links of the brokers' neighbour lists, as (min, max).
+  [[nodiscard]] std::set<std::pair<BrokerId, BrokerId>> neighbor_links() const;
   /// Builds link_state_ from the current topology on first membership use;
   /// throws std::logic_error if the live topology is cyclic.
   void ensure_membership();
   void require_alive(BrokerId broker, const char* what) const;
 
-  /// Detach-side purge: removes the (at, dead) neighbour link at `at` and
-  /// issues a cascading unsubscription (ascending id) for every route `at`
-  /// learned over it. Caller runs the cascade.
+  /// Detach-side purge: resets the (at, dead) link's channel state, then
+  /// `at`'s runtime purges every route learned over it. Caller runs the
+  /// cascade.
   void detach_and_purge(BrokerId at, BrokerId dead);
-
-  /// Attach-side re-announcement: floods `from`'s uncovered routes over
-  /// the fresh link to `to`, carrying registry TTL expiries. Caller runs
-  /// the cascade.
-  void announce_over(BrokerId from, BrokerId to);
 
   /// Brings a link up at the broker layer (both neighbour lists + mutual
   /// re-announcement) and runs the cascade. Link-state bookkeeping is the

@@ -12,8 +12,8 @@
 //
 // The sim-only control surface (reset_link on membership churn, scripted
 // burst windows, in-flight accounting) stays on the concrete type;
-// BrokerNetwork owns a SimTransport and hands the base interface to code
-// that only needs to send.
+// BrokerNetwork owns a SimTransport and hands the base interface to its
+// BrokerRuntimes, which only need to send.
 #pragma once
 
 #include <memory>

@@ -1,7 +1,7 @@
 // Transport — the hop-delivery seam between routing policy and frame
 // mechanism.
 //
-// BrokerNetwork's routing layer decides WHAT crosses each overlay link
+// BrokerRuntime (the routing protocol) decides WHAT crosses each overlay link
 // (subscription floods, unsubscription cascades, promotion re-announcements,
 // reverse-path publication hops); a Transport decides HOW a frame gets from
 // one broker to the other and WHEN it arrives. Splitting the two (the

@@ -62,6 +62,21 @@ bool link_healable(const BrokerNetwork& net, BrokerId a, BrokerId b) {
          state.has_failed_link(a, b) && !state.same_component(a, b);
 }
 
+/// The differential verdict for one publish, given the oracle's sets before
+/// and after mirroring the links that escalated during it (equal when none
+/// did). A notification that crossed a link before the link gave up is a
+/// real delivery, so the network must deliver at least `after` and at most
+/// `before`; with no escalation that is exact equality. All three are
+/// sorted and deduplicated.
+bool delivered_within(const std::vector<core::SubscriptionId>& delivered,
+                      const std::vector<core::SubscriptionId>& after,
+                      const std::vector<core::SubscriptionId>& before) {
+  return std::includes(delivered.begin(), delivered.end(), after.begin(),
+                       after.end()) &&
+         std::includes(before.begin(), before.end(), delivered.begin(),
+                       delivered.end());
+}
+
 /// Applies one trace op to `net` alone — the WAL replay path after a
 /// restore (the oracle already consumed the op in its first life).
 /// Returns the delivered set for publishes (empty otherwise). Membership
@@ -159,7 +174,10 @@ ChurnReport ChurnDriver::run(BrokerNetwork& net, const ChurnTrace& trace,
 
   ChurnReport report;
   FlatOracle oracle;
-  std::vector<core::SubscriptionId> oracle_delivered;  // reused per publish
+  // Reused per publish: the oracle's set, and its set before the links
+  // that escalated during the publish were mirrored.
+  std::vector<core::SubscriptionId> oracle_delivered;
+  std::vector<core::SubscriptionId> oracle_before;
 
   // Membership setup: the network must start on the trace's universe (the
   // same live forest the generator planned against), its standby bridges
@@ -201,12 +219,13 @@ ChurnReport ChurnDriver::run(BrokerNetwork& net, const ChurnTrace& trace,
   // Retry-cap escalations surface as fail_link on the network side only;
   // the oracle must see the same topology before the next delivered-set
   // compare. Called after every net op (escalations drain at op exit).
-  const auto mirror_escalations = [&]() {
-    for (const auto& [a, b] : net.take_escalated_links()) {
+  const auto mirror = [&](const auto& links) {
+    for (const auto& [a, b] : links) {
       if (options.differential) oracle.fail_link(a, b);
       ++report.membership.link_escalations;
     }
   };
+  const auto mirror_escalations = [&]() { mirror(net.take_escalated_links()); };
 
   const double epoch_length = trace.config.epoch_length;
   Metrics at_epoch_start;  // metrics totals when the current epoch began
@@ -252,7 +271,10 @@ ChurnReport ChurnDriver::run(BrokerNetwork& net, const ChurnTrace& trace,
   double snapshot_time = 0.0;
   double next_snapshot = snapshot_every;
   std::vector<std::size_t> gap_ops;  // indices into trace.ops
-  std::vector<std::vector<core::SubscriptionId>> gap_oracle_sets;
+  // Per gap publish: the oracle's (after, before) sets of its first life.
+  std::vector<std::pair<std::vector<core::SubscriptionId>,
+                        std::vector<core::SubscriptionId>>>
+      gap_oracle_sets;
   bool crashed = false;
 
   const auto take_snapshot = [&](double at) {
@@ -307,7 +329,8 @@ ChurnReport ChurnDriver::run(BrokerNetwork& net, const ChurnTrace& trace,
         if (gap_op.kind == ChurnOpKind::kPublish) {
           ++report.recovery.gap_publishes_replayed;
           if (options.differential) {
-            if (delivered != gap_oracle_sets.at(publish_cursor)) {
+            const auto& [after, before] = gap_oracle_sets.at(publish_cursor);
+            if (!delivered_within(delivered, after, before)) {
               ++report.recovery.replay_mismatches;
             }
             ++publish_cursor;
@@ -345,13 +368,22 @@ ChurnReport ChurnDriver::run(BrokerNetwork& net, const ChurnTrace& trace,
         ++report.publishes;
         const auto delivered = net.publish(op.broker, op.pub);
         // Escalations fire inside net.publish before its own delivery
-        // accounting; the oracle needs the same fail_links applied before
-        // its delivered set is computed.
-        mirror_escalations();
+        // accounting. The oracle's set is taken before and after the same
+        // fail_links, and the delivered set must lie between the two.
+        const auto escalated = net.take_escalated_links();
+        if (options.differential && !escalated.empty()) {
+          oracle.publish(op.broker, op.pub, oracle_before);
+        }
+        mirror(escalated);
         if (options.differential) {
           oracle.publish(op.broker, op.pub, oracle_delivered);
-          if (delivered != oracle_delivered) ++epoch.mismatched_publishes;
-          if (failure.enabled) gap_oracle_sets.push_back(oracle_delivered);
+          if (escalated.empty()) oracle_before = oracle_delivered;
+          if (!delivered_within(delivered, oracle_delivered, oracle_before)) {
+            ++epoch.mismatched_publishes;
+          }
+          if (failure.enabled) {
+            gap_oracle_sets.emplace_back(oracle_delivered, oracle_before);
+          }
         }
         break;
       }

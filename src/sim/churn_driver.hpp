@@ -40,7 +40,10 @@ struct ChurnEpoch {
   std::uint64_t publication_messages = 0;
   std::uint64_t suppressed = 0;    ///< link-forwards withheld by coverage
   std::uint64_t membership_events = 0;     ///< overlay mutations this epoch
-  std::uint64_t mismatched_publishes = 0;  ///< differential failures
+  /// Differential failures: publishes whose delivered set differs from
+  /// the oracle's (or, for a publish during which links escalated, falls
+  /// outside the oracle's sets after and before mirroring them).
+  std::uint64_t mismatched_publishes = 0;
 
   // --- end-of-epoch state ---------------------------------------------
   std::size_t live_subscriptions = 0;   ///< client subs alive network-wide
@@ -132,7 +135,7 @@ class ChurnDriver {
   ///   2. at the first op at or after `kill_time`, discards the entire
   ///      live network state ("crash"), rebuilds it in place from the
   ///      newest snapshot, and replays the remembered gap ops — checking
-  ///      each replayed publish against its recorded oracle set;
+  ///      each replayed publish against its recorded oracle sets;
   ///   3. resumes the trace. Post-recovery publishes keep being checked
   ///      against the live oracle, so zero loss / zero ghost routes after
   ///      recovery is exactly `mismatched_publishes == 0 &&

@@ -163,7 +163,6 @@ void write_network_config(ByteWriter& out, const NetworkConfig& config) {
   // Network-level knobs.
   out.f64(config.link_latency);
   out.u64(config.seed);
-  out.varint(config.match_shards);
   // v3: reliable-link protocol + fault rates (LinkConfig).
   out.u8(config.link.enabled ? 1 : 0);
   out.f64(config.link.rto);
@@ -207,7 +206,6 @@ NetworkConfig read_network_config(ByteReader& in) {
     throw DecodeError("wire: NaN link latency");
   }
   config.seed = in.u64();
-  config.match_shards = static_cast<std::size_t>(in.varint());
   config.link.enabled = flag("link_enabled");
   const auto nonneg = [&in](const char* what) {
     const double value = in.f64();

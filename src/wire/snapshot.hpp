@@ -33,8 +33,9 @@ namespace psc::wire {
 /// or network body (they version together — a network body embeds the
 /// other two). v3 appends the reliable-link config (NetworkConfig::link)
 /// to the network-config block; v4 drops the index's three mutation-tier
-/// fields from it (IndexConfig is domain + bucket count only).
-inline constexpr std::uint32_t kSnapshotVersion = 4;
+/// fields from it (IndexConfig is domain + bucket count only); v5 drops
+/// the retired match-shard count.
+inline constexpr std::uint32_t kSnapshotVersion = 5;
 
 /// Frame magics ("PSCB" / "PSCN" little-endian).
 inline constexpr std::uint32_t kBrokerSnapshotMagic = 0x42435350U;

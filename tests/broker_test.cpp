@@ -90,22 +90,21 @@ TEST(Broker, PublicationRoutedAlongReversePaths) {
   (void)broker.handle_subscription(box2(20, 30, 0, 10, 2), Origin{false, 2});
   (void)broker.handle_subscription(box2(0, 5, 0, 5, 3), Origin{true, kInvalidBroker});
 
-  std::vector<SubscriptionId> local;
-  auto destinations =
-      broker.handle_publication(Publication({3.0, 3.0}), Origin{false, 3}, local);
-  std::sort(destinations.begin(), destinations.end());
-  EXPECT_EQ(destinations, (std::vector<BrokerId>{1}));
-  EXPECT_EQ(local, (std::vector<SubscriptionId>{3}));
+  Broker::PublishScratch scratch;
+  const Broker::PublicationRoute& route = broker.handle_publication(
+      Publication({3.0, 3.0}), Origin{false, 3}, scratch);
+  EXPECT_EQ(route.destinations, (std::vector<BrokerId>{1}));
+  EXPECT_EQ(route.local_matches, (std::vector<SubscriptionId>{3}));
 }
 
 TEST(Broker, PublicationNeverSentBackToOrigin) {
   Broker broker = make_broker({1, 2});
   (void)broker.handle_subscription(box2(0, 10, 0, 10, 1), Origin{false, 1});
-  std::vector<SubscriptionId> local;
-  const auto destinations =
-      broker.handle_publication(Publication({5.0, 5.0}), Origin{false, 1}, local);
-  EXPECT_TRUE(destinations.empty());
-  EXPECT_TRUE(local.empty());
+  Broker::PublishScratch scratch;
+  const Broker::PublicationRoute& route = broker.handle_publication(
+      Publication({5.0, 5.0}), Origin{false, 1}, scratch);
+  EXPECT_TRUE(route.destinations.empty());
+  EXPECT_TRUE(route.local_matches.empty());
 }
 
 TEST(Broker, UnsubscriptionOnlyToLinksThatCarriedIt) {
@@ -166,9 +165,8 @@ TEST(Broker, AddNeighborIdempotent) {
 // test recorded for it, checks box containment, and applies never-send-back:
 // local deliveries ascending, destinations in first-match order (by the
 // minimum matching id of each neighbour). The broker must reproduce it
-// exactly — contents and order — for every match_shards value (accepted
-// and ignored), from every origin, across subscribe, unsubscribe, expiry,
-// remove_neighbor, and import_snapshot.
+// exactly — contents and order — from every origin, across subscribe,
+// unsubscribe, expiry, remove_neighbor, and import_snapshot.
 
 constexpr std::size_t kAttrs = 4;
 
@@ -220,93 +218,85 @@ void expect_routes_match(const Broker& broker, const RouteModel& model,
           << where << " pub " << p;
       ASSERT_EQ(route.destinations, expected.destinations)
           << where << " pub " << p;
-      std::vector<SubscriptionId> local;
-      EXPECT_EQ(broker.handle_publication(pubs[p], from, local),
-                expected.destinations)
-          << where << " pub " << p;
-      EXPECT_EQ(local, expected.local_matches) << where << " pub " << p;
     }
   }
 }
 
 TEST(Broker, PublicationRoutesMatchBruteForceReference) {
-  for (const std::size_t shards : {1UL, 2UL, 8UL}) {
-    const std::string tag = "shards=" + std::to_string(shards);
-    Broker broker(0, pairwise(), 2006, shards);
-    for (const BrokerId n : {1u, 2u, 3u}) broker.add_neighbor(n);
-    RouteModel model;
+  Broker broker(0, pairwise(), 2006);
+  for (const BrokerId n : {1u, 2u, 3u}) broker.add_neighbor(n);
+  RouteModel model;
 
-    workload::ComparisonConfig stream_config;
-    stream_config.attribute_count = kAttrs;
-    stream_config.max_constrained = 3;
-    workload::ComparisonStream stream(stream_config, 41);
-    util::Rng rng(42);
-    const auto subscribe = [&](std::size_t count) {
-      for (std::size_t i = 0; i < count; ++i) {
-        const auto draw = rng.next_below(4);
-        const Origin origin = draw == 0
-                                  ? Origin{true, kInvalidBroker}
-                                  : Origin{false, static_cast<BrokerId>(draw)};
-        Subscription sub = stream.next();
-        (void)broker.handle_subscription(sub, origin);
-        model.routes.emplace(sub.id(), std::make_pair(std::move(sub), origin));
-      }
-    };
-    std::vector<Publication> pubs;
-    for (int i = 0; i < 40; ++i) {
-      pubs.push_back(workload::uniform_publication(kAttrs, 0.0, 1000.0, rng));
+  workload::ComparisonConfig stream_config;
+  stream_config.attribute_count = kAttrs;
+  stream_config.max_constrained = 3;
+  workload::ComparisonStream stream(stream_config, 41);
+  util::Rng rng(42);
+  const auto subscribe = [&](std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      const auto draw = rng.next_below(4);
+      const Origin origin = draw == 0
+                                ? Origin{true, kInvalidBroker}
+                                : Origin{false, static_cast<BrokerId>(draw)};
+      Subscription sub = stream.next();
+      (void)broker.handle_subscription(sub, origin);
+      model.routes.emplace(sub.id(), std::make_pair(std::move(sub), origin));
     }
+  };
+  std::vector<Publication> pubs;
+  for (int i = 0; i < 40; ++i) {
+    pubs.push_back(workload::uniform_publication(kAttrs, 0.0, 1000.0, rng));
+  }
 
-    subscribe(600);
-    expect_routes_match(broker, model, pubs, tag + " subscribe");
+  subscribe(600);
+  expect_routes_match(broker, model, pubs, "subscribe");
 
-    std::vector<SubscriptionId> ids = broker.routed_ids();
-    for (std::size_t i = 0; i < ids.size(); i += 3) {
-      (void)broker.handle_unsubscription(ids[i], model.routes.at(ids[i]).second);
-      model.routes.erase(ids[i]);
-    }
-    expect_routes_match(broker, model, pubs, tag + " unsubscribe");
+  std::vector<SubscriptionId> ids = broker.routed_ids();
+  for (std::size_t i = 0; i < ids.size(); i += 3) {
+    (void)broker.handle_unsubscription(ids[i], model.routes.at(ids[i]).second);
+    model.routes.erase(ids[i]);
+  }
+  expect_routes_match(broker, model, pubs, "unsubscribe");
 
-    ids = broker.routed_ids();
-    for (std::size_t i = 0; i < ids.size(); i += 5) {
-      (void)broker.handle_expiry(ids[i]);
-      model.routes.erase(ids[i]);
-    }
-    expect_routes_match(broker, model, pubs, tag + " expiry");
+  ids = broker.routed_ids();
+  for (std::size_t i = 0; i < ids.size(); i += 5) {
+    (void)broker.handle_expiry(ids[i]);
+    model.routes.erase(ids[i]);
+  }
+  expect_routes_match(broker, model, pubs, "expiry");
 
-    // Detaching a link keeps its routes until they are purged; purging
-    // them (as the network's detach cascade does) empties that lane.
-    broker.remove_neighbor(2);
-    expect_routes_match(broker, model, pubs, tag + " detach");
-    for (const SubscriptionId id : broker.subscriptions_from(Origin{false, 2})) {
-      (void)broker.handle_unsubscription(id, Origin{false, 2});
-      model.routes.erase(id);
-    }
-    expect_routes_match(broker, model, pubs, tag + " purge");
+  // Detaching a link keeps its routes until they are purged; purging
+  // them (as the network's detach cascade does) empties that lane.
+  broker.remove_neighbor(2);
+  expect_routes_match(broker, model, pubs, "detach");
+  for (const SubscriptionId id : broker.subscriptions_from(Origin{false, 2})) {
+    (void)broker.handle_unsubscription(id, Origin{false, 2});
+    model.routes.erase(id);
+  }
+  expect_routes_match(broker, model, pubs, "purge");
 
-    // A lane emptied while its link is still up is dropped as well; the
-    // next route over that link re-creates it.
-    for (const SubscriptionId id : broker.subscriptions_from(Origin{false, 3})) {
-      (void)broker.handle_unsubscription(id, Origin{false, 3});
-      model.routes.erase(id);
-    }
-    expect_routes_match(broker, model, pubs, tag + " empty attached lane");
+  // A lane emptied while its link is still up is dropped as well; the
+  // next route over that link re-creates it.
+  for (const SubscriptionId id : broker.subscriptions_from(Origin{false, 3})) {
+    (void)broker.handle_unsubscription(id, Origin{false, 3});
+    model.routes.erase(id);
+  }
+  expect_routes_match(broker, model, pubs, "empty attached lane");
 
-    // Re-attach and learn fresh routes over the link again.
-    broker.add_neighbor(2);
-    (void)broker.announce_all_to(2);
-    subscribe(150);
-    expect_routes_match(broker, model, pubs, tag + " reattach");
+  // Re-attach and learn fresh routes over the link again.
+  broker.add_neighbor(2);
+  (void)broker.announce_all_to(2);
+  subscribe(150);
+  expect_routes_match(broker, model, pubs, "reattach");
 
-    Broker restored(0, pairwise(), 2006, shards);
-    for (const BrokerId n : broker.neighbors()) restored.add_neighbor(n);
-    restored.import_snapshot(broker.export_snapshot());
-    expect_routes_match(restored, model, pubs, tag + " import_snapshot");
-    for (const auto& record : restored.export_snapshot().routes) {
-      const auto& [sub, origin] = model.routes.at(record.sub.id());
-      EXPECT_EQ(record.sub, sub);
-      EXPECT_EQ(record.origin, origin);
-    }
+  Broker restored(0, pairwise(), 2006);
+  for (const BrokerId n : broker.neighbors()) restored.add_neighbor(n);
+  restored.import_snapshot(broker.export_snapshot());
+  expect_routes_match(restored, model, pubs, "import_snapshot");
+  for (const auto& record : restored.export_snapshot().routes) {
+    const auto& [sub, origin] = model.routes.at(record.sub.id());
+    EXPECT_EQ(record.sub, sub);
+    EXPECT_EQ(record.origin, origin);
   }
 }
 

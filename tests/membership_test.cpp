@@ -258,6 +258,23 @@ TEST(Membership, ReplacementFromEmptyImageIsPureGapReplay) {
   EXPECT_EQ(net.ghost_route_count(), 0u);
 }
 
+TEST(Membership, ExpiryArmedBeforeACrashFiresAgainstTheReplacement) {
+  // Broker 6 armed an expiry timer for the TTL subscription it routes.
+  // The crash wipes it and the replacement relearns the route over the
+  // healed link; the timer armed before the crash must resolve against the
+  // replacement (never against state the crash freed) and, with the
+  // replacement's own timer, leave no trace of the subscription.
+  BrokerNetwork net = BrokerNetwork::figure1_topology(quiet_config());
+  net.subscribe_with_ttl(0, box(1, 100, 200), 1.0);
+  const std::vector<std::uint8_t> image = net.broker(6).snapshot();
+  net.crash_peer(6);
+  (void)net.replace_peer(6, {image.data(), image.size()});
+  net.advance_time(1.5);
+  EXPECT_EQ(net.ghost_route_count(), 0u);
+  EXPECT_FALSE(net.broker(6).routes(1));
+  EXPECT_TRUE(net.publish(0, point(150, 150)).empty());
+}
+
 TEST(Membership, GuardsRejectOpsOnDeadBrokers) {
   BrokerNetwork net = BrokerNetwork::figure1_topology(quiet_config());
   net.crash_peer(8);

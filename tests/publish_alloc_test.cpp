@@ -113,11 +113,11 @@ TEST(PublishAlloc, StoreMatchOutParamsSteadyStateDoNotAllocate) {
 }
 
 TEST(PublishAlloc, BrokerPublishWithScratchSteadyStateDoesNotAllocate) {
-  // A broker with two neighbour links and a sharded local match index:
-  // the full publication path — sharded stab, routing-table flat-map
-  // lookups, destination dedup — through caller-owned scratch.
+  // A broker with two neighbour links: the full publication path — lane
+  // stabs, routing-table flat-map lookups, destination dedup — through
+  // caller-owned scratch.
   store::StoreConfig store_config;  // default kGroup + index
-  routing::Broker broker(0, store_config, 1234, /*match_shards=*/2);
+  routing::Broker broker(0, store_config, 1234);
   broker.add_neighbor(1);
   broker.add_neighbor(2);
 
@@ -161,34 +161,6 @@ TEST(PublishAlloc, BrokerPublishWithScratchSteadyStateDoesNotAllocate) {
   EXPECT_EQ(guard.count(), 0u)
       << "steady-state Broker::handle_publication must be allocation-free";
   EXPECT_GT(local + remote, 0u);
-}
-
-TEST(PublishAlloc, ScratchRouteMatchesReturningOverload) {
-  // The scratch overload must produce exactly what the vector-returning
-  // overload produces, publication for publication.
-  store::StoreConfig store_config;
-  routing::Broker broker(7, store_config, 77, /*match_shards=*/3);
-  broker.add_neighbor(3);
-  workload::ComparisonConfig stream_config;
-  stream_config.attribute_count = 4;
-  stream_config.max_constrained = 3;
-  workload::ComparisonStream stream(stream_config, 9);
-  for (int i = 0; i < 150; ++i) {
-    const bool local = i % 3 != 0;
-    (void)broker.handle_subscription(
-        stream.next(), local ? routing::Origin{true, routing::kInvalidBroker}
-                             : routing::Origin{false, 3});
-  }
-  const auto pubs = make_publications(40, stream_config.attribute_count, 31);
-  routing::Broker::PublishScratch scratch;
-  const routing::Origin origin{true, routing::kInvalidBroker};
-  for (const Publication& pub : pubs) {
-    std::vector<SubscriptionId> legacy_local;
-    const auto legacy_dests = broker.handle_publication(pub, origin, legacy_local);
-    const auto& route = broker.handle_publication(pub, origin, scratch);
-    EXPECT_EQ(route.local_matches, legacy_local);
-    EXPECT_EQ(route.destinations, legacy_dests);
-  }
 }
 
 }  // namespace
