@@ -12,7 +12,7 @@
 #include "workload/comparison_stream.hpp"
 #include "workload/publications.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace psc;
   const auto args = bench::HarnessArgs::parse(argc, argv);
   const util::Flags flags(argc, argv);
@@ -72,4 +72,7 @@ int main(int argc, char** argv) {
   }
   bench::finish(table, args, total);
   return 0;
+} catch (const std::invalid_argument& error) {
+  std::cerr << "ablation_hierarchy: " << error.what() << "\n";
+  return 2;
 }

@@ -17,7 +17,7 @@
 #include "workload/comparison_stream.hpp"
 #include "workload/publications.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace psc;
   const auto args = bench::HarnessArgs::parse(argc, argv);
   const util::Flags flags(argc, argv);
@@ -100,4 +100,7 @@ int main(int argc, char** argv) {
   }
   bench::finish(table, args, timer);
   return 0;
+} catch (const std::invalid_argument& error) {
+  std::cerr << "ablation_merge: " << error.what() << "\n";
+  return 2;
 }

@@ -27,7 +27,7 @@ struct Variant {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const auto args = bench::HarnessArgs::parse(argc, argv);
   const auto runs = args.runs_or(200);
   util::Timer total;
@@ -96,4 +96,7 @@ int main(int argc, char** argv) {
   }
   bench::finish(table, args, total);
   return 0;
+} catch (const std::invalid_argument& error) {
+  std::cerr << "ablation_pipeline: " << error.what() << "\n";
+  return 2;
 }

@@ -10,6 +10,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <iterator>
@@ -36,10 +37,14 @@ namespace psc::bench {
 // their universe, so a dumped file is self-contained: replay rebuilds the
 // overlay from it without knowing which named topology produced it.
 
+/// Writes `trace` to `path`, creating any missing parent directories (a
+/// `--dump-dir` that does not exist yet still receives the dump).
 inline void write_trace_file(const std::string& path,
                              const workload::ChurnTrace& trace) {
   wire::ByteWriter out;
   wire::write_churn_trace(out, trace);
+  const std::filesystem::path parent = std::filesystem::path(path).parent_path();
+  if (!parent.empty()) std::filesystem::create_directories(parent);
   std::ofstream file(path, std::ios::binary);
   if (!file) throw std::runtime_error("cannot open trace dump path: " + path);
   file.write(reinterpret_cast<const char*>(out.buffer().data()),

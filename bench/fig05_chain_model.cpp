@@ -9,7 +9,7 @@
 #include "bench_common.hpp"
 #include "routing/chain_model.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace psc;
   const auto args = bench::HarnessArgs::parse(argc, argv);
   const auto runs = static_cast<std::uint64_t>(args.runs_or(100'000));
@@ -45,4 +45,7 @@ int main(int argc, char** argv) {
   }
   bench::finish(table, args, timer);
   return 0;
+} catch (const std::invalid_argument& error) {
+  std::cerr << "fig05_chain_model: " << error.what() << "\n";
+  return 2;
 }

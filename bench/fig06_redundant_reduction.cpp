@@ -15,7 +15,7 @@
 #include "core/mcs.hpp"
 #include "workload/scenarios.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace psc;
   const auto args = bench::HarnessArgs::parse(argc, argv);
   const auto runs = args.runs_or(100);
@@ -53,4 +53,7 @@ int main(int argc, char** argv) {
   }
   bench::finish(table, args, timer);
   return 0;
+} catch (const std::invalid_argument& error) {
+  std::cerr << "fig06_redundant_reduction: " << error.what() << "\n";
+  return 2;
 }

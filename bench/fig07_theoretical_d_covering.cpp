@@ -29,7 +29,7 @@ double log10_d(const psc::core::ConflictTable& table, double delta) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace psc;
   const auto args = bench::HarnessArgs::parse(argc, argv);
   const auto runs = args.runs_or(50);
@@ -73,4 +73,7 @@ int main(int argc, char** argv) {
   }
   bench::finish(table, args, timer);
   return 0;
+} catch (const std::invalid_argument& error) {
+  std::cerr << "fig07_theoretical_d_covering: " << error.what() << "\n";
+  return 2;
 }

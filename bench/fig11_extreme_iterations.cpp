@@ -13,7 +13,7 @@
 #include "core/engine.hpp"
 #include "workload/scenarios.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace psc;
   const auto args = bench::HarnessArgs::parse(argc, argv);
   const auto runs = args.runs_or(1000);
@@ -58,4 +58,7 @@ int main(int argc, char** argv) {
   }
   bench::finish(table, args, timer);
   return 0;
+} catch (const std::invalid_argument& error) {
+  std::cerr << "fig11_extreme_iterations: " << error.what() << "\n";
+  return 2;
 }

@@ -9,7 +9,7 @@
 #include "util/flags.hpp"
 #include "workload/comparison_stream.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace psc;
   const auto args = bench::HarnessArgs::parse(argc, argv);
   const util::Flags flags(argc, argv);
@@ -61,4 +61,7 @@ int main(int argc, char** argv) {
   }
   bench::finish(table, args, timer);
   return 0;
+} catch (const std::invalid_argument& error) {
+  std::cerr << "fig14_size_ratio: " << error.what() << "\n";
+  return 2;
 }

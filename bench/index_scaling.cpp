@@ -62,7 +62,7 @@ struct MatchScale {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const auto args = bench::HarnessArgs::parse(argc, argv);
   const std::size_t publications =
       static_cast<std::size_t>(args.runs_or(2'000));
@@ -216,4 +216,7 @@ int main(int argc, char** argv) {
   }
   std::cout << "\nelapsed: " << timer.elapsed_seconds() << " s\n";
   return 0;
+} catch (const std::invalid_argument& error) {
+  std::cerr << "index_scaling: " << error.what() << "\n";
+  return 2;
 }

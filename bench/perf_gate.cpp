@@ -110,7 +110,7 @@ std::vector<std::size_t> parse_actives_list(const std::string& csv) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Flags flags(argc, argv);
   const bool small = flags.get_bool("small", false);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 2006));
@@ -505,4 +505,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (const std::invalid_argument& error) {
+  std::cerr << "perf_gate: " << error.what() << "\n";
+  return 2;
 }

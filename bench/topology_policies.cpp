@@ -55,7 +55,7 @@ const char* policy_name(store::CoveragePolicy policy) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const auto args = bench::HarnessArgs::parse(argc, argv);
   const util::Flags flags(argc, argv);
   const auto subs = static_cast<std::size_t>(flags.get_int("subs", 150));
@@ -108,4 +108,7 @@ int main(int argc, char** argv) {
   }
   bench::finish(table, args, timer);
   return 0;
+} catch (const std::invalid_argument& error) {
+  std::cerr << "topology_policies: " << error.what() << "\n";
+  return 2;
 }

@@ -16,7 +16,40 @@ using core::Publication;
 using core::Subscription;
 using core::SubscriptionId;
 
-BrokerNetwork::BrokerNetwork(NetworkConfig config) : config_(config) {}
+namespace {
+
+store::StoreConfig registry_store_config(const index::IndexConfig& index) {
+  // FlatOracle's ground-truth configuration, but indexed: no coverage and
+  // no demotion (a pairwise-covered client subscription would otherwise
+  // drop out of match_active), so every registered subscription stays
+  // individually matchable. Mixed-arity registries fall back to flat scans
+  // inside the store.
+  store::StoreConfig config;
+  config.policy = store::CoveragePolicy::kNone;
+  config.demote_covered_actives = false;
+  config.use_index = true;
+  config.index = index;
+  return config;
+}
+
+}  // namespace
+
+BrokerNetwork::BrokerNetwork(NetworkConfig config)
+    : config_(config),
+      registry_subs_(registry_store_config(config_.store.index), /*seed=*/0) {}
+
+bool BrokerNetwork::register_local(BrokerId home, const Subscription& sub,
+                                   std::optional<sim::SimTime> expiry) {
+  if (!local_subs_.emplace(sub.id(), LocalSub{home, expiry}).second) {
+    return false;
+  }
+  (void)registry_subs_.insert(sub);
+  return true;
+}
+
+void BrokerNetwork::forget_local(SubscriptionId id) {
+  if (local_subs_.erase(id) > 0) (void)registry_subs_.erase(id);
+}
 
 Broker BrokerNetwork::make_broker(BrokerId id) const {
   return Broker(id, config_.store, broker_seed(config_.seed, id));
@@ -451,9 +484,9 @@ BrokerNetwork::ReplaceOutcome BrokerNetwork::replace_peer(
   std::sort(homed.begin(), homed.end());
   for (const SubscriptionId sid : homed) {
     if (brokers_[broker]->routes(sid)) continue;
-    const LocalSub& local = local_subs_.at(sid);
-    runtime(broker).subscribe(local.sub, Origin{true, kInvalidBroker},
-                              local.expiry);
+    runtime(broker).subscribe(*registry_subs_.find(sid),
+                              Origin{true, kInvalidBroker},
+                              local_subs_.at(sid).expiry);
     ++outcome.gap_subs_replayed;
   }
   run_cascade();
@@ -472,7 +505,7 @@ void BrokerNetwork::subscribe(BrokerId broker, const Subscription& sub) {
     throw std::invalid_argument("BrokerNetwork::subscribe: duplicate id");
   }
   require_alive(broker, "subscribe");
-  local_subs_.emplace(sub.id(), LocalSub{broker, sub, std::nullopt});
+  register_local(broker, sub, std::nullopt);
   runtime(broker).subscribe(sub, Origin{true, kInvalidBroker}, std::nullopt);
   run_cascade();
   drain_escalations();
@@ -491,11 +524,11 @@ void BrokerNetwork::subscribe_with_ttl(BrokerId broker, const Subscription& sub,
   }
   require_alive(broker, "subscribe_with_ttl");
   const sim::SimTime expiry = queue_.now() + ttl;
-  local_subs_.emplace(sub.id(), LocalSub{broker, sub, expiry});
+  register_local(broker, sub, expiry);
   runtime(broker).subscribe(sub, Origin{true, kInvalidBroker}, expiry);
   // The subscriber side forgets the subscription at expiry too.
   (void)ensure_transport().schedule_timer_at(
-      expiry, [this, id = sub.id()]() { local_subs_.erase(id); });
+      expiry, [this, id = sub.id()]() { forget_local(id); });
   run_cascade();
   drain_escalations();
 }
@@ -531,7 +564,7 @@ void BrokerNetwork::unsubscribe(BrokerId broker, SubscriptionId id) {
   if (it == local_subs_.end() || it->second.home != broker) {
     throw std::invalid_argument("BrokerNetwork::unsubscribe: unknown id");
   }
-  local_subs_.erase(it);
+  forget_local(id);
   runtime(broker).unsubscribe(id, Origin{true, kInvalidBroker});
   run_cascade();
   drain_escalations();
@@ -625,7 +658,7 @@ std::vector<std::uint8_t> BrokerNetwork::snapshot_all() const {
   for (const SubscriptionId sid : ids) {
     const LocalSub& local = local_subs_.at(sid);
     out.varint(local.home);
-    wire::write_subscription(out, local.sub);
+    wire::write_subscription(out, *registry_subs_.find(sid));
     out.u8(local.expiry.has_value() ? 1 : 0);
     if (local.expiry) out.f64(*local.expiry);
   }
@@ -646,6 +679,8 @@ void BrokerNetwork::restore_all(std::span<const std::uint8_t> bytes) {
   runtimes_.clear();
   brokers_.clear();
   local_subs_.clear();
+  registry_subs_ =
+      store::SubscriptionStore(registry_store_config(config_.store.index), 0);
   queue_ = sim::EventQueue{};
   metrics_.reset();
   publication_token_ = 0;
@@ -732,20 +767,22 @@ void BrokerNetwork::restore_all(std::span<const std::uint8_t> bytes) {
   std::vector<SubscriptionId> restored_ids;
   restored_ids.reserve(sub_count);
   for (std::size_t i = 0; i < sub_count; ++i) {
-    LocalSub local;
-    local.home = static_cast<BrokerId>(in.varint());
-    if (local.home >= broker_count) {
+    const auto home = static_cast<BrokerId>(in.varint());
+    if (home >= broker_count) {
       throw wire::DecodeError("wire: subscription home out of range");
     }
-    local.sub = wire::read_subscription(in);
+    const Subscription sub = wire::read_subscription(in);
+    if (sub.id() == core::kInvalidSubscriptionId) {
+      throw wire::DecodeError("wire: client subscription id is zero");
+    }
     const std::uint8_t has_expiry = in.u8();
     if (has_expiry > 1) throw wire::DecodeError("wire: bad expiry flag");
-    if (has_expiry) local.expiry = in.f64();
-    const SubscriptionId sid = local.sub.id();
-    if (!local_subs_.emplace(sid, std::move(local)).second) {
+    std::optional<sim::SimTime> expiry;
+    if (has_expiry) expiry = in.f64();
+    if (!register_local(home, sub, expiry)) {
       throw wire::DecodeError("wire: duplicate client subscription id");
     }
-    restored_ids.push_back(sid);
+    restored_ids.push_back(sub.id());
   }
 
   for (std::size_t b = 0; b < broker_count; ++b) {
@@ -773,7 +810,7 @@ void BrokerNetwork::restore_all(std::span<const std::uint8_t> bytes) {
     const sim::SimTime expiry = *local.expiry;
     runtime(local.home).arm_expiry(sid, expiry);
     (void)ensure_transport().schedule_timer_at(
-        expiry, [this, sid]() { local_subs_.erase(sid); });
+        expiry, [this, sid]() { forget_local(sid); });
     for (std::size_t b = 0; b < broker_count; ++b) {
       const auto id = static_cast<BrokerId>(b);
       if (id == local.home) continue;
@@ -785,26 +822,22 @@ void BrokerNetwork::restore_all(std::span<const std::uint8_t> bytes) {
 std::vector<SubscriptionId> BrokerNetwork::expected_recipients(
     const Publication& pub) const {
   std::vector<SubscriptionId> ids;
-  for (const auto& [sid, local] : local_subs_) {
-    if (pub.matches(local.sub)) ids.push_back(sid);
-  }
-  std::sort(ids.begin(), ids.end());
+  registry_subs_.match_active(pub, ids);
   return ids;
 }
 
 std::vector<SubscriptionId> BrokerNetwork::expected_recipients(
     BrokerId from, const Publication& pub) const {
-  if (!link_state_) return expected_recipients(pub);
+  std::vector<SubscriptionId> ids = expected_recipients(pub);
+  if (!link_state_) return ids;
   // A subscription is reachable iff its home broker is alive and in the
   // publisher's component. Registry entries homed at a crashed broker stay
   // registered (the client is unaware), but nothing can deliver to them.
-  std::vector<SubscriptionId> ids;
-  for (const auto& [sid, local] : local_subs_) {
-    if (!link_state_->is_alive(local.home)) continue;
-    if (!link_state_->same_component(from, local.home)) continue;
-    if (pub.matches(local.sub)) ids.push_back(sid);
-  }
-  std::sort(ids.begin(), ids.end());
+  std::erase_if(ids, [&](SubscriptionId sid) {
+    const BrokerId home = local_subs_.at(sid).home;
+    return !link_state_->is_alive(home) ||
+           !link_state_->same_component(from, home);
+  });
   return ids;
 }
 

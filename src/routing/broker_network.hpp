@@ -6,9 +6,10 @@
 //
 // Loss accounting: when a publication is injected, the network computes the
 // ground-truth recipient set (every local subscription anywhere whose box
-// contains the point, via direct evaluation) and compares it with the set
-// that actually received a notification. A shortfall is a lost notification
-// — the paper's probabilistic-error cost (Section 5).
+// contains the point, by stabbing the client registry's own coverage-free
+// interval index) and compares it with the set that actually received a
+// notification. A shortfall is a lost notification — the paper's
+// probabilistic-error cost (Section 5).
 #pragma once
 
 #include <cstdint>
@@ -26,6 +27,7 @@
 #include "routing/sim_transport.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/metrics.hpp"
+#include "store/subscription_store.hpp"
 #include "wire/codec.hpp"
 
 namespace psc::routing {
@@ -250,16 +252,19 @@ class BrokerNetwork {
   void reset_metrics() noexcept { metrics_.reset(); }
 
   /// Ground truth: ids of local subscriptions (anywhere) matching `pub`,
-  /// ignoring membership (the pre-membership accounting contract).
+  /// sorted ascending, ignoring membership (the pre-membership accounting
+  /// contract). One stab of the client registry's index: every registered
+  /// subscription is an active entry there (no coverage, no demotion).
   [[nodiscard]] std::vector<core::SubscriptionId> expected_recipients(
       const core::Publication& pub) const;
 
   /// Component-aware ground truth: ids of matching local subscriptions
   /// whose home broker is alive and reachable from `from` over the live
-  /// link set. Identical to the overload above until membership is
-  /// engaged (one component, everyone alive). This is what publish()'s
-  /// loss accounting uses — a partition is not a loss, it is a smaller
-  /// ground-truth set.
+  /// link set, sorted ascending. The registry stab comes first; only its
+  /// matches are filtered by home liveness and component. Identical to
+  /// the overload above until membership is engaged (one component,
+  /// everyone alive). This is what publish()'s loss accounting uses — a
+  /// partition is not a loss, it is a smaller ground-truth set.
   [[nodiscard]] std::vector<core::SubscriptionId> expected_recipients(
       BrokerId from, const core::Publication& pub) const;
 
@@ -305,15 +310,21 @@ class BrokerNetwork {
   /// apply everywhere.
   std::optional<LinkState> link_state_;
 
+  /// Client registry: where each live client subscription is homed and
+  /// when it expires. The subscription itself lives in registry_subs_.
   struct LocalSub {
     BrokerId home;
-    core::Subscription sub;
     /// Absolute expiry for TTL subscriptions. Promotion re-announcements
     /// must carry it: a promoted TTL subscription delivered without its
     /// expiry would never die at the receiving broker (ghost route).
     std::optional<sim::SimTime> expiry;
   };
   std::unordered_map<core::SubscriptionId, LocalSub> local_subs_;
+  /// The registry's subscriptions (the only copy), in a coverage-free
+  /// indexed store: every one stays active, so expected_recipients is one
+  /// stab. Kept in lockstep with local_subs_: register_local and
+  /// forget_local write both, and restore_all resets both.
+  store::SubscriptionStore registry_subs_;
   sim::Metrics metrics_;
   std::uint64_t publication_token_ = 0;
   /// Publish scratch shared by every runtime: the cascade is
@@ -342,6 +353,14 @@ class BrokerNetwork {
   /// matches of any other token, such as a late retransmit of an earlier
   /// publication, go nowhere.
   std::vector<core::SubscriptionId>* sink_ = nullptr;
+
+  /// Adds a client subscription to the registry; false (and no change)
+  /// when its id is already registered.
+  bool register_local(BrokerId home, const core::Subscription& sub,
+                      std::optional<sim::SimTime> expiry);
+  /// Removes a client subscription from the registry; unknown ids are a
+  /// no-op (a TTL timer may fire after an unsubscribe).
+  void forget_local(core::SubscriptionId id);
 
   /// The runtime of broker `id`, building the transport and any missing
   /// runtimes first.

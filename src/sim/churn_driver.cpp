@@ -404,11 +404,26 @@ ChurnReport ChurnDriver::run(BrokerNetwork& net, const ChurnTrace& trace,
             }
             ++report.membership.joins;
             break;
-          case MembershipOpKind::kLeave:
+          case MembershipOpKind::kLeave: {
             net.remove_peer(op.broker);
+            // The leaver's clients unsubscribe before its links go, and
+            // those cascades can escalate a link of the leaver: the network
+            // fails it first, so the star repair leaves that neighbour out.
+            // The oracle must fail it before planning its own repair (after
+            // the repair the leaver has no links left to fail). The other
+            // escalations cannot touch the leaver's neighbour set, so they
+            // follow, in escalation order.
+            auto escalated = net.take_escalated_links();
+            const auto rest = std::stable_partition(
+                escalated.begin(), escalated.end(), [&](const auto& link) {
+                  return link.first == op.broker || link.second == op.broker;
+                });
+            mirror(std::span(escalated.begin(), rest));
             if (options.differential) oracle.remove_peer(op.broker);
+            mirror(std::span(rest, escalated.end()));
             ++report.membership.leaves;
             break;
+          }
           case MembershipOpKind::kCrash:
             net.crash_peer(op.broker);
             if (options.differential) oracle.crash_peer(op.broker);

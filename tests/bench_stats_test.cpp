@@ -3,7 +3,11 @@
 // — p99 of a 100-op smoke run is NOT the max and never reads past the
 // end — recording after a query must re-sort, the empty recorder is safe,
 // and section() folds samples into the shared gate schema correctly.
+// It also pins that a trace dump creates its missing parent directories.
 #include <gtest/gtest.h>
+
+#include <filesystem>
+#include <string>
 
 #include "bench/bench_common.hpp"
 
@@ -76,6 +80,21 @@ TEST(LatencyRecorder, TimeRecordsOneSamplePerInvocation) {
   EXPECT_EQ(runs, 5);
   EXPECT_EQ(latencies.count(), 5u);
   EXPECT_GE(latencies.percentile(0.0), 0.0);
+}
+
+TEST(TraceFile, DumpCreatesMissingParentDirectories) {
+  const std::filesystem::path root =
+      std::filesystem::path(testing::TempDir()) / "psc_trace_dump_test";
+  std::filesystem::remove_all(root);
+  const std::string path = (root / "not" / "yet" / "trace.psct").string();
+  workload::ChurnTrace trace;
+  trace.broker_count = 3;
+  trace.seed = 42;
+  write_trace_file(path, trace);
+  const workload::ChurnTrace back = read_trace_file(path);
+  EXPECT_EQ(back.broker_count, 3u);
+  EXPECT_EQ(back.seed, 42u);
+  std::filesystem::remove_all(root);
 }
 
 }  // namespace
