@@ -15,13 +15,4 @@ bool pairwise_covered(const core::Subscription& s,
   return find_covering(s, set).has_value();
 }
 
-std::vector<std::size_t> find_covered_by(const core::Subscription& s,
-                                         std::span<const core::Subscription> set) {
-  std::vector<std::size_t> covered;
-  for (std::size_t i = 0; i < set.size(); ++i) {
-    if (s.covers(set[i])) covered.push_back(i);
-  }
-  return covered;
-}
-
 }  // namespace psc::baseline

@@ -6,7 +6,6 @@
 
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "core/subscription.hpp"
 
@@ -19,10 +18,5 @@ namespace psc::baseline {
 /// True iff some single subscription in `set` covers `s`.
 [[nodiscard]] bool pairwise_covered(const core::Subscription& s,
                                     std::span<const core::Subscription> set);
-
-/// Indices of subscriptions in `set` covered by `s` (the reverse direction,
-/// used when a new subscription demotes existing ones).
-[[nodiscard]] std::vector<std::size_t> find_covered_by(
-    const core::Subscription& s, std::span<const core::Subscription> set);
 
 }  // namespace psc::baseline

@@ -53,30 +53,27 @@ SubsumptionResult SubsumptionEngine::check(
     const Subscription& s, std::span<const Subscription* const> set) {
   SubsumptionResult result;
   result.original_set_size = set.size();
-  result.reduced_set_size = set.size();
 
   // Prefilter: a candidate sharing no positive-measure region with s
-  // cannot contribute to covering s; dropping it up front skips its
-  // conflict-table row and all MCS work on it. Indices are remembered so
-  // diagnostics still refer to the caller's set.
+  // cannot contribute to covering s (it adds nothing to the union over s);
+  // dropping it up front skips its conflict-table row and all MCS work on
+  // it. Indices are remembered so diagnostics still refer to the caller's
+  // set.
   ws_.filtered.clear();
   ws_.original_index.clear();
-  if (config_.prefilter_intersecting) {
-    for (std::size_t i = 0; i < set.size(); ++i) {
-      if (s.overlaps_interior(*set[i]) || set[i]->covers(s)) {
-        ws_.filtered.push_back(set[i]);
-        ws_.original_index.push_back(i);
-      }
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    if (s.overlaps_interior(*set[i]) || set[i]->covers(s)) {
+      ws_.filtered.push_back(set[i]);
+      ws_.original_index.push_back(i);
     }
-    set = ws_.filtered;
-    result.reduced_set_size = set.size();
   }
+  set = ws_.filtered;
+  result.reduced_set_size = set.size();
 
   if (set.empty()) {
     result.covered = false;
-    result.path = config_.prefilter_intersecting && result.original_set_size > 0
-                      ? DecisionPath::kMcsEmpty
-                      : DecisionPath::kEmptySet;
+    result.path = result.original_set_size > 0 ? DecisionPath::kMcsEmpty
+                                               : DecisionPath::kEmptySet;
     return result;
   }
 
@@ -88,9 +85,7 @@ SubsumptionResult SubsumptionEngine::check(
     if (fast.decision == FastDecision::kCoveredPairwise) {
       result.covered = true;
       result.path = DecisionPath::kPairwiseCover;
-      result.covering_index = config_.prefilter_intersecting
-                                  ? ws_.original_index[*fast.covering_row]
-                                  : *fast.covering_row;
+      result.covering_index = ws_.original_index[*fast.covering_row];
       return result;
     }
     if (fast.decision == FastDecision::kNotCoveredWitness) {

@@ -1,6 +1,7 @@
 // SubsumptionEngine — the full decision pipeline of the paper's Algorithm 4:
 //
-//   build conflict table
+//   prefilter                 (drop zero-measure intersections with s)
+//     -> build conflict table
 //     -> Corollary 1 fast YES   (pairwise cover)
 //     -> Corollary 3 fast NO    (sorted-row polyhedron witness)
 //     -> MCS reduction          (empty reduced set => definite NO)
@@ -70,11 +71,6 @@ struct EngineConfig {
   /// the paper's integer-point counting on a grid of this spacing (see
   /// estimate_witness_probability).
   double grid_spacing = 0.0;
-  /// Drop candidates whose intersection with s has zero measure before
-  /// building the conflict table. Sound (they contribute nothing to the
-  /// union over s) and an order-of-magnitude win on large clustered sets;
-  /// off only for tests that exercise the unfiltered paths.
-  bool prefilter_intersecting = true;
 };
 
 /// Reusable scratch state for SubsumptionEngine::check. Owned by the

@@ -11,14 +11,6 @@ std::optional<std::size_t> find_pairwise_cover(const ConflictTable& table) {
   return std::nullopt;
 }
 
-std::vector<std::size_t> find_rows_covered_by_s(const ConflictTable& table) {
-  std::vector<std::size_t> rows;
-  for (std::size_t row = 0; row < table.row_count(); ++row) {
-    if (table.row_all_defined(row)) rows.push_back(row);
-  }
-  return rows;
-}
-
 namespace {
 
 bool sorted_rows_prove_witness_scratch(const ConflictTable& table,

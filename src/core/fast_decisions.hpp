@@ -2,8 +2,6 @@
 //   1. Pairwise cover  -> definite YES   (Corollary 1: some row all-undefined)
 //   2. Sorted-row test -> definite NO    (Corollary 3: t_{i_j} >= j for all j,
 //      which proves a polyhedron witness exists)
-// plus the Corollary 2 observation (row all-defined => s covers s_i), which
-// the store layer uses to demote existing subscriptions.
 #pragma once
 
 #include <cstdint>
@@ -37,11 +35,6 @@ struct FastDecisionResult {
 
 /// Corollary 1 alone: first row with zero defined entries, if any.
 [[nodiscard]] std::optional<std::size_t> find_pairwise_cover(const ConflictTable& table);
-
-/// Corollary 2: rows whose every column is defined — subscriptions whose
-/// attribute spans s strictly exceeds on all sides. Used for reverse
-/// (new-subscription-covers-existing) bookkeeping.
-[[nodiscard]] std::vector<std::size_t> find_rows_covered_by_s(const ConflictTable& table);
 
 /// Corollary 3: true iff sorting rows by ascending defined-count t gives
 /// t_{(j)} >= j for every 1-based position j, proving non-coverage.

@@ -33,8 +33,6 @@ void BrokerRuntime::on_frame(BrokerId from, const wire::Announcement& msg) {
     case wire::Announcement::Kind::kPublication:
       publish(msg.pub, origin, msg.token);
       break;
-    case wire::Announcement::Kind::kMembership:
-      break;  // membership ops are driver-issued, never link traffic
   }
 }
 

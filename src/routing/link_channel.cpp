@@ -341,10 +341,6 @@ void LinkChannels::reset_link(BrokerId a, BrokerId b) {
   }
 }
 
-void LinkChannels::reset_all() {
-  for (auto& [key, ch] : channels_) reset_channel(ch);
-}
-
 std::size_t LinkChannels::in_flight() const noexcept {
   std::size_t total = 0;
   for (const auto& [key, ch] : channels_) {

@@ -121,9 +121,6 @@ class LinkChannels {
   /// endpoints always agree on the stream position.
   void reset_link(BrokerId a, BrokerId b);
 
-  /// Resets every channel (restore_all / full-network teardown).
-  void reset_all();
-
   /// Installs the scripted burst schedule (absolute sim-time windows,
   /// applied to both directions of each listed link). Replaces any prior
   /// schedule; affects channels created later too.

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "baseline/exact_subsumption.hpp"
-#include "baseline/pairwise_cover.hpp"
 
 namespace psc::store {
 
@@ -45,10 +44,17 @@ void SubscriptionStore::index_insert_active(const Subscription& sub) {
 
 std::span<const Subscription* const> SubscriptionStore::intersecting_candidates(
     const Subscription& box) {
-  // Index-pruned candidates, reordered to active-slot order: every
-  // downstream consumer (pairwise first-cover, engine diagnostics, group
-  // coverer lists, demotion) then sees the same sequence the flat scan
-  // would produce, making the two paths decision-for-decision identical.
+  // The store's only index-vs-flat choice on the coverage side. Either way
+  // the result is in active-slot order, so every consumer (pairwise first
+  // cover, engine diagnostics, group coverer lists, demotion) sees the same
+  // sequence on both paths and decisions stay identical.
+  candidate_scratch_.clear();
+  if (!index_enabled()) {
+    for (const auto& active : active_) {
+      if (active.intersects(box)) candidate_scratch_.push_back(&active);
+    }
+    return candidate_scratch_;
+  }
   id_scratch_.clear();
   interval_index_->box_intersect(box, id_scratch_);
   slot_scratch_.clear();
@@ -56,7 +62,6 @@ std::span<const Subscription* const> SubscriptionStore::intersecting_candidates(
     slot_scratch_.push_back(active_index_.at(id));
   }
   std::sort(slot_scratch_.begin(), slot_scratch_.end());
-  candidate_scratch_.clear();
   for (const std::size_t slot : slot_scratch_) {
     candidate_scratch_.push_back(&active_[slot]);
   }
@@ -67,101 +72,61 @@ std::optional<std::vector<SubscriptionId>> SubscriptionStore::check_covered(
     const Subscription& sub, std::optional<core::SubsumptionResult>* diag) {
   if (config_.policy == CoveragePolicy::kNone) return std::nullopt;
 
-  // Candidate pruning: only actives whose box intersects sub can take part
-  // in covering it (pairwise or as a group), so everything else is skipped
-  // before the policies run. Gated on the engine's own prefilter knob:
-  // with prefilter_intersecting=false the caller asked the engine to see
-  // the unfiltered set (an ablation configuration), and pruning here would
-  // silently reintroduce the filter.
-  const bool pruned = index_enabled() && config_.engine.prefilter_intersecting;
-  std::span<const Subscription* const> candidates;
-  if (pruned) candidates = intersecting_candidates(sub);
+  // Only actives whose box intersects sub can take part in covering it,
+  // pairwise or as a group, so every policy runs over that set alone.
+  const std::span<const Subscription* const> candidates =
+      intersecting_candidates(sub);
 
   switch (config_.policy) {
     case CoveragePolicy::kNone:
       return std::nullopt;
     case CoveragePolicy::kPairwise: {
-      if (pruned) {
-        for (const Subscription* candidate : candidates) {
-          if (candidate->covers(sub)) {
-            return std::vector<SubscriptionId>{candidate->id()};
-          }
+      for (const Subscription* candidate : candidates) {
+        if (candidate->covers(sub)) {
+          return std::vector<SubscriptionId>{candidate->id()};
         }
-        return std::nullopt;
-      }
-      if (const auto slot = baseline::find_covering(sub, active_)) {
-        return std::vector<SubscriptionId>{active_[*slot].id()};
       }
       return std::nullopt;
     }
     case CoveragePolicy::kGroup: {
       ++group_checks_;
       core::SubsumptionResult result;
-      if (pruned) {
-        if (candidates.empty() && !active_.empty()) {
-          // The index proved no active intersects sub; mirror what the
-          // engine's own prefilter would have reported on the full set so
-          // pruning stays invisible in the diagnostics.
-          result.covered = false;
-          result.path = core::DecisionPath::kMcsEmpty;
-        } else {
-          result = engine_.check(sub, candidates);
-        }
-        // Diagnostics describe the caller-visible set, not the pruned one.
-        result.original_set_size = active_.size();
+      if (candidates.empty() && !active_.empty()) {
+        // No active intersects sub: report what the engine's own prefilter
+        // reports on the full active set.
+        result.covered = false;
+        result.path = core::DecisionPath::kMcsEmpty;
       } else {
-        result = engine_.check(sub, active_);
+        result = engine_.check(sub, candidates);
       }
+      // Diagnostics describe the whole active set, not the candidates.
+      result.original_set_size = active_.size();
       if (diag) *diag = result;
       if (!result.covered) return std::nullopt;
       if (result.covering_index) {
-        const SubscriptionId coverer_id =
-            pruned ? candidates[*result.covering_index]->id()
-                   : active_[*result.covering_index].id();
-        return std::vector<SubscriptionId>{coverer_id};
+        return std::vector<SubscriptionId>{candidates[*result.covering_index]->id()};
       }
       // Group cover: conservatively record every active that overlaps sub
       // as a coverer — any of them disappearing may expose sub again.
       std::vector<SubscriptionId> coverers;
-      if (pruned) {
-        coverers.reserve(candidates.size());
-        for (const Subscription* candidate : candidates) {
-          coverers.push_back(candidate->id());
-        }
-      } else {
-        for (const auto& active : active_) {
-          if (active.intersects(sub)) coverers.push_back(active.id());
-        }
+      coverers.reserve(candidates.size());
+      for (const Subscription* candidate : candidates) {
+        coverers.push_back(candidate->id());
       }
       return coverers;
     }
     case CoveragePolicy::kExact: {
-      // Exact group cover via recursive box subtraction. Only intersecting
-      // actives can contribute to the union over sub, so the candidate set
-      // is always the intersecting ones whether or not the index prunes;
-      // either way it is assembled as pointers (zero subscription copies).
+      // Exact group cover via recursive box subtraction over the
+      // candidates, assembled as pointers (zero subscription copies).
       std::vector<const Subscription*> group;
       std::vector<SubscriptionId> coverers;
-      const auto consider = [&](const Subscription& active) {
-        if (active.covers(sub)) return true;  // pairwise fast path
-        group.push_back(&active);
-        coverers.push_back(active.id());
-        return false;
-      };
-      if (pruned) {
-        group.reserve(candidates.size());
-        for (const Subscription* candidate : candidates) {
-          if (consider(*candidate)) {
-            return std::vector<SubscriptionId>{candidate->id()};
-          }
+      group.reserve(candidates.size());
+      for (const Subscription* candidate : candidates) {
+        if (candidate->covers(sub)) {  // pairwise fast path
+          return std::vector<SubscriptionId>{candidate->id()};
         }
-      } else {
-        for (const auto& active : active_) {
-          if (!active.intersects(sub)) continue;
-          if (consider(active)) {
-            return std::vector<SubscriptionId>{active.id()};
-          }
-        }
+        group.push_back(candidate);
+        coverers.push_back(candidate->id());
       }
       if (group.empty()) return std::nullopt;
       bool covered = false;
@@ -208,17 +173,10 @@ std::vector<SubscriptionId> SubscriptionStore::coverers_of(
 void SubscriptionStore::demote_actives_covered_by(const Subscription& sub,
                                                   InsertResult& result) {
   // Collect first (indices shift under erase), then demote by id. An
-  // active covered by sub necessarily intersects it, so the index prunes
-  // the candidate sweep here too.
+  // active covered by sub necessarily intersects it.
   std::vector<SubscriptionId> to_demote;
-  if (index_enabled()) {
-    for (const Subscription* candidate : intersecting_candidates(sub)) {
-      if (sub.covers(*candidate)) to_demote.push_back(candidate->id());
-    }
-  } else {
-    for (const auto& active : active_) {
-      if (sub.covers(active)) to_demote.push_back(active.id());
-    }
+  for (const Subscription* candidate : intersecting_candidates(sub)) {
+    if (sub.covers(*candidate)) to_demote.push_back(candidate->id());
   }
   for (const SubscriptionId id : to_demote) {
     const auto it = active_index_.find(id);
@@ -332,21 +290,15 @@ void SubscriptionStore::match_active(const Publication& pub,
 
 void SubscriptionStore::match_active_unsorted(
     const Publication& pub, std::vector<SubscriptionId>& out) const {
-  if (index_enabled() &&
-      pub.attribute_count() == interval_index_->attribute_count()) {
-    interval_index_->stab(pub.values(), out);
-    last_active_examined_ = interval_index_->last_query_cost();
-  } else if (index_enabled()) {
-    // Wrong-arity publication: no subscription can match it (the flat
-    // scan's contains_point answers false on a size mismatch); keep that
-    // behavior instead of surfacing the index's schema check.
-    last_active_examined_ = 0;
-  } else {
-    last_active_examined_ = active_.size();
+  if (!index_enabled()) {
     for (const auto& sub : active_) {
       if (pub.matches(sub)) out.push_back(sub.id());
     }
+  } else if (pub.attribute_count() == interval_index_->attribute_count()) {
+    interval_index_->stab(pub.values(), out);
   }
+  // A wrong-arity publication matches nothing on the index path, as
+  // contains_point's size check makes it on the flat scan.
 }
 
 std::vector<SubscriptionId> SubscriptionStore::match_active(
@@ -365,14 +317,6 @@ void SubscriptionStore::match(const Publication& pub,
   const std::size_t start = out.size();
   match_active(pub, out);
   if (out.size() == start) return;
-
-  if (!config_.hierarchical_match) {
-    for (const auto& [cid, entry] : covered_) {
-      ++covered_examined_;
-      if (pub.matches(entry.sub)) out.push_back(cid);
-    }
-    return;
-  }
 
   // Section 4.4 multi-level descent: a covered subscription lies inside
   // the union of its coverers, so it can match only below a matching
@@ -486,7 +430,6 @@ void SubscriptionStore::import_snapshot(const Snapshot& snapshot) {
   // with seen_epoch = 0 and match_epoch_ is already 0 relative to them.
   match_epoch_ = 0;
   covered_examined_ = 0;
-  last_active_examined_ = 0;
 }
 
 bool SubscriptionStore::contains(SubscriptionId id) const {

@@ -9,10 +9,11 @@
 //     multi-level DAG so matching descends only below levels that matched.
 //
 // Insertion runs the configured coverage policy (none / pairwise / group
-// via the probabilistic engine). A new active subscription additionally
+// via the probabilistic engine / exact) once, over the actives that
+// intersect the new subscription; the interval index only changes how
+// those candidates are gathered. A new active subscription additionally
 // demotes existing actives it pairwise-covers (the classical maintenance
-// step; group-demotion on insert is available as an opt-in because it can
-// cascade and is what Figure 13's "group" curves measure).
+// step, StoreConfig::demote_covered_actives).
 //
 // Unsubscription of an active subscription *promotes* the covered
 // subscriptions that lost their last coverer (paper, Section 5), re-running
@@ -70,14 +71,9 @@ struct StoreConfig {
   /// Also demote existing actives that the incoming subscription covers
   /// pairwise (standard routing-table maintenance; on by default).
   bool demote_covered_actives = true;
-  /// Match covered subscriptions through the cover DAG (paper, Section 4.4
-  /// optimization): a covered subscription is examined only when one of
-  /// its coverers matched. Off = flat scan of the covered set (used by the
-  /// ablation bench).
-  bool hierarchical_match = true;
   /// Maintain an IntervalIndex over the active set and route publication
   /// matching (point-stab) and coverage-candidate gathering (box-intersect)
-  /// through it instead of flat O(k) scans. Off = the seed's flat scans,
+  /// through it instead of flat O(k) scans. Off = flat scans,
   /// kept for ablation (bench/index_scaling) and as the reference in the
   /// equivalence property tests. Results are identical either way; only
   /// the work differs. The index requires all subscriptions in the store
@@ -230,16 +226,10 @@ class SubscriptionStore {
   [[nodiscard]] std::uint64_t group_checks() const noexcept { return group_checks_; }
 
   /// Covered subscriptions examined during match() calls so far — the cost
-  /// the Section 4.4 hierarchy saves (compare against covered_count() per
-  /// publication for the flat scan).
+  /// the Section 4.4 hierarchy saves (a flat scan of the covered set would
+  /// examine covered_count() per publication with an active match).
   [[nodiscard]] std::uint64_t covered_examined() const noexcept {
     return covered_examined_;
-  }
-
-  /// Work performed by the most recent match_active()/match() active pass:
-  /// actives examined by the flat scan, or endpoint passes by the index.
-  [[nodiscard]] std::uint64_t last_active_examined() const noexcept {
-    return last_active_examined_;
   }
 
   /// Direct coverer ids of a covered subscription (empty for actives or
@@ -270,15 +260,14 @@ class SubscriptionStore {
       children_;
   std::uint64_t group_checks_ = 0;
   mutable std::uint64_t covered_examined_ = 0;
-  mutable std::uint64_t last_active_examined_ = 0;
   /// Scratch buffer + visited epoch for the match() descent, reused across
   /// calls so the hot path performs no allocations and no hashing beyond
   /// the children lookup.
   mutable std::vector<core::SubscriptionId> frontier_scratch_;
   mutable std::uint64_t match_epoch_ = 0;
-  /// Scratch for index-backed queries (reused across calls).
-  mutable std::vector<core::SubscriptionId> id_scratch_;
-  mutable std::vector<std::size_t> slot_scratch_;
+  /// Scratch for intersecting_candidates (reused across calls).
+  std::vector<core::SubscriptionId> id_scratch_;
+  std::vector<std::size_t> slot_scratch_;
   std::vector<const core::Subscription*> candidate_scratch_;
 
   void link_coverers(core::SubscriptionId covered_id,
@@ -286,7 +275,7 @@ class SubscriptionStore {
   void unlink_coverers(core::SubscriptionId covered_id,
                        const std::vector<core::SubscriptionId>& coverers);
 
-  /// Runs the configured policy against the current active set.
+  /// Runs the configured policy over the actives that intersect `sub`.
   /// Returns the coverer ids when covered.
   [[nodiscard]] std::optional<std::vector<core::SubscriptionId>> check_covered(
       const core::Subscription& sub, std::optional<core::SubsumptionResult>* diag);
@@ -300,8 +289,10 @@ class SubscriptionStore {
   }
   void index_insert_active(const core::Subscription& sub);
   /// Actives whose box intersects `box`, as pointers into active_, in
-  /// active-slot order (so downstream decisions match the flat scan's
-  /// iteration order exactly). Returns the reused scratch vector.
+  /// active-slot order: index-pruned when the index is live, a flat scan
+  /// otherwise, with the same result either way. The coverage policies
+  /// and demotion gather their candidates only here. Returns the reused
+  /// scratch vector.
   [[nodiscard]] std::span<const core::Subscription* const>
   intersecting_candidates(const core::Subscription& box);
 };

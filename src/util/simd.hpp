@@ -23,7 +23,6 @@
 // provide both. The double kernels require 32-byte-aligned records.
 #pragma once
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <new>
@@ -155,43 +154,6 @@ inline void zero_odd_words(Word* acc, std::size_t words) noexcept {
   for (std::size_t w = 1; w < words; w += 2) acc[w] = 0;
 }
 
-/// acc[w] |= row[w] over `words` (block multiple).
-inline void or_into(Word* acc, const Word* row, std::size_t words) noexcept {
-#if defined(PSC_SIMD_AVX2)
-  for (std::size_t w = 0; w < words; w += kBlockWords) {
-    _mm256_store_si256(
-        reinterpret_cast<__m256i*>(acc + w),
-        _mm256_or_si256(_mm256_load_si256(reinterpret_cast<const __m256i*>(acc + w)),
-                        _mm256_load_si256(reinterpret_cast<const __m256i*>(row + w))));
-  }
-#elif defined(PSC_SIMD_NEON)
-  for (std::size_t w = 0; w < words; w += 2) {
-    vst1q_u64(acc + w, vorrq_u64(vld1q_u64(acc + w), vld1q_u64(row + w)));
-  }
-#else
-  for (std::size_t w = 0; w < words; ++w) acc[w] |= row[w];
-#endif
-}
-
-/// acc[w] &= ~row[w] over `words` (block multiple).
-inline void andnot_into(Word* acc, const Word* row, std::size_t words) noexcept {
-#if defined(PSC_SIMD_AVX2)
-  for (std::size_t w = 0; w < words; w += kBlockWords) {
-    _mm256_store_si256(
-        reinterpret_cast<__m256i*>(acc + w),
-        _mm256_andnot_si256(
-            _mm256_load_si256(reinterpret_cast<const __m256i*>(row + w)),
-            _mm256_load_si256(reinterpret_cast<const __m256i*>(acc + w))));
-  }
-#elif defined(PSC_SIMD_NEON)
-  for (std::size_t w = 0; w < words; w += 2) {
-    vst1q_u64(acc + w, vbicq_u64(vld1q_u64(acc + w), vld1q_u64(row + w)));
-  }
-#else
-  for (std::size_t w = 0; w < words; ++w) acc[w] &= ~row[w];
-#endif
-}
-
 /// True iff every word is zero (block multiple).
 [[nodiscard]] inline bool testz(const Word* p, std::size_t words) noexcept {
 #if defined(PSC_SIMD_AVX2)
@@ -206,16 +168,6 @@ inline void andnot_into(Word* acc, const Word* row, std::size_t words) noexcept 
   for (std::size_t w = 0; w < words; ++w) any |= p[w];
   return any == 0;
 #endif
-}
-
-/// Set-bit count over `words`.
-[[nodiscard]] inline std::uint64_t popcount(const Word* p,
-                                            std::size_t words) noexcept {
-  std::uint64_t total = 0;
-  for (std::size_t w = 0; w < words; ++w) {
-    total += static_cast<std::uint64_t>(std::popcount(p[w]));
-  }
-  return total;
 }
 
 /// One 64-byte verify record: four interval lows then four highs. Padding

@@ -42,10 +42,6 @@ double RunningStats::variance() const noexcept {
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
-double RunningStats::stderr_mean() const noexcept {
-  return count_ > 0 ? stddev() / std::sqrt(static_cast<double>(count_)) : 0.0;
-}
-
 void SampleSet::ensure_sorted() const {
   if (!sorted_) {
     std::sort(samples_.begin(), samples_.end());

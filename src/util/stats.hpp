@@ -20,7 +20,6 @@ class RunningStats {
   [[nodiscard]] double mean() const noexcept { return count_ ? mean_ : 0.0; }
   [[nodiscard]] double variance() const noexcept;  ///< sample variance (n-1)
   [[nodiscard]] double stddev() const noexcept;
-  [[nodiscard]] double stderr_mean() const noexcept;  ///< stddev / sqrt(n)
   [[nodiscard]] double min() const noexcept { return count_ ? min_ : 0.0; }
   [[nodiscard]] double max() const noexcept { return count_ ? max_ : 0.0; }
   [[nodiscard]] double sum() const noexcept { return mean_ * static_cast<double>(count_); }

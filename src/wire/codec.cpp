@@ -91,17 +91,13 @@ void write_announcement(ByteWriter& out, const Announcement& msg) {
       write_publication(out, msg.pub);
       out.varint(msg.token);
       break;
-    case Announcement::Kind::kMembership:
-      out.u8(msg.member);
-      out.varint(msg.peer);
-      break;
   }
 }
 
 Announcement read_announcement(ByteReader& in) {
   Announcement msg;
   const std::uint8_t kind = in.u8();
-  if (kind < 1 || kind > 4) {
+  if (kind < 1 || kind > 3) {
     throw DecodeError("wire: unknown announcement kind " + std::to_string(kind));
   }
   msg.kind = static_cast<Announcement::Kind>(kind);
@@ -120,14 +116,6 @@ Announcement read_announcement(ByteReader& in) {
     case Announcement::Kind::kPublication:
       msg.pub = read_publication(in);
       msg.token = in.varint();
-      break;
-    case Announcement::Kind::kMembership:
-      msg.member = in.u8();
-      if (msg.member < 1 || msg.member > 6) {
-        throw DecodeError("wire: unknown membership op kind " +
-                          std::to_string(msg.member));
-      }
-      msg.peer = static_cast<std::uint32_t>(in.varint());
       break;
   }
   return msg;

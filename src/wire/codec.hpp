@@ -37,8 +37,9 @@ namespace psc::wire {
 /// version. v3 added the reliable-link frame header (LinkFrame) and the
 /// fault-schedule block of churn traces; v4 adds the TCP transport's
 /// NetMessage envelope (net/message.hpp) and the handshake that carries
-/// this version.
-inline constexpr std::uint32_t kCodecVersion = 4;
+/// this version; v5 retires Announcement kind 4 (membership), which nothing
+/// produced — membership travels in churn ops.
+inline constexpr std::uint32_t kCodecVersion = 5;
 
 /// Magic prefix of a serialized churn trace ("PSCT" little-endian).
 inline constexpr std::uint32_t kTraceMagic = 0x54435350U;
@@ -68,7 +69,6 @@ struct Announcement {
     kSubscribe = 1,    ///< sub (+ optional absolute expiry)
     kUnsubscribe = 2,  ///< id only
     kPublication = 3,  ///< pub + token
-    kMembership = 4,   ///< membership op kind + peer operand
   };
 
   Kind kind = Kind::kSubscribe;
@@ -78,8 +78,6 @@ struct Announcement {
   core::SubscriptionId id = 0;            ///< kUnsubscribe target
   core::Publication pub;                  ///< kPublication payload
   std::uint64_t token = 0;                ///< kPublication dedup token
-  std::uint8_t member = 0;                ///< kMembership: MembershipOpKind
-  std::uint32_t peer = 0;                 ///< kMembership second operand
 
   friend bool operator==(const Announcement& a, const Announcement& b) {
     if (a.kind != b.kind || a.from != b.from) return false;
@@ -92,8 +90,6 @@ struct Announcement {
         return a.pub.id() == b.pub.id() && a.token == b.token &&
                std::equal(a.pub.values().begin(), a.pub.values().end(),
                           b.pub.values().begin(), b.pub.values().end());
-      case Kind::kMembership:
-        return a.member == b.member && a.peer == b.peer;
     }
     return false;
   }

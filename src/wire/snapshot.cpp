@@ -147,7 +147,6 @@ void write_network_config(ByteWriter& out, const NetworkConfig& config) {
   // StoreConfig.
   out.u8(static_cast<std::uint8_t>(config.store.policy));
   out.u8(config.store.demote_covered_actives ? 1 : 0);
-  out.u8(config.store.hierarchical_match ? 1 : 0);
   out.u8(config.store.use_index ? 1 : 0);
   // EngineConfig.
   out.f64(config.store.engine.delta);
@@ -155,7 +154,6 @@ void write_network_config(ByteWriter& out, const NetworkConfig& config) {
   out.u8(config.store.engine.use_fast_decisions ? 1 : 0);
   out.u8(config.store.engine.use_mcs ? 1 : 0);
   out.f64(config.store.engine.grid_spacing);
-  out.u8(config.store.engine.prefilter_intersecting ? 1 : 0);
   // IndexConfig.
   out.f64(config.store.index.domain_lo);
   out.f64(config.store.index.domain_hi);
@@ -190,14 +188,12 @@ NetworkConfig read_network_config(ByteReader& in) {
   };
   config.store.policy = static_cast<store::CoveragePolicy>(policy);
   config.store.demote_covered_actives = flag("demote_covered_actives");
-  config.store.hierarchical_match = flag("hierarchical_match");
   config.store.use_index = flag("use_index");
   config.store.engine.delta = in.f64();
   config.store.engine.max_iterations = in.varint();
   config.store.engine.use_fast_decisions = flag("use_fast_decisions");
   config.store.engine.use_mcs = flag("use_mcs");
   config.store.engine.grid_spacing = in.f64();
-  config.store.engine.prefilter_intersecting = flag("prefilter_intersecting");
   config.store.index.domain_lo = in.f64();
   config.store.index.domain_hi = in.f64();
   config.store.index.bucket_count = static_cast<std::size_t>(in.varint());

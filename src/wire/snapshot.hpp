@@ -34,8 +34,9 @@ namespace psc::wire {
 /// other two). v3 appends the reliable-link config (NetworkConfig::link)
 /// to the network-config block; v4 drops the index's three mutation-tier
 /// fields from it (IndexConfig is domain + bucket count only); v5 drops
-/// the retired match-shard count.
-inline constexpr std::uint32_t kSnapshotVersion = 5;
+/// the retired match-shard count; v6 drops the retired hierarchical-match
+/// and engine-prefilter flags (both behaviours are now unconditional).
+inline constexpr std::uint32_t kSnapshotVersion = 6;
 
 /// Frame magics ("PSCB" / "PSCN" little-endian).
 inline constexpr std::uint32_t kBrokerSnapshotMagic = 0x42435350U;

@@ -44,17 +44,6 @@ TEST(PairwiseCover, EmptySetNotCovered) {
   EXPECT_FALSE(pairwise_covered(box2(0, 1, 0, 1), std::vector<Subscription>{}));
 }
 
-TEST(PairwiseCover, ReverseDirectionFindsCoveredSubscriptions) {
-  const Subscription s = box2(0, 10, 0, 10);
-  const std::vector<Subscription> set{box2(2, 8, 2, 8, 1),
-                                      box2(5, 15, 5, 15, 2),
-                                      box2(0, 10, 0, 10, 3)};
-  const auto covered = find_covered_by(s, set);
-  ASSERT_EQ(covered.size(), 2u);
-  EXPECT_EQ(covered[0], 0u);
-  EXPECT_EQ(covered[1], 2u);  // equality counts as covered
-}
-
 TEST(CountingMatcher, MatchesLikeDirectEvaluation) {
   util::Rng rng(17);
   CountingMatcher matcher(3);

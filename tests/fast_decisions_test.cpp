@@ -68,18 +68,6 @@ TEST(FastDecisions, Corollary1ExactBoundaryCover) {
   EXPECT_TRUE(find_pairwise_cover(table).has_value());
 }
 
-TEST(FastDecisions, Corollary2DetectsRowsCoveredByS) {
-  const Subscription s = box2(0, 10, 0, 10);
-  const std::vector<Subscription> set{
-      box2(2, 8, 2, 8, 1),    // strictly inside: all defined
-      box2(0, 8, 2, 8, 2),    // shares lower x1 edge: not all defined
-  };
-  const ConflictTable table(s, set);
-  const auto rows = find_rows_covered_by_s(table);
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0], 0u);
-}
-
 TEST(FastDecisions, SortedRowTestNeedsEveryPosition) {
   // Three rows with counts {0-free} (2, 2, 2): positions 1,2 ok, position 3
   // needs t >= 3 but t = 2 — inconclusive, NOT witness-proved.

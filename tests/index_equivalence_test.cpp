@@ -1,13 +1,16 @@
 // Property tests: the index-backed store (StoreConfig::use_index = true)
-// and the seed's flat-scan store must be *decision-for-decision identical*
-// on the same input stream — same InsertResults (activation, coverage,
-// demotions, engine verdicts), same promotions on erase, and same match
-// outputs — across randomized workload streams and every coverage policy.
+// and the flat-scan store must be *decision-for-decision identical* on the
+// same input stream — same InsertResults (activation, coverage, demotions,
+// engine verdicts), same promotions on erase, and same match outputs —
+// across randomized workload streams and every coverage policy.
 //
-// This holds exactly (not just as sets) because the store re-sorts index
-// candidates into active-slot order before any decision consumes them, and
-// because the engine draws the same RNG stream either way: pruning to the
-// intersecting candidates is invisible to the engine's own prefilter.
+// The two paths differ only in how the store gathers the actives that
+// intersect a subscription (index box-intersect re-sorted into active-slot
+// order, or a flat scan in slot order) and in how match_active stabs; each
+// coverage policy is one piece of code over the gathered candidates. So
+// this holds exactly (not just as sets), and the engine draws the same RNG
+// stream either way: its own prefilter keeps a subset of the intersecting
+// candidates.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -138,25 +141,28 @@ TEST(IndexEquivalence, WrongArityPublicationMatchesNothingOnBothPaths) {
   EXPECT_TRUE(indexed.match(wrong_arity).empty());
 }
 
-TEST(IndexEquivalence, PrefilterDisabledStillIdentical) {
-  // engine.prefilter_intersecting = false asks the engine for the
-  // unfiltered candidate set; index pruning must stand down so the two
-  // paths keep consuming the same RNG stream.
-  StoreConfig with_index = make_config(CoveragePolicy::kGroup, true);
-  with_index.engine.prefilter_intersecting = false;
-  StoreConfig without_index = make_config(CoveragePolicy::kGroup, false);
-  without_index.engine.prefilter_intersecting = false;
-  SubscriptionStore indexed(with_index, 3);
-  SubscriptionStore flat(without_index, 3);
-
-  workload::ComparisonConfig stream_config;
-  stream_config.attribute_count = 5;
-  workload::ComparisonStream stream(stream_config, 17);
-  for (int step = 0; step < 120; ++step) {
-    const Subscription sub = stream.next();
-    expect_same_insert(indexed.insert(sub), flat.insert(sub), step);
+TEST(IndexEquivalence, BoundaryTouchingActiveIsACandidateOnBothPaths) {
+  // Boxes are closed: an active that only touches s on its boundary
+  // intersects it, so both candidate gatherers hand it to the policy and
+  // it joins a group cover's coverer list. Random streams almost never
+  // produce such a touch.
+  using core::Interval;
+  const Subscription left({Interval{-1, 6}, Interval{-1, 11}}, 1);
+  const Subscription right({Interval{4, 11}, Interval{-1, 11}}, 2);
+  const Subscription touching({Interval{11, 20}, Interval{0, 10}}, 3);
+  const Subscription s({Interval{0, 11}, Interval{0, 10}}, 4);
+  for (const CoveragePolicy policy :
+       {CoveragePolicy::kGroup, CoveragePolicy::kExact}) {
+    SubscriptionStore indexed(make_config(policy, true), 5);
+    SubscriptionStore flat(make_config(policy, false), 5);
+    for (const Subscription& sub : {left, right, touching, s}) {
+      expect_same_insert(indexed.insert(sub), flat.insert(sub),
+                         static_cast<int>(sub.id()));
+    }
+    const std::vector<SubscriptionId> coverers{1, 2, 3};
+    EXPECT_EQ(indexed.coverers_of(4), coverers) << to_string(policy);
+    EXPECT_EQ(flat.coverers_of(4), coverers) << to_string(policy);
   }
-  EXPECT_EQ(indexed.active_count(), flat.active_count());
 }
 
 TEST(IndexEquivalenceScenario, ScenarioInstancesAgreeOnVerdicts) {

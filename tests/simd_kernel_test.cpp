@@ -96,26 +96,9 @@ TEST(SimdKernels, WordKernelsMatchScalarReference) {
           EXPECT_EQ(acc[w], w % 2 == 0 ? base[w] : Word{0});
         }
 
-        acc = base;
-        simd::or_into(acc.data(), row.data(), words);
-        for (std::size_t w = 0; w < words; ++w) {
-          EXPECT_EQ(acc[w], base[w] | row[w]);
-        }
-
-        acc = base;
-        simd::andnot_into(acc.data(), row.data(), words);
-        for (std::size_t w = 0; w < words; ++w) {
-          EXPECT_EQ(acc[w], base[w] & ~row[w]);
-        }
-
         Word row_any = 0;
-        std::uint64_t bits = 0;
-        for (std::size_t w = 0; w < words; ++w) {
-          row_any |= row[w];
-          bits += static_cast<std::uint64_t>(std::popcount(row[w]));
-        }
+        for (std::size_t w = 0; w < words; ++w) row_any |= row[w];
         EXPECT_EQ(simd::testz(row.data(), words), row_any == 0);
-        EXPECT_EQ(simd::popcount(row.data(), words), bits);
       }
     }
   }

@@ -23,15 +23,14 @@ Subscription box2(double lo1, double hi1, double lo2, double hi2,
   return Subscription({Interval{lo1, hi1}, Interval{lo2, hi2}}, id);
 }
 
-store::StoreConfig hierarchical(bool on) {
+store::StoreConfig pairwise() {
   store::StoreConfig config;
   config.policy = store::CoveragePolicy::kPairwise;
-  config.hierarchical_match = on;
   return config;
 }
 
 TEST(StoreHierarchy, CoverersRecordedOnDemotion) {
-  store::SubscriptionStore store(hierarchical(true));
+  store::SubscriptionStore store(pairwise());
   store.insert(box2(2, 8, 2, 8, 1));
   store.insert(box2(0, 10, 0, 10, 2));  // demotes #1
   const auto coverers = store.coverers_of(1);
@@ -41,7 +40,7 @@ TEST(StoreHierarchy, CoverersRecordedOnDemotion) {
 }
 
 TEST(StoreHierarchy, MultiLevelChainsForm) {
-  store::SubscriptionStore store(hierarchical(true));
+  store::SubscriptionStore store(pairwise());
   store.insert(box2(3, 7, 3, 7, 1));
   store.insert(box2(2, 8, 2, 8, 2));    // demotes #1 -> coverer 2
   store.insert(box2(0, 10, 0, 10, 3));  // demotes #2 -> coverer 3
@@ -55,7 +54,7 @@ TEST(StoreHierarchy, MultiLevelChainsForm) {
 }
 
 TEST(StoreHierarchy, DescentPrunesNonMatchingBranches) {
-  store::SubscriptionStore store(hierarchical(true));
+  store::SubscriptionStore store(pairwise());
   store.insert(box2(0, 10, 0, 10, 1));
   store.insert(box2(1, 3, 1, 3, 2));  // covered by 1 (left pocket)
   store.insert(box2(7, 9, 7, 9, 3));  // covered by 1 (right pocket)
@@ -73,7 +72,7 @@ TEST(StoreHierarchy, DeepChainSkipsBelowNonMatch) {
   // #1 active covers all; #2 covered by 1; #3 inside 2 (covered by 2 after
   // demotion ordering). A publication inside 1 but outside 2 must examine
   // 2 and stop — 3 is only reachable below 2.
-  store::SubscriptionStore store(hierarchical(true));
+  store::SubscriptionStore store(pairwise());
   store.insert(box2(4, 6, 4, 6, 3));
   store.insert(box2(2, 8, 2, 8, 2));    // demotes 3
   store.insert(box2(0, 10, 0, 10, 1));  // demotes 2
@@ -85,37 +84,42 @@ TEST(StoreHierarchy, DeepChainSkipsBelowNonMatch) {
   EXPECT_EQ(store.covered_examined() - before, 1u);  // examined 2, not 3
 }
 
-TEST(StoreHierarchy, FlatAndHierarchicalAgree) {
-  // Property: both matching modes return the same id sets over random
-  // nested workloads; the hierarchy only saves work.
+TEST(StoreHierarchy, DescentMatchesBruteForce) {
+  // Property: over random nested workloads the DAG descent returns exactly
+  // the inserted subscriptions whose box contains the point, and examines
+  // no more covered entries than a flat scan of the covered set would
+  // (covered_count() per publication with an active match).
   util::Rng rng(515);
   workload::ScenarioConfig config;
   config.attribute_count = 3;
   config.set_size = 1;
-  store::SubscriptionStore flat(hierarchical(false), 1);
-  store::SubscriptionStore tree(hierarchical(true), 1);
+  store::SubscriptionStore store(pairwise(), 1);
+  std::vector<Subscription> inserted;
   SubscriptionId id = 1;
   for (int i = 0; i < 120; ++i) {
     auto sub = workload::random_box(config, 0.1, 0.6, rng);
     sub.set_id(id++);
-    flat.insert(sub);
-    tree.insert(sub);
+    store.insert(sub);
+    inserted.push_back(sub);
   }
-  ASSERT_EQ(flat.active_count(), tree.active_count());
+  ASSERT_GT(store.covered_count(), 0u);
+  std::uint64_t active_hits = 0;
   for (int round = 0; round < 300; ++round) {
     const auto pub = workload::uniform_publication(3, 0.0, 1000.0, rng);
-    auto a = flat.match(pub);
-    auto b = tree.match(pub);
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-    EXPECT_EQ(a, b) << "round " << round;
+    std::vector<SubscriptionId> expected;
+    for (const Subscription& sub : inserted) {
+      if (sub.contains_point(pub.values())) expected.push_back(sub.id());
+    }
+    auto got = store.match(pub);
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, expected) << "round " << round;
+    if (!store.match_active(pub).empty()) ++active_hits;
   }
-  // The hierarchy must have examined no more covered entries than flat.
-  EXPECT_LE(tree.covered_examined(), flat.covered_examined());
+  EXPECT_LE(store.covered_examined(), store.covered_count() * active_hits);
 }
 
 TEST(StoreHierarchy, EraseCleansDagEdges) {
-  store::SubscriptionStore store(hierarchical(true));
+  store::SubscriptionStore store(pairwise());
   store.insert(box2(0, 10, 0, 10, 1));
   store.insert(box2(2, 8, 2, 8, 2));
   EXPECT_TRUE(store.erase(2));  // covered erase unlinks

@@ -41,7 +41,7 @@ std::vector<std::uint8_t> encode_subscription(std::uint64_t id) {
 std::vector<std::uint8_t> encode_announcement(int variant) {
   Announcement msg;
   msg.from = 4;
-  switch (variant % 4) {
+  switch (variant % 3) {
     case 0: {
       msg.kind = Announcement::Kind::kSubscribe;
       std::vector<Interval> ranges{Interval{1.0, 2.0}, Interval{-5.0, 5.0}};
@@ -53,15 +53,10 @@ std::vector<std::uint8_t> encode_announcement(int variant) {
       msg.kind = Announcement::Kind::kUnsubscribe;
       msg.id = 1234;
       break;
-    case 2:
+    default:
       msg.kind = Announcement::Kind::kPublication;
       msg.pub = Publication({1.5, 2.5, 3.5}, 88);
       msg.token = 0xfeedULL;
-      break;
-    default:
-      msg.kind = Announcement::Kind::kMembership;
-      msg.member = 5;  // kFailLink
-      msg.peer = 7;
       break;
   }
   ByteWriter out;
@@ -206,7 +201,7 @@ TEST(WireFuzz, ElementDecodersNeverExhibitUB) {
   std::size_t rejected = 0;
   rejected += fuzz(sub, frame, 1001, 600,
                    [](ByteReader& in) { (void)read_subscription(in); });
-  for (int variant = 0; variant < 4; ++variant) {
+  for (int variant = 0; variant < 3; ++variant) {
     rejected += fuzz(encode_announcement(variant), sub, 2000 + variant, 600,
                      [](ByteReader& in) { (void)read_announcement(in); });
   }

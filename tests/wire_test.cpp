@@ -235,31 +235,17 @@ TEST(Codec, ChurnTraceRoundTrip) {
   }
 }
 
-TEST(Codec, MembershipAnnouncementRoundTrip) {
-  util::Rng rng(23);
-  for (int i = 0; i < 100; ++i) {
-    Announcement msg;
-    msg.kind = Announcement::Kind::kMembership;
-    msg.from = static_cast<std::uint32_t>(rng() % 64);
-    msg.member = static_cast<std::uint8_t>(1 + rng() % 6);  // kJoin..kHealLink
-    msg.peer = static_cast<std::uint32_t>(rng() % 1024);
-    ByteWriter out;
-    write_announcement(out, msg);
-    ByteReader in(out.buffer());
-    const Announcement back = read_announcement(in);
-    EXPECT_TRUE(msg == back) << "iteration " << i;
-    EXPECT_TRUE(in.at_end());
-  }
-  // Membership verbs outside 1..6 are wire garbage, not future extensions.
+TEST(Codec, RetiredMembershipAnnouncementKindIsRejected) {
+  // Kind 4 carried membership ops up to codec v4; membership travels in
+  // churn ops, so from v5 on the byte is an unknown kind like any other.
   Announcement msg;
-  msg.kind = Announcement::Kind::kMembership;
+  msg.kind = Announcement::Kind::kUnsubscribe;
   msg.from = 3;
-  msg.member = 2;
-  msg.peer = 5;
+  msg.id = 5;
   ByteWriter out;
   write_announcement(out, msg);
   std::vector<std::uint8_t> bad = out.buffer();
-  bad[2] = 7;  // layout: kind u8, from varint(1B), member u8
+  bad[0] = 4;  // layout: kind u8, from varint, payload
   ByteReader in(bad);
   EXPECT_THROW((void)read_announcement(in), DecodeError);
 }
@@ -354,14 +340,14 @@ TEST(Codec, FaultScheduleBlockRoundTrips) {
 }
 
 TEST(Codec, TraceOfAnotherVersionIsRejected) {
-  // Readers speak only kCodecVersion: older (v2/v3) and newer headers both
-  // throw.
+  // Readers speak only kCodecVersion: older (v1..v4) and newer headers
+  // both throw.
   workload::ChurnConfig config;
   config.duration = 10.0;
   const auto trace = workload::generate_churn_trace(config, 6, 321);
   ByteWriter full;
   write_churn_trace(full, trace);
-  for (const std::uint8_t version : {1, 2, 3, 9}) {
+  for (const std::uint8_t version : {1, 2, 3, 4, 9}) {
     std::vector<std::uint8_t> bytes = full.buffer();
     bytes[4] = version;  // version u32 little-endian, after the 4-byte magic
     ByteReader in(bytes);
@@ -412,16 +398,6 @@ TEST(Codec, TruncationAndCorruptionAreRejectedWithoutUB) {
   msg.expiry = 12.5;
   write_announcement(aout, msg);
   expect_graceful_rejection(aout.buffer(),
-                            [](ByteReader& in) { return read_announcement(in); });
-
-  ByteWriter mout;
-  Announcement member;
-  member.kind = Announcement::Kind::kMembership;
-  member.from = 12;
-  member.member = 5;  // kFailLink
-  member.peer = 300;
-  write_announcement(mout, member);
-  expect_graceful_rejection(mout.buffer(),
                             [](ByteReader& in) { return read_announcement(in); });
 }
 
