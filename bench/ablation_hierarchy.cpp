@@ -15,8 +15,8 @@
 
 int main(int argc, char** argv) try {
   using namespace psc;
-  const auto args = bench::HarnessArgs::parse(argc, argv);
-  const util::Flags flags(argc, argv);
+  const bench::HarnessArgs args(argc, argv, {"pubs"});
+  const util::Flags& flags = args.flags;
   const auto pubs = static_cast<std::size_t>(flags.get_int("pubs", 5000));
   util::Timer total;
 

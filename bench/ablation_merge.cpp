@@ -19,8 +19,8 @@
 
 int main(int argc, char** argv) try {
   using namespace psc;
-  const auto args = bench::HarnessArgs::parse(argc, argv);
-  const util::Flags flags(argc, argv);
+  const bench::HarnessArgs args(argc, argv, {"subs", "probes"});
+  const util::Flags& flags = args.flags;
   const auto total_subs = static_cast<std::size_t>(flags.get_int("subs", 1500));
   const auto probes = static_cast<std::size_t>(flags.get_int("probes", 20000));
   util::Timer timer;

@@ -29,7 +29,7 @@ struct Variant {
 }  // namespace
 
 int main(int argc, char** argv) try {
-  const auto args = bench::HarnessArgs::parse(argc, argv);
+  const bench::HarnessArgs args(argc, argv, {"runs"});
   const auto runs = args.runs_or(200);
   util::Timer total;
 

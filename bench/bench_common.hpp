@@ -1,21 +1,27 @@
 // Shared plumbing for the figure-reproduction harnesses.
 //
-// Every fig* binary accepts:
-//   --runs=N    per-cell repetitions (defaults are scaled-down but shape-
-//               preserving; use the paper's counts for full fidelity)
+// Every harness on HarnessArgs accepts:
 //   --seed=S    RNG seed (default 2006, the paper's publication year)
 //   --csv=PATH  also dump the series as CSV
-// and prints an aligned table with the same rows/series the paper plots.
+// most also take
+//   --runs=N    per-cell repetitions (defaults are scaled-down but shape-
+//               preserving; use the paper's counts for full fidelity)
+// and some take size flags of their own (--pubs, --subs, ...). A harness
+// rejects any flag it does not read (exit 2). Each prints an aligned table
+// with the same rows/series the paper plots.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <iterator>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/flags.hpp"
@@ -155,18 +161,35 @@ inline void write_section(util::JsonWriter& json, const SectionResult& result) {
   json.end_object();
 }
 
+/// The flags of one harness: --seed and --csv, which every harness reads,
+/// plus the flags it names at construction (--runs for the per-cell
+/// repetition count, and its own, read through `flags`). Any other flag
+/// throws std::invalid_argument naming it, so a flag the harness would
+/// ignore is a usage error (exit 2), never a silent no-op.
 struct HarnessArgs {
+  util::Flags flags;
   std::int64_t runs = 0;       ///< 0 = use the harness default
   std::uint64_t seed = 2006;
   std::string csv_path;        ///< empty = no CSV dump
 
-  static HarnessArgs parse(int argc, char** argv) {
-    const util::Flags flags(argc, argv);
-    HarnessArgs args;
-    args.runs = flags.get_int("runs", 0);
-    args.seed = static_cast<std::uint64_t>(flags.get_int("seed", 2006));
-    args.csv_path = flags.get_string("csv", "");
-    return args;
+  HarnessArgs(int argc, char** argv,
+              std::initializer_list<std::string_view> own_flags)
+      : flags(argc, argv) {
+    for (const std::string& name : flags.names()) {
+      if (name == "seed" || name == "csv" ||
+          std::find(own_flags.begin(), own_flags.end(), name) != own_flags.end()) {
+        continue;
+      }
+      std::string accepted = "--seed, --csv";
+      for (const std::string_view own : own_flags) {
+        accepted += ", --" + std::string(own);
+      }
+      throw std::invalid_argument("--" + name + " has no effect (this harness reads " +
+                                  accepted + ")");
+    }
+    runs = flags.get_int("runs", 0);
+    seed = static_cast<std::uint64_t>(flags.get_int("seed", 2006));
+    csv_path = flags.get_string("csv", "");
   }
 
   [[nodiscard]] std::int64_t runs_or(std::int64_t fallback) const {

@@ -11,7 +11,7 @@
 
 int main(int argc, char** argv) try {
   using namespace psc;
-  const auto args = bench::HarnessArgs::parse(argc, argv);
+  const bench::HarnessArgs args(argc, argv, {"runs"});
   const auto runs = static_cast<std::uint64_t>(args.runs_or(100'000));
   util::Timer timer;
 

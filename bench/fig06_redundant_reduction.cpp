@@ -17,7 +17,7 @@
 
 int main(int argc, char** argv) try {
   using namespace psc;
-  const auto args = bench::HarnessArgs::parse(argc, argv);
+  const bench::HarnessArgs args(argc, argv, {"runs"});
   const auto runs = args.runs_or(100);
   util::Timer timer;
 

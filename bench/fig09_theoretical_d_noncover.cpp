@@ -25,7 +25,7 @@ double log10_d(const psc::core::ConflictTable& table, double delta) {
 
 int main(int argc, char** argv) try {
   using namespace psc;
-  const auto args = bench::HarnessArgs::parse(argc, argv);
+  const bench::HarnessArgs args(argc, argv, {"runs"});
   const auto runs = args.runs_or(50);
   const double delta = 1e-10;
   util::Timer timer;

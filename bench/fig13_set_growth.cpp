@@ -20,8 +20,8 @@
 
 int main(int argc, char** argv) try {
   using namespace psc;
-  const auto args = bench::HarnessArgs::parse(argc, argv);
-  const util::Flags flags(argc, argv);
+  const bench::HarnessArgs args(argc, argv, {"subs"});
+  const util::Flags& flags = args.flags;
   const auto total_subs = static_cast<std::size_t>(flags.get_int("subs", 2000));
   const std::size_t report_every = std::max<std::size_t>(1, total_subs / 10);
   util::Timer timer;

@@ -63,14 +63,14 @@ struct MatchScale {
 }  // namespace
 
 int main(int argc, char** argv) try {
-  const auto args = bench::HarnessArgs::parse(argc, argv);
+  const bench::HarnessArgs args(argc, argv, {"runs", "max-actives", "json"});
   const std::size_t publications =
       static_cast<std::size_t>(args.runs_or(2'000));
   // Caps both sweeps' set sizes (--max-actives=1000 is the ctest smoke:
   // population cost, not the timed loops, dominates at full size).
   const auto max_actives = static_cast<std::size_t>(
-      util::Flags(argc, argv).get_int("max-actives", 10'000));
-  const std::string json_path = util::Flags(argc, argv).get_string("json", "");
+      args.flags.get_int("max-actives", 10'000));
+  const std::string json_path = args.flags.get_string("json", "");
   const util::Timer timer;
 
   // Wide schema, sparse selective predicates: the standard pub/sub

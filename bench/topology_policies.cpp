@@ -56,8 +56,8 @@ const char* policy_name(store::CoveragePolicy policy) {
 }  // namespace
 
 int main(int argc, char** argv) try {
-  const auto args = bench::HarnessArgs::parse(argc, argv);
-  const util::Flags flags(argc, argv);
+  const bench::HarnessArgs args(argc, argv, {"subs", "pubs"});
+  const util::Flags& flags = args.flags;
   const auto subs = static_cast<std::size_t>(flags.get_int("subs", 150));
   const auto pubs = static_cast<std::size_t>(flags.get_int("pubs", 300));
   util::Timer timer;

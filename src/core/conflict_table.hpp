@@ -87,6 +87,17 @@ class ConflictTable {
     return defined_.at(row * 2 * m_ + column);
   }
 
+  /// Flat views of one row for the hot loops, in column order: the 2m
+  /// negated bounds (stored for undefined entries too, so bounds[2j] and
+  /// bounds[2j+1] are s_i's range on attribute j) and the definedness
+  /// flags. Unchecked: `row` must be < row_count().
+  [[nodiscard]] std::span<const Value> row_bounds(std::size_t row) const noexcept {
+    return {bounds_.data() + row * 2 * m_, 2 * m_};
+  }
+  [[nodiscard]] std::span<const char> row_defined(std::size_t row) const noexcept {
+    return {defined_.data() + row * 2 * m_, 2 * m_};
+  }
+
   /// t_i: number of defined entries in the row.
   [[nodiscard]] std::size_t defined_count(std::size_t row) const {
     return defined_counts_.at(row);

@@ -1,7 +1,9 @@
 #include "core/engine.hpp"
 
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "core/fast_decisions.hpp"
 
@@ -95,13 +97,10 @@ SubsumptionResult SubsumptionEngine::check(
     }
   }
 
-  // Work on the (possibly) reduced candidate set. The reduced view is
-  // materialized so RSPC scans a dense pointer array, and the estimate
-  // table is rebuilt only when MCS actually removed rows.
-  std::span<const Subscription* const> rspc_set = set;
-  const ConflictTable* estimate_table = &table;
+  // MCS keeps a subset of the table's rows; rho_w, d and RSPC all work on
+  // those rows. Without MCS every row is kept.
   if (config_.use_mcs) {
-    run_mcs(table, ws_.mcs, ws_.alive);
+    run_mcs(table, ws_.mcs, ws_.alive, ws_.mcs_columns);
     result.mcs_ran = true;
     result.reduced_set_size = ws_.mcs.kept.size();
     if (ws_.mcs.empty()) {
@@ -109,20 +108,17 @@ SubsumptionResult SubsumptionEngine::check(
       result.path = DecisionPath::kMcsEmpty;
       return result;
     }
-    if (ws_.mcs.kept.size() < set.size()) {
-      ws_.reduced.clear();
-      for (std::size_t index : ws_.mcs.kept) ws_.reduced.push_back(set[index]);
-      rspc_set = ws_.reduced;
-      // rho_w / d are estimated on the *reduced* set: fewer rows can only
-      // widen the per-attribute minimum gaps, which is exactly the effect
-      // the paper's Figures 7 and 9 measure.
-      ws_.reduced_table.rebuild(s, rspc_set);
-      estimate_table = &ws_.reduced_table;
-    }
+  } else {
+    ws_.mcs.kept.resize(set.size());
+    std::iota(ws_.mcs.kept.begin(), ws_.mcs.kept.end(), std::size_t{0});
   }
+  const std::span<const std::size_t> kept = ws_.mcs.kept;
 
+  // rho_w / d are estimated on the kept rows only: fewer rows can only
+  // widen the per-attribute minimum gaps, which is exactly the effect the
+  // paper's Figures 7 and 9 measure.
   const WitnessEstimate estimate =
-      estimate_witness_probability(*estimate_table, config_.grid_spacing);
+      estimate_witness_probability(table, kept, config_.grid_spacing);
   result.rho_w = estimate.rho_w;
   result.theoretical_d =
       estimate.rho_w > 0.0
@@ -131,18 +127,21 @@ SubsumptionResult SubsumptionEngine::check(
   result.trial_budget =
       capped_trials(estimate.rho_w, config_.delta, config_.max_iterations);
 
-  const RspcResult rspc =
-      run_rspc(s, rspc_set, result.trial_budget, rng_, ws_.point);
+  ws_.boxes.reset(s, kept.size());
+  for (const std::size_t row : kept) ws_.boxes.add(*set[row]);
+  RspcResult rspc = run_rspc(ws_.boxes, result.trial_budget, rng_, ws_.point);
   result.iterations = rspc.iterations;
   if (!rspc.covered) {
     result.covered = false;
     result.path = DecisionPath::kRspcWitness;
-    result.witness = rspc.witness;
+    result.witness = std::move(rspc.witness);
     return result;
   }
   result.covered = true;
   result.is_definite = false;
   result.path = DecisionPath::kRspcProbabilistic;
+  result.achieved_error_bound =
+      std::exp(static_cast<double>(result.iterations) * std::log1p(-estimate.rho_w));
   return result;
 }
 

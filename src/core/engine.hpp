@@ -53,6 +53,10 @@ struct SubsumptionResult {
   double theoretical_d = 0.0;        ///< Eq. 1 bound (may be +inf)
   std::uint64_t trial_budget = 0;    ///< capped trials handed to RSPC
   std::uint64_t iterations = 0;      ///< RSPC trials actually executed
+  /// The error bound this run achieved: (1 - rho_w)^iterations on a
+  /// probabilistic YES, 0 on a definite verdict. Above config().delta when
+  /// the max_iterations cap cut the run short of theoretical_d trials.
+  double achieved_error_bound = 0.0;
 
   /// Point witness when the verdict came from RSPC sampling.
   std::optional<std::vector<Value>> witness;
@@ -83,12 +87,12 @@ struct EngineWorkspace {
   std::vector<const Subscription*> input;     ///< value-span adapter
   std::vector<const Subscription*> filtered;  ///< prefilter survivors
   std::vector<std::size_t> original_index;    ///< filtered -> caller index
-  std::vector<const Subscription*> reduced;   ///< MCS survivors
   ConflictTable table;                        ///< rebuilt per query
-  ConflictTable reduced_table;                ///< rebuilt when MCS shrinks
-  McsResult mcs;                              ///< kept vector reused
+  McsResult mcs;                              ///< kept rows (all without MCS)
   std::vector<char> alive;                    ///< MCS alive mask
+  std::vector<McsColumn> mcs_columns;         ///< MCS per-column extremes
   std::vector<std::size_t> sorted_counts;     ///< Corollary 3 scratch
+  PackedBoxes boxes;                          ///< RSPC rows: the kept rows
   std::vector<Value> point;                   ///< RSPC sample buffer
 };
 

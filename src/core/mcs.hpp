@@ -13,10 +13,17 @@
 // definite NO (no candidate subset can jointly cover s).
 //
 // Conflict-free detection exploits the geometry: entries on different
-// attributes never conflict, so each entry is compared only against
-// opposite-side entries of other rows on the same attribute — O(m k) per
-// row, O(m k^2) per sweep, O(m k^3) worst case across sweeps (the paper's
-// bound, stated as O(m^2 k^3), is looser).
+// attributes never conflict, and two defined opposite-side entries
+// "x_j < a" and "x_j > b" of different rows conflict (Definition 5) iff
+// b >= a, or s is degenerate on attribute j. So an entry conflicts iff the
+// extreme bound of the opposite column over the other alive rows reaches
+// it: a lower entry x < a iff their max defined upper bound is >= a, an
+// upper entry x > b iff their min defined lower bound is <= b. Each column
+// keeps that extreme, the row holding it and the runner-up (McsColumn), so
+// the test is O(1) per entry and a sweep is O(m k). A column is recomputed
+// (O(k)) only when a removed row was its holder or runner-up, which costs
+// O(m k) per removal and O(m k^2) over a whole run. The paper's bound,
+// O(m^2 k^3), is looser.
 #pragma once
 
 #include <cstddef>
@@ -39,20 +46,32 @@ struct McsResult {
   [[nodiscard]] bool empty() const noexcept { return kept.empty(); }
 };
 
+/// One conflict-table column's extreme over the alive rows where it is
+/// defined. Extremes are kept as maxima of a key: an upper column's key is
+/// its bound, a lower column's the negated bound, so both conflict tests
+/// read "the other rows' max key >= -(own key)".
+struct McsColumn {
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  Value best = 0.0;               ///< max key (valid when best_row != kNone)
+  Value second = 0.0;             ///< runner-up key, over rows != best_row
+  std::size_t best_row = kNone;
+  std::size_t second_row = kNone;
+  bool degenerate = false;        ///< s has zero width on this attribute
+};
+
 /// Runs MCS on a built conflict table. The table itself is not mutated;
 /// removal is tracked with an alive mask.
 [[nodiscard]] McsResult run_mcs(const ConflictTable& table);
 
 /// Allocation-free variant: writes into `result` (its kept vector is
-/// cleared and refilled, capacity reused) using `alive_scratch` as the
-/// alive mask buffer.
+/// cleared and refilled, capacity reused) with `alive_scratch` as the alive
+/// mask and `column_scratch` as the per-column extremes.
+void run_mcs(const ConflictTable& table, McsResult& result,
+             std::vector<char>& alive_scratch,
+             std::vector<McsColumn>& column_scratch);
+
+/// As above with a local column buffer (allocates it).
 void run_mcs(const ConflictTable& table, McsResult& result,
              std::vector<char>& alive_scratch);
-
-/// fc_i for one row given an alive mask over rows (true = row participates).
-/// Exposed for tests and diagnostics.
-[[nodiscard]] std::size_t count_conflict_free(const ConflictTable& table,
-                                              std::size_t row,
-                                              const std::vector<char>& alive);
 
 }  // namespace psc::core

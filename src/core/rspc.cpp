@@ -1,91 +1,108 @@
 #include "core/rspc.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace psc::core {
 
-std::vector<Value> sample_point(const Subscription& s, util::Rng& rng) {
-  std::vector<Value> point(s.attribute_count());
-  for (std::size_t j = 0; j < s.attribute_count(); ++j) {
-    const Interval& range = s.range(j);
-    if (!std::isfinite(range.lo) || !std::isfinite(range.hi)) {
-      throw std::invalid_argument(
-          "sample_point: unbounded attribute range cannot be sampled uniformly");
-    }
-    point[j] = rng.uniform(range.lo, range.hi);
-  }
-  return point;
-}
-
-bool point_in_union(std::span<const Value> point,
-                    std::span<const Subscription> set) noexcept {
-  for (const Subscription& si : set) {
-    if (si.contains_point(point)) return true;
-  }
-  return false;
-}
-
-bool point_in_union(std::span<const Value> point,
-                    std::span<const Subscription* const> set) noexcept {
-  for (const Subscription* si : set) {
-    if (si->contains_point(point)) return true;
-  }
-  return false;
-}
-
-namespace {
-
-void sample_into(const Subscription& s, util::Rng& rng,
-                 std::vector<Value>& point) {
-  point.resize(s.attribute_count());
-  for (std::size_t j = 0; j < s.attribute_count(); ++j) {
-    const Interval& range = s.range(j);
-    if (!std::isfinite(range.lo) || !std::isfinite(range.hi)) {
-      throw std::invalid_argument(
-          "run_rspc: unbounded attribute range cannot be sampled uniformly");
-    }
-    point[j] = rng.uniform(range.lo, range.hi);
+void PackedBoxes::reset(const Subscription& s, std::size_t rows) {
+  m_ = s.attribute_count();
+  lanes_ = std::max<std::size_t>(4, (m_ + 3) & ~std::size_t{3});
+  rows_ = 0;
+  boxes_.clear();
+  boxes_.reserve(rows * 2 * lanes_);
+  lo_.resize(m_);
+  width_.resize(m_);
+  sampleable_ = true;
+  for (std::size_t j = 0; j < m_; ++j) {
+    const Interval& range = s.ranges()[j];
+    lo_[j] = range.lo;
+    width_[j] = range.hi - range.lo;
+    sampleable_ = sampleable_ && std::isfinite(range.lo) && std::isfinite(range.hi);
   }
 }
 
-}  // namespace
+void PackedBoxes::add(const Subscription& candidate) {
+  constexpr Value kInf = std::numeric_limits<Value>::infinity();
+  const std::size_t base = boxes_.size();
+  boxes_.resize(base + 2 * lanes_);
+  Value* lo = boxes_.data() + base;
+  Value* hi = lo + lanes_;
+  ++rows_;
+  const std::span<const Interval> ranges = candidate.ranges();
+  if (ranges.size() != m_) {
+    std::fill(lo, hi + lanes_, std::numeric_limits<Value>::quiet_NaN());
+    return;
+  }
+  for (std::size_t j = 0; j < m_; ++j) {
+    lo[j] = ranges[j].lo;
+    hi[j] = ranges[j].hi;
+  }
+  std::fill(lo + m_, hi, -kInf);
+  std::fill(hi + m_, hi + lanes_, kInf);
+}
 
-RspcResult run_rspc(const Subscription& s,
-                    std::span<const Subscription* const> set,
-                    std::uint64_t budget, util::Rng& rng,
-                    std::vector<Value>& point_scratch) {
+void PackedBoxes::require_sampleable() const {
+  if (!sampleable_) {
+    throw std::invalid_argument(
+        "run_rspc: unbounded attribute range cannot be sampled uniformly");
+  }
+}
+
+RspcResult run_rspc(const PackedBoxes& boxes, std::uint64_t budget,
+                    util::Rng& rng, std::vector<Value>& point) {
   RspcResult result;
+  const std::size_t m = boxes.attribute_count();
+  const std::size_t rows = boxes.size();
+  point.assign(boxes.lanes(), 0.0);
   // An empty union covers nothing with positive measure: definite NO
   // without sampling (unless s itself is a point, which we still report as
   // uncovered — there is no subscription to cover it).
-  if (set.empty()) {
+  if (rows == 0) {
+    boxes.require_sampleable();
+    boxes.draw(rng, point.data());
     result.covered = false;
-    result.witness = sample_point(s, rng);
+    result.witness.emplace(point.begin(), point.begin() + m);
     return result;
   }
+  if (budget > 0) boxes.require_sampleable();
+  std::size_t last = 0;  // the row that contained the previous point
   for (std::uint64_t trial = 0; trial < budget; ++trial) {
     ++result.iterations;
-    sample_into(s, rng, point_scratch);
-    if (!point_in_union(point_scratch, set)) {
+    boxes.draw(rng, point.data());
+    if (boxes.contains(last, point.data())) continue;
+    std::size_t row = 0;
+    while (row < rows && (row == last || !boxes.contains(row, point.data()))) ++row;
+    if (row == rows) {
       result.covered = false;
-      result.witness = point_scratch;
+      result.witness.emplace(point.begin(), point.begin() + m);
       return result;
     }
+    last = row;
   }
   result.covered = true;
   return result;
 }
 
+RspcResult run_rspc(const Subscription& s,
+                    std::span<const Subscription* const> set,
+                    std::uint64_t budget, util::Rng& rng,
+                    std::vector<Value>& point_scratch) {
+  PackedBoxes boxes;
+  boxes.reset(s, set.size());
+  for (const Subscription* si : set) boxes.add(*si);
+  return run_rspc(boxes, budget, rng, point_scratch);
+}
+
 RspcResult run_rspc(const Subscription& s, std::span<const Subscription> set,
                     std::uint64_t budget, util::Rng& rng) {
-  // Delegate to the pointer-span implementation so there is exactly one
-  // copy of the trial loop (identical RNG consumption either way).
-  std::vector<const Subscription*> pointers;
-  pointers.reserve(set.size());
-  for (const Subscription& si : set) pointers.push_back(&si);
+  PackedBoxes boxes;
+  boxes.reset(s, set.size());
+  for (const Subscription& si : set) boxes.add(si);
   std::vector<Value> point;
-  return run_rspc(s, pointers, budget, rng, point);
+  return run_rspc(boxes, budget, rng, point);
 }
 
 }  // namespace psc::core

@@ -1,6 +1,7 @@
 #include "core/witness_estimate.hpp"
 
 #include <cmath>
+#include <ranges>
 #include <stdexcept>
 
 namespace psc::core {
@@ -14,10 +15,9 @@ Value slab_measure(Value width, double grid_spacing) {
   return std::floor(width / grid_spacing) + 1.0;
 }
 
-}  // namespace
-
-WitnessEstimate estimate_witness_probability(const ConflictTable& table,
-                                             double grid_spacing) {
+template <typename Rows>
+WitnessEstimate estimate_over(const ConflictTable& table, const Rows& rows,
+                              double grid_spacing) {
   WitnessEstimate est;
   const Subscription& s = table.tested();
 
@@ -29,7 +29,7 @@ WitnessEstimate estimate_witness_probability(const ConflictTable& table,
   for (std::size_t j = 0; j < table.attribute_count(); ++j) {
     const Interval& sr = s.range(j);
     Value min_gap = sr.width();
-    for (std::size_t row = 0; row < table.row_count(); ++row) {
+    for (const std::size_t row : rows) {
       if (const auto lower = table.entry(row, 2 * j)) {
         // Slab of s below s_i's lower bound: width = si.lo - s.lo (clamped).
         const Value gap = table.slab(*lower).width();
@@ -53,6 +53,20 @@ WitnessEstimate estimate_witness_probability(const ConflictTable& table,
     est.rho_w = 0.0;
   }
   return est;
+}
+
+}  // namespace
+
+WitnessEstimate estimate_witness_probability(const ConflictTable& table,
+                                             double grid_spacing) {
+  return estimate_over(table, std::views::iota(std::size_t{0}, table.row_count()),
+                       grid_spacing);
+}
+
+WitnessEstimate estimate_witness_probability(const ConflictTable& table,
+                                             std::span<const std::size_t> rows,
+                                             double grid_spacing) {
+  return estimate_over(table, rows, grid_spacing);
 }
 
 double theoretical_trials(double rho_w, double delta) {

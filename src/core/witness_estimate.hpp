@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 
 #include "core/conflict_table.hpp"
 
@@ -43,6 +44,13 @@ struct WitnessEstimate {
 ///     at small gap sizes (Figure 12).
 [[nodiscard]] WitnessEstimate estimate_witness_probability(
     const ConflictTable& table, double grid_spacing = 0.0);
+
+/// As above over the listed rows only — the estimate for the subset they
+/// name, without building that subset's table (the engine passes the rows
+/// MCS kept).
+[[nodiscard]] WitnessEstimate estimate_witness_probability(
+    const ConflictTable& table, std::span<const std::size_t> rows,
+    double grid_spacing);
 
 /// Number of RSPC trials for error bound delta given rho_w (Equation 1).
 /// Returns +inf (as double) when rho_w <= 0 — there is no finite bound and

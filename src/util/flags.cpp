@@ -52,6 +52,13 @@ Flags::Flags(int argc, const char* const* argv) {
 
 bool Flags::has(const std::string& name) const { return values_.count(name) > 0; }
 
+std::vector<std::string> Flags::names() const {
+  std::vector<std::string> names;
+  names.reserve(values_.size());
+  for (const auto& [name, value] : values_) names.push_back(name);
+  return names;
+}
+
 std::string Flags::get_string(const std::string& name,
                               const std::string& fallback) const {
   const auto it = values_.find(name);

@@ -33,6 +33,9 @@ class Flags {
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
 
+  /// Every flag name given, in sorted order.
+  [[nodiscard]] std::vector<std::string> names() const;
+
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
     return positional_;
   }

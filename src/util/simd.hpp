@@ -198,6 +198,40 @@ inline void zero_odd_words(Word* acc, std::size_t words) noexcept {
 #endif
 }
 
+/// contains_box: lo[i] <= point[i] <= hi[i] for every i < lanes — one
+/// packed candidate box of the RSPC trial kernel. `lanes` is a multiple of
+/// 4; `lo` and `hi` are 32-byte aligned, `point` may have any alignment.
+/// Branch-free over the lanes: the per-lane results are ANDed and tested
+/// once. Ordered-quiet compares, as in contains4.
+[[nodiscard]] inline bool contains_box(const double* point, const double* lo,
+                                       const double* hi,
+                                       std::size_t lanes) noexcept {
+#if defined(PSC_SIMD_AVX2)
+  __m256d ok = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+  for (std::size_t i = 0; i < lanes; i += 4) {
+    const __m256d p = _mm256_loadu_pd(point + i);
+    ok = _mm256_and_pd(ok, _mm256_cmp_pd(p, _mm256_load_pd(lo + i), _CMP_GE_OQ));
+    ok = _mm256_and_pd(ok, _mm256_cmp_pd(p, _mm256_load_pd(hi + i), _CMP_LE_OQ));
+  }
+  return _mm256_movemask_pd(ok) == 0xf;
+#elif defined(PSC_SIMD_NEON)
+  uint64x2_t ok = vdupq_n_u64(~std::uint64_t{0});
+  for (std::size_t i = 0; i < lanes; i += 2) {
+    const float64x2_t p = vld1q_f64(point + i);
+    ok = vandq_u64(ok, vcgeq_f64(p, vld1q_f64(lo + i)));
+    ok = vandq_u64(ok, vcleq_f64(p, vld1q_f64(hi + i)));
+  }
+  return (vgetq_lane_u64(ok, 0) & vgetq_lane_u64(ok, 1)) != 0;
+#else
+  unsigned ok = 1;
+  for (std::size_t i = 0; i < lanes; ++i) {
+    ok &= static_cast<unsigned>(point[i] >= lo[i]) &
+          static_cast<unsigned>(point[i] <= hi[i]);
+  }
+  return ok != 0;
+#endif
+}
+
 /// intersects4: [qlo[i], qhi[i]] overlaps [rec[i], rec[i+4]] for all four
 /// lanes (closed intervals: qhi >= lo AND qlo <= hi).
 [[nodiscard]] inline bool intersects4(const double* qlo4, const double* qhi4,

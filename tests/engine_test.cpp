@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 namespace psc::core {
@@ -128,6 +129,35 @@ TEST(Engine, BudgetCapRespected) {
   const auto result = engine.check(box2(830, 870, 1003, 1006), set);
   EXPECT_LE(result.iterations, 10u);
   EXPECT_EQ(result.trial_budget, 10u);
+}
+
+TEST(Engine, ReportsAchievedErrorBound) {
+  // Table 3 again: rho_w = 0.25, d = 49 at delta = 1e-6.
+  const std::vector<Subscription> set{box2(820, 850, 1001, 1007, 1),
+                                      box2(840, 880, 1002, 1009, 2)};
+  const Subscription s = box2(830, 870, 1003, 1006);
+
+  // Uncapped: all d trials ran, so the bound met is within delta.
+  SubsumptionEngine uncapped(EngineConfig{.delta = 1e-6, .max_iterations = 1000});
+  const auto full = uncapped.check(s, set);
+  ASSERT_EQ(full.path, DecisionPath::kRspcProbabilistic);
+  EXPECT_NEAR(full.achieved_error_bound, std::pow(0.75, 49), 1e-12 * std::pow(0.75, 49));
+  EXPECT_LE(full.achieved_error_bound, 1e-6);
+
+  // Capped below d: the verdict is the same probabilistic YES, but the
+  // bound it achieved, 0.75^10, is far above delta.
+  SubsumptionEngine capped(EngineConfig{.delta = 1e-6, .max_iterations = 10});
+  const auto cut = capped.check(s, set);
+  ASSERT_EQ(cut.path, DecisionPath::kRspcProbabilistic);
+  EXPECT_TRUE(cut.covered);
+  EXPECT_GT(cut.theoretical_d, 10.0);
+  EXPECT_NEAR(cut.achieved_error_bound, std::pow(0.75, 10), 1e-12);
+  EXPECT_GT(cut.achieved_error_bound, 1e-6);
+
+  // A definite verdict carries no error.
+  const auto pairwise = uncapped.check(box2(830, 840, 1003, 1006), set);
+  ASSERT_TRUE(pairwise.is_definite);
+  EXPECT_EQ(pairwise.achieved_error_bound, 0.0);
 }
 
 TEST(Engine, McsReducesBeforeSampling) {

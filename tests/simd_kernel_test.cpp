@@ -105,9 +105,10 @@ TEST(SimdKernels, WordKernelsMatchScalarReference) {
 }
 
 TEST(SimdKernels, DoubleKernelsMatchScalarSemantics) {
-  // contains4 / intersects4 must agree with the scalar >= / <= verify on
-  // every lane combination, including NaN (fails), +-inf padding lanes
-  // (pass anything real), and exact boundary equality (closed intervals).
+  // contains4 / contains_box / intersects4 must agree with the scalar
+  // >= / <= verify on every lane combination, including NaN (fails), +-inf
+  // padding lanes (pass anything real), and exact boundary equality
+  // (closed intervals).
   const std::vector<double> specials{-kInf, -1.0, 0.0, 1.0, kInf, kNaN};
   util::Rng rng(7);
   alignas(32) double rec[8];
@@ -139,6 +140,7 @@ TEST(SimdKernels, DoubleKernelsMatchScalarSemantics) {
                        qhi[lane] >= rec[lane] && qlo[lane] <= rec[lane + 4];
     }
     EXPECT_EQ(simd::contains4(point, rec), contains_ref) << round;
+    EXPECT_EQ(simd::contains_box(point, rec, rec + 4, 4), contains_ref) << round;
     EXPECT_EQ(simd::intersects4(qlo, qhi, rec), intersects_ref) << round;
   }
 }

@@ -31,10 +31,36 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return operator new(size); }
 
+// The over-aligned forms back simd::AlignedVector (the engine's packed RSPC
+// rows); they are counted like the plain ones.
+void* operator new(std::size_t size, std::align_val_t align) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  const auto alignment = static_cast<std::size_t>(align);
+  const std::size_t rounded = (size + alignment - 1) / alignment * alignment;
+  if (void* ptr = std::aligned_alloc(alignment, rounded == 0 ? alignment : rounded)) {
+    return ptr;
+  }
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return operator new(size, align);
+}
+
 void operator delete(void* ptr) noexcept { std::free(ptr); }
 void operator delete[](void* ptr) noexcept { std::free(ptr); }
 void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
 void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
+void operator delete(void* ptr, std::align_val_t) noexcept { std::free(ptr); }
+void operator delete[](void* ptr, std::align_val_t) noexcept { std::free(ptr); }
+void operator delete(void* ptr, std::size_t, std::align_val_t) noexcept {
+  std::free(ptr);
+}
+void operator delete[](void* ptr, std::size_t, std::align_val_t) noexcept {
+  std::free(ptr);
+}
 
 namespace psc::core {
 namespace {
@@ -52,14 +78,15 @@ class AllocationGuard {
   }
 };
 
-TEST(EngineWorkspace, SteadyStateChecksDoNotAllocate) {
+/// Warm-up, then 50 guarded checks of one instance with m attributes.
+void expect_steady_state_allocation_free(std::size_t attribute_count) {
   workload::ScenarioConfig config;
-  config.attribute_count = 10;
+  config.attribute_count = attribute_count;
   config.set_size = 120;
   util::Rng rng(2026);
   // Redundant covering: no pairwise fast path, so the full pipeline runs
-  // (conflict table, fast decisions, MCS, estimate, RSPC) every check and
-  // the verdict is a probabilistic YES — no witness copy.
+  // (conflict table, fast decisions, MCS, estimate, packed RSPC rows) every
+  // check and the verdict is a probabilistic YES — no witness copy.
   const auto inst = workload::make_redundant_covering(config, rng);
 
   EngineConfig engine_config;
@@ -79,7 +106,17 @@ TEST(EngineWorkspace, SteadyStateChecksDoNotAllocate) {
     ASSERT_TRUE(result.covered);
   }
   EXPECT_EQ(guard.count(), 0u)
-      << "steady-state engine checks must reuse the workspace";
+      << "steady-state engine checks must reuse the workspace (m="
+      << attribute_count << ")";
+}
+
+TEST(EngineWorkspace, SteadyStateChecksDoNotAllocate) {
+  expect_steady_state_allocation_free(10);
+}
+
+// m = 6 packs two padding lanes per row (M = 8).
+TEST(EngineWorkspace, SteadyStateChecksDoNotAllocateAtSixAttributes) {
+  expect_steady_state_allocation_free(6);
 }
 
 TEST(EngineWorkspace, PairwiseFastPathDoesNotAllocate) {
