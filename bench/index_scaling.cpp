@@ -35,9 +35,6 @@ store::StoreConfig store_config(bool use_index, store::CoveragePolicy policy) {
   config.policy = policy;
   config.use_index = use_index;
   config.engine.max_iterations = 5'000;
-  // Part 1 measures pure matching at a fixed k: keep every inserted
-  // subscription active (no pairwise demotion shrinking the set).
-  config.demote_covered_actives = policy != store::CoveragePolicy::kNone;
   return config;
 }
 

@@ -163,7 +163,6 @@ void store_match_benchmark(benchmark::State& state, bool use_index) {
   workload::ComparisonStream stream(config, 19);
   store::StoreConfig store_config;
   store_config.policy = store::CoveragePolicy::kNone;
-  store_config.demote_covered_actives = false;
   store_config.use_index = use_index;
   store::SubscriptionStore store(store_config, 20);
   for (std::int64_t i = 0; i < state.range(0); ++i) store.insert(stream.next());

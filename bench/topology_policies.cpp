@@ -5,7 +5,8 @@
 // suppressed subscription saves — the local reduction is "exponentially
 // amplified in the network diameter". Measures subscription messages,
 // publication messages and delivery ratio for flooding / pairwise / group
-// across chain, star, balanced-tree and ring topologies of 15 brokers.
+// across chain, star, balanced-tree and 3x5 grid (comb spanning tree)
+// topologies of 15 brokers.
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -25,6 +26,7 @@ constexpr std::size_t kBrokers = 15;
 
 BrokerNetwork make_topology(const std::string& name, NetworkConfig config) {
   if (name == "chain") return BrokerNetwork::chain_topology(kBrokers, config);
+  if (name == "grid") return BrokerNetwork::grid_topology(3, 5, config);
   BrokerNetwork net(config);
   for (std::size_t i = 0; i < kBrokers; ++i) net.add_broker();
   if (name == "star") {
@@ -32,10 +34,6 @@ BrokerNetwork make_topology(const std::string& name, NetworkConfig config) {
   } else if (name == "tree") {
     for (BrokerId child = 1; child < kBrokers; ++child) {
       net.connect((child - 1) / 2, child);  // balanced binary tree
-    }
-  } else if (name == "ring") {
-    for (BrokerId i = 0; i < kBrokers; ++i) {
-      net.connect(i, static_cast<BrokerId>((i + 1) % kBrokers));
     }
   } else {
     throw std::invalid_argument("unknown topology " + name);
@@ -75,7 +73,7 @@ int main(int argc, char** argv) try {
   stream_config.min_constrained = 3;
   stream_config.max_constrained = 6;
 
-  for (const std::string topology : {"chain", "star", "tree", "ring"}) {
+  for (const std::string topology : {"chain", "star", "tree", "grid"}) {
     for (const auto policy :
          {store::CoveragePolicy::kNone, store::CoveragePolicy::kPairwise,
           store::CoveragePolicy::kGroup}) {

@@ -76,15 +76,6 @@ std::optional<TableEntry> ConflictTable::entry(std::size_t row,
   return e;
 }
 
-std::vector<TableEntry> ConflictTable::defined_entries(std::size_t row) const {
-  std::vector<TableEntry> entries;
-  entries.reserve(defined_counts_.at(row));
-  for (std::size_t c = 0; c < column_count(); ++c) {
-    if (auto e = entry(row, c)) entries.push_back(*e);
-  }
-  return entries;
-}
-
 bool ConflictTable::entries_conflict(const Subscription& s, const TableEntry& a,
                                      const TableEntry& b) {
   // Entries on different attributes constrain independent axes; the

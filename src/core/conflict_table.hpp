@@ -38,12 +38,6 @@ struct TableEntry {
   friend bool operator==(const TableEntry&, const TableEntry&) = default;
 };
 
-/// Row summary used by the corollaries and MCS.
-struct RowStats {
-  std::size_t defined_count = 0;       ///< t_i in the paper
-  std::size_t conflict_free_count = 0; ///< fc_i (filled by Mcs analysis)
-};
-
 /// The conflict table for subscription `s` versus subscription set `S`.
 /// Rows correspond 1:1 to the subscriptions passed at construction; columns
 /// to the 2m negated simple predicates. Construction is O(m * k).
@@ -103,20 +97,10 @@ class ConflictTable {
     return defined_counts_.at(row);
   }
 
-  /// All defined entries of a row, in column order.
-  [[nodiscard]] std::vector<TableEntry> defined_entries(std::size_t row) const;
-
   /// True iff the row has no defined entries — s is covered by that single
   /// subscription (Corollary 1).
   [[nodiscard]] bool row_all_undefined(std::size_t row) const {
     return defined_counts_.at(row) == 0;
-  }
-
-  /// True iff every column of the row is defined — s strictly sticks out of
-  /// s_i on every side, hence s covers s_i's span on all attributes
-  /// (Corollary 2).
-  [[nodiscard]] bool row_all_defined(std::size_t row) const {
-    return defined_counts_.at(row) == column_count();
   }
 
   /// Two defined entries *conflict* iff they come from different rows and

@@ -41,7 +41,7 @@ void serve_client_op(TcpTransport& transport, routing::BrokerRuntime& runtime,
       break;
     case ClientOpKind::kPublish:
       // The token is driver-assigned (globally unique without broker
-      // coordination); the source marks it seen like any other hop.
+      // coordination); it keys the cascade's local matches to this op.
       runtime.publish(msg.pub, local, msg.token);
       break;
     case ClientOpKind::kShutdown:

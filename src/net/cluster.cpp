@@ -45,6 +45,13 @@ Cluster::Cluster(ClusterOptions options) : options_(std::move(options)) {
     members_[a].neighbors.push_back(b);
     members_[b].neighbors.push_back(a);
   }
+  // Brokers forward by reverse path with no duplicate check, so a cycle
+  // would circulate a publication forever: the links must form a forest.
+  try {
+    (void)routing::LinkState(universe());
+  } catch (const std::logic_error&) {
+    fail("links must form a forest");
+  }
 }
 
 Cluster::~Cluster() {

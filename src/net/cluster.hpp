@@ -44,7 +44,8 @@ struct ClusterOptions {
   /// PSC_BROKERD_BIN definition).
   std::string brokerd_path;
   std::size_t brokers = 0;
-  /// Undirected overlay links; must form a tree over [0, brokers).
+  /// Undirected overlay links over [0, brokers); the constructor throws
+  /// unless they form a forest (no cycle, no repeated link).
   std::vector<std::pair<routing::BrokerId, routing::BrokerId>> links;
   std::uint64_t seed = 0xfeedbeefULL;
   /// Ignored: a broker's publish lane is one store and psc_brokerd takes

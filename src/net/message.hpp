@@ -79,7 +79,7 @@ struct NetMessage {
   core::Subscription sub;             ///< kSubscribe payload
   core::SubscriptionId id = 0;        ///< kUnsubscribe target
   core::Publication pub;              ///< kPublish payload
-  std::uint64_t token = 0;            ///< kPublish: driver-assigned dedup token
+  std::uint64_t token = 0;            ///< kPublish: driver-assigned token
 
   // kEvent
   EventKind event = EventKind::kReady;

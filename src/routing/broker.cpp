@@ -21,7 +21,6 @@ namespace {
 store::StoreConfig lane_config(const store::StoreConfig& store_config) {
   store::StoreConfig config;
   config.policy = store::CoveragePolicy::kNone;
-  config.demote_covered_actives = false;
   config.use_index = store_config.use_index;
   config.index = store_config.index;
   return config;
@@ -159,9 +158,9 @@ const Subscription* Broker::routed_subscription(SubscriptionId id) const {
 std::vector<BrokerId> Broker::handle_subscription(const Subscription& sub,
                                                   const Origin& origin,
                                                   std::uint64_t* suppressed_out) {
-  // Duplicate flood suppression: if we already route this subscription,
-  // do not re-forward (cycles in the overlay graph are cut here). A
-  // suppressed duplicate costs one table probe and no subscription copy.
+  // Duplicate suppression: if we already route this subscription (a
+  // re-announcement of an id this broker still holds), do not re-forward.
+  // A suppressed duplicate costs one table probe and no subscription copy.
   if (!add_route(sub, origin)) return {};
 
   std::vector<BrokerId> forward_to;
@@ -281,9 +280,6 @@ Broker::Snapshot Broker::export_snapshot() const {
     if (it == forwarded_.end()) continue;
     snapshot.links.emplace_back(neighbor, it->second->export_snapshot());
   }
-  snapshot.seen_tokens.assign(seen_publications_.begin(),
-                              seen_publications_.end());
-  std::sort(snapshot.seen_tokens.begin(), snapshot.seen_tokens.end());
   return snapshot;
 }
 
@@ -292,8 +288,7 @@ void Broker::import_snapshot(const Snapshot& snapshot) {
     throw std::invalid_argument(
         "Broker::import_snapshot: snapshot belongs to another broker id");
   }
-  if (routing_table_.size() != 0 || !forwarded_.empty() ||
-      !seen_publications_.empty()) {
+  if (routing_table_.size() != 0 || !forwarded_.empty()) {
     throw std::logic_error("Broker::import_snapshot: broker is not empty");
   }
   routing_table_.reserve(snapshot.routes.size());
@@ -316,8 +311,6 @@ void Broker::import_snapshot(const Snapshot& snapshot) {
     // (incl. the engine RNG stream captured at export).
     forwarded_mutable(neighbor).import_snapshot(store_snapshot);
   }
-  seen_publications_.insert(snapshot.seen_tokens.begin(),
-                            snapshot.seen_tokens.end());
 }
 
 std::vector<std::uint8_t> Broker::snapshot() const {

@@ -18,6 +18,11 @@
 //     the paper's traffic-suppression step, and where the probabilistic
 //     group check plugs in.
 //
+// A broker keeps no per-publication state: the overlay is a forest and a
+// publication is never sent back where it came from, so each broker sees
+// it at most once (routing/broker_network.hpp). Publishing leaves a broker
+// byte-identical.
+//
 // Concurrency model: a Broker is externally single-threaded — one event
 // at a time.
 #pragma once
@@ -27,7 +32,6 @@
 #include <memory>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -157,14 +161,6 @@ class Broker {
                                              const Origin& origin,
                                              PublishScratch& scratch) const;
 
-  /// Duplicate suppression for publications on cyclic overlays: marks the
-  /// (network-assigned) token as seen and reports whether it was new.
-  /// Without this, a publication whose reverse paths point both ways
-  /// around a cycle bounces until the simulation horizon.
-  [[nodiscard]] bool mark_publication_seen(std::uint64_t token) {
-    return seen_publications_.insert(token).second;
-  }
-
   /// All subscription ids whose reverse path points at `origin`.
   [[nodiscard]] std::vector<core::SubscriptionId> subscriptions_from(
       const Origin& origin) const;
@@ -190,8 +186,8 @@ class Broker {
 
   /// Complete serializable state of a broker: the routing table (with
   /// reverse-path origins), every per-link forwarded store (full coverage
-  /// state incl. engine RNG — see store::SubscriptionStore::Snapshot), and
-  /// the publication dedup tokens. The lane indexes are rebuilt on import.
+  /// state incl. engine RNG — see store::SubscriptionStore::Snapshot). The
+  /// lane indexes are rebuilt on import.
   /// Binary codec:
   /// wire/snapshot.hpp; framed convenience forms: snapshot()/restore().
   struct Snapshot {
@@ -207,8 +203,6 @@ class Broker {
     /// Per-link coverage state, in neighbour order. Links that never
     /// forwarded anything have no entry.
     std::vector<std::pair<BrokerId, store::SubscriptionStore::Snapshot>> links;
-    /// Publication tokens already processed, sorted ascending.
-    std::vector<std::uint64_t> seen_tokens;
   };
 
   [[nodiscard]] Snapshot export_snapshot() const;
@@ -247,9 +241,6 @@ class Broker {
 
   /// Per outgoing link: what we already forwarded there (coverage state).
   std::unordered_map<BrokerId, std::unique_ptr<store::SubscriptionStore>> forwarded_;
-
-  /// Publication tokens already processed (cycle suppression).
-  std::unordered_set<std::uint64_t> seen_publications_;
 
   store::SubscriptionStore& forwarded_mutable(BrokerId neighbor);
 

@@ -1,7 +1,6 @@
 #include "routing/broker_network.hpp"
 
 #include <algorithm>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -19,14 +18,12 @@ using core::SubscriptionId;
 namespace {
 
 store::StoreConfig registry_store_config(const index::IndexConfig& index) {
-  // FlatOracle's ground-truth configuration, but indexed: no coverage and
-  // no demotion (a pairwise-covered client subscription would otherwise
-  // drop out of match_active), so every registered subscription stays
-  // individually matchable. Mixed-arity registries fall back to flat scans
-  // inside the store.
+  // FlatOracle's ground-truth configuration, but indexed: no coverage, so
+  // every registered subscription stays active and individually
+  // matchable. Mixed-arity registries fall back to flat scans inside the
+  // store.
   store::StoreConfig config;
   config.policy = store::CoveragePolicy::kNone;
-  config.demote_covered_actives = false;
   config.use_index = true;
   config.index = index;
   return config;
@@ -98,8 +95,7 @@ void BrokerNetwork::drain_escalations() {
   while (!pending_escalations_.empty()) {
     const auto [a, b] = pending_escalations_.front();
     pending_escalations_.erase(pending_escalations_.begin());
-    ensure_membership();
-    if (!link_state_->has_link(a, b)) continue;  // already down or removed
+    if (!link_state_.has_link(a, b)) continue;  // already down or removed
     escalated_links_.push_back(std::minmax(a, b));
     fail_link(a, b);
   }
@@ -118,16 +114,16 @@ void BrokerNetwork::set_link_bursts(std::vector<LinkChannels::BurstWindow> burst
 BrokerId BrokerNetwork::add_broker() {
   const auto id = static_cast<BrokerId>(brokers_.size());
   brokers_.push_back(std::make_unique<Broker>(make_broker(id)));
-  // Keep the membership link-state in lockstep once it is engaged.
-  if (link_state_) (void)link_state_->add_broker();
+  (void)link_state_.add_broker();
   return id;
 }
 
 void BrokerNetwork::connect(BrokerId a, BrokerId b) {
-  if (a == b) throw std::invalid_argument("BrokerNetwork::connect: self-link");
-  brokers_.at(a)->add_neighbor(b);
-  brokers_.at(b)->add_neighbor(a);
-  if (link_state_) link_state_->add_link(a, b);
+  // LinkState validates first (ids, self-link, liveness, forest
+  // invariant), so a rejected link leaves the neighbour lists untouched.
+  link_state_.add_link(a, b);
+  brokers_[a]->add_neighbor(b);
+  brokers_[b]->add_neighbor(a);
 }
 
 BrokerNetwork BrokerNetwork::figure1_topology(NetworkConfig config) {
@@ -262,71 +258,31 @@ BrokerNetwork BrokerNetwork::random_regular_topology(std::size_t n,
 
 // --- runtime membership -------------------------------------------------
 
-std::set<std::pair<BrokerId, BrokerId>> BrokerNetwork::neighbor_links() const {
-  std::set<std::pair<BrokerId, BrokerId>> links;
-  for (std::size_t b = 0; b < brokers_.size(); ++b) {
-    for (const BrokerId neighbor : brokers_[b]->neighbors()) {
-      links.insert(std::minmax(static_cast<BrokerId>(b), neighbor));
-    }
-  }
-  return links;
-}
-
-void BrokerNetwork::ensure_membership() {
-  if (link_state_) return;
-  LinkState state;
-  for (std::size_t b = 0; b < brokers_.size(); ++b) (void)state.add_broker();
-  // add_link enforces the forest invariant, so a cyclic static topology is
-  // rejected here — membership repair (purge-on-detach) is only correct on
-  // trees.
-  for (const auto& [a, b] : neighbor_links()) state.add_link(a, b);
-  link_state_.emplace(std::move(state));
-}
-
 void BrokerNetwork::require_alive(BrokerId broker, const char* what) const {
   if (broker >= brokers_.size()) {
     throw std::invalid_argument(std::string("BrokerNetwork::") + what +
                                 ": unknown broker");
   }
-  if (link_state_ && !link_state_->is_alive(broker)) {
+  if (!link_state_.is_alive(broker)) {
     throw std::invalid_argument(std::string("BrokerNetwork::") + what +
                                 ": broker is not alive");
   }
 }
 
-bool BrokerNetwork::is_alive(BrokerId broker) const {
-  if (broker >= brokers_.size()) {
-    throw std::invalid_argument("BrokerNetwork::is_alive: unknown broker");
-  }
-  return !link_state_ || link_state_->is_alive(broker);
-}
-
-const LinkState& BrokerNetwork::link_state() const {
-  if (!link_state_) {
-    throw std::logic_error("BrokerNetwork::link_state: membership not engaged");
-  }
-  return *link_state_;
-}
-
 MembershipUniverse BrokerNetwork::universe() const {
   MembershipUniverse universe;
   universe.brokers = brokers_.size();
-  if (link_state_) {
-    universe.links.assign(link_state_->live_links().begin(),
-                          link_state_->live_links().end());
-    universe.standby.assign(link_state_->failed_links().begin(),
-                            link_state_->failed_links().end());
-    return universe;
-  }
-  const auto links = neighbor_links();
-  universe.links.assign(links.begin(), links.end());
+  universe.links.assign(link_state_.live_links().begin(),
+                        link_state_.live_links().end());
+  universe.standby.assign(link_state_.failed_links().begin(),
+                          link_state_.failed_links().end());
   return universe;
 }
 
 std::size_t BrokerNetwork::ghost_route_count() const {
   std::size_t ghosts = 0;
   for (std::size_t b = 0; b < brokers_.size(); ++b) {
-    if (link_state_ && !link_state_->is_alive(static_cast<BrokerId>(b))) {
+    if (!link_state_.is_alive(static_cast<BrokerId>(b))) {
       continue;  // dead brokers are wiped; their tables are vacuously clean
     }
     for (const SubscriptionId sid : brokers_[b]->routed_ids()) {
@@ -356,18 +312,16 @@ void BrokerNetwork::attach_link(BrokerId a, BrokerId b) {
 }
 
 BrokerId BrokerNetwork::add_peer(BrokerId attach_to) {
-  ensure_membership();
   require_alive(attach_to, "add_peer");
   ++metrics_.membership_events;
   const BrokerId id = add_broker();  // syncs link_state_'s broker count
-  link_state_->add_link(attach_to, id);
+  link_state_.add_link(attach_to, id);
   attach_link(attach_to, id);
   drain_escalations();
   return id;
 }
 
 void BrokerNetwork::remove_peer(BrokerId broker) {
-  ensure_membership();
   require_alive(broker, "remove_peer");
   ++metrics_.membership_events;
   // 1. Graceful departure takes its clients with it: unsubscribe every
@@ -380,8 +334,8 @@ void BrokerNetwork::remove_peer(BrokerId broker) {
   for (const SubscriptionId sid : homed) unsubscribe(broker, sid);
   // 2. Link-state repair plan (flips the broker dead, removes its links,
   //    returns the star-repair links over its former neighbours).
-  const std::vector<BrokerId> former = link_state_->neighbors(broker);
-  const auto repairs = link_state_->remove_peer(broker);
+  const std::vector<BrokerId> former = link_state_.neighbors(broker);
+  const auto repairs = link_state_.remove_peer(broker);
   // 3. Every former neighbour purges what it learned from the leaver; the
   //    leaver's own state dies with it.
   for (const BrokerId neighbor : former) detach_and_purge(neighbor, broker);
@@ -393,9 +347,8 @@ void BrokerNetwork::remove_peer(BrokerId broker) {
 }
 
 void BrokerNetwork::fail_link(BrokerId a, BrokerId b) {
-  ensure_membership();
   ++metrics_.membership_events;
-  link_state_->fail_link(a, b);
+  link_state_.fail_link(a, b);
   detach_and_purge(a, b);
   detach_and_purge(b, a);
   run_cascade();
@@ -403,23 +356,20 @@ void BrokerNetwork::fail_link(BrokerId a, BrokerId b) {
 }
 
 void BrokerNetwork::heal_link(BrokerId a, BrokerId b) {
-  ensure_membership();
   ++metrics_.membership_events;
-  link_state_->heal_link(a, b);
+  link_state_.heal_link(a, b);
   attach_link(a, b);
   drain_escalations();
 }
 
 void BrokerNetwork::add_standby_link(BrokerId a, BrokerId b) {
-  ensure_membership();
-  link_state_->add_standby(a, b);
+  link_state_.add_standby(a, b);
 }
 
 void BrokerNetwork::crash_peer(BrokerId broker) {
-  ensure_membership();
   require_alive(broker, "crash_peer");
   ++metrics_.membership_events;
-  const auto downed = link_state_->crash_peer(broker);
+  const auto downed = link_state_.crash_peer(broker);
   // Crash-stop: state is lost wholesale. Registry entries homed here stay
   // (their clients are unaware); TTL timers in the queue keep firing and
   // resolve against the fresh broker (wiped in place) as no-ops.
@@ -433,16 +383,15 @@ void BrokerNetwork::crash_peer(BrokerId broker) {
 
 BrokerNetwork::ReplaceOutcome BrokerNetwork::replace_peer(
     BrokerId broker, std::span<const std::uint8_t> image) {
-  ensure_membership();
   if (broker >= brokers_.size()) {
     throw std::invalid_argument("BrokerNetwork::replace_peer: unknown broker");
   }
-  if (link_state_->is_alive(broker)) {
+  if (link_state_.is_alive(broker)) {
     throw std::logic_error("BrokerNetwork::replace_peer: broker is alive");
   }
   ++metrics_.membership_events;
   ReplaceOutcome outcome;
-  outcome.healed_links = link_state_->replace_peer(broker);
+  outcome.healed_links = link_state_.replace_peer(broker);
 
   // Prune the image to local-origin routes whose client subscription is
   // still registered here: non-local routes describe an overlay that has
@@ -589,8 +538,8 @@ std::vector<SubscriptionId> BrokerNetwork::publish(BrokerId broker,
   delivered.erase(std::unique(delivered.begin(), delivered.end()),
                   delivered.end());
   metrics_.notifications_duplicated += raw - delivered.size();
-  // Loss accounting against ground truth (component-aware once membership
-  // is engaged — a partitioned subscriber is unreachable, not lost).
+  // Loss accounting against ground truth (component-aware: a partitioned
+  // or crashed subscriber is unreachable, not lost).
   for (const SubscriptionId id : expected_recipients(broker, pub)) {
     if (std::binary_search(delivered.begin(), delivered.end(), id)) {
       ++metrics_.notifications_delivered;
@@ -629,19 +578,16 @@ std::vector<std::uint8_t> BrokerNetwork::snapshot_all() const {
     for (const BrokerId neighbor : broker->neighbors()) out.varint(neighbor);
   }
 
-  // v2 membership block: engaged flag; when engaged, the alive bitmap and
-  // the failed/standby link set. Live links are implied by the neighbour
-  // lists above, so only the down links need serializing.
-  out.u8(link_state_ ? 1 : 0);
-  if (link_state_) {
-    for (std::size_t b = 0; b < brokers_.size(); ++b) {
-      out.u8(link_state_->is_alive(static_cast<BrokerId>(b)) ? 1 : 0);
-    }
-    out.varint(link_state_->failed_links().size());
-    for (const auto& [a, b] : link_state_->failed_links()) {
-      out.varint(a);
-      out.varint(b);
-    }
+  // Membership block: the alive bitmap and the failed/standby link set.
+  // Live links are implied by the neighbour lists above, so only the down
+  // links need serializing.
+  for (std::size_t b = 0; b < brokers_.size(); ++b) {
+    out.u8(link_state_.is_alive(static_cast<BrokerId>(b)) ? 1 : 0);
+  }
+  out.varint(link_state_.failed_links().size());
+  for (const auto& [a, b] : link_state_.failed_links()) {
+    out.varint(a);
+    out.varint(b);
   }
 
   out.f64(queue_.now());
@@ -685,7 +631,7 @@ void BrokerNetwork::restore_all(std::span<const std::uint8_t> bytes) {
   metrics_.reset();
   publication_token_ = 0;
   publish_scratch_ = Broker::PublishScratch{};
-  link_state_.reset();
+  link_state_ = LinkState{};
   // Transport state is runtime-only (snapshots are taken at quiescence,
   // when every stream is fully acked): discard and rebuild lazily, so both
   // ends of every link restart at sequence zero together under the
@@ -712,52 +658,34 @@ void BrokerNetwork::restore_all(std::span<const std::uint8_t> bytes) {
       neighbor_lists[b].push_back(neighbor);
     }
   }
-  const std::uint8_t has_membership = in.u8();
-  if (has_membership > 1) throw wire::DecodeError("wire: bad membership flag");
-  std::vector<char> alive_bits;
-  std::vector<std::pair<BrokerId, BrokerId>> failed_links;
-  if (has_membership) {
-    alive_bits.resize(broker_count);
+  // Rebuild brokers and link-state together: all brokers up, live links
+  // from the neighbour lists (each list verbatim, in order), then the
+  // alive bitmap and the down links of the membership block. LinkState's
+  // own checks reject inconsistent (corrupted) combinations.
+  for (std::size_t b = 0; b < broker_count; ++b) (void)add_broker();
+  try {
+    for (std::size_t b = 0; b < broker_count; ++b) {
+      const auto id = static_cast<BrokerId>(b);
+      for (const BrokerId neighbor : neighbor_lists[b]) {
+        if (!link_state_.has_link(id, neighbor)) {
+          link_state_.add_link(id, neighbor);
+        }
+        brokers_[b]->add_neighbor(neighbor);
+      }
+    }
     for (std::size_t b = 0; b < broker_count; ++b) {
       const std::uint8_t bit = in.u8();
       if (bit > 1) throw wire::DecodeError("wire: bad alive bit");
-      alive_bits[b] = static_cast<char>(bit);
+      if (bit == 0) link_state_.set_dead(static_cast<BrokerId>(b));
     }
     const std::size_t failed_count = in.count();
-    failed_links.reserve(failed_count);
     for (std::size_t i = 0; i < failed_count; ++i) {
       const auto a = static_cast<BrokerId>(in.varint());
       const auto b = static_cast<BrokerId>(in.varint());
-      if (a >= broker_count || b >= broker_count) {
-        throw wire::DecodeError("wire: failed-link id out of range");
-      }
-      failed_links.emplace_back(a, b);
+      link_state_.add_standby(a, b);
     }
-  }
-
-  for (std::size_t b = 0; b < broker_count; ++b) (void)add_broker();
-  for (std::size_t b = 0; b < broker_count; ++b) {
-    for (const BrokerId neighbor : neighbor_lists[b]) {
-      brokers_[b]->add_neighbor(neighbor);
-    }
-  }
-
-  if (has_membership) {
-    // Rebuild the link-state: all brokers up, live links from the neighbour
-    // lists, down links from the block, then the alive bitmap. LinkState's
-    // own invariant checks catch inconsistent (corrupted) combinations.
-    LinkState state;
-    for (std::size_t b = 0; b < broker_count; ++b) (void)state.add_broker();
-    try {
-      for (const auto& [a, b] : neighbor_links()) state.add_link(a, b);
-      for (const auto& [a, b] : failed_links) state.add_standby(a, b);
-      for (std::size_t b = 0; b < broker_count; ++b) {
-        if (!alive_bits[b]) state.set_dead(static_cast<BrokerId>(b));
-      }
-    } catch (const std::logic_error&) {
-      throw wire::DecodeError("wire: inconsistent membership block");
-    }
-    link_state_.emplace(std::move(state));
+  } catch (const std::logic_error&) {
+    throw wire::DecodeError("wire: inconsistent membership block");
   }
 
   const sim::SimTime now = in.f64();
@@ -829,14 +757,18 @@ std::vector<SubscriptionId> BrokerNetwork::expected_recipients(
 std::vector<SubscriptionId> BrokerNetwork::expected_recipients(
     BrokerId from, const Publication& pub) const {
   std::vector<SubscriptionId> ids = expected_recipients(pub);
-  if (!link_state_) return ids;
+  // Every broker alive on one tree: everything registered is reachable.
+  if (link_state_.alive_count() == brokers_.size() &&
+      link_state_.component_count() == 1) {
+    return ids;
+  }
   // A subscription is reachable iff its home broker is alive and in the
   // publisher's component. Registry entries homed at a crashed broker stay
   // registered (the client is unaware), but nothing can deliver to them.
   std::erase_if(ids, [&](SubscriptionId sid) {
     const BrokerId home = local_subs_.at(sid).home;
-    return !link_state_->is_alive(home) ||
-           !link_state_->same_component(from, home);
+    return !link_state_.is_alive(home) ||
+           !link_state_.same_component(from, home);
   });
   return ids;
 }

@@ -4,6 +4,13 @@
 // SimTransport; the network owns the topology, runtime membership, the
 // client registry, traffic and loss accounting, and snapshots.
 //
+// One overlay model: the live links always form a spanning forest of the
+// alive brokers (the paper's acyclic broker tree, Figure 1). connect() and
+// every membership operation keep the network's LinkState in lockstep
+// with the brokers' neighbour lists and refuse a link that would close a
+// cycle, so a publication reaches each broker at most once and no broker
+// keeps per-publication state.
+//
 // Loss accounting: when a publication is injected, the network computes the
 // ground-truth recipient set (every local subscription anywhere whose box
 // contains the point, by stabbing the client registry's own coverage-free
@@ -15,7 +22,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <set>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -61,7 +67,11 @@ class BrokerNetwork {
   /// Adds a broker; ids are dense [0, broker_count).
   BrokerId add_broker();
 
-  /// Adds an undirected link between two existing brokers.
+  /// Adds an undirected link between two existing, alive brokers. Throws
+  /// std::invalid_argument on a self-link or an unknown id, and
+  /// std::logic_error if the brokers are already connected (a repeated
+  /// link, or one that would close a cycle); either way before any
+  /// neighbour list changes.
   void connect(BrokerId a, BrokerId b);
 
   /// Builds the paper's Figure 1 topology: nine brokers B1..B9 (ids 0..8)
@@ -100,11 +110,9 @@ class BrokerNetwork {
   // state, runs the resulting repair traffic to quiescence before
   // returning, and keeps the LIVE link set a spanning forest of the alive
   // brokers (the forest invariant — see routing/membership.hpp; an op that
-  // would close a live cycle throws std::logic_error). The first call
-  // builds the membership LinkState from the current topology, which must
-  // itself be acyclic at that point. Preconditions mirror LinkState's;
-  // all ops assume a quiescent network (between client ops), like
-  // snapshot_all.
+  // would close a live cycle throws std::logic_error). Preconditions
+  // mirror LinkState's; all ops assume a quiescent network (between
+  // client ops), like snapshot_all.
   //
   // Protocol summary (docs/ARCHITECTURE.md, "Runtime membership"):
   //   * link detach (fail_link, crash, leave): both surviving endpoints
@@ -172,15 +180,15 @@ class BrokerNetwork {
   ReplaceOutcome replace_peer(BrokerId broker,
                               std::span<const std::uint8_t> image);
 
-  /// True while `broker` is alive (always true before the first
-  /// membership operation engages tracking).
-  [[nodiscard]] bool is_alive(BrokerId broker) const;
+  /// True while `broker` is alive. Throws std::invalid_argument on an
+  /// unknown id.
+  [[nodiscard]] bool is_alive(BrokerId broker) const {
+    return link_state_.is_alive(broker);
+  }
 
   /// The membership link-state (alive set, live/failed links, components).
-  /// Throws std::logic_error before membership is engaged.
-  [[nodiscard]] const LinkState& link_state() const;
-  [[nodiscard]] bool membership_active() const noexcept {
-    return link_state_.has_value();
+  [[nodiscard]] const LinkState& link_state() const noexcept {
+    return link_state_;
   }
 
   /// The overlay's static shape for workload generation: broker count,
@@ -252,9 +260,9 @@ class BrokerNetwork {
   void reset_metrics() noexcept { metrics_.reset(); }
 
   /// Ground truth: ids of local subscriptions (anywhere) matching `pub`,
-  /// sorted ascending, ignoring membership (the pre-membership accounting
-  /// contract). One stab of the client registry's index: every registered
-  /// subscription is an active entry there (no coverage, no demotion).
+  /// sorted ascending, ignoring liveness and components. One stab of the
+  /// client registry's index: every registered subscription is an active
+  /// entry there (no coverage, no demotion).
   [[nodiscard]] std::vector<core::SubscriptionId> expected_recipients(
       const core::Publication& pub) const;
 
@@ -262,18 +270,18 @@ class BrokerNetwork {
   /// whose home broker is alive and reachable from `from` over the live
   /// link set, sorted ascending. The registry stab comes first; only its
   /// matches are filtered by home liveness and component. Identical to
-  /// the overload above until membership is engaged (one component,
-  /// everyone alive). This is what publish()'s loss accounting uses — a
+  /// the overload above while every broker is alive and the live links
+  /// form one tree. This is what publish()'s loss accounting uses — a
   /// partition is not a loss, it is a smaller ground-truth set.
   [[nodiscard]] std::vector<core::SubscriptionId> expected_recipients(
       BrokerId from, const core::Publication& pub) const;
 
   /// Serializes the WHOLE overlay — configuration, topology (per-broker
   /// neighbour lists in their original order), every broker's state
-  /// (routing tables, link coverage stores incl. engine RNG streams,
-  /// publication dedup tokens), client subscription registry with TTL
-  /// expiries, the simulation clock, and the publication token counter —
-  /// into one self-describing buffer ("PSCN" magic + format version; see
+  /// (routing tables, link coverage stores incl. engine RNG streams), the
+  /// membership block (alive bitmap, failed links), client subscription
+  /// registry with TTL expiries, the simulation clock, and the publication
+  /// token counter — into one self-describing buffer ("PSCN" magic + format version; see
   /// docs/ARCHITECTURE.md, "Wire format").
   ///
   /// Precondition: the network is QUIESCENT — between client ops, with no
@@ -305,10 +313,9 @@ class BrokerNetwork {
   /// One protocol runtime per broker, built with the transport (their
   /// callbacks close over `this`): runtime(id) builds any that are missing.
   std::vector<std::unique_ptr<BrokerRuntime>> runtimes_;
-  /// Engaged by the first membership operation (or add_standby_link);
-  /// nullopt means the overlay is static and pre-membership semantics
-  /// apply everywhere.
-  std::optional<LinkState> link_state_;
+  /// Alive set and live/failed links, kept in lockstep with the brokers'
+  /// neighbour lists by add_broker, connect and the membership operations.
+  LinkState link_state_;
 
   /// Client registry: where each live client subscription is homed and
   /// when it expires. The subscription itself lives in registry_subs_.
@@ -386,11 +393,6 @@ class BrokerNetwork {
   /// Re-entrant calls (fail_link runs inside the drain) are no-ops.
   void drain_escalations();
 
-  /// The undirected links of the brokers' neighbour lists, as (min, max).
-  [[nodiscard]] std::set<std::pair<BrokerId, BrokerId>> neighbor_links() const;
-  /// Builds link_state_ from the current topology on first membership use;
-  /// throws std::logic_error if the live topology is cyclic.
-  void ensure_membership();
   void require_alive(BrokerId broker, const char* what) const;
 
   /// Detach-side purge: resets the (at, dead) link's channel state, then

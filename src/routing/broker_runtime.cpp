@@ -66,8 +66,6 @@ void BrokerRuntime::unsubscribe(SubscriptionId id, Origin origin) {
 
 void BrokerRuntime::publish(const Publication& pub, Origin origin,
                             std::uint64_t token) {
-  // Cycle suppression: each broker processes one publication token once.
-  if (!broker_.mark_publication_seen(token)) return;
   // The route lives in the host's shared scratch and is consumed before
   // this call returns: sends copy what they need, so the next hop reusing
   // the scratch is safe.

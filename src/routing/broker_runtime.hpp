@@ -65,7 +65,8 @@ class BrokerRuntime {
   void unsubscribe(core::SubscriptionId id, Origin origin);
 
   /// A publication arrives from `origin`: delivers the local matches and
-  /// forwards it along the reverse paths. Each token is handled once.
+  /// forwards it along the reverse paths. `token` rides along to keep the
+  /// local matches with the publish call that caused them.
   void publish(const core::Publication& pub, Origin origin,
                std::uint64_t token);
 

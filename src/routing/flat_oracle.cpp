@@ -17,7 +17,6 @@ store::StoreConfig oracle_store_config() {
   // direct flat box scan, independent of the structures under test.
   store::StoreConfig config;
   config.policy = store::CoveragePolicy::kNone;
-  config.demote_covered_actives = false;
   config.use_index = false;
   return config;
 }

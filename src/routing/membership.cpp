@@ -226,11 +226,11 @@ void LinkState::refresh_components() const {
     adjacency[a].push_back(b);
     adjacency[b].push_back(a);
   }
-  std::uint32_t next_component = 0;
+  component_count_ = 0;
   std::vector<BrokerId> frontier;
   for (BrokerId start = 0; start < alive_.size(); ++start) {
     if (!alive_[start] || component_[start] != kNoComponent) continue;
-    const std::uint32_t label = next_component++;
+    const std::uint32_t label = component_count_++;
     component_[start] = label;
     frontier.assign(1, start);
     for (std::size_t head = 0; head < frontier.size(); ++head) {
@@ -254,14 +254,7 @@ bool LinkState::same_component(BrokerId a, BrokerId b) const {
 
 std::size_t LinkState::component_count() const {
   if (components_dirty_) refresh_components();
-  std::uint32_t max_label = 0;
-  bool any = false;
-  for (BrokerId b = 0; b < alive_.size(); ++b) {
-    if (!alive_[b]) continue;
-    any = true;
-    max_label = std::max(max_label, component_[b]);
-  }
-  return any ? static_cast<std::size_t>(max_label) + 1 : 0;
+  return component_count_;
 }
 
 }  // namespace psc::routing

@@ -136,7 +136,10 @@ class LinkState {
   std::set<std::pair<BrokerId, BrokerId>> links_;
   std::set<std::pair<BrokerId, BrokerId>> failed_;
 
+  /// Component label per broker (0..component_count_-1 over the alive
+  /// brokers), rebuilt by one BFS after any change to the live links.
   mutable std::vector<std::uint32_t> component_;
+  mutable std::uint32_t component_count_ = 0;
   mutable bool components_dirty_ = true;
 
   void check_id(BrokerId b, const char* what) const;

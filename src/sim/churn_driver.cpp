@@ -124,14 +124,12 @@ std::vector<core::SubscriptionId> replay_op(BrokerNetwork& net,
           // Mirror the first life's skip: a retry-cap escalation may have
           // failed this link already (bursts are absolute-time, so the
           // escalation recurs on replay before this op does).
-          if (!net.membership_active() ||
-              net.link_state().has_link(op.broker, op.peer)) {
+          if (net.link_state().has_link(op.broker, op.peer)) {
             net.fail_link(op.broker, op.peer);
           }
           break;
         case MembershipOpKind::kHealLink:
-          if (!net.membership_active() ||
-              link_healable(net, op.broker, op.peer)) {
+          if (link_healable(net, op.broker, op.peer)) {
             net.heal_link(op.broker, op.peer);
           }
           break;
@@ -442,8 +440,7 @@ ChurnReport ChurnDriver::run(BrokerNetwork& net, const ChurnTrace& trace,
             // A retry-cap escalation may have failed this link before the
             // trace's planned failure arrives; skip it on both replicas
             // (they already agree the link is down).
-            if (net.membership_active() &&
-                !net.link_state().has_link(op.broker, op.peer)) {
+            if (!net.link_state().has_link(op.broker, op.peer)) {
               ++report.membership.skipped_link_failures;
               break;
             }
@@ -455,8 +452,7 @@ ChurnReport ChurnDriver::run(BrokerNetwork& net, const ChurnTrace& trace,
             // Escalations diverge reality from the generator's model; a
             // planned heal may no longer be feasible. Skip it on both
             // replicas — they share reality's link state.
-            if (net.membership_active() &&
-                !link_healable(net, op.broker, op.peer)) {
+            if (!link_healable(net, op.broker, op.peer)) {
               ++report.membership.skipped_link_heals;
               break;
             }
@@ -476,9 +472,7 @@ ChurnReport ChurnDriver::run(BrokerNetwork& net, const ChurnTrace& trace,
 
   report.totals = run_accum + (net.metrics() - run_base);
   report.final_live_subscriptions = net.local_subscription_count();
-  report.membership.final_alive_brokers =
-      net.membership_active() ? net.link_state().alive_count()
-                              : net.broker_count();
+  report.membership.final_alive_brokers = net.link_state().alive_count();
   return report;
 }
 

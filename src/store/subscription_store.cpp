@@ -227,7 +227,12 @@ InsertResult SubscriptionStore::insert(const Subscription& sub) {
   }
   result.engine_result = std::move(diag);
   result.accepted_active = true;
-  if (config_.demote_covered_actives) demote_actives_covered_by(sub, result);
+  // kNone keeps every subscription active, so only a covering policy
+  // demotes.
+  if (config_.demote_covered_actives &&
+      config_.policy != CoveragePolicy::kNone) {
+    demote_actives_covered_by(sub, result);
+  }
   index_insert_active(sub);
   active_index_[sub.id()] = active_.size();
   active_.push_back(sub);

@@ -69,7 +69,9 @@ struct StoreConfig {
   CoveragePolicy policy = CoveragePolicy::kGroup;
   core::EngineConfig engine;
   /// Also demote existing actives that the incoming subscription covers
-  /// pairwise (standard routing-table maintenance; on by default).
+  /// pairwise (standard routing-table maintenance; on by default). Only
+  /// a covering policy demotes: under kNone every subscription stays
+  /// active whatever this says.
   bool demote_covered_actives = true;
   /// Maintain an IntervalIndex over the active set and route publication
   /// matching (point-stab) and coverage-candidate gathering (box-intersect)

@@ -1,9 +1,9 @@
 // Wire codecs — versioned binary round trips for the repo's message-level
 // vocabulary: Interval, Subscription, Publication, routing announcements,
-// and churn-trace records. This is the wire representation a future
-// cross-process/socket transport speaks; today it feeds the broker
-// snapshot format (wire/snapshot.hpp) and the trace artifacts the nightly
-// soaks archive.
+// and churn-trace records. Announcements are what brokers send each other
+// per hop (psc_brokerd frames one per LinkFrame over TCP); the element
+// codecs also build the snapshot format (wire/snapshot.hpp) and the trace
+// artifacts the nightly soaks archive.
 //
 // Conventions (see docs/ARCHITECTURE.md, "Wire format" for the full
 // layout and compatibility rules):
@@ -63,7 +63,8 @@ void write_publication(ByteWriter& out, const core::Publication& pub);
 /// would frame per hop. Mirrors what BrokerNetwork moves over its logical
 /// links: subscription floods (with optional TTL expiry, carried so the
 /// receiver arms its own timer), unsubscription floods, and publication
-/// forwards (with the network-assigned cycle-suppression token).
+/// forwards (with the publish call's token, which keys each broker's local
+/// matches to the call that caused them).
 struct Announcement {
   enum class Kind : std::uint8_t {
     kSubscribe = 1,    ///< sub (+ optional absolute expiry)
@@ -77,7 +78,7 @@ struct Announcement {
   std::optional<double> expiry;           ///< kSubscribe TTL expiry, absolute
   core::SubscriptionId id = 0;            ///< kUnsubscribe target
   core::Publication pub;                  ///< kPublication payload
-  std::uint64_t token = 0;                ///< kPublication dedup token
+  std::uint64_t token = 0;                ///< kPublication: publish-call key
 
   friend bool operator==(const Announcement& a, const Announcement& b) {
     if (a.kind != b.kind || a.from != b.from) return false;

@@ -111,8 +111,6 @@ void write_broker_snapshot(ByteWriter& out, const Broker::Snapshot& snapshot) {
     out.varint(neighbor);
     write_store_snapshot(out, store_snapshot);
   }
-  out.varint(snapshot.seen_tokens.size());
-  for (const std::uint64_t token : snapshot.seen_tokens) out.varint(token);
 }
 
 Broker::Snapshot read_broker_snapshot(ByteReader& in) {
@@ -134,11 +132,6 @@ Broker::Snapshot read_broker_snapshot(ByteReader& in) {
   for (std::size_t i = 0; i < link_count; ++i) {
     const auto neighbor = static_cast<routing::BrokerId>(in.varint());
     snapshot.links.emplace_back(neighbor, read_store_snapshot(in));
-  }
-  const std::size_t token_count = in.count();
-  snapshot.seen_tokens.reserve(token_count);
-  for (std::size_t i = 0; i < token_count; ++i) {
-    snapshot.seen_tokens.push_back(in.varint());
   }
   return snapshot;
 }

@@ -35,8 +35,10 @@ namespace psc::wire {
 /// to the network-config block; v4 drops the index's three mutation-tier
 /// fields from it (IndexConfig is domain + bucket count only); v5 drops
 /// the retired match-shard count; v6 drops the retired hierarchical-match
-/// and engine-prefilter flags (both behaviours are now unconditional).
-inline constexpr std::uint32_t kSnapshotVersion = 6;
+/// and engine-prefilter flags (both behaviours are now unconditional); v7
+/// drops the broker body's publication tokens and the network body's
+/// membership presence byte (the membership block is always written).
+inline constexpr std::uint32_t kSnapshotVersion = 7;
 
 /// Frame magics ("PSCB" / "PSCN" little-endian).
 inline constexpr std::uint32_t kBrokerSnapshotMagic = 0x42435350U;

@@ -212,7 +212,6 @@ class AccountingRun {
         break;
       }
       case 9: {
-        if (!net_.membership_active()) break;
         const LinkState& state = net_.link_state();
         std::vector<std::pair<BrokerId, BrokerId>> healable;
         for (const auto& [a, b] : state.failed_links()) {

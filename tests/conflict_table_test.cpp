@@ -91,7 +91,8 @@ TEST(ConflictTable, RowAllDefinedWhenSStrictlyLarger) {
   const Subscription s = box2(0, 10, 0, 10);
   const std::vector<Subscription> set{box2(2, 8, 2, 8, 1)};
   const ConflictTable table(s, set);
-  EXPECT_TRUE(table.row_all_defined(0));
+  // Every column defined: s sticks out of s_1 on every side (Corollary 2).
+  EXPECT_EQ(table.defined_count(0), table.column_count());
   EXPECT_EQ(table.defined_count(0), 4u);
 }
 
@@ -160,7 +161,11 @@ TEST(ConflictTable, DefinedEntriesListsColumnOrder) {
   const Subscription s = box2(0, 10, 0, 10);
   const std::vector<Subscription> set{box2(2, 8, 2, 8, 1)};
   const ConflictTable table(s, set);
-  const auto entries = table.defined_entries(0);
+  std::vector<TableEntry> entries;
+  for (std::size_t c = 0; c < table.column_count(); ++c) {
+    if (const auto e = table.entry(0, c)) entries.push_back(*e);
+  }
+  ASSERT_EQ(entries.size(), table.defined_count(0));
   ASSERT_EQ(entries.size(), 4u);
   EXPECT_EQ(entries[0].attribute, 0u);
   EXPECT_EQ(entries[0].side, BoundSide::kLower);

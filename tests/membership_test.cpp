@@ -287,12 +287,6 @@ TEST(Membership, GuardsRejectOpsOnDeadBrokers) {
   EXPECT_THROW((void)net.replace_peer(0, {}), std::logic_error);
 }
 
-TEST(Membership, EngagementRejectsCyclicStaticTopologies) {
-  BrokerNetwork net = BrokerNetwork::chain_topology(4, quiet_config());
-  net.connect(0, 3);  // close the ring: legal while membership is off
-  EXPECT_THROW(net.fail_link(0, 1), std::logic_error);
-}
-
 // --- snapshot round trip ------------------------------------------------
 
 TEST(Membership, SnapshotRestoresTheLinkState) {
@@ -304,7 +298,6 @@ TEST(Membership, SnapshotRestoresTheLinkState) {
 
   BrokerNetwork restored(quiet_config());
   restored.restore_all({bytes.data(), bytes.size()});
-  ASSERT_TRUE(restored.membership_active());
   EXPECT_FALSE(restored.is_alive(8));
   EXPECT_TRUE(restored.link_state().has_failed_link(2, 3));
   EXPECT_EQ(restored.link_state().component_count(),

@@ -240,24 +240,60 @@ TEST(BrokerNetwork, SelfLinkRejected) {
   EXPECT_THROW(net.connect(a, a), std::invalid_argument);
 }
 
-TEST(BrokerNetwork, CyclicTopologyTerminates) {
-  // Ring of 4 brokers: duplicate suppression must stop infinite flooding.
-  auto net = BrokerNetwork(with_policy(store::CoveragePolicy::kPairwise));
-  for (int i = 0; i < 4; ++i) net.add_broker();
-  net.connect(0, 1);
-  net.connect(1, 2);
-  net.connect(2, 3);
-  net.connect(3, 0);
+TEST(BrokerNetwork, ConnectRejectsACycle) {
+  // The overlay is always a forest: closing a chain into a ring, or
+  // repeating a link, throws before either neighbour list changes.
+  auto net = BrokerNetwork::chain_topology(
+      4, with_policy(store::CoveragePolicy::kPairwise));
   net.subscribe(0, box2(0, 10, 0, 10, 1));
-  // All brokers learn the subscription; message count is bounded (each of
-  // the 4 links crossed at most twice).
+  std::vector<std::vector<BrokerId>> neighbors;
+  for (BrokerId b = 0; b < 4; ++b) neighbors.push_back(net.broker(b).neighbors());
+  const MembershipUniverse universe = net.universe();
+  const std::vector<std::uint8_t> image = net.snapshot_all();
+
+  EXPECT_THROW(net.connect(3, 0), std::logic_error);  // closes the ring
+  EXPECT_THROW(net.connect(0, 2), std::logic_error);  // shortcut, same tree
+  EXPECT_THROW(net.connect(1, 0), std::logic_error);  // repeats a link
+
   for (BrokerId b = 0; b < 4; ++b) {
-    EXPECT_EQ(net.broker(b).routing_table_size(), 1u);
+    EXPECT_EQ(net.broker(b).neighbors(), neighbors[b]);
   }
-  EXPECT_LE(net.metrics().subscription_messages, 8u);
-  // Publication from the far side still arrives exactly once.
-  const auto delivered = net.publish(2, Publication({5.0, 5.0}));
-  EXPECT_EQ(delivered, (std::vector<SubscriptionId>{1}));
+  EXPECT_EQ(net.universe().brokers, universe.brokers);
+  EXPECT_EQ(net.universe().links, universe.links);
+  EXPECT_EQ(net.universe().standby, universe.standby);
+  EXPECT_EQ(net.snapshot_all(), image);
+  EXPECT_EQ(net.publish(3, Publication({5.0, 5.0})),
+            (std::vector<SubscriptionId>{1}));
+}
+
+TEST(BrokerNetwork, PublishingLeavesNoBrokerState) {
+  // On a forest a publication reaches each broker at most once, so a
+  // broker keeps nothing per publication: its image is unchanged by any
+  // number of publishes.
+  auto net = BrokerNetwork::figure1_topology(
+      with_policy(store::CoveragePolicy::kGroup));
+  SubscriptionId id = 1;
+  for (int b = 1; b <= 9; ++b) {
+    const double lo = 10.0 * b;
+    net.subscribe(B(b), box2(lo, lo + 30, 0, 60, id++));
+    net.subscribe(B(b), box2(lo + 5, lo + 15, 10, 20, id++));
+  }
+  std::vector<std::vector<std::uint8_t>> before;
+  for (BrokerId b = 0; b < net.broker_count(); ++b) {
+    before.push_back(net.broker(b).snapshot());
+  }
+  std::size_t delivered = 0;
+  for (int i = 0; i < 200; ++i) {
+    const BrokerId at = static_cast<BrokerId>(i % net.broker_count());
+    delivered +=
+        net.publish(at, Publication({(i * 7) % 140 + 0.5, (i * 3) % 70 + 0.5}))
+            .size();
+  }
+  EXPECT_GT(delivered, 0u);
+  EXPECT_EQ(net.metrics().notifications_duplicated, 0u);
+  for (BrokerId b = 0; b < net.broker_count(); ++b) {
+    EXPECT_EQ(net.broker(b).snapshot(), before[b]) << "broker " << b;
+  }
 }
 
 }  // namespace

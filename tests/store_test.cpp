@@ -33,6 +33,21 @@ TEST(Store, NonePolicyKeepsEverythingActive) {
   EXPECT_EQ(store.covered_count(), 0u);
 }
 
+TEST(Store, NonePolicyKeepsEveryActive) {
+  // The reverse order: a later, wider subscription must not demote an
+  // earlier one it covers (demote_covered_actives is on by default).
+  SubscriptionStore store(policy(CoveragePolicy::kNone));
+  store.insert(box2(10, 20, 10, 20, 1));
+  const auto result = store.insert(box2(0, 100, 0, 100, 2));
+  EXPECT_TRUE(result.demoted.empty());
+  EXPECT_TRUE(store.is_active(1));
+  EXPECT_TRUE(store.is_active(2));
+  EXPECT_EQ(store.active_count(), 2u);
+  EXPECT_EQ(store.covered_count(), 0u);
+  EXPECT_EQ(store.match_active(Publication({15.0, 15.0})),
+            (std::vector<SubscriptionId>{1, 2}));
+}
+
 TEST(Store, PairwisePolicyCoversSingle) {
   SubscriptionStore store(policy(CoveragePolicy::kPairwise));
   const auto r1 = store.insert(box2(0, 10, 0, 10, 1));

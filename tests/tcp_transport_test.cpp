@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -81,6 +82,17 @@ TEST(TcpTransportTest, SeedAboveInt64MaxMatchesOracle) {
   EXPECT_GT(report.publishes, 0u);
   EXPECT_EQ(report.divergences, 0u);
   EXPECT_EQ(report.skipped, 0u);
+}
+
+TEST(TcpTransportTest, RejectsLinksThatAreNotAForest) {
+  // Closing the chain into a ring, or repeating a link, is refused before
+  // any broker is spawned.
+  net::ClusterOptions ring = chain_options(4, 0x5eed7);
+  ring.links.emplace_back(3, 0);
+  EXPECT_THROW(net::Cluster{std::move(ring)}, std::runtime_error);
+  net::ClusterOptions repeated = chain_options(3, 0x5eed7);
+  repeated.links.emplace_back(1, 0);
+  EXPECT_THROW(net::Cluster{std::move(repeated)}, std::runtime_error);
 }
 
 TEST(TcpTransportTest, StarTopologyMatchesOracle) {
