@@ -1,7 +1,7 @@
-// Ablation — the Section 4.4 multi-level covered-matching hierarchy.
+// Ablation — the Section 4.4 covered-matching hierarchy.
 //
 // match() descends the cover DAG: a covered entry is examined only below a
-// matching parent. Reports covered entries examined per publication by the
+// matching active coverer. Reports covered entries examined per publication by the
 // descent against what a flat scan of the covered set would examine
 // (covered_count() for every publication with an active match), plus the
 // descent's wall time, for increasingly nested subscription populations.

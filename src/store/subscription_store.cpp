@@ -170,8 +170,8 @@ std::vector<SubscriptionId> SubscriptionStore::coverers_of(
   return it->second.coverers;
 }
 
-void SubscriptionStore::demote_actives_covered_by(const Subscription& sub,
-                                                  InsertResult& result) {
+void SubscriptionStore::demote_actives_covered_by(
+    const Subscription& sub, std::vector<SubscriptionId>& demoted) {
   // Collect first (indices shift under erase), then demote by id. An
   // active covered by sub necessarily intersects it.
   std::vector<SubscriptionId> to_demote;
@@ -181,23 +181,46 @@ void SubscriptionStore::demote_actives_covered_by(const Subscription& sub,
   for (const SubscriptionId id : to_demote) {
     const auto it = active_index_.find(id);
     if (it == active_index_.end()) continue;
-    CoveredEntry entry{active_[it->second], {sub.id()}};
-    erase_active_slot(it->second);
+    CoveredEntry entry{erase_active_slot(it->second), {sub.id()}};
+    repoint_children(id, sub.id());
     link_coverers(id, entry.coverers);
     covered_.emplace(id, std::move(entry));
-    result.demoted.push_back(id);
+    demoted.push_back(id);
   }
 }
 
-void SubscriptionStore::erase_active_slot(std::size_t slot) {
+void SubscriptionStore::repoint_children(SubscriptionId demoted,
+                                         SubscriptionId coverer) {
+  // demoted ⊆ coverer, so a child c ⊆ ∪S with demoted ∈ S also lies in
+  // ∪(S∖demoted ∪ {coverer}): swap the one for the other in each child's
+  // list and move the edges. A covered entry thus never has children, and
+  // every listed coverer stays a live active. A child that listed several
+  // actives the coverer demotes lists the coverer after the first swap.
+  auto kids = children_.extract(demoted);
+  if (kids.empty()) return;
+  auto& adopted = children_[coverer];
+  for (const SubscriptionId child : kids.mapped()) {
+    auto& coverers = covered_.at(child).coverers;
+    if (std::find(coverers.begin(), coverers.end(), coverer) != coverers.end()) {
+      std::erase(coverers, demoted);
+      continue;
+    }
+    std::replace(coverers.begin(), coverers.end(), demoted, coverer);
+    adopted.push_back(child);
+  }
+}
+
+Subscription SubscriptionStore::erase_active_slot(std::size_t slot) {
   const std::size_t last = active_.size() - 1;
-  if (index_enabled()) interval_index_->erase(active_[slot].id());
-  active_index_.erase(active_[slot].id());
+  Subscription removed = std::move(active_[slot]);
+  if (index_enabled()) interval_index_->erase(removed.id());
+  active_index_.erase(removed.id());
   if (slot != last) {
     active_[slot] = std::move(active_[last]);
     active_index_[active_[slot].id()] = slot;
   }
   active_.pop_back();
+  return removed;
 }
 
 InsertResult SubscriptionStore::insert(const Subscription& sub) {
@@ -218,25 +241,30 @@ InsertResult SubscriptionStore::insert(const Subscription& sub) {
   }
   InsertResult result;
   std::optional<core::SubsumptionResult> diag;
-  if (auto coverers = check_covered(sub, &diag)) {
+  auto coverers = check_covered(sub, &diag);
+  result.engine_result = std::move(diag);
+  if (coverers) {
     result.covered = true;
-    result.engine_result = std::move(diag);
     link_coverers(sub.id(), *coverers);
     covered_.emplace(sub.id(), CoveredEntry{sub, std::move(*coverers)});
     return result;
   }
-  result.engine_result = std::move(diag);
   result.accepted_active = true;
+  add_active(sub, result.demoted);
+  return result;
+}
+
+void SubscriptionStore::add_active(Subscription sub,
+                                   std::vector<SubscriptionId>& demoted) {
   // kNone keeps every subscription active, so only a covering policy
   // demotes.
   if (config_.demote_covered_actives &&
       config_.policy != CoveragePolicy::kNone) {
-    demote_actives_covered_by(sub, result);
+    demote_actives_covered_by(sub, demoted);
   }
   index_insert_active(sub);
   active_index_[sub.id()] = active_.size();
-  active_.push_back(sub);
-  return result;
+  active_.push_back(std::move(sub));
 }
 
 SubscriptionStore::EraseResult SubscriptionStore::erase_reporting(
@@ -250,25 +278,38 @@ SubscriptionStore::EraseResult SubscriptionStore::erase_reporting(
   }
   const auto it = active_index_.find(id);
   if (it == active_index_.end()) return result;
-  erase_active_slot(it->second);
   result.erased = true;
+  const Subscription erased = erase_active_slot(it->second);
+  auto kids = children_.extract(id);
+  if (kids.empty()) return result;
 
-  // Promotion pass (paper, Section 5): covered subscriptions that listed
-  // the vanished active among their coverers get re-evaluated. Re-running
-  // the policy handles both outcomes — still covered by the remaining
-  // actives (stays covered, coverers refreshed) or newly exposed
-  // (promoted to active, possibly demoting others in turn).
-  // The cover DAG gives the dependents directly.
-  std::vector<SubscriptionId> candidates;
-  if (const auto kids = children_.find(id); kids != children_.end()) {
-    candidates = kids->second;
-  }
-  for (const SubscriptionId cid : candidates) {
-    auto node = covered_.extract(cid);
-    unlink_coverers(cid, node.mapped().coverers);
-    Subscription sub = std::move(node.mapped().sub);
-    // Re-insert through the normal path; the id is free again.
-    if (insert(sub).accepted_active) result.promoted.push_back(cid);
+  // Promotion pass (paper, Section 5) over the dependents the cover DAG
+  // lists, in order. Each dependent c was inside the union of its coverers
+  // S, so c∖a already lies inside ∪(S∖a) for the erased active a: c stays
+  // covered iff c ∩ a is covered by the current actives, and only that
+  // part is re-checked. YES keeps c covered under (S∖a) plus the new
+  // coverers; NO promotes c to active, where it may demote actives in
+  // turn (those demotions are not reported).
+  std::vector<SubscriptionId> demoted;
+  for (const SubscriptionId cid : kids.mapped()) {
+    const auto node = covered_.find(cid);
+    CoveredEntry& entry = node->second;
+    std::erase(entry.coverers, id);
+    if (auto more = check_covered(entry.sub.intersect(erased), nullptr)) {
+      for (const SubscriptionId coverer : *more) {
+        if (std::find(entry.coverers.begin(), entry.coverers.end(), coverer) ==
+            entry.coverers.end()) {
+          entry.coverers.push_back(coverer);
+          children_[coverer].push_back(cid);
+        }
+      }
+      continue;
+    }
+    unlink_coverers(cid, entry.coverers);
+    Subscription sub = std::move(entry.sub);
+    covered_.erase(node);
+    add_active(std::move(sub), demoted);
+    result.promoted.push_back(cid);
   }
   return result;
 }
@@ -323,20 +364,17 @@ void SubscriptionStore::match(const Publication& pub,
   match_active(pub, out);
   if (out.size() == start) return;
 
-  // Section 4.4 multi-level descent: a covered subscription lies inside
-  // the union of its coverers, so it can match only below a matching
-  // parent. BFS from the matched actives through the cover DAG; children
-  // of non-matching covered nodes are still explored when reached through
-  // another matching parent. Visited tracking is an epoch stamp on the
-  // covered entries (actives are never children), and the frontier buffer
-  // is reused — no allocations or extra hashing on the hot path.
+  // Section 4.4 descent: a covered subscription lies inside the union of
+  // its coverers, so it can match only below a matching coverer. Every
+  // coverer is an active (demotion re-points a demoted active's children
+  // to its coverer), so the descent is one level deep: the children of
+  // the matched actives. A child listed under several of them is examined
+  // once, tracked by an epoch stamp on the covered entries — no
+  // allocations or extra hashing on the hot path.
   const std::uint64_t epoch = ++match_epoch_;
-  auto& frontier = frontier_scratch_;
-  frontier.assign(out.begin() + static_cast<std::ptrdiff_t>(start), out.end());
-  while (!frontier.empty()) {
-    const SubscriptionId parent = frontier.back();
-    frontier.pop_back();
-    const auto kids = children_.find(parent);
+  const std::size_t matched_actives = out.size();
+  for (std::size_t i = start; i < matched_actives; ++i) {
+    const auto kids = children_.find(out[i]);
     if (kids == children_.end()) continue;
     for (const SubscriptionId child : kids->second) {
       const auto entry = covered_.find(child);
@@ -344,14 +382,7 @@ void SubscriptionStore::match(const Publication& pub,
       if (entry->second.seen_epoch == epoch) continue;
       entry->second.seen_epoch = epoch;
       ++covered_examined_;
-      if (pub.matches(entry->second.sub)) {
-        out.push_back(child);
-        frontier.push_back(child);
-      }
-      // A non-matching child is not descended below: publications inside
-      // a grandchild are inside the child's coverers' union too, and the
-      // grandchild lists its own coverers, so it stays reachable through
-      // whichever of them matched.
+      if (pub.matches(entry->second.sub)) out.push_back(child);
     }
   }
 }

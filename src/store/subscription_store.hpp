@@ -5,19 +5,23 @@
 //     neighbours and checked first when matching publications;
 //   * COVERED set SS: subscriptions subsumed (pairwise or by group) by
 //     active ones. The paper's Section 4.4 optimization is implemented:
-//     each covered subscription remembers its coverers, forming a
-//     multi-level DAG so matching descends only below levels that matched.
+//     each covered subscription remembers its coverers, always live
+//     actives, so matching examines a covered entry only below an active
+//     that matched.
 //
 // Insertion runs the configured coverage policy (none / pairwise / group
 // via the probabilistic engine / exact) once, over the actives that
 // intersect the new subscription; the interval index only changes how
 // those candidates are gathered. A new active subscription additionally
 // demotes existing actives it pairwise-covers (the classical maintenance
-// step, StoreConfig::demote_covered_actives).
+// step, StoreConfig::demote_covered_actives); a demoted active hands its
+// own covered dependents to the subscription that demoted it.
 //
-// Unsubscription of an active subscription *promotes* the covered
-// subscriptions that lost their last coverer (paper, Section 5), re-running
-// coverage for each promoted candidate.
+// Unsubscription of an active a re-checks the covered subscriptions that
+// listed it (paper, Section 5). A dependent c was inside the union of its
+// coverers S, so c∖a is still inside ∪(S∖a): only the box c ∩ a is
+// re-checked against the current actives. YES keeps c covered under
+// (S∖a) plus the new coverers; NO promotes c to active.
 #pragma once
 
 #include <array>
@@ -122,10 +126,13 @@ class SubscriptionStore {
     std::vector<core::SubscriptionId> promoted;
   };
 
-  /// Removes a subscription wherever it lives. Active removal promotes
-  /// covered subscriptions whose last coverer vanished; promotion re-runs
-  /// the coverage policy, so a promoted subscription may land in covered
-  /// again if other actives subsume it.
+  /// Removes a subscription wherever it lives. Removing an active `a`
+  /// re-checks each covered dependent c, in cover-DAG order, on the box
+  /// c ∩ a only (c∖a stays inside the union of c's other coverers): if the
+  /// current actives cover c ∩ a, c stays covered and its coverers become
+  /// its old ones minus `a` followed by the new ones, without duplicates;
+  /// otherwise c is promoted to active (demoting actives it covers, when
+  /// configured) and reported in `promoted`.
   EraseResult erase_reporting(core::SubscriptionId id);
 
   /// Convenience wrapper; returns false if the id is unknown.
@@ -135,10 +142,11 @@ class SubscriptionStore {
   [[nodiscard]] const core::Subscription* find(core::SubscriptionId id) const;
 
   /// Algorithm 5: ids of ALL matching subscriptions (active + covered),
-  /// checking actives first and descending into covered levels only below
-  /// subscriptions that matched. Output order: matching actives sorted by
-  /// id, then covered matches in DAG-descent order. A publication whose
-  /// arity differs from a subscription's never matches it (never throws).
+  /// checking actives first and examining covered entries only below
+  /// actives that matched. Output order: matching actives sorted by id,
+  /// then covered matches in cover-DAG order under those actives. A
+  /// publication whose arity differs from a subscription's never matches
+  /// it (never throws).
   /// Const but not concurrently callable (mutates reused scratch).
   [[nodiscard]] std::vector<core::SubscriptionId> match(
       const core::Publication& pub) const;
@@ -242,7 +250,7 @@ class SubscriptionStore {
  private:
   struct CoveredEntry {
     core::Subscription sub;
-    /// Active ids whose union covered this subscription at demotion time.
+    /// Live active ids whose union covers this subscription.
     std::vector<core::SubscriptionId> coverers;
     /// Epoch stamp for the match() descent (visited-set without a map).
     mutable std::uint64_t seen_epoch = 0;
@@ -262,10 +270,8 @@ class SubscriptionStore {
       children_;
   std::uint64_t group_checks_ = 0;
   mutable std::uint64_t covered_examined_ = 0;
-  /// Scratch buffer + visited epoch for the match() descent, reused across
-  /// calls so the hot path performs no allocations and no hashing beyond
-  /// the children lookup.
-  mutable std::vector<core::SubscriptionId> frontier_scratch_;
+  /// Visited epoch for the match() descent, so the hot path performs no
+  /// allocations and no hashing beyond the children lookup.
   mutable std::uint64_t match_epoch_ = 0;
   /// Scratch for intersecting_candidates (reused across calls).
   std::vector<core::SubscriptionId> id_scratch_;
@@ -282,9 +288,18 @@ class SubscriptionStore {
   [[nodiscard]] std::optional<std::vector<core::SubscriptionId>> check_covered(
       const core::Subscription& sub, std::optional<core::SubsumptionResult>* diag);
 
+  /// Active-insert tail shared by insert() and promotion: demotes the
+  /// actives `sub` covers (when configured), then adds it to the slots and
+  /// the index.
+  void add_active(core::Subscription sub,
+                  std::vector<core::SubscriptionId>& demoted);
   void demote_actives_covered_by(const core::Subscription& sub,
-                                 InsertResult& result);
-  void erase_active_slot(std::size_t slot);
+                                 std::vector<core::SubscriptionId>& demoted);
+  /// Moves the demoted active's children under its coverer.
+  void repoint_children(core::SubscriptionId demoted,
+                        core::SubscriptionId coverer);
+  /// Removes the active in `slot` and returns it.
+  core::Subscription erase_active_slot(std::size_t slot);
 
   [[nodiscard]] bool index_enabled() const noexcept {
     return config_.use_index && interval_index_.has_value();

@@ -1,4 +1,4 @@
-// Tests for the Section 4.4 multi-level covered hierarchy and the TTL
+// Tests for the Section 4.4 covered hierarchy (the cover DAG) and the TTL
 // expiration mechanism of Section 5.
 #include <gtest/gtest.h>
 
@@ -39,15 +39,15 @@ TEST(StoreHierarchy, CoverersRecordedOnDemotion) {
   EXPECT_TRUE(store.coverers_of(2).empty());  // active: no coverers
 }
 
-TEST(StoreHierarchy, MultiLevelChainsForm) {
+TEST(StoreHierarchy, DemotionRepointsChildrenToTheCoverer) {
   store::SubscriptionStore store(pairwise());
   store.insert(box2(3, 7, 3, 7, 1));
   store.insert(box2(2, 8, 2, 8, 2));    // demotes #1 -> coverer 2
-  store.insert(box2(0, 10, 0, 10, 3));  // demotes #2 -> coverer 3
   EXPECT_EQ(store.coverers_of(1), (std::vector<SubscriptionId>{2}));
+  store.insert(box2(0, 10, 0, 10, 3));  // demotes #2; #1 moves under 3
+  EXPECT_EQ(store.coverers_of(1), (std::vector<SubscriptionId>{3}));
   EXPECT_EQ(store.coverers_of(2), (std::vector<SubscriptionId>{3}));
   EXPECT_TRUE(store.is_active(3));
-  // Matching descends the two-level chain.
   auto ids = store.match(Publication({5.0, 5.0}));
   std::sort(ids.begin(), ids.end());
   EXPECT_EQ(ids, (std::vector<SubscriptionId>{1, 2, 3}));
@@ -68,20 +68,25 @@ TEST(StoreHierarchy, DescentPrunesNonMatchingBranches) {
   EXPECT_EQ(store.covered_examined() - before, level1);  // no active hit
 }
 
-TEST(StoreHierarchy, DeepChainSkipsBelowNonMatch) {
-  // #1 active covers all; #2 covered by 1; #3 inside 2 (covered by 2 after
-  // demotion ordering). A publication inside 1 but outside 2 must examine
-  // 2 and stop — 3 is only reachable below 2.
+TEST(StoreHierarchy, CoveredEntriesNeverHaveChildren) {
+  // A chain of demotions leaves a DAG one level deep: #3 is demoted under
+  // #2, then #2 under #1, which adopts #3. A publication inside #1 only
+  // examines both covered entries, which are its children.
   store::SubscriptionStore store(pairwise());
   store.insert(box2(4, 6, 4, 6, 3));
   store.insert(box2(2, 8, 2, 8, 2));    // demotes 3
-  store.insert(box2(0, 10, 0, 10, 1));  // demotes 2
-  EXPECT_EQ(store.coverers_of(3), (std::vector<SubscriptionId>{2}));
+  store.insert(box2(0, 10, 0, 10, 1));  // demotes 2, adopts 3
+  EXPECT_EQ(store.coverers_of(3), (std::vector<SubscriptionId>{1}));
   EXPECT_EQ(store.coverers_of(2), (std::vector<SubscriptionId>{1}));
+  const auto snapshot = store.export_snapshot();
+  ASSERT_EQ(snapshot.children.size(), 1u);
+  EXPECT_EQ(snapshot.children[0].coverer, 1u);
+  EXPECT_EQ(snapshot.children[0].covered_ids,
+            (std::vector<SubscriptionId>{3, 2}));
   const auto before = store.covered_examined();
   const auto ids = store.match(Publication({9.0, 9.0}));  // in 1 only
   EXPECT_EQ(ids, (std::vector<SubscriptionId>{1}));
-  EXPECT_EQ(store.covered_examined() - before, 1u);  // examined 2, not 3
+  EXPECT_EQ(store.covered_examined() - before, 2u);
 }
 
 TEST(StoreHierarchy, DescentMatchesBruteForce) {

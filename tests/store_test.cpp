@@ -143,6 +143,48 @@ TEST(Store, PromotionMayLandInCoveredAgain) {
   EXPECT_EQ(store.active_count() + store.covered_count(), 2u);
 }
 
+TEST(Store, DemotedCovererHandsItsDependentsOver) {
+  // x covers c; n then demotes x. Erasing x and then n must leave c
+  // active: c's coverer moved from x to n at the demotion, so erasing n
+  // re-checks c.
+  for (const CoveragePolicy p :
+       {CoveragePolicy::kNone, CoveragePolicy::kPairwise,
+        CoveragePolicy::kGroup, CoveragePolicy::kExact}) {
+    for (const bool use_index : {true, false}) {
+      StoreConfig config = policy(p);
+      config.use_index = use_index;
+      SubscriptionStore store(config);
+      store.insert(box2(0, 10, 0, 10, 1));  // x
+      store.insert(box2(2, 5, 2, 5, 2));    // c
+      store.insert(box2(0, 20, 0, 20, 3));  // n
+      EXPECT_TRUE(store.erase(1));
+      EXPECT_TRUE(store.erase(3));
+      EXPECT_TRUE(store.is_active(2))
+          << to_string(p) << (use_index ? " index" : " flat");
+      EXPECT_EQ(store.active_count(), 1u);
+      EXPECT_EQ(store.covered_count(), 0u);
+    }
+  }
+}
+
+TEST(Store, PromotionRechecksOnlyTheErasedPart) {
+  // c = [2,8]x[2,8] is covered by a = [0,6]x[0,10] and b = [4,10]x[0,10]
+  // together. d = [0,5]x[-1,11] arrives later. Erasing a re-checks
+  // c ∩ a = [2,6]x[2,8], which b and d cover: c stays covered under b and
+  // d. Erasing b then exposes c ∩ b = [4,8]x[2,8] beyond d: promotion.
+  SubscriptionStore store(policy(CoveragePolicy::kExact));
+  store.insert(box2(0, 6, 0, 10, 1));   // a
+  store.insert(box2(4, 10, 0, 10, 2));  // b
+  ASSERT_TRUE(store.insert(box2(2, 8, 2, 8, 3)).covered);
+  EXPECT_EQ(store.coverers_of(3), (std::vector<SubscriptionId>{1, 2}));
+  ASSERT_TRUE(store.insert(box2(0, 5, -1, 11, 4)).accepted_active);  // d
+  EXPECT_TRUE(store.erase_reporting(1).promoted.empty());
+  EXPECT_EQ(store.coverers_of(3), (std::vector<SubscriptionId>{2, 4}));
+  EXPECT_EQ(store.erase_reporting(2).promoted,
+            (std::vector<SubscriptionId>{3}));
+  EXPECT_TRUE(store.is_active(3));
+}
+
 TEST(Store, EraseUnknownIdReturnsFalse) {
   SubscriptionStore store;
   EXPECT_FALSE(store.erase(99));
