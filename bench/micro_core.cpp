@@ -1,11 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the core operations: conflict
 // table construction, fast decisions, MCS, witness estimation, RSPC,
-// the full engine pipeline, the exact oracle, the counting matcher and
-// store insertion. These quantify the per-component costs behind the
-// figure harnesses and back the complexity claims in DESIGN.md.
+// the full engine pipeline, the exact oracle and store insertion. These
+// quantify the per-component costs behind the figure harnesses and back
+// the component figures in docs/PERFORMANCE.md.
 #include <benchmark/benchmark.h>
 
-#include "baseline/counting_matcher.hpp"
 #include "baseline/exact_subsumption.hpp"
 #include "baseline/pairwise_cover.hpp"
 #include "core/engine.hpp"
@@ -132,22 +131,6 @@ void BM_PairwiseCover(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PairwiseCover)->Arg(50)->Arg(200)->Arg(800);
-
-void BM_CountingMatcherMatch(benchmark::State& state) {
-  const std::size_t m = 10;
-  workload::ComparisonConfig config;
-  config.attribute_count = m;
-  workload::ComparisonStream stream(config, 13);
-  baseline::CountingMatcher matcher(m);
-  for (std::int64_t i = 0; i < state.range(0); ++i) matcher.insert(stream.next());
-  util::Rng rng(14);
-  const auto pub = workload::uniform_publication(m, 0.0, 1000.0, rng);
-  (void)matcher.match(pub);  // force the index build outside the loop
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(matcher.match(pub).size());
-  }
-}
-BENCHMARK(BM_CountingMatcherMatch)->Arg(100)->Arg(1000)->Arg(5000);
 
 // Publication matching through the store, flat scan vs IntervalIndex.
 // The same wide-schema population is loaded into both configurations; the

@@ -3,14 +3,14 @@
 // Measures ops/sec and p50/p99 latency for the hot paths every PR is
 // judged against, emits machine-readable BENCH_core.json, and GATES on
 // correctness while doing so: every timed section cross-checks its results
-// against a flat-scan oracle, the index and flat-scan result checksums over
-// the sampled queries must agree, and the five-topology churn soak runs
-// with the differential network oracle on. Any divergence exits non-zero
-// (the CI perf-smoke job relies on this).
+// against a flat-scan oracle, and the index and flat-scan result checksums
+// over the sampled queries must agree. Any divergence exits non-zero (the
+// CI perf-smoke job relies on this). The end-to-end churn differential is
+// the soak binary's (`soak --scenario=churn`).
 //
 //   ./perf_gate [--small] [--json=BENCH_core.json]
 //               [--actives=100000,1000000] [--attrs=4] [--queries=N]
-//               [--churn-ops=N] [--seed=2006] [--soak-duration=20]
+//               [--churn-ops=N] [--seed=2006]
 //
 // --actives is a comma-separated list of SCALE TIERS. The first tier is
 // the primary one and runs every section below; later tiers (the 1M-active
@@ -30,8 +30,6 @@
 //     publish lanes) against a routed table, one publication per latency
 //     sample; routes are gated equal to a brute-force scan of the routed
 //     set in-run, from a local and a neighbour origin
-//   * churn_soak     — sim::ChurnDriver over the five standard topologies
-//     with the differential oracle on (ops/sec per topology)
 //
 // --small shrinks every size for the CI smoke / ctest registration; small
 // runs gate on correctness (oracles + checksums) exactly like full ones.
@@ -46,11 +44,8 @@
 #include "bench_common.hpp"
 #include "index/interval_index.hpp"
 #include "routing/broker.hpp"
-#include "routing/topology.hpp"
-#include "sim/churn_driver.hpp"
 #include "util/json_writer.hpp"
 #include "util/simd.hpp"
-#include "workload/churn_workload.hpp"
 #include "workload/comparison_stream.hpp"
 #include "workload/publications.hpp"
 #include "workload/scenarios.hpp"
@@ -122,7 +117,6 @@ int main(int argc, char** argv) try {
       flags.get_int("queries", small ? 2'000 : 20'000));
   const auto churn_ops = static_cast<std::uint64_t>(
       flags.get_int("churn-ops", small ? 2'000 : 20'000));
-  const double soak_duration = flags.get_double("soak-duration", small ? 5.0 : 20.0);
   const std::string json_path = flags.get_string("json", "BENCH_core.json");
   if (actives_tiers.empty()) {
     std::cerr << "--actives needs at least one tier\n";
@@ -360,49 +354,6 @@ int main(int argc, char** argv) try {
     }
   }
 
-  // --- Section: churn_soak (five topologies, differential oracle on) ---
-  struct SoakRow {
-    std::string name;
-    std::size_t brokers = 0;
-    std::uint64_t ops = 0;
-    std::uint64_t publishes = 0;
-    std::uint64_t mismatched = 0;
-    std::uint64_t lost = 0;
-    double ops_per_sec = 0.0;
-  };
-  std::vector<SoakRow> soak_rows;
-  {
-    workload::ChurnConfig churn_config;
-    churn_config.duration = soak_duration;
-    churn_config.subscription_rate = 3.0;
-    churn_config.publication_rate = 5.0;
-    for (routing::Topology& topology : routing::standard_topologies(seed)) {
-      const routing::NetworkConfig net_config;
-      churn_config.link_latency = net_config.link_latency;
-      const auto trace =
-          workload::generate_churn_trace(churn_config, topology.brokers, seed);
-      auto net = topology.build(net_config);
-      const util::Timer timer;
-      sim::ChurnDriver::Options driver_options;
-      driver_options.differential = true;
-      const auto report = sim::ChurnDriver::run(net, trace, driver_options);
-      const double elapsed = timer.elapsed_seconds();
-      SoakRow row;
-      row.name = topology.name;
-      row.brokers = topology.brokers;
-      row.ops = report.ops;
-      row.publishes = report.publishes;
-      row.mismatched = report.mismatched_publishes;
-      row.lost = report.totals.notifications_lost;
-      row.ops_per_sec =
-          elapsed > 0 ? static_cast<double>(report.ops) / elapsed : 0.0;
-      gate.check(row.mismatched == 0,
-                 "churn_soak differential mismatch on " + row.name);
-      gate.check(row.lost == 0, "churn_soak lost notifications on " + row.name);
-      soak_rows.push_back(std::move(row));
-    }
-  }
-
   // ---------------------------------------------------------------- table
   util::TableWriter table(
       {"section", "actives", "ops", "ops_per_sec", "p50_ns", "p99_ns"});
@@ -419,11 +370,6 @@ int main(int argc, char** argv) try {
                  broker_publish.ops_per_sec, broker_publish.p50_ns,
                  broker_publish.p99_ns});
   table.print(std::cout);
-  for (const SoakRow& row : soak_rows) {
-    std::cout << "soak " << row.name << ": " << row.ops_per_sec
-              << " ops/sec, mismatched=" << row.mismatched
-              << ", lost=" << row.lost << "\n";
-  }
 
   // ----------------------------------------------------------------- json
   // Top-level config/sections describe the PRIMARY tier (schema-compatible
@@ -448,28 +394,12 @@ int main(int argc, char** argv) try {
     json.member("attributes", std::uint64_t{attrs});
     json.member("queries", queries);
     json.member("churn_ops", churn_ops);
-    json.member("soak_duration", soak_duration);
     json.end_object();
     json.begin_object("sections");
     write_section(json, primary.stab);
     write_section(json, primary.box);
     write_section(json, primary.churn_amortized);
     write_section(json, broker_publish);
-    json.begin_object("churn_soak");
-    json.begin_array("topologies");
-    for (const SoakRow& row : soak_rows) {
-      json.begin_object();
-      json.member("name", row.name);
-      json.member("brokers", std::uint64_t{row.brokers});
-      json.member("ops", row.ops);
-      json.member("publishes", row.publishes);
-      json.member("ops_per_sec", row.ops_per_sec);
-      json.member("mismatched_publishes", row.mismatched);
-      json.member("lost", row.lost);
-      json.end_object();
-    }
-    json.end_array();
-    json.end_object();
     json.end_object();
     json.begin_array("scales");
     for (const ScaleResult& scale : scales) {

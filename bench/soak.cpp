@@ -516,6 +516,7 @@ std::vector<Column> counters(Scenario scenario, const Run& run) {
     case Scenario::kChurn:
       add({{"messages", m.total_messages()},
            {"suppressed", m.subscriptions_suppressed},
+           {"promoted", m.subscriptions_promoted},
            {"peak_routing", r.peak_routing_entries}});
       break;
     case Scenario::kRecovery:
@@ -570,6 +571,7 @@ void write_run(util::JsonWriter& json, Scenario scenario, const Run& run) {
     json.member("messages", m.total_messages());
     json.member("suppressed", m.subscriptions_suppressed);
     json.member("reannounced_subscriptions", m.reannounced_subscriptions);
+    json.member("subscriptions_promoted", m.subscriptions_promoted);
     json.member("peak_routing_entries", r.peak_routing_entries);
     if (scenario == Scenario::kRecovery) {
       json.begin_object("recovery");
@@ -738,6 +740,13 @@ int soak(const Options& o) {
     table.add_row(std::move(row));
   }
   table.print(std::cout);
+  if (o.scenario != Scenario::kTcp) {
+    std::uint64_t promoted = 0;
+    for (const Run& run : runs) {
+      promoted += run.sim.totals.subscriptions_promoted;
+    }
+    std::cout << "\nsubscriptions promoted: " << promoted << "\n";
+  }
 
   std::vector<std::string> matrix_failures;
   if (runs.empty()) {

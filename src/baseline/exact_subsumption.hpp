@@ -22,7 +22,10 @@ struct ExactResult {
   bool covered = false;
   /// Total uncovered measure left inside s (0 when covered). Zero-measure
   /// residues (degenerate slivers) count as covered under the continuous
-  /// data model.
+  /// data model. A zero-measure s (an equality predicate) is decided in its
+  /// own dimension: the measure is taken over its positive-width
+  /// attributes only (a point s counts 1), and only candidates containing
+  /// s on its zero-width attributes can cover it.
   core::Value uncovered_volume = 0.0;
   /// A point strictly inside the residue when not covered (a point witness).
   std::optional<std::vector<core::Value>> witness;

@@ -1,7 +1,6 @@
 // IntervalIndex — per-attribute candidate index over a set of box
-// subscriptions, the production counterpart of the counting matcher
-// baseline (src/baseline/counting_matcher): fully incremental (insert and
-// erase by subscription id) and answering two queries:
+// subscriptions: fully incremental (insert and erase by subscription id)
+// and answering two queries:
 //
 //   * stab(point): ids of subscriptions whose box CONTAINS the point —
 //     publication matching (Algorithm 5's active scan) without touching

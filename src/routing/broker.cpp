@@ -320,14 +320,4 @@ std::vector<std::uint8_t> Broker::snapshot() const {
   return out.take();
 }
 
-void Broker::restore(std::span<const std::uint8_t> bytes) {
-  wire::ByteReader in(bytes);
-  wire::read_frame_header(in, wire::kBrokerSnapshotMagic, "broker");
-  const Snapshot snapshot = wire::read_broker_snapshot(in);
-  if (!in.at_end()) {
-    throw wire::DecodeError("wire: trailing bytes after broker snapshot");
-  }
-  import_snapshot(snapshot);
-}
-
 }  // namespace psc::routing

@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -188,8 +187,7 @@ class Broker {
   /// reverse-path origins), every per-link forwarded store (full coverage
   /// state incl. engine RNG — see store::SubscriptionStore::Snapshot). The
   /// lane indexes are rebuilt on import.
-  /// Binary codec:
-  /// wire/snapshot.hpp; framed convenience forms: snapshot()/restore().
+  /// Binary codec: wire/snapshot.hpp; snapshot() is the framed form.
   struct Snapshot {
     BrokerId id = kInvalidBroker;
     struct RouteRecord {
@@ -216,11 +214,10 @@ class Broker {
   /// the broker is decision-for-decision identical to the exporter.
   void import_snapshot(const Snapshot& snapshot);
 
-  /// Framed byte forms of export/import: a self-describing buffer with
-  /// magic + format version (wire/snapshot.hpp), so a future cross-process
-  /// transport can hand these to a peer verbatim.
+  /// Framed byte form of export_snapshot: a self-describing buffer with
+  /// magic + format version (wire/snapshot.hpp). Readers strip the frame
+  /// and decode the body with wire::read_broker_snapshot.
   [[nodiscard]] std::vector<std::uint8_t> snapshot() const;
-  void restore(std::span<const std::uint8_t> bytes);
 
  private:
   BrokerId id_;

@@ -61,6 +61,7 @@ void BrokerRuntime::unsubscribe(SubscriptionId id, Origin origin) {
   // neighbour never saw them while they were covered. The receiving broker
   // treats it like any subscription arrival (duplicate-suppressed if it
   // somehow already routes the id).
+  metrics_.subscriptions_promoted += outcome.reannounce.size();
   for (const auto& [next, sub] : outcome.reannounce) reannounce(next, sub);
 }
 
@@ -85,9 +86,9 @@ void BrokerRuntime::publish(const Publication& pub, Origin origin,
 
 void BrokerRuntime::arm_expiry(SubscriptionId id, sim::SimTime expiry) {
   (void)transport_.schedule_timer_at(expiry, [this, id]() {
-    for (const auto& [next, promoted] : broker_.handle_expiry(id)) {
-      reannounce(next, promoted);
-    }
+    const auto promoted = broker_.handle_expiry(id);
+    metrics_.subscriptions_promoted += promoted.size();
+    for (const auto& [next, sub] : promoted) reannounce(next, sub);
   });
 }
 

@@ -20,6 +20,7 @@ Metrics operator+(const Metrics& a, const Metrics& b) noexcept {
   sum.subscriptions_suppressed += b.subscriptions_suppressed;
   sum.membership_events += b.membership_events;
   sum.reannounced_subscriptions += b.reannounced_subscriptions;
+  sum.subscriptions_promoted += b.subscriptions_promoted;
   sum.frames_dropped += b.frames_dropped;
   sum.frames_duplicated += b.frames_duplicated;
   sum.retransmits += b.retransmits;
@@ -42,6 +43,7 @@ Metrics operator-(const Metrics& a, const Metrics& b) noexcept {
   diff.subscriptions_suppressed -= b.subscriptions_suppressed;
   diff.membership_events -= b.membership_events;
   diff.reannounced_subscriptions -= b.reannounced_subscriptions;
+  diff.subscriptions_promoted -= b.subscriptions_promoted;
   diff.frames_dropped -= b.frames_dropped;
   diff.frames_duplicated -= b.frames_duplicated;
   diff.retransmits -= b.retransmits;
@@ -63,6 +65,7 @@ std::ostream& operator<<(std::ostream& out, const Metrics& m) {
              << " suppressed=" << m.subscriptions_suppressed
              << " membership=" << m.membership_events
              << " reannounced=" << m.reannounced_subscriptions
+             << " promoted=" << m.subscriptions_promoted
              << " frames_dropped=" << m.frames_dropped
              << " frames_duplicated=" << m.frames_duplicated
              << " retransmits=" << m.retransmits

@@ -17,6 +17,8 @@ struct Metrics {
   std::uint64_t subscriptions_suppressed = 0;///< withheld by coverage
   std::uint64_t membership_events = 0;       ///< join/leave/crash/fail/heal
   std::uint64_t reannounced_subscriptions = 0;///< re-floods on link attach
+  std::uint64_t subscriptions_promoted = 0;  ///< covered -> active on a link
+                                             ///< store, then re-announced
 
   // --- link-channel counters (all zero on perfect links) ----------------
   std::uint64_t frames_dropped = 0;     ///< transmissions lost on the wire

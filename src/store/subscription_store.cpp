@@ -402,10 +402,12 @@ SubscriptionStore::Snapshot SubscriptionStore::export_snapshot() const {
   snapshot.actives = active_;  // slot order preserved by construction
   snapshot.covered.reserve(covered_.size());
   for (const auto& [id, entry] : covered_) {
-    snapshot.covered.push_back({id, entry.sub, entry.coverers});
+    snapshot.covered.push_back({entry.sub, entry.coverers});
   }
   std::sort(snapshot.covered.begin(), snapshot.covered.end(),
-            [](const auto& a, const auto& b) { return a.id < b.id; });
+            [](const auto& a, const auto& b) {
+              return a.sub.id() < b.sub.id();
+            });
   snapshot.children.reserve(children_.size());
   for (const auto& [coverer, kids] : children_) {
     snapshot.children.push_back({coverer, kids});
@@ -441,25 +443,55 @@ void SubscriptionStore::import_snapshot(const Snapshot& snapshot) {
     // never influences decisions.
     index_insert_active(active_[slot]);
   }
+  const auto reject = [](const char* what) {
+    throw std::invalid_argument(
+        std::string("SubscriptionStore::import_snapshot: ") + what);
+  };
+  // Every covered entry's coverers are actives, and the cover DAG lists
+  // exactly those (coverer, covered) edges: erase and promotion walk it
+  // and look each end up, so a stray edge would reach a missing entry.
+  std::size_t coverer_edges = 0;
   for (const Snapshot::CoveredRecord& record : snapshot.covered) {
-    if (record.id == core::kInvalidSubscriptionId ||
-        active_index_.count(record.id) > 0) {
-      throw std::invalid_argument(
-          "SubscriptionStore::import_snapshot: invalid covered id");
+    const SubscriptionId id = record.sub.id();
+    if (id == core::kInvalidSubscriptionId || active_index_.count(id) > 0) {
+      reject("invalid covered id");
     }
-    if (!covered_.emplace(record.id, CoveredEntry{record.sub, record.coverers})
+    for (const SubscriptionId coverer : record.coverers) {
+      if (active_index_.count(coverer) == 0) reject("coverer is not an active");
+    }
+    coverer_edges += record.coverers.size();
+    if (!covered_.emplace(id, CoveredEntry{record.sub, record.coverers})
              .second) {
-      throw std::invalid_argument(
-          "SubscriptionStore::import_snapshot: duplicate covered id");
+      reject("duplicate covered id");
     }
   }
+  // Each DAG edge is distinct and appears in a coverer list, and there are
+  // as many as coverer-list entries: the two relations are inverses.
+  std::size_t dag_edges = 0;
+  std::vector<SubscriptionId> sorted_kids;
   children_.reserve(snapshot.children.size());
   for (const Snapshot::DagRecord& record : snapshot.children) {
+    for (const SubscriptionId kid : record.covered_ids) {
+      const auto entry = covered_.find(kid);
+      if (entry == covered_.end() ||
+          std::find(entry->second.coverers.begin(),
+                    entry->second.coverers.end(),
+                    record.coverer) == entry->second.coverers.end()) {
+        reject("cover DAG edge without a matching coverer");
+      }
+    }
+    sorted_kids = record.covered_ids;
+    std::sort(sorted_kids.begin(), sorted_kids.end());
+    if (std::adjacent_find(sorted_kids.begin(), sorted_kids.end()) !=
+        sorted_kids.end()) {
+      reject("duplicate cover DAG edge");
+    }
+    dag_edges += record.covered_ids.size();
     if (!children_.emplace(record.coverer, record.covered_ids).second) {
-      throw std::invalid_argument(
-          "SubscriptionStore::import_snapshot: duplicate DAG coverer");
+      reject("duplicate DAG coverer");
     }
   }
+  if (dag_edges != coverer_edges) reject("coverer without a cover DAG edge");
   group_checks_ = snapshot.group_checks;
   engine_.rng().set_state(snapshot.engine_rng_state);
   // Scratch/epoch state restarts from zero: covered entries were rebuilt

@@ -201,8 +201,7 @@ class SubscriptionStore {
     /// Actives in slot order (ids ride inside the subscriptions).
     std::vector<core::Subscription> actives;
     struct CoveredRecord {
-      core::SubscriptionId id = 0;
-      core::Subscription sub;
+      core::Subscription sub;  ///< id rides inside
       std::vector<core::SubscriptionId> coverers;  ///< original order
     };
     /// Covered set, sorted by id (map order is not meaningful).
@@ -225,6 +224,9 @@ class SubscriptionStore {
   /// Rebuilds this store from `snapshot`. Precondition: the store is empty
   /// and was constructed with the same (config, seed) as the exporting
   /// store — violations throw std::logic_error / std::invalid_argument.
+  /// The image must be consistent: ids unique and non-zero, every coverer
+  /// an active, and `children` exactly the inverse of the coverer lists;
+  /// otherwise std::invalid_argument, and the store must be discarded.
   /// Afterwards every future decision (insert coverage verdicts, erase
   /// promotions, match outputs and their order) is identical to the
   /// original store's.

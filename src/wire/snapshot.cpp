@@ -55,7 +55,6 @@ void write_store_snapshot(ByteWriter& out,
   }
   out.varint(snapshot.covered.size());
   for (const auto& record : snapshot.covered) {
-    out.varint(record.id);
     write_subscription(out, record.sub);
     write_id_list(out, record.coverers);
   }
@@ -82,7 +81,6 @@ SubscriptionStore::Snapshot read_store_snapshot(ByteReader& in) {
   snapshot.covered.reserve(covered_count);
   for (std::size_t i = 0; i < covered_count; ++i) {
     SubscriptionStore::Snapshot::CoveredRecord record;
-    record.id = in.varint();
     record.sub = read_subscription(in);
     record.coverers = read_id_list(in);
     snapshot.covered.push_back(std::move(record));

@@ -37,8 +37,10 @@ namespace psc::wire {
 /// the retired match-shard count; v6 drops the retired hierarchical-match
 /// and engine-prefilter flags (both behaviours are now unconditional); v7
 /// drops the broker body's publication tokens and the network body's
-/// membership presence byte (the membership block is always written).
-inline constexpr std::uint32_t kSnapshotVersion = 7;
+/// membership presence byte (the membership block is always written); v8
+/// drops the covered record's id varint (the id rides inside the
+/// subscription, as it does for actives).
+inline constexpr std::uint32_t kSnapshotVersion = 8;
 
 /// Frame magics ("PSCB" / "PSCN" little-endian).
 inline constexpr std::uint32_t kBrokerSnapshotMagic = 0x42435350U;
@@ -54,8 +56,8 @@ void write_store_snapshot(ByteWriter& out,
 [[nodiscard]] store::SubscriptionStore::Snapshot read_store_snapshot(
     ByteReader& in);
 
-/// Broker BODY codec (no frame header); Broker::snapshot()/restore() add
-/// the "PSCB" frame around it, the network body embeds it bare.
+/// Broker BODY codec (no frame header); Broker::snapshot() adds the "PSCB"
+/// frame around it, the network body embeds it bare.
 void write_broker_snapshot(ByteWriter& out,
                            const routing::Broker::Snapshot& snapshot);
 [[nodiscard]] routing::Broker::Snapshot read_broker_snapshot(ByteReader& in);

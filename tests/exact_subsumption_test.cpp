@@ -70,9 +70,50 @@ TEST(ExactSubsumption, HairlineGapDetected) {
   EXPECT_NEAR(result.uncovered_volume, 0.001 * 10, 1e-9);
 }
 
-TEST(ExactSubsumption, DegenerateTestedIsCovered) {
-  const Subscription s = box2(0, 10, 5, 5);  // zero measure
-  EXPECT_TRUE(exactly_covered(s, std::vector<Subscription>{}));
+TEST(ExactSubsumption, DegenerateTestedAgainstEmptySetIsNotCovered) {
+  // An equality predicate (y = 5) has zero measure but still matches
+  // publications, so nothing covers it for free.
+  const Subscription s = box2(0, 10, 5, 5);
+  const ExactResult result = exact_subsumption(s, std::vector<Subscription>{});
+  EXPECT_FALSE(result.covered);
+  EXPECT_NEAR(result.uncovered_volume, 10.0, 1e-9);  // measured along x
+}
+
+TEST(ExactSubsumption, DegenerateTestedCoveredInItsOwnDimension) {
+  // x = 5, y in [0, 10]: the two boxes that contain x = 5 split y between
+  // them; the third cannot help, as it misses x = 5 entirely.
+  const Subscription s = box2(5, 5, 0, 10);
+  const std::vector<Subscription> set{box2(0, 10, 0, 6, 1),
+                                      box2(6, 9, 0, 10, 2),
+                                      box2(4, 6, 5, 10, 3)};
+  const ExactResult result = exact_subsumption(s, set);
+  EXPECT_TRUE(result.covered);
+  EXPECT_EQ(result.uncovered_volume, 0.0);
+  // Without the first box, y in [0, 5) of the line stays open.
+  EXPECT_FALSE(exactly_covered(s, std::vector<Subscription>{set[1], set[2]}));
+}
+
+TEST(ExactSubsumption, DegenerateTestedUncoveredGetsWitnessOnItsLine) {
+  // x = 5, y in [0, 10] against y in [0, 3] only: y in (3, 10] stays open.
+  // The pinned box misses x = 5 and must not cover anything.
+  const Subscription s = box2(5, 5, 0, 10);
+  const std::vector<Subscription> set{box2(0, 10, 0, 3, 1),
+                                      box2(6, 9, 0, 10, 2)};
+  const ExactResult result = exact_subsumption(s, set);
+  ASSERT_FALSE(result.covered);
+  EXPECT_NEAR(result.uncovered_volume, 7.0, 1e-9);
+  ASSERT_TRUE(result.witness.has_value());
+  EXPECT_TRUE(s.contains_point(*result.witness));
+  for (const auto& si : set) EXPECT_FALSE(si.contains_point(*result.witness));
+}
+
+TEST(ExactSubsumption, PointTestedIsCoveredOnlyByABoxContainingIt) {
+  const Subscription point = box2(5, 5, 7, 7);
+  EXPECT_FALSE(exactly_covered(point, std::vector<Subscription>{
+                                          box2(0, 10, 0, 3, 1)}));
+  EXPECT_TRUE(exactly_covered(point, std::vector<Subscription>{
+                                         box2(0, 10, 0, 3, 1),
+                                         box2(5, 6, 7, 9, 2)}));
 }
 
 TEST(ExactSubsumption, CrossCoverFourQuadrants) {

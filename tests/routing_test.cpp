@@ -204,6 +204,7 @@ TEST(BrokerNetwork, PromotedTtlSubscriptionStillExpiresAfterReannounce) {
   net.subscribe_with_ttl(0, box2(2, 8, 2, 8, 2), 5.0);  // suppressed on link
   EXPECT_EQ(net.broker(1).routing_table_size(), 1u);  // only s1 announced
   net.unsubscribe(0, 1);  // promotes s2, reannounces it to broker 1
+  EXPECT_EQ(net.metrics().subscriptions_promoted, 1u);
   EXPECT_EQ(net.broker(1).routing_table_size(), 1u);  // now s2
   net.advance_time(6.0);  // past s2's expiry
   EXPECT_EQ(net.broker(0).routing_table_size(), 0u);

@@ -204,16 +204,17 @@ void run_stream(const StreamCase& c, Exercised& seen) {
 
     const auto snapshot = store.export_snapshot();
     for (const auto& record : snapshot.covered) {
-      ASSERT_FALSE(record.coverers.empty()) << "covered " << record.id;
+      ASSERT_FALSE(record.coverers.empty()) << "covered " << record.sub.id();
       std::vector<const Subscription*> union_of;
       for (const SubscriptionId coverer : record.coverers) {
         ASSERT_TRUE(store.is_active(coverer))
-            << "covered " << record.id << " lists dead coverer " << coverer;
+            << "covered " << record.sub.id() << " lists dead coverer "
+            << coverer;
         union_of.push_back(store.find(coverer));
       }
       if (exact_verdicts) {
         ASSERT_TRUE(baseline::exactly_covered(record.sub, union_of))
-            << "coverers of " << record.id << " do not cover it";
+            << "coverers of " << record.sub.id() << " do not cover it";
       }
     }
     for (const auto& record : snapshot.children) {
@@ -228,7 +229,7 @@ void run_stream(const StreamCase& c, Exercised& seen) {
       std::sort(active_ids.begin(), active_ids.end());
       std::vector<SubscriptionId> covered_ids;
       for (const auto& record : snapshot.covered) {
-        covered_ids.push_back(record.id);
+        covered_ids.push_back(record.sub.id());
       }
       ASSERT_EQ(active_ids, reference.active_ids());
       ASSERT_EQ(covered_ids, reference.covered_ids());

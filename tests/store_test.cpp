@@ -185,6 +185,26 @@ TEST(Store, PromotionRechecksOnlyTheErasedPart) {
   EXPECT_TRUE(store.is_active(3));
 }
 
+TEST(Store, ExactPolicyDoesNotCoverAnEqualityPredicateForFree) {
+  // x = 5 has zero measure, but [0,10]x[0,3] covers only y <= 3 of it: the
+  // publication (5, 7) matches it and nothing else, so it must stay active.
+  for (const bool use_index : {true, false}) {
+    StoreConfig config = policy(CoveragePolicy::kExact);
+    config.use_index = use_index;
+    SubscriptionStore store(config);
+    store.insert(box2(0, 10, 0, 3, 1));
+    EXPECT_TRUE(store.insert(box2(5, 5, 0, 10, 2)).accepted_active);
+    EXPECT_EQ(store.match_active(Publication({5.0, 7.0})),
+              (std::vector<SubscriptionId>{2}));
+    // With a second box over the rest of the line, the two cover it as a
+    // group.
+    ASSERT_TRUE(store.erase(2));
+    store.insert(box2(4, 6, 3, 10, 3));
+    EXPECT_TRUE(store.insert(box2(5, 5, 1, 9, 4)).covered);
+    EXPECT_EQ(store.coverers_of(4), (std::vector<SubscriptionId>{1, 3}));
+  }
+}
+
 TEST(Store, EraseUnknownIdReturnsFalse) {
   SubscriptionStore store;
   EXPECT_FALSE(store.erase(99));

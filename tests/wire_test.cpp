@@ -587,6 +587,49 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, StoreSnapshotTest,
                            return std::string(store::to_string(info.param));
                          });
 
+TEST(Snapshot, StoreImportRejectsAnInconsistentCoverDag) {
+  // a = [0,10]^2 active, c = [2,5]^2 covered by it: the one consistent
+  // image, then hand-built corruptions of its cover DAG. Each is encoded
+  // and decoded first, as a received image would be.
+  using Image = store::SubscriptionStore::Snapshot;
+  const Subscription a({Interval{0, 10}, Interval{0, 10}}, 1);
+  const Subscription c({Interval{2, 5}, Interval{2, 5}}, 2);
+  const auto image = [&](std::vector<SubscriptionId> coverers,
+                         std::vector<Image::DagRecord> children) {
+    Image snapshot;
+    snapshot.actives = {a};
+    snapshot.covered = {{c, std::move(coverers)}};
+    snapshot.children = std::move(children);
+    ByteWriter out;
+    write_store_snapshot(out, snapshot);
+    ByteReader in(out.buffer());
+    return read_store_snapshot(in);
+  };
+  const auto import = [](const Image& snapshot) {
+    store::SubscriptionStore store(
+        store_config_for(store::CoveragePolicy::kExact));
+    store.import_snapshot(snapshot);
+    return store;
+  };
+
+  store::SubscriptionStore good = import(image({1}, {{1, {2}}}));
+  EXPECT_EQ(good.erase_reporting(1).promoted, (std::vector<SubscriptionId>{2}));
+
+  // The DAG names an id that is not covered.
+  EXPECT_THROW((void)import(image({1}, {{1, {2, 3}}})), std::invalid_argument);
+  // A coverer that is not an active.
+  EXPECT_THROW((void)import(image({9}, {{9, {2}}})), std::invalid_argument);
+  // A coverer-list entry without its DAG edge.
+  EXPECT_THROW((void)import(image({1}, {})), std::invalid_argument);
+  // A DAG edge without its coverer-list entry.
+  EXPECT_THROW((void)import(image({1}, {{1, {2}}, {2, {2}}})),
+               std::invalid_argument);
+  // A repeated coverer-list entry, alone and with a repeated edge.
+  EXPECT_THROW((void)import(image({1, 1}, {{1, {2}}})), std::invalid_argument);
+  EXPECT_THROW((void)import(image({1, 1}, {{1, {2, 2}}})),
+               std::invalid_argument);
+}
+
 TEST(Snapshot, RestoredBrokerIsDecisionIdentical) {
   const std::uint64_t seed = 0x5eed;
   store::StoreConfig config;  // group policy default: RNG state matters
@@ -623,7 +666,10 @@ TEST(Snapshot, RestoredBrokerIsDecisionIdentical) {
   restored.add_neighbor(1);
   restored.add_neighbor(2);
   restored.add_neighbor(7);
-  restored.restore(bytes);
+  ByteReader in(bytes);
+  read_frame_header(in, kBrokerSnapshotMagic, "broker");
+  restored.import_snapshot(read_broker_snapshot(in));
+  EXPECT_TRUE(in.at_end());
 
   EXPECT_EQ(restored.routing_table_size(), original.routing_table_size());
 
