@@ -3,8 +3,9 @@
 // family and gates the delivered sets against the flat oracle: zero
 // mismatched publishes, lost notifications, duplicates and ghost routes
 // (tcp: divergent publishes), a non-empty run set, and proof that the
-// scenario's injection fired (recovery: a crash; lossy: drops, retransmits,
-// acks and, somewhere in the run matrix, a burst escalation; tcp: publishes).
+// scenario's injection fired (recovery: a crash; membership: a crash, a
+// replacement and a link heal; lossy: drops, retransmits, acks and,
+// somewhere in the run matrix, a burst escalation; tcp: publishes).
 //
 //   ./soak --scenario=NAME [flags]   a scenario takes only the flags with a
 //                                    default in its column ('-': rejected):
@@ -484,6 +485,11 @@ std::vector<std::string> gate(Scenario scenario, const Run& run) {
     require(r.recovery.replay_mismatches == 0, "replay_mismatches",
             r.recovery.replay_mismatches);
   }
+  if (scenario == Scenario::kMembership) {
+    require(r.membership.crashes > 0, "crashes", r.membership.crashes);
+    require(r.membership.replaces > 0, "replaces", r.membership.replaces);
+    require(r.membership.link_heals > 0, "link_heals", r.membership.link_heals);
+  }
   if (scenario == Scenario::kLossy) {
     require(m.frames_dropped > 0, "frames_dropped", m.frames_dropped);
     require(m.retransmits > 0, "retransmits", m.retransmits);
@@ -595,7 +601,6 @@ void write_run(util::JsonWriter& json, Scenario scenario, const Run& run) {
       json.member("link_heals", r.membership.link_heals);
       json.member("replace_restored_routes",
                   r.membership.replace_restored_routes);
-      json.member("replace_gap_subs", r.membership.replace_gap_subs);
       json.member("final_alive_brokers", r.membership.final_alive_brokers);
       json.end_object();
     }
@@ -746,6 +751,13 @@ int soak(const Options& o) {
       promoted += run.sim.totals.subscriptions_promoted;
     }
     std::cout << "\nsubscriptions promoted: " << promoted << "\n";
+  }
+  if (o.scenario == Scenario::kMembership || o.scenario == Scenario::kLossy) {
+    std::size_t restored = 0;
+    for (const Run& run : runs) {
+      restored += run.sim.membership.replace_restored_routes;
+    }
+    std::cout << "routes restored by replacement: " << restored << "\n";
   }
 
   std::vector<std::string> matrix_failures;

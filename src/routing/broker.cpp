@@ -5,7 +5,6 @@
 
 #include "util/radix_sort.hpp"
 #include "util/rng.hpp"
-#include "wire/snapshot.hpp"
 
 namespace psc::routing {
 
@@ -311,13 +310,6 @@ void Broker::import_snapshot(const Snapshot& snapshot) {
     // (incl. the engine RNG stream captured at export).
     forwarded_mutable(neighbor).import_snapshot(store_snapshot);
   }
-}
-
-std::vector<std::uint8_t> Broker::snapshot() const {
-  wire::ByteWriter out;
-  wire::write_frame_header(out, wire::kBrokerSnapshotMagic);
-  wire::write_broker_snapshot(out, export_snapshot());
-  return out.take();
 }
 
 }  // namespace psc::routing

@@ -187,7 +187,7 @@ class Broker {
   /// reverse-path origins), every per-link forwarded store (full coverage
   /// state incl. engine RNG — see store::SubscriptionStore::Snapshot). The
   /// lane indexes are rebuilt on import.
-  /// Binary codec: wire/snapshot.hpp; snapshot() is the framed form.
+  /// Binary codec: wire/snapshot.hpp (embedded in the network snapshot).
   struct Snapshot {
     BrokerId id = kInvalidBroker;
     struct RouteRecord {
@@ -213,11 +213,6 @@ class Broker {
   /// Violations throw std::invalid_argument / std::logic_error. Afterwards
   /// the broker is decision-for-decision identical to the exporter.
   void import_snapshot(const Snapshot& snapshot);
-
-  /// Framed byte form of export_snapshot: a self-describing buffer with
-  /// magic + format version (wire/snapshot.hpp). Readers strip the frame
-  /// and decode the body with wire::read_broker_snapshot.
-  [[nodiscard]] std::vector<std::uint8_t> snapshot() const;
 
  private:
   BrokerId id_;

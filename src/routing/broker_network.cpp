@@ -45,7 +45,11 @@ bool BrokerNetwork::register_local(BrokerId home, const Subscription& sub,
 }
 
 void BrokerNetwork::forget_local(SubscriptionId id) {
-  if (local_subs_.erase(id) > 0) (void)registry_subs_.erase(id);
+  const auto it = local_subs_.find(id);
+  if (it == local_subs_.end()) return;
+  if (transport_) transport_->cancel_timer(it->second.timer);
+  local_subs_.erase(it);
+  (void)registry_subs_.erase(id);
 }
 
 Broker BrokerNetwork::make_broker(BrokerId id) const {
@@ -381,8 +385,7 @@ void BrokerNetwork::crash_peer(BrokerId broker) {
   drain_escalations();
 }
 
-BrokerNetwork::ReplaceOutcome BrokerNetwork::replace_peer(
-    BrokerId broker, std::span<const std::uint8_t> image) {
+BrokerNetwork::ReplaceOutcome BrokerNetwork::replace_peer(BrokerId broker) {
   if (broker >= brokers_.size()) {
     throw std::invalid_argument("BrokerNetwork::replace_peer: unknown broker");
   }
@@ -393,51 +396,22 @@ BrokerNetwork::ReplaceOutcome BrokerNetwork::replace_peer(
   ReplaceOutcome outcome;
   outcome.healed_links = link_state_.replace_peer(broker);
 
-  // Prune the image to local-origin routes whose client subscription is
-  // still registered here: non-local routes describe an overlay that has
-  // since been repaired around the crash (re-announcement over the healed
-  // links rebuilds them), and departed/expired clients must stay gone.
-  Broker::Snapshot pruned;
-  pruned.id = broker;
-  if (!image.empty()) {
-    wire::ByteReader in(image);
-    wire::read_frame_header(in, wire::kBrokerSnapshotMagic, "broker");
-    const Broker::Snapshot snapshot = wire::read_broker_snapshot(in);
-    if (!in.at_end()) {
-      throw wire::DecodeError("wire: trailing bytes after broker snapshot");
-    }
-    if (snapshot.id != broker) {
-      throw std::invalid_argument(
-          "BrokerNetwork::replace_peer: image belongs to another broker");
-    }
-    for (const Broker::Snapshot::RouteRecord& record : snapshot.routes) {
-      if (!record.origin.local) continue;
-      const auto live = local_subs_.find(record.sub.id());
-      if (live == local_subs_.end() || live->second.home != broker) continue;
-      pruned.routes.push_back(record);
-    }
-  }
-  *brokers_[broker] = make_broker(broker);
-  brokers_[broker]->import_snapshot(pruned);
-  outcome.restored_routes = pruned.routes.size();
-
-  // Registry-diff gap replay: clients that subscribed after the image was
-  // taken re-register (ascending id). The broker is still link-less, so
-  // these stay local until the heals below flood them out. The original
-  // TTL timers are still armed in the queue and now resolve against the
-  // replacement, so no re-arming is needed.
-  std::vector<SubscriptionId> homed;
+  // The client registry is the one source: every subscription homed here
+  // comes back as a local route, in ascending id order. Importing arms no
+  // timer; the homed TTL timers armed before the crash are still pending.
+  // The broker is still link-less, so the heals below flood the routes out.
+  Broker::Snapshot homed;
+  homed.id = broker;
   for (const auto& [sid, local] : local_subs_) {
-    if (local.home == broker) homed.push_back(sid);
+    if (local.home != broker) continue;
+    homed.routes.push_back(
+        {*registry_subs_.find(sid), Origin{true, kInvalidBroker}});
   }
-  std::sort(homed.begin(), homed.end());
-  for (const SubscriptionId sid : homed) {
-    if (brokers_[broker]->routes(sid)) continue;
-    runtime(broker).subscribe(*registry_subs_.find(sid),
-                              Origin{true, kInvalidBroker},
-                              local_subs_.at(sid).expiry);
-    ++outcome.gap_subs_replayed;
-  }
+  std::sort(homed.routes.begin(), homed.routes.end(),
+            [](const auto& a, const auto& b) { return a.sub.id() < b.sub.id(); });
+  *brokers_[broker] = make_broker(broker);
+  brokers_[broker]->import_snapshot(homed);
+  outcome.restored_routes = homed.routes.size();
   run_cascade();
 
   // Rejoin every partition the crash created that is still open.
@@ -476,7 +450,7 @@ void BrokerNetwork::subscribe_with_ttl(BrokerId broker, const Subscription& sub,
   register_local(broker, sub, expiry);
   runtime(broker).subscribe(sub, Origin{true, kInvalidBroker}, expiry);
   // The subscriber side forgets the subscription at expiry too.
-  (void)ensure_transport().schedule_timer_at(
+  local_subs_.at(sub.id()).timer = ensure_transport().schedule_timer_at(
       expiry, [this, id = sub.id()]() { forget_local(id); });
   run_cascade();
   drain_escalations();
@@ -733,11 +707,11 @@ void BrokerNetwork::restore_all(std::span<const std::uint8_t> bytes) {
   // expiry handling is local, and a re-announcement of a promoted
   // subscription has exactly one possible source link).
   for (const SubscriptionId sid : restored_ids) {
-    const LocalSub& local = local_subs_.at(sid);
+    LocalSub& local = local_subs_.at(sid);
     if (!local.expiry) continue;
     const sim::SimTime expiry = *local.expiry;
     runtime(local.home).arm_expiry(sid, expiry);
-    (void)ensure_transport().schedule_timer_at(
+    local.timer = ensure_transport().schedule_timer_at(
         expiry, [this, sid]() { forget_local(sid); });
     for (std::size_t b = 0; b < broker_count; ++b) {
       const auto id = static_cast<BrokerId>(b);

@@ -122,11 +122,10 @@ class BrokerNetwork {
   //   * link attach (heal_link, join, repair): each endpoint re-announces
   //     its full routing table over the new link in canonical id order
   //     through a fresh coverage store, flooding only the uncovered ones;
-  //   * node replacement: the crashed broker is rebuilt from a (possibly
-  //     stale) snapshot image pruned to local-origin routes still in the
-  //     client registry, the registry diff is replayed as fresh local
-  //     subscriptions (clients re-registering), and every former link that
-  //     still bridges distinct components is healed.
+  //   * node replacement: the crashed broker is rebuilt from the client
+  //     registry alone (every subscription homed there comes back as a
+  //     local route), and every former link that still bridges distinct
+  //     components is healed.
 
   /// Joins a new broker to the overlay, attached to `attach_to` (which
   /// re-announces its routing table over the new link). Returns the new
@@ -165,20 +164,17 @@ class BrokerNetwork {
   void crash_peer(BrokerId broker);
 
   struct ReplaceOutcome {
-    std::size_t restored_routes = 0;    ///< local routes revived from the image
-    std::size_t gap_subs_replayed = 0;  ///< registry-diff client re-registrations
+    std::size_t restored_routes = 0;  ///< homed subscriptions re-installed
     std::vector<std::pair<BrokerId, BrokerId>> healed_links;
   };
 
-  /// Replaces a crashed broker from a Broker::snapshot() image (taken any
-  /// time before the crash; staleness is safe — the image is pruned to
-  /// local-origin routes still in the client registry, and registry
-  /// entries missing from it are replayed as fresh subscriptions). An
-  /// empty image is valid and means a full registry replay. After the
-  /// restore, every former link still bridging distinct components is
-  /// healed with mutual re-announcement.
-  ReplaceOutcome replace_peer(BrokerId broker,
-                              std::span<const std::uint8_t> image);
+  /// Replaces a crashed broker from the client registry: a fresh broker
+  /// routes every registered subscription homed at it, in ascending id
+  /// order (the clients still hold them; the TTL timers armed for them
+  /// before the crash are still pending and resolve against the
+  /// replacement). Then every former link still bridging distinct
+  /// components is healed with mutual re-announcement.
+  ReplaceOutcome replace_peer(BrokerId broker);
 
   /// True while `broker` is alive. Throws std::invalid_argument on an
   /// unknown id.
@@ -325,6 +321,9 @@ class BrokerNetwork {
     /// must carry it: a promoted TTL subscription delivered without its
     /// expiry would never die at the receiving broker (ghost route).
     std::optional<sim::SimTime> expiry;
+    /// The timer that forgets it at `expiry`; forget_local cancels it, so
+    /// it never fires for a later subscription under the same id.
+    Transport::TimerId timer = Transport::kNoTimer;
   };
   std::unordered_map<core::SubscriptionId, LocalSub> local_subs_;
   /// The registry's subscriptions (the only copy), in a coverage-free
@@ -365,8 +364,8 @@ class BrokerNetwork {
   /// when its id is already registered.
   bool register_local(BrokerId home, const core::Subscription& sub,
                       std::optional<sim::SimTime> expiry);
-  /// Removes a client subscription from the registry; unknown ids are a
-  /// no-op (a TTL timer may fire after an unsubscribe).
+  /// Removes a client subscription from the registry and cancels its
+  /// expiry timer; unknown ids are a no-op.
   void forget_local(core::SubscriptionId id);
 
   /// The runtime of broker `id`, building the transport and any missing

@@ -42,11 +42,16 @@ void BrokerRuntime::subscribe(const Subscription& sub, Origin origin,
   const std::vector<BrokerId> forward_to =
       broker_.handle_subscription(sub, origin, &suppressed);
   metrics_.subscriptions_suppressed += suppressed;
-  if (expiry) arm_expiry(sub.id(), *expiry);
+  if (expiry) {
+    arm_expiry(sub.id(), *expiry);
+  } else {
+    cancel_expiry(sub.id());
+  }
   for (const BrokerId next : forward_to) send_subscription(next, sub, expiry);
 }
 
 void BrokerRuntime::unsubscribe(SubscriptionId id, Origin origin) {
+  cancel_expiry(id);
   const Broker::UnsubscriptionOutcome outcome =
       broker_.handle_unsubscription(id, origin);
   for (const BrokerId next : outcome.forward_to) {
@@ -85,7 +90,9 @@ void BrokerRuntime::publish(const Publication& pub, Origin origin,
 }
 
 void BrokerRuntime::arm_expiry(SubscriptionId id, sim::SimTime expiry) {
-  (void)transport_.schedule_timer_at(expiry, [this, id]() {
+  cancel_expiry(id);
+  expiry_timers_[id] = transport_.schedule_timer_at(expiry, [this, id]() {
+    expiry_timers_.erase(id);
     const auto promoted = broker_.handle_expiry(id);
     metrics_.subscriptions_promoted += promoted.size();
     for (const auto& [next, sub] : promoted) reannounce(next, sub);
@@ -110,6 +117,13 @@ void BrokerRuntime::purge_peer(BrokerId peer) {
   std::vector<SubscriptionId> ids = broker_.subscriptions_from(dead);
   std::sort(ids.begin(), ids.end());
   for (const SubscriptionId id : ids) unsubscribe(id, dead);
+}
+
+void BrokerRuntime::cancel_expiry(SubscriptionId id) {
+  const auto timer = expiry_timers_.find(id);
+  if (timer == expiry_timers_.end()) return;
+  transport_.cancel_timer(timer->second);
+  expiry_timers_.erase(timer);
 }
 
 bool BrokerRuntime::reannounce(BrokerId next, const Subscription& sub) {

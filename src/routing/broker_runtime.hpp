@@ -17,13 +17,18 @@
 // The host owns the Broker, the counters and the publish scratch. Timers
 // the runtime arms capture it, so it must outlive its transport's pending
 // timers; a crashed broker is wiped in place (the host assigns a fresh
-// Broker), and its armed timers resolve against the replacement.
+// Broker), and its armed timers resolve against the replacement. The
+// runtime keeps at most one pending expiry timer per subscription id: an
+// arrival replaces it (or, with no expiry, cancels it) and an
+// unsubscription cancels it, so a timer armed for one subscription never
+// removes a later one under the same id.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <span>
+#include <unordered_map>
 
 #include "routing/broker.hpp"
 #include "routing/transport.hpp"
@@ -56,12 +61,14 @@ class BrokerRuntime {
   /// A subscription arrives from `origin`: records the route, arms its
   /// expiry timer (every broker that routes a TTL subscription expires it
   /// itself, so removal costs no messages — Section 5), and forwards it
-  /// on every link whose coverage does not suppress it.
+  /// on every link whose coverage does not suppress it. The arrival's
+  /// expiry replaces any timer pending for the id; none cancels it.
   void subscribe(const core::Subscription& sub, Origin origin,
                  std::optional<sim::SimTime> expiry);
 
-  /// An unsubscription arrives from `origin`: forwards it on the links
-  /// that carried the subscription and re-announces what it promoted.
+  /// An unsubscription arrives from `origin`: cancels the id's expiry
+  /// timer, forwards it on the links that carried the subscription and
+  /// re-announces what it promoted.
   void unsubscribe(core::SubscriptionId id, Origin origin);
 
   /// A publication arrives from `origin`: delivers the local matches and
@@ -70,9 +77,9 @@ class BrokerRuntime {
   void publish(const core::Publication& pub, Origin origin,
                std::uint64_t token);
 
-  /// Arms this broker's expiry timer for `id` at transport time `expiry`;
-  /// when it fires the broker drops the route and re-announces what the
-  /// removal promoted.
+  /// Arms this broker's expiry timer for `id` at transport time `expiry`,
+  /// replacing any timer still pending for `id`; when it fires the broker
+  /// drops the route and re-announces what the removal promoted.
   void arm_expiry(core::SubscriptionId id, sim::SimTime expiry);
 
   /// Link-attach re-announcement: floods the uncovered part of the routing
@@ -90,6 +97,8 @@ class BrokerRuntime {
   bool reannounce(BrokerId next, const core::Subscription& sub);
   void send_subscription(BrokerId next, const core::Subscription& sub,
                          std::optional<sim::SimTime> expiry);
+  /// Cancels the expiry timer pending for `id`, if any.
+  void cancel_expiry(core::SubscriptionId id);
 
   Broker& broker_;
   Transport& transport_;
@@ -97,6 +106,8 @@ class BrokerRuntime {
   Broker::PublishScratch& scratch_;
   DeliverFn deliver_;
   LookupFn lookup_;
+  /// The pending expiry timer of each subscription id that has one.
+  std::unordered_map<core::SubscriptionId, Transport::TimerId> expiry_timers_;
 };
 
 }  // namespace psc::routing

@@ -43,7 +43,7 @@ enum class MembershipOpKind : std::uint8_t {
   kJoin = 1,      ///< new broker attaches to an existing one
   kLeave = 2,     ///< graceful departure; overlay repaired in place
   kCrash = 3,     ///< broker dies, state lost; links fail unilaterally
-  kReplace = 4,   ///< crashed broker replaced from its snapshot image
+  kReplace = 4,   ///< crashed broker rebuilt from the client registry
   kFailLink = 5,  ///< link down: partition (until heal or replacement)
   kHealLink = 6,  ///< failed/standby link up, with re-announcement
 };

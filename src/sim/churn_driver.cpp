@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <span>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -18,20 +17,6 @@ using workload::ChurnOpKind;
 using workload::ChurnTrace;
 
 namespace {
-
-/// Stale-by-design replacement images: the newest framed snapshot of each
-/// broker, refreshed at epoch boundaries. A replace may therefore restore
-/// from an image taken before intervening churn — the registry prune and
-/// gap replay in BrokerNetwork::replace_peer make that correct, and the
-/// soak exercising it is the point. Brokers crashed before ever being
-/// imaged replace from an empty image (pure gap replay).
-using ImageCache = std::unordered_map<BrokerId, std::vector<std::uint8_t>>;
-
-std::span<const std::uint8_t> image_of(const ImageCache& images, BrokerId b) {
-  const auto it = images.find(b);
-  if (it == images.end()) return {};
-  return {it->second.data(), it->second.size()};
-}
 
 /// End-of-epoch state sweep over every broker and link store.
 void snapshot_state(const BrokerNetwork& net, ChurnEpoch& epoch) {
@@ -82,11 +67,10 @@ bool delivered_within(const std::vector<core::SubscriptionId>& delivered,
 /// Returns the delivered set for publishes (empty otherwise). Membership
 /// replays work because restore_all revives the link-state (snapshot v2):
 /// the replayed sequence drives it through the same transitions as the
-/// first life. Replacement images may differ from the first life's, which
-/// is fine — post-cascade routing state is image-independent.
+/// first life. A replacement restores from the client registry, which the
+/// replay has brought to the same state the first life saw.
 std::vector<core::SubscriptionId> replay_op(BrokerNetwork& net,
-                                            const ChurnOp& op,
-                                            const ImageCache& images) {
+                                            const ChurnOp& op) {
   net.advance_time(op.time);
   std::vector<core::SubscriptionId> delivered;
   switch (op.kind) {
@@ -118,7 +102,7 @@ std::vector<core::SubscriptionId> replay_op(BrokerNetwork& net,
           net.crash_peer(op.broker);
           break;
         case MembershipOpKind::kReplace:
-          (void)net.replace_peer(op.broker, image_of(images, op.broker));
+          (void)net.replace_peer(op.broker);
           break;
         case MembershipOpKind::kFailLink:
           // Mirror the first life's skip: a retry-cap escalation may have
@@ -181,7 +165,6 @@ ChurnReport ChurnDriver::run(BrokerNetwork& net, const ChurnTrace& trace,
   // same live forest the generator planned against), its standby bridges
   // must be registered so heals can find them, and the oracle gets its own
   // link-state replica of the same universe.
-  ImageCache images;
   if (trace.has_membership) {
     if (net.universe().links != trace.universe.links) {
       throw std::invalid_argument(
@@ -192,18 +175,10 @@ ChurnReport ChurnDriver::run(BrokerNetwork& net, const ChurnTrace& trace,
     }
     if (options.differential) oracle.enable_membership(trace.universe);
   }
-  const auto refresh_images = [&]() {
-    for (std::size_t b = 0; b < net.broker_count(); ++b) {
-      const auto id = static_cast<BrokerId>(b);
-      if (!net.is_alive(id)) continue;  // a crashed broker's state is lost
-      images[id] = net.broker(id).snapshot();
-    }
-  };
   const auto audit_ghosts = [&]() {
     report.membership.ghost_routes =
         std::max(report.membership.ghost_routes, net.ghost_route_count());
   };
-  if (trace.has_membership) refresh_images();
 
   // Lossy-link setup: install the trace's scripted burst windows.
   if (net.lossy_links() && !trace.bursts.empty()) {
@@ -250,10 +225,7 @@ ChurnReport ChurnDriver::run(BrokerNetwork& net, const ChurnTrace& trace,
     epoch.suppressed = delta.subscriptions_suppressed;
     epoch.membership_events = delta.membership_events;
     snapshot_state(net, epoch);
-    if (trace.has_membership) {
-      audit_ghosts();
-      refresh_images();
-    }
+    if (trace.has_membership) audit_ghosts();
     report.peak_routing_entries =
         std::max(report.peak_routing_entries, epoch.routing_entries);
     report.mismatched_publishes += epoch.mismatched_publishes;
@@ -322,7 +294,7 @@ ChurnReport ChurnDriver::run(BrokerNetwork& net, const ChurnTrace& trace,
       std::size_t publish_cursor = 0;
       for (const std::size_t gap_index : gap_ops) {
         const ChurnOp& gap_op = trace.ops[gap_index];
-        const auto delivered = replay_op(net, gap_op, images);
+        const auto delivered = replay_op(net, gap_op);
         ++report.recovery.gap_ops_replayed;
         if (gap_op.kind == ChurnOpKind::kPublish) {
           ++report.recovery.gap_publishes_replayed;
@@ -427,15 +399,12 @@ ChurnReport ChurnDriver::run(BrokerNetwork& net, const ChurnTrace& trace,
             if (options.differential) oracle.crash_peer(op.broker);
             ++report.membership.crashes;
             break;
-          case MembershipOpKind::kReplace: {
-            const auto outcome =
-                net.replace_peer(op.broker, image_of(images, op.broker));
-            report.membership.replace_restored_routes += outcome.restored_routes;
-            report.membership.replace_gap_subs += outcome.gap_subs_replayed;
+          case MembershipOpKind::kReplace:
+            report.membership.replace_restored_routes +=
+                net.replace_peer(op.broker).restored_routes;
             if (options.differential) oracle.replace_peer(op.broker);
             ++report.membership.replaces;
             break;
-          }
           case MembershipOpKind::kFailLink:
             // A retry-cap escalation may have failed this link before the
             // trace's planned failure arrives; skip it on both replicas

@@ -87,8 +87,8 @@ struct MembershipStats {
   std::size_t replaces = 0;
   std::size_t link_failures = 0;
   std::size_t link_heals = 0;
-  std::size_t replace_restored_routes = 0;  ///< routes revived from images
-  std::size_t replace_gap_subs = 0;         ///< registry-diff replays
+  /// Homed subscriptions replacements re-installed from the registry.
+  std::size_t replace_restored_routes = 0;
   std::size_t ghost_routes = 0;             ///< peak audit count (gate: 0)
   std::size_t final_alive_brokers = 0;
   /// Links the reliable protocol escalated into fail_link (retry cap

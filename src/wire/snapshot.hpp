@@ -1,17 +1,17 @@
 // Snapshot codecs — the self-describing binary format behind
-// store::SubscriptionStore::export_snapshot, Broker::snapshot(), and
-// BrokerNetwork::snapshot_all().
+// BrokerNetwork::snapshot_all(), built from store::SubscriptionStore and
+// Broker exports.
 //
 // Frame layout (full tables in docs/ARCHITECTURE.md, "Wire format"):
 //
-//   broker frame   : u32 magic "PSCB" | u32 version | broker body
 //   network frame  : u32 magic "PSCN" | u32 version | network body
 //
 // Bodies are built from the element codecs in wire/codec.hpp plus the
-// store/broker codecs below. The network body embeds broker bodies without
-// their own magic (one frame per top-level artifact). Version checks are
-// exact-match: the format is young enough that forward/backward bridging
-// would be speculative — a mismatch throws DecodeError and the caller
+// store/broker codecs below. The network body embeds one broker body per
+// broker, each with its link stores' bodies; only the network snapshot
+// carries a frame header. Version checks are exact-match: the format is
+// young enough that forward/backward bridging would be speculative — a
+// mismatch throws DecodeError and the caller
 // falls back to cold start (snapshots are an optimization, never the only
 // copy of the truth; the op log / trace can always be replayed from
 // scratch).
@@ -42,8 +42,7 @@ namespace psc::wire {
 /// subscription, as it does for actives).
 inline constexpr std::uint32_t kSnapshotVersion = 8;
 
-/// Frame magics ("PSCB" / "PSCN" little-endian).
-inline constexpr std::uint32_t kBrokerSnapshotMagic = 0x42435350U;
+/// Frame magic ("PSCN" little-endian).
 inline constexpr std::uint32_t kNetworkSnapshotMagic = 0x4e435350U;
 
 /// Writes/reads a frame header; read throws DecodeError on a magic or
@@ -56,8 +55,7 @@ void write_store_snapshot(ByteWriter& out,
 [[nodiscard]] store::SubscriptionStore::Snapshot read_store_snapshot(
     ByteReader& in);
 
-/// Broker BODY codec (no frame header); Broker::snapshot() adds the "PSCB"
-/// frame around it, the network body embeds it bare.
+/// Broker BODY codec (no frame header); the network body embeds it.
 void write_broker_snapshot(ByteWriter& out,
                            const routing::Broker::Snapshot& snapshot);
 [[nodiscard]] routing::Broker::Snapshot read_broker_snapshot(ByteReader& in);

@@ -4,15 +4,17 @@
 // unsubscribe, expiry, crash/replace, link fail/heal, snapshot/restore,
 // publish) on a small tree and a small grid must keep both overloads equal
 // to the flat oracle's sets after every op, for points inside and outside
-// the index's bucketing domain, with the registry size in lockstep.
+// the index's bucketing domain, with the registry size in lockstep. Ids
+// come back: a subscribe sometimes reuses a retired (unsubscribed or
+// expired) id, and an unsubscribe is sometimes followed at once by a
+// subscribe of the same id, each with a fresh box, so nothing left behind
+// by an earlier subscription may affect the current one.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -95,7 +97,8 @@ class AccountingRun {
   SubscriptionId next_id_ = 1;
   /// Registered ids -> (home, expiry), mirroring both registries.
   std::map<SubscriptionId, std::pair<BrokerId, std::optional<double>>> live_;
-  std::unordered_map<BrokerId, std::vector<std::uint8_t>> images_;
+  /// Ids unsubscribed or expired, free to be subscribed again.
+  std::vector<SubscriptionId> retired_;
 
   [[nodiscard]] bool alive(BrokerId b) const { return net_.is_alive(b); }
 
@@ -120,14 +123,33 @@ class AccountingRun {
     net_.advance_time(now_);
     oracle_.advance_time(now_);
     std::erase_if(live_, [&](const auto& entry) {
-      return entry.second.second && *entry.second.second <= now_;
+      const bool expired = entry.second.second && *entry.second.second <= now_;
+      if (expired) retired_.push_back(entry.first);
+      return expired;
     });
+  }
+
+  /// A new id, or now and then the most recently retired one, so an id
+  /// often returns while timers armed for its last incarnation would
+  /// still be pending.
+  SubscriptionId next_id() {
+    if (retired_.empty() || rng_.next_double() >= 0.3) return next_id_++;
+    const SubscriptionId id = retired_.back();
+    retired_.pop_back();
+    return id;
   }
 
   void subscribe(BrokerId home, const Subscription& sub) {
     net_.subscribe(home, sub);
     oracle_.subscribe(home, sub);
     live_[sub.id()] = {home, std::nullopt};
+  }
+
+  void subscribe_with_ttl(BrokerId home, const Subscription& sub) {
+    const double ttl = static_cast<double>(1 + rng_.next_below(6)) + 0.5;
+    net_.subscribe_with_ttl(home, sub, ttl);
+    oracle_.subscribe_with_ttl(home, sub, ttl);
+    live_[sub.id()] = {home, now_ + ttl};
   }
 
   /// A later subscription pairwise-covers an earlier one. Under the
@@ -154,27 +176,33 @@ class AccountingRun {
       case 0:
       case 1:
       case 2:
-        subscribe(pick(up), random_box(rng_, next_id_++));
+        subscribe(pick(up), random_box(rng_, next_id()));
         break;
-      case 3: {
-        const BrokerId home = pick(up);
-        const Subscription sub = random_box(rng_, next_id_++);
-        const double ttl = static_cast<double>(1 + rng_.next_below(6)) + 0.5;
-        net_.subscribe_with_ttl(home, sub, ttl);
-        oracle_.subscribe_with_ttl(home, sub, ttl);
-        live_[sub.id()] = {home, now_ + ttl};
+      case 3:
+        subscribe_with_ttl(pick(up), random_box(rng_, next_id()));
         break;
-      }
       case 4: {
+        // Half the time a TTL subscription is dropped before it expires.
+        const bool mortal = rng_.next_double() < 0.5;
         std::vector<SubscriptionId> ids;
         for (const auto& [id, entry] : live_) {
-          if (alive(entry.first)) ids.push_back(id);
+          if (alive(entry.first) && (!mortal || entry.second)) ids.push_back(id);
         }
         if (ids.empty()) break;
         const SubscriptionId id = pick(ids);
         net_.unsubscribe(live_.at(id).first, id);
         oracle_.unsubscribe(live_.at(id).first, id);
         live_.erase(id);
+        // Half the time the client changes its filter: the id comes back
+        // at once with a fresh box, with or without a TTL.
+        const double draw = rng_.next_double();
+        if (draw < 0.25) {
+          subscribe(pick(up), random_box(rng_, id));
+        } else if (draw < 0.5) {
+          subscribe_with_ttl(pick(up), random_box(rng_, id));
+        } else {
+          retired_.push_back(id);
+        }
         break;
       }
       case 5:
@@ -183,8 +211,6 @@ class AccountingRun {
       case 6: {
         if (up.size() <= 2) break;
         const BrokerId victim = pick(up);
-        // Sometimes a fresh image, otherwise whatever older one there is.
-        if (rng_.next_double() < 0.5) images_[victim] = net_.broker(victim).snapshot();
         net_.crash_peer(victim);
         oracle_.crash_peer(victim);
         break;
@@ -196,10 +222,7 @@ class AccountingRun {
         }
         if (down.empty()) break;
         const BrokerId back = pick(down);
-        const auto image = images_.find(back);
-        (void)net_.replace_peer(
-            back, image == images_.end() ? std::span<const std::uint8_t>{}
-                                         : std::span<const std::uint8_t>(image->second));
+        (void)net_.replace_peer(back);
         oracle_.replace_peer(back);
         break;
       }

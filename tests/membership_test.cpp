@@ -198,8 +198,7 @@ TEST(Membership, TtlExpiringExactlyAtThePartitionInstant) {
 TEST(Membership, CrashKeepsClientsRegisteredUntilReplacement) {
   BrokerNetwork net = BrokerNetwork::figure1_topology(quiet_config());
   net.subscribe(6, box(1, 100, 200));  // homed at B7
-  const std::vector<std::uint8_t> image = net.broker(6).snapshot();
-  net.subscribe(6, box(2, 300, 400));  // after the image: the gap sub
+  net.subscribe(6, box(2, 300, 400));
 
   net.crash_peer(6);
   // B8 and B9 are cut off; the crashed broker's clients are unreachable
@@ -208,9 +207,8 @@ TEST(Membership, CrashKeepsClientsRegisteredUntilReplacement) {
   EXPECT_EQ(net.metrics().notifications_lost, 0u);
   EXPECT_EQ(net.ghost_route_count(), 0u);
 
-  const auto outcome = net.replace_peer(6, {image.data(), image.size()});
-  EXPECT_EQ(outcome.restored_routes, 1u);    // sub 1, from the image
-  EXPECT_EQ(outcome.gap_subs_replayed, 1u);  // sub 2, registry diff
+  const auto outcome = net.replace_peer(6);
+  EXPECT_EQ(outcome.restored_routes, 2u);  // both homed subs, from the registry
   EXPECT_EQ(outcome.healed_links.size(), 3u);
   EXPECT_EQ(net.link_state().component_count(), 1u);
 
@@ -221,7 +219,7 @@ TEST(Membership, CrashKeepsClientsRegisteredUntilReplacement) {
   EXPECT_EQ(net.ghost_route_count(), 0u);
 }
 
-TEST(Membership, ReplacementFromImageEqualsNeverCrashedRun) {
+TEST(Membership, ReplacementEqualsNeverCrashedRun) {
   // Drive two identical networks through the same client ops; crash and
   // replace a broker in one of them. Deliveries afterwards must be
   // indistinguishable from the run that never crashed.
@@ -232,9 +230,8 @@ TEST(Membership, ReplacementFromImageEqualsNeverCrashedRun) {
     net->subscribe(1, box(2, 120, 180));
     net->subscribe(6, box(3, 500, 600));
   }
-  const std::vector<std::uint8_t> image = crashed.broker(6).snapshot();
   crashed.crash_peer(6);
-  (void)crashed.replace_peer(6, {image.data(), image.size()});
+  (void)crashed.replace_peer(6);
 
   for (const auto& pub : {point(150, 150), point(550, 550), point(10, 10)}) {
     for (std::size_t from = 0; from < 9; ++from) {
@@ -247,32 +244,59 @@ TEST(Membership, ReplacementFromImageEqualsNeverCrashedRun) {
   EXPECT_EQ(crashed.ghost_route_count(), 0u);
 }
 
-TEST(Membership, ReplacementFromEmptyImageIsPureGapReplay) {
+TEST(Membership, ReplacementRestoresTheCurrentBoxOfAReusedId) {
+  // Id 1 is subscribed, dropped, and subscribed again at B7 with another
+  // box. The replacement must route the box the client holds now.
   BrokerNetwork net = BrokerNetwork::figure1_topology(quiet_config());
   net.subscribe(6, box(1, 100, 200));
+  net.unsubscribe(6, 1);
+  net.subscribe(6, box(1, 300, 400));
   net.crash_peer(6);
-  const auto outcome = net.replace_peer(6, {});
-  EXPECT_EQ(outcome.restored_routes, 0u);
-  EXPECT_EQ(outcome.gap_subs_replayed, 1u);
-  EXPECT_EQ(net.publish(0, point(150, 150)), std::vector<SubscriptionId>{1});
+  (void)net.replace_peer(6);
+
+  EXPECT_EQ(net.publish(0, point(350, 350)), std::vector<SubscriptionId>{1});
+  EXPECT_TRUE(net.publish(0, point(150, 150)).empty());
+  EXPECT_EQ(net.metrics().notifications_lost, 0u);
   EXPECT_EQ(net.ghost_route_count(), 0u);
 }
 
 TEST(Membership, ExpiryArmedBeforeACrashFiresAgainstTheReplacement) {
-  // Broker 6 armed an expiry timer for the TTL subscription it routes.
-  // The crash wipes it and the replacement relearns the route over the
-  // healed link; the timer armed before the crash must resolve against the
-  // replacement (never against state the crash freed) and, with the
-  // replacement's own timer, leave no trace of the subscription.
+  // Broker 6 armed expiry timers for the TTL subscriptions it routes: id 1
+  // from B1, id 2 from its own client. The crash wipes it; the replacement
+  // re-installs id 2 from the registry without arming a timer and relearns
+  // id 1 over the healed link. The timers armed before the crash must
+  // resolve against the replacement (never against state the crash freed)
+  // and leave no trace of either subscription.
   BrokerNetwork net = BrokerNetwork::figure1_topology(quiet_config());
   net.subscribe_with_ttl(0, box(1, 100, 200), 1.0);
-  const std::vector<std::uint8_t> image = net.broker(6).snapshot();
+  net.subscribe_with_ttl(6, box(2, 300, 400), 1.0);
   net.crash_peer(6);
-  (void)net.replace_peer(6, {image.data(), image.size()});
+  (void)net.replace_peer(6);
+  EXPECT_EQ(net.publish(0, point(350, 350)), std::vector<SubscriptionId>{2});
   net.advance_time(1.5);
+  EXPECT_EQ(net.local_subscription_count(), 0u);
   EXPECT_EQ(net.ghost_route_count(), 0u);
-  EXPECT_FALSE(net.broker(6).routes(1));
+  for (BrokerId b = 0; b < net.broker_count(); ++b) {
+    EXPECT_EQ(net.broker(b).routing_table_size(), 0u) << "broker " << b;
+  }
   EXPECT_TRUE(net.publish(0, point(150, 150)).empty());
+}
+
+TEST(Membership, TimerLeftOnACrashedBrokerSparesTheNextIncarnation) {
+  // B7 routes TTL id 1 when it crashes. While it is down the client drops
+  // id 1 and subscribes it again without a TTL; the replacement relearns
+  // it over the healed link. The timer B7 armed for the first incarnation
+  // must not remove the second.
+  BrokerNetwork net = BrokerNetwork::figure1_topology(quiet_config());
+  net.subscribe_with_ttl(0, box(1, 100, 200), 1.0);
+  net.crash_peer(6);
+  net.unsubscribe(0, 1);
+  net.subscribe(0, box(1, 100, 200));
+  (void)net.replace_peer(6);
+  net.advance_time(1.5);
+  EXPECT_EQ(net.publish(8, point(150, 150)), std::vector<SubscriptionId>{1});
+  EXPECT_EQ(net.metrics().notifications_lost, 0u);
+  EXPECT_EQ(net.ghost_route_count(), 0u);
 }
 
 TEST(Membership, GuardsRejectOpsOnDeadBrokers) {
@@ -284,7 +308,7 @@ TEST(Membership, GuardsRejectOpsOnDeadBrokers) {
   EXPECT_THROW(net.remove_peer(8), std::invalid_argument);
   EXPECT_THROW(net.add_peer(8), std::invalid_argument);
   // Replacing an alive broker is a protocol violation, not bad input.
-  EXPECT_THROW((void)net.replace_peer(0, {}), std::logic_error);
+  EXPECT_THROW((void)net.replace_peer(0), std::logic_error);
 }
 
 // --- snapshot round trip ------------------------------------------------

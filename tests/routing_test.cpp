@@ -7,6 +7,9 @@
 
 #include <algorithm>
 
+#include "routing/flat_oracle.hpp"
+#include "wire/snapshot.hpp"
+
 namespace psc::routing {
 namespace {
 
@@ -212,6 +215,43 @@ TEST(BrokerNetwork, PromotedTtlSubscriptionStillExpiresAfterReannounce) {
   EXPECT_EQ(net.local_subscription_count(), 0u);
 }
 
+TEST(BrokerNetwork, ResubscribedIdOutlivesTheTimersOfItsTtlPredecessor) {
+  // Id 1 first lives with a 1 s TTL and is unsubscribed; id 2 is
+  // unsubscribed and re-subscribed with a longer TTL. Neither timer armed
+  // for the first incarnation may remove the second.
+  auto net = BrokerNetwork::figure1_topology(
+      with_policy(store::CoveragePolicy::kPairwise));
+  FlatOracle oracle;
+  net.subscribe_with_ttl(B(7), box2(100, 200, 100, 200, 1), 1.0);
+  oracle.subscribe_with_ttl(B(7), box2(100, 200, 100, 200, 1), 1.0);
+  net.subscribe_with_ttl(B(2), box2(300, 400, 300, 400, 2), 1.0);
+  oracle.subscribe_with_ttl(B(2), box2(300, 400, 300, 400, 2), 1.0);
+  for (const auto& [home, id] : {std::pair{B(7), SubscriptionId{1}},
+                                 std::pair{B(2), SubscriptionId{2}}}) {
+    net.unsubscribe(home, id);
+    oracle.unsubscribe(home, id);
+  }
+  net.subscribe(B(7), box2(100, 200, 100, 200, 1));
+  oracle.subscribe(B(7), box2(100, 200, 100, 200, 1));
+  net.subscribe_with_ttl(B(2), box2(300, 400, 300, 400, 2), 5.0);
+  oracle.subscribe_with_ttl(B(2), box2(300, 400, 300, 400, 2), 5.0);
+
+  net.advance_time(2.0);
+  oracle.advance_time(2.0);
+  EXPECT_EQ(net.local_subscription_count(), 2u);
+  for (const Publication& pub : {Publication({150.0, 150.0}),
+                                 Publication({350.0, 350.0})}) {
+    EXPECT_EQ(net.publish(B(1), pub), oracle.publish(pub));
+    EXPECT_EQ(oracle.publish(pub).size(), 1u);
+  }
+  EXPECT_EQ(net.metrics().notifications_lost, 0u);
+
+  net.advance_time(6.0);  // past the second incarnation's own expiry
+  EXPECT_EQ(net.publish(B(1), Publication({350.0, 350.0})).size(), 0u);
+  EXPECT_EQ(net.local_subscription_count(), 1u);
+  EXPECT_EQ(net.ghost_route_count(), 0u);
+}
+
 TEST(BrokerNetwork, ExpectedRecipientsGroundTruth) {
   auto net = BrokerNetwork::chain_topology(
       3, with_policy(store::CoveragePolicy::kPairwise));
@@ -279,10 +319,13 @@ TEST(BrokerNetwork, PublishingLeavesNoBrokerState) {
     net.subscribe(B(b), box2(lo, lo + 30, 0, 60, id++));
     net.subscribe(B(b), box2(lo + 5, lo + 15, 10, 20, id++));
   }
+  const auto image = [&net](BrokerId b) {
+    wire::ByteWriter out;
+    wire::write_broker_snapshot(out, net.broker(b).export_snapshot());
+    return out.take();
+  };
   std::vector<std::vector<std::uint8_t>> before;
-  for (BrokerId b = 0; b < net.broker_count(); ++b) {
-    before.push_back(net.broker(b).snapshot());
-  }
+  for (BrokerId b = 0; b < net.broker_count(); ++b) before.push_back(image(b));
   std::size_t delivered = 0;
   for (int i = 0; i < 200; ++i) {
     const BrokerId at = static_cast<BrokerId>(i % net.broker_count());
@@ -293,7 +336,7 @@ TEST(BrokerNetwork, PublishingLeavesNoBrokerState) {
   EXPECT_GT(delivered, 0u);
   EXPECT_EQ(net.metrics().notifications_duplicated, 0u);
   for (BrokerId b = 0; b < net.broker_count(); ++b) {
-    EXPECT_EQ(net.broker(b).snapshot(), before[b]) << "broker " << b;
+    EXPECT_EQ(image(b), before[b]) << "broker " << b;
   }
 }
 

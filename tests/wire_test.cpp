@@ -661,13 +661,13 @@ TEST(Snapshot, RestoredBrokerIsDecisionIdentical) {
     }
   }
   // Byte-level snapshot into a fresh same-configured broker.
-  const std::vector<std::uint8_t> bytes = original.snapshot();
+  ByteWriter out;
+  write_broker_snapshot(out, original.export_snapshot());
   Broker restored(3, config, seed);
   restored.add_neighbor(1);
   restored.add_neighbor(2);
   restored.add_neighbor(7);
-  ByteReader in(bytes);
-  read_frame_header(in, kBrokerSnapshotMagic, "broker");
+  ByteReader in(out.buffer());
   restored.import_snapshot(read_broker_snapshot(in));
   EXPECT_TRUE(in.at_end());
 
