@@ -15,13 +15,16 @@
 // --actives is a comma-separated list of SCALE TIERS. The first tier is
 // the primary one and runs every section below; later tiers (the 1M-active
 // tier in the default full run) re-measure the index-bound sections only —
-// stab, box_intersect, insert_erase_churn_amortized — and are recorded as
-// separate "scales" blocks in the JSON so scripts/check_bench.py can gate
-// each tier independently.
+// stab, box_intersect, covering, insert_erase_churn_amortized — and are
+// recorded (covering aside, see below) as separate "scales" blocks in the
+// JSON so scripts/check_bench.py can gate each tier independently.
 //
 // Sections (see docs/PERFORMANCE.md for the methodology):
 //   * stab           — point-stab on the interval index at tier size
 //   * box_intersect  — box-intersect on the same index
+//   * covering       — the containment query (pairwise cover) on the same
+//     index, probed with fresh subscriptions from the fixture's stream;
+//     timed on every tier, written to the JSON's primary block only
 //   * insert_erase_churn_amortized — mutation-heavy steady state
 //     (erase+insert per op) on the index at tier size; its absolute floor
 //     at 100k actives lives in scripts/check_bench.py
@@ -86,6 +89,7 @@ struct ScaleResult {
   std::uint64_t churn_ops = 0;
   SectionResult stab;
   SectionResult box;
+  SectionResult covering;
   SectionResult churn_amortized;
   std::uint64_t checksum_index = 0;
   std::uint64_t checksum_flat = 0;
@@ -210,6 +214,14 @@ int main(int argc, char** argv) try {
     for (std::uint64_t i = 0; i < queries; ++i) {
       box_probes.push_back(workload::random_box(box_config, 0.02, 0.2, probe_rng));
     }
+    // Covering probes are what a store asks on subscribe: fresh
+    // subscriptions from the fixture's own distribution.
+    workload::ComparisonStream cover_stream(stream_config, seed + 1);
+    std::vector<Subscription> cover_probes;
+    cover_probes.reserve(queries);
+    for (std::uint64_t i = 0; i < queries; ++i) {
+      cover_probes.push_back(cover_stream.next());
+    }
 
     // Oracle: every 64th query is re-run against a flat scan of `live`.
     // The id-sum folds are order-independent, so equal checksums pin
@@ -255,6 +267,24 @@ int main(int argc, char** argv) try {
       fold(expected, scale.checksum_flat);
       gate.check(sorted(got) == sorted(expected),
                  "box_intersect probe " + std::to_string(i) + suffix);
+    }
+
+    // --- covering ------------------------------------------------------
+    scale.covering = time_section("covering", queries, [&](std::uint64_t i) {
+      out.clear();
+      index.covering(cover_probes[i], out);
+      sink += out.size();
+    });
+    for (std::uint64_t i = 0; i < queries; i += oracle_stride) {
+      std::vector<SubscriptionId> expected;
+      for (const Subscription& sub : live) {
+        if (sub.covers(cover_probes[i])) expected.push_back(sub.id());
+      }
+      const auto got = index.covering(cover_probes[i]);
+      fold(got, scale.checksum_index);
+      fold(expected, scale.checksum_flat);
+      gate.check(sorted(got) == sorted(expected),
+                 "covering probe " + std::to_string(i) + suffix);
     }
     gate.check(scale.checksum_index == scale.checksum_flat,
                "index/flat checksum mismatch" + suffix);
@@ -359,7 +389,7 @@ int main(int argc, char** argv) try {
       {"section", "actives", "ops", "ops_per_sec", "p50_ns", "p99_ns"});
   for (const ScaleResult& scale : scales) {
     for (const SectionResult* r :
-         {&scale.stab, &scale.box, &scale.churn_amortized}) {
+         {&scale.stab, &scale.box, &scale.covering, &scale.churn_amortized}) {
       table.add_row({r->name, static_cast<long long>(scale.actives),
                      static_cast<long long>(r->ops), r->ops_per_sec, r->p50_ns,
                      r->p99_ns});
@@ -398,6 +428,9 @@ int main(int argc, char** argv) try {
     json.begin_object("sections");
     write_section(json, primary.stab);
     write_section(json, primary.box);
+    // Primary block only: check_bench gates every section a scale tier
+    // shares with BENCH_core.json, which has no covering figures yet.
+    write_section(json, primary.covering);
     write_section(json, primary.churn_amortized);
     write_section(json, broker_publish);
     json.end_object();

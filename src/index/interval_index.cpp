@@ -37,6 +37,10 @@ bool IntervalIndex::is_wide(const Interval& iv) const noexcept {
   return iv.lo <= config_.domain_lo && iv.hi >= config_.domain_hi;
 }
 
+bool IntervalIndex::in_domain(Value v) const noexcept {
+  return v >= config_.domain_lo && v <= config_.domain_hi;
+}
+
 std::size_t IntervalIndex::bucket_of(Value v) const noexcept {
   // Clamp out-of-domain (and infinite) values to the edge buckets; the
   // exact verification pass absorbs the lost selectivity.
@@ -53,11 +57,10 @@ std::size_t IntervalIndex::bucket_of(Value v) const noexcept {
 void IntervalIndex::grow_bitmaps() {
   const std::size_t new_words =
       words_ == 0 ? simd::kBlockWords : words_ * 2;
-  // Mask rows default to all-ones in BOTH lanes (a never-used slot reads
-  // as wide on every attribute until insert writes it); occupancy
-  // defaults to 0.
+  // A never-used slot's mask rows and occupancy are zero: insert then
+  // writes only the rows the new interval spans.
   simd::AlignedVector<Word> mask_bits(m_ * config_.bucket_count * 2 * new_words,
-                                      ~Word{0});
+                                      0);
   simd::AlignedVector<Word> occupied_bits(2 * new_words, 0);
   for (std::size_t row = 0; row < m_ * config_.bucket_count; ++row) {
     std::copy_n(
@@ -73,7 +76,8 @@ void IntervalIndex::grow_bitmaps() {
 }
 
 void IntervalIndex::write_mask_bits(std::size_t attribute, std::uint32_t slot,
-                                    const Interval& iv) {
+                                    const Interval& iv, std::size_t from,
+                                    std::size_t to) {
   const std::size_t word = 2 * (slot / kWordBits);
   const Word mask = Word{1} << (slot % kWordBits);
   const auto buckets = static_cast<std::ptrdiff_t>(config_.bucket_count);
@@ -92,7 +96,8 @@ void IntervalIndex::write_mask_bits(std::size_t attribute, std::uint32_t slot,
     cfirst = 1;
     clast = 0;
   }
-  for (std::ptrdiff_t bucket = 0; bucket < buckets; ++bucket) {
+  for (auto bucket = static_cast<std::ptrdiff_t>(from);
+       bucket <= static_cast<std::ptrdiff_t>(to); ++bucket) {
     Word* row = pair_row(attribute, static_cast<std::size_t>(bucket)) + word;
     if (bucket >= first && bucket <= last) {
       row[0] |= mask;
@@ -160,15 +165,22 @@ void IntervalIndex::insert(const Subscription& sub) {
   ids32_[slot] = static_cast<std::uint32_t>(sub.id());
   if ((sub.id() >> 32) != 0) ++big_id_count_;
   (void)slot_of_.try_emplace(sub.id(), slot);
+  // Outside a selective interval's bucket span its rows are zero, so only
+  // the union of the new span and the previous occupant's needs writing
+  // (a wide interval spans every bucket, a never-used slot spans none).
   for (std::size_t j = 0; j < m_; ++j) {
-    const Interval& iv = sub.range(j);
-    if (!is_wide(iv)) {
-      ++selective_count_[j];
-      write_mask_bits(j, slot, iv);
-    } else if (reused && !is_wide(stored_range(slot, j))) {
-      // The slot's previous subscription left its bits on this row.
-      write_mask_bits(j, slot, Interval::everything());
+    const bool wide = is_wide(sub.range(j));
+    const Interval iv = wide ? Interval::everything() : sub.range(j);
+    std::size_t from = bucket_of(iv.lo);
+    std::size_t to = bucket_of(iv.hi);
+    if (!wide) ++selective_count_[j];
+    if (reused) {
+      const Interval previous = stored_range(slot, j);
+      if (wide && is_wide(previous)) continue;  // already all-ones
+      from = std::min(from, bucket_of(previous.lo));
+      to = std::max(to, bucket_of(previous.hi));
     }
+    write_mask_bits(j, slot, iv, from, to);
   }
   write_verify_row(slot, sub);
   const std::size_t occ_word = 2 * (slot / kWordBits);
@@ -261,6 +273,70 @@ std::uint64_t IntervalIndex::emit_candidates(
   return n_certain + n_uncertain;
 }
 
+template <typename Endpoints>
+bool IntervalIndex::sweep_endpoints(Endpoints&& endpoints) const {
+  const std::size_t paired = 2 * sweep_words();
+  if (acc_scratch_.size() < 2 * words_) acc_scratch_.resize(2 * words_);
+  Word* acc = acc_scratch_.data();
+  std::copy_n(occupied_bits_.begin(), paired, acc);
+
+  // Fused paired-lane sweep with per-attribute early exit. A slot holds
+  // [lo, hi] on attribute j iff it holds both endpoints, so j ANDs the
+  // rows of bucket(lo) and bucket(hi), one row when they coincide. A slot
+  // certain in both rows has lo' < lo and hi < hi' (a wide slot: only
+  // inside the domain), so the certain lane is trusted only when both
+  // endpoints are in-domain (see the header); otherwise it is zeroed and
+  // that attribute's contribution falls back to verify-everything.
+  bool zero_certain = false;
+  for (std::size_t j = 0; j < m_; ++j) {
+    const Interval q = endpoints(j);
+    const bool trusted = in_domain(q.lo) && in_domain(q.hi);
+    if (selective_count_[j] == 0) {
+      // Nobody live constrains j selectively: every live slot is wide on
+      // it, so the possible lane is all-ones and the sweep skips the AND.
+      // The implicit all-ones certain lane is only valid in-domain.
+      if (!trusted) zero_certain = true;
+      continue;
+    }
+    const std::size_t first = bucket_of(q.lo);
+    const std::size_t last = bucket_of(q.hi);
+    for (const std::size_t bucket : {first, last}) {
+      const Word* row = pair_row(j, bucket);
+      const bool alive = trusted ? simd::and_into(acc, row, paired)
+                                 : simd::and_into_even(acc, row, paired);
+      if (!alive) return false;
+      if (last == first) break;
+    }
+  }
+  if (zero_certain) simd::zero_odd_words(acc, paired);
+  return true;
+}
+
+template <typename Verify4>
+std::uint64_t IntervalIndex::emit_box_candidates(
+    const Subscription& box, std::vector<SubscriptionId>& out,
+    Verify4&& verify4) const {
+  const std::size_t lanes = verify_groups_ * kVerifyGroup;
+  double* qlo = query_pad_.data();
+  double* qhi = query_pad_.data() + lanes;
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    qlo[lane] = lane < m_ ? box.range(lane).lo : -kInf;
+    qhi[lane] = lane < m_ ? box.range(lane).hi : kInf;
+  }
+  const double* blob = verify_blob_.data();
+  const std::size_t row_doubles = verify_row_doubles();
+  return emit_candidates(out, [&](std::uint32_t slot) {
+    const double* rec = blob + slot * row_doubles;
+    for (std::size_t g = 0; g < verify_groups_; ++g) {
+      if (!verify4(qlo + g * kVerifyGroup, qhi + g * kVerifyGroup,
+                   rec + g * 2 * kVerifyGroup)) {
+        return false;
+      }
+    }
+    return true;
+  });
+}
+
 void IntervalIndex::stab(std::span<const Value> point,
                          std::vector<SubscriptionId>& out) const {
   if (point.size() != m_) {
@@ -272,32 +348,10 @@ void IntervalIndex::stab(std::span<const Value> point,
                                 [](Value v) { return std::isnan(v); })) {
     return;
   }
-  const std::size_t paired = 2 * sweep_words();
-  if (acc_scratch_.size() < 2 * words_) acc_scratch_.resize(2 * words_);
-  Word* acc = acc_scratch_.data();
-  std::copy_n(occupied_bits_.begin(), paired, acc);
-
-  // Fused paired-lane sweep with per-attribute early exit. The certain
-  // lane of an attribute is only trusted for in-domain probe values (see
-  // the header): out-of-domain values zero it and fall back to
-  // verify-everything, for that attribute's contribution.
-  bool zero_certain = false;
-  for (std::size_t j = 0; j < m_; ++j) {
-    const Value v = point[j];
-    const bool trusted = v >= config_.domain_lo && v <= config_.domain_hi;
-    if (selective_count_[j] == 0) {
-      // Nobody live constrains j selectively: every live slot is wide on
-      // it, so the possible lane is all-ones and the sweep skips the AND.
-      // The implicit all-ones certain lane is only valid in-domain.
-      if (!trusted) zero_certain = true;
-      continue;
-    }
-    const Word* row = pair_row(j, bucket_of(v));
-    const bool alive = trusted ? simd::and_into(acc, row, paired)
-                               : simd::and_into_even(acc, row, paired);
-    if (!alive) return;
+  if (!sweep_endpoints(
+          [&](std::size_t j) { return Interval::point(point[j]); })) {
+    return;
   }
-  if (zero_certain) simd::zero_odd_words(acc, paired);
 
   double* padded = query_pad_.data();
   for (std::size_t lane = 0; lane < verify_groups_ * kVerifyGroup; ++lane) {
@@ -394,31 +448,44 @@ void IntervalIndex::box_intersect(const Subscription& box,
   }
   if (zero_certain) simd::zero_odd_words(acc, paired);
 
-  const std::size_t lanes = verify_groups_ * kVerifyGroup;
-  double* qlo = query_pad_.data();
-  double* qhi = query_pad_.data() + lanes;
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    qlo[lane] = lane < m_ ? box.range(lane).lo : -kInf;
-    qhi[lane] = lane < m_ ? box.range(lane).hi : kInf;
-  }
-  const double* blob = verify_blob_.data();
-  const std::size_t row_doubles = verify_row_doubles();
-  last_query_cost_ = emit_candidates(out, [&](std::uint32_t slot) {
-    const double* rec = blob + slot * row_doubles;
-    for (std::size_t g = 0; g < verify_groups_; ++g) {
-      if (!simd::intersects4(qlo + g * kVerifyGroup, qhi + g * kVerifyGroup,
-                             rec + g * 2 * kVerifyGroup)) {
-        return false;
-      }
-    }
-    return true;
-  });
+  last_query_cost_ = emit_box_candidates(
+      box, out, [](const double* qlo4, const double* qhi4, const double* rec8) {
+        return simd::intersects4(qlo4, qhi4, rec8);
+      });
 }
 
 std::vector<SubscriptionId> IntervalIndex::box_intersect(
     const Subscription& box) const {
   std::vector<SubscriptionId> out;
   box_intersect(box, out);
+  return out;
+}
+
+void IntervalIndex::covering(const Subscription& box,
+                             std::vector<SubscriptionId>& out) const {
+  if (box.attribute_count() != m_) {
+    throw std::invalid_argument("IntervalIndex::covering: schema mismatch");
+  }
+  last_query_cost_ = 0;
+  // A NaN bound lies in no interval, and an empty range is reported as
+  // covered by nothing (see the header).
+  if (size_ == 0 ||
+      std::any_of(box.ranges().begin(), box.ranges().end(),
+                  [](const Interval& q) { return !(q.lo <= q.hi); })) {
+    return;
+  }
+  if (!sweep_endpoints([&](std::size_t j) { return box.range(j); })) return;
+
+  last_query_cost_ = emit_box_candidates(
+      box, out, [](const double* qlo4, const double* qhi4, const double* rec8) {
+        return simd::covers4(qlo4, qhi4, rec8);
+      });
+}
+
+std::vector<SubscriptionId> IntervalIndex::covering(
+    const Subscription& box) const {
+  std::vector<SubscriptionId> out;
+  covering(box, out);
   return out;
 }
 

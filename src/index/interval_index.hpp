@@ -1,24 +1,30 @@
 // IntervalIndex — per-attribute candidate index over a set of box
 // subscriptions: fully incremental (insert and erase by subscription id)
-// and answering two queries:
+// and answering three queries:
 //
 //   * stab(point): ids of subscriptions whose box CONTAINS the point —
 //     publication matching (Algorithm 5's active scan) without touching
 //     subscriptions that cannot match;
 //   * box_intersect(box): ids of subscriptions whose box INTERSECTS the
-//     query box — the candidate-pruning step in front of the coverage
-//     policies: a subscription disjoint from s can neither cover s
-//     (pairwise or as part of a group) nor be covered by it, so the
-//     subsumption pipeline only ever sees index-pruned candidates.
+//     query box — the candidate-pruning step in front of group coverage
+//     and demotion: a subscription disjoint from s can neither be part of
+//     a group covering s nor be covered by it, so the subsumption engine
+//     only ever sees index-pruned candidates;
+//   * covering(box): ids of subscriptions whose box CONTAINS the query
+//     box — pairwise coverage as one query. A box c contains s iff, on
+//     every attribute, c holds both of s's endpoints, so the sweep is two
+//     stabs per attribute and its work scales with the few coverers, not
+//     with everything s merely intersects.
 //
 // Per slot and attribute, an interval is either SELECTIVE (it does not
 // cover the whole configured domain, IndexConfig) or WIDE
 // (Interval::everything() or any interval containing [domain_lo,
 // domain_hi]). Wide intervals cannot prune anything inside the domain, so
-// they never touch the bitmaps below (realistic workloads encode "don't
-// care" as the full domain); the exact verification pass handles them.
+// they carry all-ones rows in the bitmaps below (realistic workloads encode
+// "don't care" as the full domain); the exact verification pass handles
+// them.
 //
-// Both queries run one algorithm, a sweep over bucketed candidate-mask
+// All queries run one algorithm, a sweep over bucketed candidate-mask
 // bitmaps stored as PAIRED LANES: the attribute domain is split into B
 // buckets, and each row mask[j][b] is a 32-byte-aligned bitmap over slots
 // with TWO interleaved 64-bit words per slot group (even word then odd
@@ -27,7 +33,7 @@
 //   * POSSIBLE lane (even words): bit 1 iff the slot could match a point
 //     in bucket b on attribute j — its selective interval overlaps the
 //     bucket, or the attribute is wide for it (liveness is a separate
-//     occupancy bitmap, which also hides the stale bits of free slots);
+//     occupancy bitmap, which also hides the bits free slots keep);
 //   * CERTAIN lane (odd words): bit 1 iff the slot's interval FULLY COVERS
 //     bucket b — every point of the bucket matches attribute j, so a slot
 //     whose certain bit survives the sweep on every attribute needs NO
@@ -45,14 +51,19 @@
 // (emitted directly; with ~97% of candidates being true matches under
 // realistic workloads this removes the dominant verification cost) and an
 // uncertain residue (possible & ~certain, verified exactly against the
-// packed verify records below). A box probe ORs each attribute's possible
-// lane over the query's bucket span; its interior buckets double as the
-// certainty contribution. Values outside the configured domain clamp to
-// the edge buckets, and the certain lane of an attribute is only TRUSTED
-// when the probe value is inside [domain_lo, domain_hi] (wide slots carry
-// all-ones rows whose certain bits are only valid for in-domain points);
-// untrusted attributes zero the certainty lane and degrade to
-// verify-everything. Only pruning power degrades, never correctness.
+// packed verify records below). A covering probe runs the same fused
+// sweep over two rows per attribute, bucket(lo_j) and bucket(hi_j) (a
+// point probe is the case lo_j = hi_j): a slot that contains both
+// endpoints survives, and one certain in both rows contains the whole
+// probe range. A box_intersect probe ORs
+// each attribute's possible lane over the query's bucket span; its
+// interior buckets double as the certainty contribution. Values outside
+// the configured domain clamp to the edge buckets, and the certain lane of
+// an attribute is only TRUSTED when the probe value (for covering, both
+// endpoints) is inside [domain_lo, domain_hi] (wide slots carry all-ones
+// rows whose certain bits are only valid for in-domain points); untrusted
+// attributes zero the certainty lane and degrade to verify-everything.
+// Only pruning power degrades, never correctness.
 //
 // HOT-PATH SLOT DATA (structure-of-arrays, SIMD-friendly). Candidate
 // emission is cache-miss-bound, so the per-slot state it touches lives in
@@ -66,16 +77,22 @@
 //     halves the id-fetch cache-line traffic.
 //
 // Mutations apply at once, with no pending state: erase clears the
-// slot's occupancy bit and returns it to the free list in O(m); insert
-// writes the slot's verify record, occupancy bit and mask rows —
-// O(bucket_count) for each attribute the new subscription constrains, and
-// for each one the slot's previous subscription constrained and the new
-// one leaves wide (that row goes back to all-ones).
+// slot's occupancy bit and returns it to the free list in O(m), leaving
+// the slot's rows and verify record as they are. A never-used slot's rows
+// are zero, and a slot keeps zeros outside the bucket span of its last
+// selective occupant, so insert writes only the rows it must: per
+// attribute, the union of the new interval's bucket span and the previous
+// occupant's (read back from the verify record) — O(span) — or the whole
+// all-ones row of a wide attribute, which is skipped when the previous
+// occupant was wide there too.
 //
-// Both queries are exact (closed-interval semantics identical to
-// Subscription::contains_point / Subscription::intersects; a probe with a
-// NaN value or bound matches nothing). Queries mutate only scratch state
-// and are const, but not safe to run concurrently on one instance.
+// All queries are exact (closed-interval semantics identical to
+// Subscription::contains_point / Subscription::intersects /
+// Subscription::covers; a probe with a NaN value or bound matches
+// nothing, and so does a covering probe with an empty range, which
+// Subscription::covers would call covered by every box). Queries mutate
+// only scratch state and are const, but not safe to run concurrently on
+// one instance.
 #pragma once
 
 #include <algorithm>
@@ -103,7 +120,7 @@ struct IndexConfig {
 /// Incremental candidate index over one fixed attribute schema (see file
 /// comment for the data structures and the query sweep).
 ///
-/// Thread-safety: externally single-threaded. stab/box_intersect are
+/// Thread-safety: externally single-threaded. The queries are
 /// const but reuse scratch buffers, so two queries must not run
 /// concurrently on one instance; one index per thread (or per shard) is
 /// the supported model. Query results never depend on IndexConfig — only
@@ -117,8 +134,8 @@ class IntervalIndex {
 
   /// Indexes `sub` under its id. Throws std::invalid_argument on a schema
   /// mismatch, a duplicate id, or the invalid id 0; the index is
-  /// unchanged when it throws. O(bucket_count) per row written (see file
-  /// comment).
+  /// unchanged when it throws. O(span) per selective attribute and
+  /// O(bucket_count) per wide one (see file comment).
   void insert(const core::Subscription& sub);
 
   /// Removes the subscription stored under `id`; false if unknown. O(m);
@@ -150,6 +167,15 @@ class IntervalIndex {
   void box_intersect(const core::Subscription& box,
                      std::vector<core::SubscriptionId>& out) const;
   [[nodiscard]] std::vector<core::SubscriptionId> box_intersect(
+      const core::Subscription& box) const;
+
+  /// Appends to `out` the ids of all subscriptions whose box contains
+  /// `box` (throws std::invalid_argument on a schema mismatch). Order is
+  /// unspecified. Exact, identical to Subscription::covers for a box whose
+  /// every range is non-empty; a box with an empty range gets nothing.
+  void covering(const core::Subscription& box,
+                std::vector<core::SubscriptionId>& out) const;
+  [[nodiscard]] std::vector<core::SubscriptionId> covering(
       const core::Subscription& box) const;
 
   /// Candidates the most recent query EXAMINED: slots that reached the
@@ -186,7 +212,8 @@ class IntervalIndex {
 
   /// Slot-indexed state. Slots are stable across erasures (free list), so
   /// bitmap bits never need renumbering. A free slot keeps its last verify
-  /// record and mask bits until insert reuses it.
+  /// record and mask bits until insert reuses it and rewrites the rows
+  /// either occupant spans.
   std::vector<core::SubscriptionId> ids_;  ///< kInvalid for free slots
   std::vector<std::uint32_t> free_slots_;
   util::FlatMap<core::SubscriptionId, std::uint32_t> slot_of_;
@@ -203,8 +230,9 @@ class IntervalIndex {
   /// Candidate-mask rows, m_ * bucket_count of them, 2 * words_ words
   /// each in the paired possible/certain lane layout (even word =
   /// possible, odd word = certain; see file comment); a live slot carries
-  /// 1-bits in BOTH lanes on every attribute it leaves wide, and a free
-  /// slot's bits are stale (occupancy hides them). The occupancy
+  /// 1-bits in BOTH lanes on every attribute it leaves wide, a free slot
+  /// keeps its last occupant's bits (occupancy hides them), and a
+  /// never-used slot's bits are zero. The occupancy
   /// row is paired the same way (both lanes identical) so the
   /// accumulator initializes with one aligned copy. 32-byte aligned,
   /// words_ always a multiple of simd::kBlockWords.
@@ -223,6 +251,8 @@ class IntervalIndex {
 
   /// True iff the interval cannot prune inside the configured domain.
   [[nodiscard]] bool is_wide(const core::Interval& iv) const noexcept;
+  /// True iff a probe value may trust the certain lane (see file comment).
+  [[nodiscard]] bool in_domain(core::Value v) const noexcept;
   [[nodiscard]] std::size_t bucket_of(core::Value v) const noexcept;
   [[nodiscard]] std::size_t words_in_use() const noexcept {
     return (ids_.size() + kWordBits - 1) / kWordBits;
@@ -252,11 +282,25 @@ class IntervalIndex {
   template <typename Verify>
   std::uint64_t emit_candidates(std::vector<core::SubscriptionId>& out,
                                 Verify&& verify) const;
-  /// Writes the slot's mask bits for one attribute: possible lane 1 in the
-  /// buckets `iv` overlaps, certain lane 1 in the buckets it fully covers
-  /// (Interval::everything() writes the all-ones row of a wide attribute).
+  /// The stab/covering sweep: initializes the paired accumulator from
+  /// occupancy and ANDs in, per attribute j, the rows of both endpoints of
+  /// `endpoints(j)` (an Interval). False when no candidate survives.
+  template <typename Endpoints>
+  bool sweep_endpoints(Endpoints&& endpoints) const;
+  /// emit_candidates for a box probe: pads `box` into the query rows
+  /// (padding lanes -inf/+inf) and verifies each uncertain slot with
+  /// `verify4(qlo4, qhi4, rec8)` per 4-attribute group.
+  template <typename Verify4>
+  std::uint64_t emit_box_candidates(const core::Subscription& box,
+                                    std::vector<core::SubscriptionId>& out,
+                                    Verify4&& verify4) const;
+  /// Writes the slot's mask bits for one attribute on the rows of buckets
+  /// [from, to]: possible lane 1 in the buckets `iv` overlaps, certain lane
+  /// 1 in the buckets it fully covers, 0 elsewhere (Interval::everything()
+  /// writes the all-ones row of a wide attribute).
   void write_mask_bits(std::size_t attribute, std::uint32_t slot,
-                       const core::Interval& iv);
+                       const core::Interval& iv, std::size_t from,
+                       std::size_t to);
   /// Writes the slot's packed verify records (padding lanes -inf/+inf).
   void write_verify_row(std::uint32_t slot, const core::Subscription& sub);
   /// The slot's interval on `attribute`, read back from its verify record.

@@ -412,7 +412,6 @@ BrokerNetwork::ReplaceOutcome BrokerNetwork::replace_peer(BrokerId broker) {
   *brokers_[broker] = make_broker(broker);
   brokers_[broker]->import_snapshot(homed);
   outcome.restored_routes = homed.routes.size();
-  run_cascade();
 
   // Rejoin every partition the crash created that is still open.
   for (const auto& [a, b] : outcome.healed_links) attach_link(a, b);

@@ -44,10 +44,11 @@ void SubscriptionStore::index_insert_active(const Subscription& sub) {
 
 std::span<const Subscription* const> SubscriptionStore::intersecting_candidates(
     const Subscription& box) {
-  // The store's only index-vs-flat choice on the coverage side. Either way
-  // the result is in active-slot order, so every consumer (pairwise first
-  // cover, engine diagnostics, group coverer lists, demotion) sees the same
-  // sequence on both paths and decisions stay identical.
+  // One of the store's two index-vs-flat choices on the coverage side (the
+  // other is first_coverer). Either way the result is in active-slot
+  // order, so every consumer (engine diagnostics, group coverer lists,
+  // exact cover, demotion) sees the same sequence on both paths and
+  // decisions stay identical.
   candidate_scratch_.clear();
   if (!index_enabled()) {
     for (const auto& active : active_) {
@@ -68,27 +69,43 @@ std::span<const Subscription* const> SubscriptionStore::intersecting_candidates(
   return candidate_scratch_;
 }
 
+const Subscription* SubscriptionStore::first_coverer(const Subscription& sub) {
+  // An empty box intersects no active, so nothing covers it (covers()
+  // alone would call it covered by every active).
+  if (!sub.is_satisfiable()) return nullptr;
+  if (!index_enabled()) {
+    for (const auto& active : active_) {
+      if (active.covers(sub)) return &active;
+    }
+    return nullptr;
+  }
+  // The lowest active slot among the containing actives is the one the
+  // slot-order scan above finds first.
+  id_scratch_.clear();
+  interval_index_->covering(sub, id_scratch_);
+  std::size_t first = active_.size();
+  for (const SubscriptionId id : id_scratch_) {
+    first = std::min(first, active_index_.at(id));
+  }
+  return first < active_.size() ? &active_[first] : nullptr;
+}
+
 std::optional<std::vector<SubscriptionId>> SubscriptionStore::check_covered(
     const Subscription& sub, std::optional<core::SubsumptionResult>* diag) {
-  if (config_.policy == CoveragePolicy::kNone) return std::nullopt;
-
-  // Only actives whose box intersects sub can take part in covering it,
-  // pairwise or as a group, so every policy runs over that set alone.
-  const std::span<const Subscription* const> candidates =
-      intersecting_candidates(sub);
-
   switch (config_.policy) {
     case CoveragePolicy::kNone:
       return std::nullopt;
     case CoveragePolicy::kPairwise: {
-      for (const Subscription* candidate : candidates) {
-        if (candidate->covers(sub)) {
-          return std::vector<SubscriptionId>{candidate->id()};
-        }
+      if (const Subscription* coverer = first_coverer(sub)) {
+        return std::vector<SubscriptionId>{coverer->id()};
       }
       return std::nullopt;
     }
     case CoveragePolicy::kGroup: {
+      // Only actives whose box intersects sub can take part in a group
+      // covering it, so the engine runs over that set alone.
+      const std::span<const Subscription* const> candidates =
+          intersecting_candidates(sub);
       ++group_checks_;
       core::SubsumptionResult result;
       if (candidates.empty() && !active_.empty()) {
@@ -116,19 +133,20 @@ std::optional<std::vector<SubscriptionId>> SubscriptionStore::check_covered(
       return coverers;
     }
     case CoveragePolicy::kExact: {
+      // Pairwise fast path first.
+      if (const Subscription* coverer = first_coverer(sub)) {
+        return std::vector<SubscriptionId>{coverer->id()};
+      }
       // Exact group cover via recursive box subtraction over the
-      // candidates, assembled as pointers (zero subscription copies).
-      std::vector<const Subscription*> group;
+      // intersecting actives, none of which covers sub alone.
+      const std::span<const Subscription* const> group =
+          intersecting_candidates(sub);
+      if (group.empty()) return std::nullopt;
       std::vector<SubscriptionId> coverers;
-      group.reserve(candidates.size());
-      for (const Subscription* candidate : candidates) {
-        if (candidate->covers(sub)) {  // pairwise fast path
-          return std::vector<SubscriptionId>{candidate->id()};
-        }
-        group.push_back(candidate);
+      coverers.reserve(group.size());
+      for (const Subscription* candidate : group) {
         coverers.push_back(candidate->id());
       }
-      if (group.empty()) return std::nullopt;
       bool covered = false;
       try {
         covered = baseline::exactly_covered(sub, group);

@@ -10,12 +10,14 @@
 //     that matched.
 //
 // Insertion runs the configured coverage policy (none / pairwise / group
-// via the probabilistic engine / exact) once, over the actives that
-// intersect the new subscription; the interval index only changes how
-// those candidates are gathered. A new active subscription additionally
-// demotes existing actives it pairwise-covers (the classical maintenance
-// step, StoreConfig::demote_covered_actives); a demoted active hands its
-// own covered dependents to the subscription that demoted it.
+// via the probabilistic engine / exact) once. Pairwise cover (the kPairwise
+// policy and kExact's fast path) asks one question, "which active first in
+// slot order contains the new subscription?"; group and exact cover run
+// over the actives that intersect it. The interval index only changes how
+// either set is gathered, never the answer. A new active subscription
+// additionally demotes existing actives it pairwise-covers (the classical
+// maintenance step, StoreConfig::demote_covered_actives); a demoted active
+// hands its own covered dependents to the subscription that demoted it.
 //
 // Unsubscription of an active a re-checks the covered subscriptions that
 // listed it (paper, Section 5). A dependent c was inside the union of its
@@ -78,8 +80,8 @@ struct StoreConfig {
   /// active whatever this says.
   bool demote_covered_actives = true;
   /// Maintain an IntervalIndex over the active set and route publication
-  /// matching (point-stab) and coverage-candidate gathering (box-intersect)
-  /// through it instead of flat O(k) scans. Off = flat scans,
+  /// matching (point-stab), pairwise cover (covering) and coverage-candidate
+  /// gathering (box-intersect) through it instead of flat O(k) scans. Off = flat scans,
   /// kept for ablation (bench/index_scaling) and as the reference in the
   /// equivalence property tests. Results are identical either way; only
   /// the work differs. The index requires all subscriptions in the store
@@ -275,7 +277,8 @@ class SubscriptionStore {
   /// Visited epoch for the match() descent, so the hot path performs no
   /// allocations and no hashing beyond the children lookup.
   mutable std::uint64_t match_epoch_ = 0;
-  /// Scratch for intersecting_candidates (reused across calls).
+  /// Scratch for first_coverer and intersecting_candidates (reused across
+  /// calls).
   std::vector<core::SubscriptionId> id_scratch_;
   std::vector<std::size_t> slot_scratch_;
   std::vector<const core::Subscription*> candidate_scratch_;
@@ -285,8 +288,8 @@ class SubscriptionStore {
   void unlink_coverers(core::SubscriptionId covered_id,
                        const std::vector<core::SubscriptionId>& coverers);
 
-  /// Runs the configured policy over the actives that intersect `sub`.
-  /// Returns the coverer ids when covered.
+  /// Runs the configured policy on `sub`. Returns the coverer ids when
+  /// covered.
   [[nodiscard]] std::optional<std::vector<core::SubscriptionId>> check_covered(
       const core::Subscription& sub, std::optional<core::SubsumptionResult>* diag);
 
@@ -307,11 +310,17 @@ class SubscriptionStore {
     return config_.use_index && interval_index_.has_value();
   }
   void index_insert_active(const core::Subscription& sub);
+  /// The active in the lowest slot whose box contains `sub`, or nullptr
+  /// (always for a `sub` with an empty range): one index containment query
+  /// when the index is live, a flat slot-order scan otherwise, with the
+  /// same result either way. Pairwise cover asks only this.
+  [[nodiscard]] const core::Subscription* first_coverer(
+      const core::Subscription& sub);
   /// Actives whose box intersects `box`, as pointers into active_, in
   /// active-slot order: index-pruned when the index is live, a flat scan
-  /// otherwise, with the same result either way. The coverage policies
-  /// and demotion gather their candidates only here. Returns the reused
-  /// scratch vector.
+  /// otherwise, with the same result either way. Group cover, exact cover
+  /// and demotion gather their candidates here; pairwise cover does not
+  /// (first_coverer). Returns the reused scratch vector.
   [[nodiscard]] std::span<const core::Subscription* const>
   intersecting_candidates(const core::Subscription& box);
 };

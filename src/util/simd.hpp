@@ -259,4 +259,32 @@ inline void zero_odd_words(Word* acc, std::size_t words) noexcept {
 #endif
 }
 
+/// covers4: [rec[i], rec[i+4]] contains [qlo[i], qhi[i]] for all four lanes
+/// (closed intervals: lo <= qlo AND qhi <= hi). Ordered-quiet compares, as
+/// in contains4.
+[[nodiscard]] inline bool covers4(const double* qlo4, const double* qhi4,
+                                  const double* rec8) noexcept {
+#if defined(PSC_SIMD_AVX2)
+  const __m256d ge = _mm256_cmp_pd(_mm256_load_pd(qlo4),
+                                   _mm256_load_pd(rec8), _CMP_GE_OQ);
+  const __m256d le = _mm256_cmp_pd(_mm256_load_pd(qhi4),
+                                   _mm256_load_pd(rec8 + 4), _CMP_LE_OQ);
+  return _mm256_movemask_pd(_mm256_and_pd(ge, le)) == 0xf;
+#elif defined(PSC_SIMD_NEON)
+  const uint64x2_t ok0 =
+      vandq_u64(vcgeq_f64(vld1q_f64(qlo4), vld1q_f64(rec8)),
+                vcleq_f64(vld1q_f64(qhi4), vld1q_f64(rec8 + 4)));
+  const uint64x2_t ok1 =
+      vandq_u64(vcgeq_f64(vld1q_f64(qlo4 + 2), vld1q_f64(rec8 + 2)),
+                vcleq_f64(vld1q_f64(qhi4 + 2), vld1q_f64(rec8 + 6)));
+  const uint64x2_t ok = vandq_u64(ok0, ok1);
+  return (vgetq_lane_u64(ok, 0) & vgetq_lane_u64(ok, 1)) != 0;
+#else
+  for (int i = 0; i < 4; ++i) {
+    if (!(qlo4[i] >= rec8[i] && qhi4[i] <= rec8[i + 4])) return false;
+  }
+  return true;
+#endif
+}
+
 }  // namespace psc::simd

@@ -6,11 +6,13 @@
 //
 // The two paths differ only in how the store gathers the actives that
 // intersect a subscription (index box-intersect re-sorted into active-slot
-// order, or a flat scan in slot order) and in how match_active stabs; each
-// coverage policy is one piece of code over the gathered candidates. So
-// this holds exactly (not just as sets), and the engine draws the same RNG
-// stream either way: its own prefilter keeps a subset of the intersecting
-// candidates.
+// order, or a flat scan in slot order), in how it finds the first active
+// that contains one (the lowest active slot among the index's covering
+// ids, or the first hit of a slot-order scan) and in how match_active
+// stabs; each coverage policy is one piece of code over those answers. So
+// this holds exactly (not just as sets, coverer lists included), and the
+// engine draws the same RNG stream either way: its own prefilter keeps a
+// subset of the intersecting candidates.
 #include <gtest/gtest.h>
 
 #include <vector>

@@ -1,11 +1,13 @@
 // Tests for the IntervalIndex candidate-pruning structure: exactness of
-// point-stab and box-intersect against flat scans, incremental insert/erase,
-// unbounded and unconstrained attributes, and slot and id reuse after churn.
+// point-stab, box-intersect and covering against flat scans, incremental
+// insert/erase, unbounded and unconstrained attributes, and slot and id
+// reuse after churn.
 #include "index/interval_index.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "workload/comparison_stream.hpp"
@@ -126,6 +128,148 @@ TEST(IntervalIndex, EraseRemovesAndReusesSlots) {
             (std::vector<SubscriptionId>{4}));
 }
 
+constexpr Value kInf = std::numeric_limits<Value>::infinity();
+
+/// Ids of `subs` whose box contains `probe`, the flat reference for
+/// IntervalIndex::covering (sorted).
+std::vector<SubscriptionId> flat_coverers(const std::vector<Subscription>& subs,
+                                          const Subscription& probe) {
+  std::vector<SubscriptionId> ids;
+  for (const auto& sub : subs) {
+    if (sub.covers(probe)) ids.push_back(sub.id());
+  }
+  return sorted(ids);
+}
+
+TEST(IntervalIndex, CoveringIsClosedOnSharedEndpoints) {
+  IntervalIndex index(1);
+  index.insert(Subscription({Interval{2, 5}}, 1));
+  index.insert(Subscription({Interval{2, 4}}, 2));
+  EXPECT_EQ(sorted(index.covering(Subscription({Interval{2, 4}}, 99))),
+            (std::vector<SubscriptionId>{1, 2}));
+  EXPECT_EQ(index.covering(Subscription({Interval{2, 5}}, 99)),
+            (std::vector<SubscriptionId>{1}));
+  EXPECT_TRUE(index.covering(Subscription({Interval{2, 5.0001}}, 99)).empty());
+  EXPECT_TRUE(index.covering(Subscription({Interval{1.9999, 4}}, 99)).empty());
+  // A zero-width probe is covered exactly where a stab of its value lands.
+  EXPECT_EQ(sorted(index.covering(Subscription({Interval{4, 4}}, 99))),
+            (std::vector<SubscriptionId>{1, 2}));
+  EXPECT_EQ(index.covering(Subscription({Interval{5, 5}}, 99)),
+            (std::vector<SubscriptionId>{1}));
+}
+
+TEST(IntervalIndex, CoveringHalfBoundedAndInfiniteIntervals) {
+  IntervalIndex index(2);
+  std::vector<Subscription> subs{
+      Subscription({Interval{5, kInf}, Interval{0, 10}}, 1),
+      Subscription({Interval{-kInf, 5}, Interval{0, 10}}, 2),
+      Subscription({Interval::everything(), Interval{0, 10}}, 3),
+      Subscription({Interval::everything(), Interval::everything()}, 4),
+      Subscription({Interval{-kInf, kInf}, Interval{2, kInf}}, 5),
+  };
+  for (const auto& sub : subs) index.insert(sub);
+  for (const Subscription& probe :
+       {Subscription({Interval{5, 1e9}, Interval{1, 2}}, 99),
+        Subscription({Interval{5, kInf}, Interval{1, 2}}, 99),
+        Subscription({Interval{-kInf, 5}, Interval{2, 10}}, 99),
+        Subscription({Interval{4, 6}, Interval{0, 10}}, 99),
+        Subscription({Interval::everything(), Interval{0, 10}}, 99),
+        Subscription({Interval::everything(), Interval{3, kInf}}, 99),
+        Subscription({Interval::everything(), Interval::everything()}, 99)}) {
+    EXPECT_EQ(sorted(index.covering(probe)), flat_coverers(subs, probe))
+        << probe;
+  }
+  EXPECT_EQ(sorted(index.covering(
+                Subscription({Interval{5, kInf}, Interval{1, 2}}, 99))),
+            (std::vector<SubscriptionId>{1, 3, 4}));
+}
+
+TEST(IntervalIndex, CoveringOutOfDomainProbeDistrustsWideRows) {
+  // Default domain [0, 1000]. Slot 1 is wide on attribute 0 without
+  // holding the whole line, so its all-ones rows are only certain inside
+  // the domain: a probe reaching past the domain must be verified.
+  IntervalIndex index(1);
+  std::vector<Subscription> subs{
+      Subscription({Interval{-5, 1200}}, 1),      // wide, but bounded
+      Subscription({Interval{-100, 0}}, 2),        // selective, below
+      Subscription({Interval::everything()}, 3),   // wide and unbounded
+      Subscription({Interval{900, 2000}}, 4),      // selective, above
+  };
+  for (const auto& sub : subs) index.insert(sub);
+  for (const Subscription& probe :
+       {Subscription({Interval{-50, -10}}, 99),
+        Subscription({Interval{990, 1500}}, 99),
+        Subscription({Interval{1100, 1150}}, 99),
+        Subscription({Interval{-5, 1000}}, 99),
+        Subscription({Interval{0, 1000}}, 99),
+        Subscription({Interval{-1e9, -1e8}}, 99)}) {
+    EXPECT_EQ(sorted(index.covering(probe)), flat_coverers(subs, probe))
+        << probe;
+  }
+  EXPECT_EQ(sorted(index.covering(Subscription({Interval{-50, -10}}, 99))),
+            (std::vector<SubscriptionId>{2, 3}));
+  // The same with nobody selective on the attribute: the sweep skips it,
+  // so only the untrusted-certainty flag keeps slot 1 out.
+  IntervalIndex wide_only(1);
+  wide_only.insert(subs[0]);
+  wide_only.insert(subs[2]);
+  EXPECT_EQ(wide_only.covering(Subscription({Interval{-50, -10}}, 99)),
+            (std::vector<SubscriptionId>{3}));
+}
+
+TEST(IntervalIndex, CoveringNaNAndEmptyProbesGetNothing) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  IntervalIndex index(2);
+  index.insert(Subscription({Interval::everything(), Interval::everything()}, 1));
+  index.insert(box2(0, 10, 0, 10, 2));
+  EXPECT_TRUE(index.covering(Subscription({Interval{nan, 5}, Interval{1, 2}}, 99))
+                  .empty());
+  EXPECT_EQ(index.last_query_cost(), 0u);
+  EXPECT_TRUE(index.covering(Subscription({Interval{1, 2}, Interval{1, nan}}, 99))
+                  .empty());
+  // An empty range (only Subscription::intersect builds one) is covered by
+  // nothing, although Interval::contains calls it a subset of every box.
+  const Subscription empty =
+      box2(0, 1, 0, 1, 98).intersect(box2(2, 3, 0, 1, 97));
+  EXPECT_TRUE(index.covering(empty).empty());
+  EXPECT_EQ(index.last_query_cost(), 0u);
+}
+
+TEST(IntervalIndex, ReusedSlotRewritesEveryRowEitherOccupantSpans) {
+  IntervalIndex index(2);
+  // The previous occupant is wide on attribute 1, the new one constrains
+  // it: the all-ones row must not keep the slot in other buckets.
+  index.insert(Subscription({Interval{0, 10}, Interval::everything()}, 1));
+  ASSERT_TRUE(index.erase(1));
+  index.insert(box2(0, 10, 100, 200, 2));
+  EXPECT_TRUE(index.covering(box2(2, 3, 500, 600, 99)).empty());
+  EXPECT_TRUE(index.stab(std::vector<Value>{5.0, 550.0}).empty());
+  EXPECT_TRUE(index.box_intersect(box2(2, 3, 500, 600, 99)).empty());
+  EXPECT_EQ(index.covering(box2(2, 3, 120, 130, 99)),
+            (std::vector<SubscriptionId>{2}));
+  EXPECT_EQ(index.last_query_cost(), 1u);
+
+  // The previous occupant's span is wider than the new one's: its certain
+  // bits inside [10, 900] must not certify the new box there.
+  ASSERT_TRUE(index.erase(2));
+  index.insert(box2(10, 900, 10, 900, 3));
+  ASSERT_TRUE(index.erase(3));
+  index.insert(box2(400, 410, 400, 410, 4));
+  EXPECT_TRUE(index.covering(box2(100, 200, 100, 200, 99)).empty());
+  EXPECT_TRUE(index.stab(std::vector<Value>{150.0, 150.0}).empty());
+  EXPECT_TRUE(index.box_intersect(box2(100, 200, 100, 200, 99)).empty());
+  EXPECT_EQ(index.covering(box2(401, 402, 401, 402, 99)),
+            (std::vector<SubscriptionId>{4}));
+
+  // Back to wide on both attributes: every row is all-ones again.
+  ASSERT_TRUE(index.erase(4));
+  index.insert(Subscription({Interval::everything(), Interval{-1, 1001}}, 5));
+  EXPECT_EQ(index.covering(box2(100, 200, 700, 800, 99)),
+            (std::vector<SubscriptionId>{5}));
+  EXPECT_EQ(index.stab(std::vector<Value>{150.0, 750.0}),
+            (std::vector<SubscriptionId>{5}));
+}
+
 TEST(IntervalIndex, DuplicateIdAndSchemaMismatchThrow) {
   IntervalIndex index(2);
   index.insert(box2(0, 1, 0, 1, 1));
@@ -134,14 +278,19 @@ TEST(IntervalIndex, DuplicateIdAndSchemaMismatchThrow) {
                std::invalid_argument);
   EXPECT_THROW(index.insert(box2(0, 1, 0, 1, 0)), std::invalid_argument);
   EXPECT_THROW((void)index.stab(std::vector<Value>{1.0}), std::invalid_argument);
+  EXPECT_THROW((void)index.covering(Subscription({Interval{0, 1}}, 99)),
+               std::invalid_argument);
 }
 
 /// Interleaves inserts and erasures of a realistic power-law stream with
-/// partial schemas, cross-checking both query kinds against a flat scan of
-/// the currently-live subscriptions after every step.
+/// partial schemas, cross-checking every query kind against a flat scan of
+/// the currently-live subscriptions after every step. Covering is probed
+/// with the random box, the publication as a zero-width box, and a live
+/// subscription's own box (which at least it covers).
 void expect_flat_equivalent_under_churn(std::size_t attributes,
                                         std::uint64_t seed, int steps,
-                                        double erase_p) {
+                                        double erase_p,
+                                        std::size_t* peak_live = nullptr) {
   workload::ComparisonConfig config;
   config.attribute_count = attributes;
   workload::ComparisonStream stream(config, seed);
@@ -161,6 +310,7 @@ void expect_flat_equivalent_under_churn(std::size_t attributes,
       live.push_back(std::move(sub));
     }
     ASSERT_EQ(index.size(), live.size());
+    if (peak_live) *peak_live = std::max(*peak_live, live.size());
 
     const Publication pub = workload::uniform_publication(
         config.attribute_count, -100.0, 1100.0, rng);
@@ -179,6 +329,18 @@ void expect_flat_equivalent_under_churn(std::size_t attributes,
     }
     EXPECT_EQ(sorted(index.box_intersect(probe)), sorted(expected_intersect))
         << step;
+
+    std::vector<Interval> point_box;
+    for (const Value v : pub.values()) point_box.push_back(Interval::point(v));
+    EXPECT_EQ(sorted(index.covering(probe)), flat_coverers(live, probe)) << step;
+    const Subscription point_probe(point_box, 99);
+    EXPECT_EQ(sorted(index.covering(point_probe)),
+              flat_coverers(live, point_probe))
+        << step;
+    if (!live.empty()) {
+      const Subscription& own = live[rng.next_below(live.size())];
+      EXPECT_EQ(sorted(index.covering(own)), flat_coverers(live, own)) << step;
+    }
   }
 }
 
@@ -189,6 +351,15 @@ TEST(IntervalIndex, RandomizedEquivalenceWithFlatScanUnderChurn) {
   expect_flat_equivalent_under_churn(6, 7, 150, 0.3);
   // Erase-heavy: most slots are freed and reused many times over.
   expect_flat_equivalent_under_churn(5, 404, 400, 0.45);
+}
+
+TEST(IntervalIndex, EquivalenceWithFlatScanAcrossBitmapGrowth) {
+  // More than 512 live subscriptions: the bitmaps grow twice (256 -> 512
+  // -> 1024 slots), and the zero-filled rows of the new slots are written,
+  // freed and reused under churn.
+  std::size_t peak_live = 0;
+  expect_flat_equivalent_under_churn(6, 512512, 1100, 0.15, &peak_live);
+  EXPECT_GT(peak_live, 512u);
 }
 
 TEST(IntervalIndex, QueryCostIsReported) {
@@ -213,6 +384,11 @@ TEST(IntervalIndex, QueryCostIsReported) {
   // A full-domain probe must examine every subscription.
   (void)index.box_intersect(Subscription({Interval{-100.0, 2000.0}}, 999));
   EXPECT_GE(index.last_query_cost(), 50u);
+
+  // Covering examines only what holds both probe endpoints' buckets.
+  EXPECT_EQ(index.covering(Subscription({Interval{1.5, 999.0}}, 999)),
+            (std::vector<SubscriptionId>{1}));
+  EXPECT_LT(index.last_query_cost(), 50u);
 }
 
 }  // namespace

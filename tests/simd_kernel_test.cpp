@@ -4,10 +4,10 @@
 //   1. every word/double kernel agrees with a naive scalar reference on
 //      random inputs, including tail-word / partial-block shapes, all-zero
 //      and all-one rows, and every NaN/inf compare case;
-//   2. the index queries answer exactly what the Subscription predicates
-//      answer for out-of-domain, boundary, and NaN probes, and for ids
-//      past 32 bits (churn traces against flat scans live in
-//      interval_index_test).
+//   2. the index queries (stab, box_intersect, covering) answer exactly
+//      what the Subscription predicates answer for out-of-domain,
+//      boundary, and NaN probes, and for ids past 32 bits (churn traces
+//      against flat scans live in interval_index_test).
 //
 // The suite carries the `index` ctest label, so CI also runs it on a
 // -DPSC_NO_SIMD=ON build, where the kernels are the scalar bodies.
@@ -105,10 +105,10 @@ TEST(SimdKernels, WordKernelsMatchScalarReference) {
 }
 
 TEST(SimdKernels, DoubleKernelsMatchScalarSemantics) {
-  // contains4 / contains_box / intersects4 must agree with the scalar
-  // >= / <= verify on every lane combination, including NaN (fails), +-inf
-  // padding lanes (pass anything real), and exact boundary equality
-  // (closed intervals).
+  // contains4 / contains_box / intersects4 / covers4 must agree with the
+  // scalar >= / <= verify on every lane combination, including NaN
+  // (fails), +-inf padding lanes (pass anything real), and exact boundary
+  // equality (closed intervals).
   const std::vector<double> specials{-kInf, -1.0, 0.0, 1.0, kInf, kNaN};
   util::Rng rng(7);
   alignas(32) double rec[8];
@@ -132,23 +132,61 @@ TEST(SimdKernels, DoubleKernelsMatchScalarSemantics) {
       qlo[lane] = a;
       qhi[lane] = b;
     }
-    bool contains_ref = true, intersects_ref = true;
+    bool contains_ref = true, intersects_ref = true, covers_ref = true;
     for (int lane = 0; lane < 4; ++lane) {
       contains_ref = contains_ref &&
                      point[lane] >= rec[lane] && point[lane] <= rec[lane + 4];
       intersects_ref = intersects_ref &&
                        qhi[lane] >= rec[lane] && qlo[lane] <= rec[lane + 4];
+      covers_ref = covers_ref &&
+                   qlo[lane] >= rec[lane] && qhi[lane] <= rec[lane + 4];
     }
     EXPECT_EQ(simd::contains4(point, rec), contains_ref) << round;
     EXPECT_EQ(simd::contains_box(point, rec, rec + 4, 4), contains_ref) << round;
     EXPECT_EQ(simd::intersects4(qlo, qhi, rec), intersects_ref) << round;
+    EXPECT_EQ(simd::covers4(qlo, qhi, rec), covers_ref) << round;
+  }
+}
+
+TEST(SimdKernels, Covers4PinsEveryLaneOnSpecialValues) {
+  // One lane at a time takes each special value on each of the four
+  // operands while the other lanes pass, so a vector body that tests the
+  // wrong lane, swaps the operands or drops an ordered-quiet compare
+  // disagrees with the scalar reference on some case.
+  const std::vector<double> specials{-kInf, -1.0, 0.0, 1.0, kInf, kNaN};
+  alignas(32) double rec[8];
+  alignas(32) double qlo[4];
+  alignas(32) double qhi[4];
+  for (int lane = 0; lane < 4; ++lane) {
+    for (const double a : specials) {
+      for (const double b : specials) {
+        for (const double c : specials) {
+          for (const double d : specials) {
+            for (int i = 0; i < 4; ++i) {
+              rec[i] = -kInf;
+              rec[i + 4] = kInf;
+              qlo[i] = 0.0;
+              qhi[i] = 0.0;
+            }
+            rec[lane] = a;
+            rec[lane + 4] = b;
+            qlo[lane] = c;
+            qhi[lane] = d;
+            EXPECT_EQ(simd::covers4(qlo, qhi, rec), c >= a && d <= b)
+                << lane << ": [" << a << "," << b << "] contains [" << c
+                << "," << d << "]";
+          }
+        }
+      }
+    }
   }
 }
 
 TEST(SimdIndexEquivalence, BoundaryAndNaNProbesAgreeWithPredicates) {
   // The index must answer exactly what Subscription::contains_point /
-  // Subscription::intersects answer — including NaN probes, which lie in
-  // no interval and so match nothing (examining nothing).
+  // Subscription::intersects / Subscription::covers answer — including
+  // NaN probes, which lie in no interval and so match nothing (examining
+  // nothing).
   index::IntervalIndex index(2);
   std::vector<Subscription> subs;
   const auto add = [&](double lo1, double hi1, double lo2, double hi2,
@@ -187,6 +225,8 @@ TEST(SimdIndexEquivalence, BoundaryAndNaNProbesAgreeWithPredicates) {
       Subscription({Interval{0, 0}, Interval{0, 0}}, 99),
       Subscription({Interval{-kInf, -100}, Interval{-kInf, kInf}}, 99),
       Subscription({Interval{1000, 5000}, Interval{999, 1001}}, 99),
+      Subscription({Interval{-50, -10}, Interval{300, 5000}}, 99),
+      Subscription({Interval{2, 5}, Interval{0, 1000}}, 99),
       Subscription({Interval{kNaN, kNaN}, Interval{0, 10}}, 99),
       Subscription({Interval{0, 10}, Interval{kNaN, 5}}, 99),
   };
@@ -196,6 +236,14 @@ TEST(SimdIndexEquivalence, BoundaryAndNaNProbesAgreeWithPredicates) {
       if (sub.intersects(box)) expected.push_back(sub.id());
     }
     EXPECT_EQ(sorted(index.box_intersect(box)), expected) << box.range(0).lo;
+    if (std::isnan(box.range(0).lo) || std::isnan(box.range(1).lo)) {
+      EXPECT_EQ(index.last_query_cost(), 0u);
+    }
+    std::vector<SubscriptionId> coverers;
+    for (const auto& sub : subs) {
+      if (sub.covers(box)) coverers.push_back(sub.id());
+    }
+    EXPECT_EQ(sorted(index.covering(box)), coverers) << box.range(0).lo;
     if (std::isnan(box.range(0).lo) || std::isnan(box.range(1).lo)) {
       EXPECT_EQ(index.last_query_cost(), 0u);
     }

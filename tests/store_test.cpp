@@ -205,6 +205,33 @@ TEST(Store, ExactPolicyDoesNotCoverAnEqualityPredicateForFree) {
   }
 }
 
+TEST(Store, PairwiseCovererIsTheLowestActiveSlotAfterSwapRemove) {
+  // Erasing active 1 swap-removes active 4 into its slot, and 5 reuses
+  // 1's index slot: active slots read 4, 2, 3, 5 while ids and index
+  // slots order the two coverers of s as 2, 4. Pairwise cover records
+  // the coverer in the lowest active slot, 4, on both paths.
+  for (const CoveragePolicy p :
+       {CoveragePolicy::kPairwise, CoveragePolicy::kExact}) {
+    for (const bool use_index : {true, false}) {
+      StoreConfig config = policy(p);
+      config.use_index = use_index;
+      SubscriptionStore store(config);
+      for (const Subscription& sub :
+           {box2(0, 100, 0, 100, 1), box2(200, 800, 100, 700, 2),
+            box2(900, 950, 900, 950, 3), box2(100, 700, 200, 800, 4)}) {
+        ASSERT_TRUE(store.insert(sub).accepted_active) << sub;
+      }
+      ASSERT_TRUE(store.erase(1));
+      ASSERT_TRUE(store.insert(box2(0, 50, 900, 950, 5)).accepted_active);
+      ASSERT_EQ(store.active_snapshot().front().id(), 4u);
+
+      ASSERT_TRUE(store.insert(box2(300, 600, 300, 600, 6)).covered);
+      EXPECT_EQ(store.coverers_of(6), (std::vector<SubscriptionId>{4}))
+          << to_string(p) << (use_index ? " index" : " flat");
+    }
+  }
+}
+
 TEST(Store, EraseUnknownIdReturnsFalse) {
   SubscriptionStore store;
   EXPECT_FALSE(store.erase(99));
