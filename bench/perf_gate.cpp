@@ -33,10 +33,20 @@
 //     publish lanes) against a routed table, one publication per latency
 //     sample; routes are gated equal to a brute-force scan of the routed
 //     set in-run, from a local and a neighbour origin
+//   * broker_subscribe — Broker::handle_subscription followed by
+//     Broker::handle_unsubscription of a random live route, one pair per
+//     latency sample, on a kPairwise broker with three neighbours held at
+//     `actives` routes from mixed origins: the link stores' coverage
+//     decisions, whose containment queries run on the publish lanes. Every
+//     8th subscription's decision on each link is gated equal to a
+//     brute-force containment scan of that link's active set, taken
+//     between samples; throughput counts the timed calls only. Written to
+//     the JSON's top-level sections only (ungated, like covering)
 //
 // --small shrinks every size for the CI smoke / ctest registration; small
 // runs gate on correctness (oracles + checksums) exactly like full ones.
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -384,6 +394,75 @@ int main(int argc, char** argv) try {
     }
   }
 
+  // --- Section: broker_subscribe ----------------------------------------
+  // Three links, so a route is checked against every link but its
+  // origin's; a pair keeps the population steady at `actives` routes.
+  store::StoreConfig pairwise_store;
+  pairwise_store.policy = store::CoveragePolicy::kPairwise;
+  routing::Broker sub_broker(0, pairwise_store, seed);
+  const std::vector<routing::BrokerId> links = {1, 2, 3};
+  for (const routing::BrokerId n : links) sub_broker.add_neighbor(n);
+  workload::ComparisonStream sub_stream(stream_config, seed + 5);
+  util::Rng sub_rng(seed + 6);
+  const auto random_origin = [&] {
+    const auto draw = sub_rng.next_below(links.size() + 1);
+    return draw == links.size() ? routing::Origin{true, routing::kInvalidBroker}
+                                : routing::Origin{false, links[draw]};
+  };
+  std::vector<std::pair<Subscription, routing::Origin>> live_routes;
+  live_routes.reserve(actives);
+  for (std::size_t i = 0; i < actives; ++i) {
+    Subscription sub = sub_stream.next();
+    const routing::Origin origin = random_origin();
+    (void)sub_broker.handle_subscription(sub, origin);
+    live_routes.emplace_back(std::move(sub), origin);
+  }
+  bench::LatencyRecorder sub_latencies;
+  sub_latencies.reserve(queries);
+  double sub_timed_seconds = 0.0;
+  std::vector<routing::BrokerId> expected_forward;
+  for (std::uint64_t i = 0; i < queries; ++i) {
+    Subscription sub = sub_stream.next();
+    const routing::Origin origin = random_origin();
+    const std::size_t victim = sub_rng.next_below(live_routes.size());
+    // Oracle: a link forwards sub iff none of its actives contains it.
+    const bool checked = i % 8 == 0;
+    if (checked) {
+      expected_forward.clear();
+      for (const routing::BrokerId n : links) {
+        if (!origin.local && origin.neighbor == n) continue;
+        const store::SubscriptionStore* link = sub_broker.forwarded_store(n);
+        const auto actives_now =
+            link == nullptr ? std::vector<Subscription>{} : link->active_snapshot();
+        const auto covers_sub = [&](const Subscription& active) {
+          return active.covers(sub);
+        };
+        if (std::none_of(actives_now.begin(), actives_now.end(), covers_sub)) {
+          expected_forward.push_back(n);
+        }
+      }
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::vector<routing::BrokerId> forward =
+        sub_broker.handle_subscription(sub, origin);
+    const auto outcome = sub_broker.handle_unsubscription(
+        live_routes[victim].first.id(), live_routes[victim].second);
+    const auto t1 = std::chrono::steady_clock::now();
+    sub_latencies.record(static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count()));
+    sub_timed_seconds += std::chrono::duration<double>(t1 - t0).count();
+    sink += forward.size() + outcome.forward_to.size() + outcome.reannounce.size();
+    if (checked) {
+      gate.check(forward == expected_forward,
+                 "broker_subscribe decision drift at op " + std::to_string(i));
+    }
+    live_routes[victim] = {std::move(sub), origin};
+  }
+  gate.check(sub_broker.routing_table_size() == actives,
+             "broker_subscribe: routing table drifted from the steady population");
+  const SectionResult broker_subscribe =
+      sub_latencies.section("broker_subscribe", queries, sub_timed_seconds);
+
   // ---------------------------------------------------------------- table
   util::TableWriter table(
       {"section", "actives", "ops", "ops_per_sec", "p50_ns", "p99_ns"});
@@ -399,6 +478,10 @@ int main(int argc, char** argv) try {
                  static_cast<long long>(broker_publish.ops),
                  broker_publish.ops_per_sec, broker_publish.p50_ns,
                  broker_publish.p99_ns});
+  table.add_row({broker_subscribe.name, static_cast<long long>(actives),
+                 static_cast<long long>(broker_subscribe.ops),
+                 broker_subscribe.ops_per_sec, broker_subscribe.p50_ns,
+                 broker_subscribe.p99_ns});
   table.print(std::cout);
 
   // ----------------------------------------------------------------- json
@@ -433,6 +516,8 @@ int main(int argc, char** argv) try {
     write_section(json, primary.covering);
     write_section(json, primary.churn_amortized);
     write_section(json, broker_publish);
+    // Not in BENCH_core.json yet, so check_bench leaves it ungated.
+    write_section(json, broker_subscribe);
     json.end_object();
     json.begin_array("scales");
     for (const ScaleResult& scale : scales) {

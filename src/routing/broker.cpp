@@ -32,6 +32,13 @@ std::uint64_t broker_seed(std::uint64_t network_seed, BrokerId id) noexcept {
   return util::splitmix64(seed);
 }
 
+std::uint64_t link_seed(std::uint64_t broker_seed, BrokerId broker,
+                        BrokerId neighbor) noexcept {
+  std::uint64_t mix =
+      broker_seed ^ (static_cast<std::uint64_t>(broker) << 32) ^ neighbor;
+  return util::splitmix64(mix);
+}
+
 Broker::Broker(BrokerId id, store::StoreConfig store_config, std::uint64_t seed)
     : id_(id),
       store_config_(store_config),
@@ -71,9 +78,10 @@ Broker::AnnounceOutcome Broker::announce_all_to(BrokerId neighbor) {
             [](const auto& a, const auto& b) { return a.first < b.first; });
   AnnounceOutcome outcome;
   store::SubscriptionStore& link_store = forwarded_mutable(neighbor);
+  const auto lanes = link_lanes(neighbor);
   for (const auto& [sid, origin] : entries) {
     const Subscription& sub = *lane_find(sid, origin);
-    if (link_store.insert(sub).covered) {
+    if (link_store.insert(sub, lanes).covered) {
       ++outcome.suppressed;
       continue;
     }
@@ -98,15 +106,26 @@ store::SubscriptionStore& Broker::forwarded_mutable(BrokerId neighbor) {
     // by that active's coverer.
     store::StoreConfig link_config = store_config_;
     link_config.demote_covered_actives = false;
-    // Derive a per-link seed so link stores have independent RNG streams
-    // while the whole network stays reproducible.
-    std::uint64_t mix = seed_ ^ (static_cast<std::uint64_t>(id_) << 32) ^ neighbor;
+    // The lanes answer its coverage queries (see forwarded_), so it keeps
+    // no index of its own.
     it = forwarded_
              .emplace(neighbor, std::make_unique<store::SubscriptionStore>(
-                                    link_config, util::splitmix64(mix)))
+                                    link_config, link_seed(seed_, id_, neighbor),
+                                    store::IndexSource::kLanes))
              .first;
   }
   return *it->second;
+}
+
+std::vector<const store::SubscriptionStore*> Broker::link_lanes(
+    BrokerId neighbor) const {
+  std::vector<const store::SubscriptionStore*> lanes;
+  lanes.reserve(neighbor_lanes_.size() + 1);
+  lanes.push_back(&local_lane_);
+  for (const auto& [origin, lane] : neighbor_lanes_) {
+    if (origin != neighbor) lanes.push_back(&lane);
+  }
+  return lanes;
 }
 
 const store::SubscriptionStore* Broker::forwarded_store(BrokerId neighbor) const {
@@ -166,7 +185,8 @@ std::vector<BrokerId> Broker::handle_subscription(const Subscription& sub,
   for (const BrokerId neighbor : neighbors_) {
     if (!origin.local && origin.neighbor == neighbor) continue;
     store::SubscriptionStore& link_store = forwarded_mutable(neighbor);
-    const store::InsertResult inserted = link_store.insert(sub);
+    const store::InsertResult inserted =
+        link_store.insert(sub, link_lanes(neighbor));
     if (inserted.covered) {
       if (suppressed_out) ++*suppressed_out;
       continue;  // neighbour already holds a covering set; stay silent
@@ -187,14 +207,13 @@ Broker::UnsubscriptionOutcome Broker::handle_unsubscription(
     if (!origin.local && origin.neighbor == neighbor) continue;
     const auto store_it = forwarded_.find(neighbor);
     if (store_it == forwarded_.end()) continue;
-    // Only links that actually carried the subscription see the
-    // unsubscription. If the departing subscription was covering others on
-    // this link, those get promoted back to active and must be announced
-    // to the neighbour now — it never saw them while they were suppressed.
-    if (!store_it->second->contains(id)) continue;
-    const bool was_active = store_it->second->is_active(id);
-    const auto erased = store_it->second->erase_reporting(id);
-    if (was_active) outcome.forward_to.push_back(neighbor);
+    // Only links that announced the subscription see the unsubscription.
+    // If the departing subscription was covering others on this link,
+    // those get promoted back to active and must be announced to the
+    // neighbour now — it never saw them while they were suppressed.
+    const auto erased =
+        store_it->second->erase_reporting(id, link_lanes(neighbor));
+    if (erased.was_active) outcome.forward_to.push_back(neighbor);
     for (const SubscriptionId promoted_id : erased.promoted) {
       const Subscription* route = routed_subscription(promoted_id);
       if (route == nullptr) continue;  // also being removed
@@ -305,6 +324,20 @@ void Broker::import_snapshot(const Snapshot& snapshot) {
       throw std::invalid_argument(
           "Broker::import_snapshot: link snapshot for unknown neighbour");
     }
+    // The link store's coverage queries run on the lanes, which answer
+    // only for ids routed here with the same box and from another origin.
+    const auto check_routed = [&](const Subscription& sub) {
+      const Origin* route_origin = routing_table_.find(sub.id());
+      if (route_origin == nullptr ||
+          (!route_origin->local && route_origin->neighbor == neighbor) ||
+          !(*lane_find(sub.id(), *route_origin) == sub)) {
+        throw std::invalid_argument(
+            "Broker::import_snapshot: link snapshot holds an id that is not "
+            "routed here with the same box from another origin");
+      }
+    };
+    for (const Subscription& active : store_snapshot.actives) check_routed(active);
+    for (const auto& record : store_snapshot.covered) check_routed(record.sub);
     // forwarded_mutable builds the store with this broker's per-link
     // config and seed; the snapshot then overwrites its decision state
     // (incl. the engine RNG stream captured at export).

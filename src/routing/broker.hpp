@@ -16,7 +16,11 @@
 //     neighbour n. A new subscription is forwarded to n only if it is not
 //     covered (per the configured policy) by what n already received —
 //     the paper's traffic-suppression step, and where the probabilistic
-//     group check plugs in.
+//     group check plugs in. A link store holds only routed ids, with their
+//     routed boxes, and none that arrived from n, so it keeps no index:
+//     its coverage queries run on every lane but n's and keep the ids
+//     active on the link (or scan its own actives, when those are few
+//     against the lanes).
 //
 // A broker keeps no per-publication state: the overlay is a forest and a
 // publication is never sent back where it came from, so each broker sees
@@ -57,6 +61,12 @@ struct Origin {
 /// broker makes the same (kGroup-policy) coverage decisions as its sim twin.
 [[nodiscard]] std::uint64_t broker_seed(std::uint64_t network_seed,
                                         BrokerId id) noexcept;
+
+/// Engine seed of the link store that broker `broker`, seeded with
+/// `broker_seed`, keeps toward `neighbor`: link stores draw independent RNG
+/// streams while the whole network stays reproducible.
+[[nodiscard]] std::uint64_t link_seed(std::uint64_t broker_seed, BrokerId broker,
+                                      BrokerId neighbor) noexcept;
 
 /// Per-broker state. A BrokerRuntime turns its decisions into messages.
 class Broker {
@@ -209,7 +219,9 @@ class Broker {
   /// no routing state (freshly constructed, or after a crash wiped it),
   /// was constructed with the same (id, config, seed) as the
   /// exporter, and already has its neighbour links attached (topology is
-  /// owned by the network layer and is not part of broker state).
+  /// owned by the network layer and is not part of broker state). Every
+  /// id a link snapshot holds, active or covered, must be routed with the
+  /// same box and not from that link's neighbour.
   /// Violations throw std::invalid_argument / std::logic_error. Afterwards
   /// the broker is decision-for-decision identical to the exporter.
   void import_snapshot(const Snapshot& snapshot);
@@ -232,9 +244,19 @@ class Broker {
   std::map<BrokerId, store::SubscriptionStore> neighbor_lanes_;
 
   /// Per outgoing link: what we already forwarded there (coverage state).
+  /// Each is an IndexSource::kLanes store: every id it holds is routed
+  /// here with the same box and from another origin (add_route runs before
+  /// the link insert; drop_route and the link erase run in the same
+  /// handler; import_snapshot rejects a link image that breaks this), so
+  /// its index-path queries run on the lanes (link_lanes), passed per call.
   std::unordered_map<BrokerId, std::unique_ptr<store::SubscriptionStore>> forwarded_;
 
   store::SubscriptionStore& forwarded_mutable(BrokerId neighbor);
+  /// The lanes a link store toward `neighbor` queries: every lane but
+  /// `neighbor`'s own, whose routes never enter that link store. Built per
+  /// call, after the call's route changes.
+  [[nodiscard]] std::vector<const store::SubscriptionStore*> link_lanes(
+      BrokerId neighbor) const;
 
   /// Records a new route: table entry plus the subscription in its lane.
   /// Returns false (and changes nothing) if `sub`'s id is already routed.

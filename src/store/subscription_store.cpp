@@ -31,11 +31,53 @@ using core::Publication;
 using core::Subscription;
 using core::SubscriptionId;
 
-SubscriptionStore::SubscriptionStore(StoreConfig config, std::uint64_t seed)
-    : config_(config), engine_(config.engine, seed) {}
+SubscriptionStore::SubscriptionStore(StoreConfig config, std::uint64_t seed,
+                                     IndexSource source)
+    : config_(config), source_(source), engine_(config.engine, seed) {}
+
+bool SubscriptionStore::lanes_serve(Lanes lanes) const noexcept {
+  if (!config_.use_index || source_ != IndexSource::kLanes || lanes.empty()) {
+    return false;
+  }
+  // Work estimate. A flat scan reads the 2m bounds of each active here; a
+  // lane sweep reads two paired mask rows per attribute, about m/16 words
+  // per lane subscription, and then emits every lane subscription that
+  // qualifies, covered-here ones included. So the lanes pay off only while
+  // they hold fewer than 32 subscriptions per active here. Under heavy
+  // cover a link's actives are a small part of what the lanes hold, and
+  // its own flat scan is the cheaper exact answer.
+  constexpr std::size_t kLaneEntriesPerActive = 32;
+  std::size_t lane_entries = 0;
+  for (const SubscriptionStore* lane : lanes) lane_entries += lane->active_count();
+  return lane_entries < kLaneEntriesPerActive * active_.size();
+}
+
+void SubscriptionStore::append_covering(const Subscription& box,
+                                        std::vector<SubscriptionId>& out) const {
+  if (!index_enabled()) {
+    for (const auto& active : active_) {
+      if (active.covers(box)) out.push_back(active.id());
+    }
+  } else if (box.attribute_count() == interval_index_->attribute_count()) {
+    interval_index_->covering(box, out);
+  }
+  // A box of another arity is contained in (and intersects) no active,
+  // which the flat scan's covers/intersects size checks also say.
+}
+
+void SubscriptionStore::append_intersecting(
+    const Subscription& box, std::vector<SubscriptionId>& out) const {
+  if (!index_enabled()) {
+    for (const auto& active : active_) {
+      if (active.intersects(box)) out.push_back(active.id());
+    }
+  } else if (box.attribute_count() == interval_index_->attribute_count()) {
+    interval_index_->box_intersect(box, out);
+  }
+}
 
 void SubscriptionStore::index_insert_active(const Subscription& sub) {
-  if (!config_.use_index) return;
+  if (!config_.use_index || source_ == IndexSource::kLanes) return;
   if (!interval_index_) {
     interval_index_.emplace(sub.attribute_count(), config_.index);
   }
@@ -43,24 +85,33 @@ void SubscriptionStore::index_insert_active(const Subscription& sub) {
 }
 
 std::span<const Subscription* const> SubscriptionStore::intersecting_candidates(
-    const Subscription& box) {
-  // One of the store's two index-vs-flat choices on the coverage side (the
-  // other is first_coverer). Either way the result is in active-slot
-  // order, so every consumer (engine diagnostics, group coverer lists,
-  // exact cover, demotion) sees the same sequence on both paths and
-  // decisions stay identical.
+    const Subscription& box, Lanes lanes) {
+  // One of the store's two candidate gatherers on the coverage side (the
+  // other is first_coverer). Whichever source answers (own index, lanes,
+  // flat scan), the result is in active-slot order, so every consumer
+  // (engine diagnostics, group coverer lists, exact cover, demotion) sees
+  // the same sequence and decisions stay identical.
   candidate_scratch_.clear();
-  if (!index_enabled()) {
+  id_scratch_.clear();
+  if (index_enabled()) {
+    interval_index_->box_intersect(box, id_scratch_);
+  } else if (lanes_serve(lanes)) {
+    for (const SubscriptionStore* lane : lanes) {
+      lane->append_intersecting(box, id_scratch_);
+    }
+  } else {
     for (const auto& active : active_) {
       if (active.intersects(box)) candidate_scratch_.push_back(&active);
     }
     return candidate_scratch_;
   }
-  id_scratch_.clear();
-  interval_index_->box_intersect(box, id_scratch_);
+  // Lanes also hold subscriptions that are covered here or never entered
+  // this store; only the ids active here are candidates.
   slot_scratch_.clear();
   for (const SubscriptionId id : id_scratch_) {
-    slot_scratch_.push_back(active_index_.at(id));
+    if (const auto it = active_index_.find(id); it != active_index_.end()) {
+      slot_scratch_.push_back(it->second);
+    }
   }
   std::sort(slot_scratch_.begin(), slot_scratch_.end());
   for (const std::size_t slot : slot_scratch_) {
@@ -69,34 +120,44 @@ std::span<const Subscription* const> SubscriptionStore::intersecting_candidates(
   return candidate_scratch_;
 }
 
-const Subscription* SubscriptionStore::first_coverer(const Subscription& sub) {
+const Subscription* SubscriptionStore::first_coverer(const Subscription& sub,
+                                                     Lanes lanes) {
   // An empty box intersects no active, so nothing covers it (covers()
   // alone would call it covered by every active).
   if (!sub.is_satisfiable()) return nullptr;
-  if (!index_enabled()) {
+  id_scratch_.clear();
+  if (index_enabled()) {
+    interval_index_->covering(sub, id_scratch_);
+  } else if (lanes_serve(lanes)) {
+    for (const SubscriptionStore* lane : lanes) {
+      lane->append_covering(sub, id_scratch_);
+    }
+  } else {
     for (const auto& active : active_) {
       if (active.covers(sub)) return &active;
     }
     return nullptr;
   }
   // The lowest active slot among the containing actives is the one the
-  // slot-order scan above finds first.
-  id_scratch_.clear();
-  interval_index_->covering(sub, id_scratch_);
+  // flat slot-order scan finds first. Lane ids that are not active here
+  // (covered here, or never inserted) are skipped.
   std::size_t first = active_.size();
   for (const SubscriptionId id : id_scratch_) {
-    first = std::min(first, active_index_.at(id));
+    if (const auto it = active_index_.find(id); it != active_index_.end()) {
+      first = std::min(first, it->second);
+    }
   }
   return first < active_.size() ? &active_[first] : nullptr;
 }
 
 std::optional<std::vector<SubscriptionId>> SubscriptionStore::check_covered(
-    const Subscription& sub, std::optional<core::SubsumptionResult>* diag) {
+    const Subscription& sub, std::optional<core::SubsumptionResult>* diag,
+    Lanes lanes) {
   switch (config_.policy) {
     case CoveragePolicy::kNone:
       return std::nullopt;
     case CoveragePolicy::kPairwise: {
-      if (const Subscription* coverer = first_coverer(sub)) {
+      if (const Subscription* coverer = first_coverer(sub, lanes)) {
         return std::vector<SubscriptionId>{coverer->id()};
       }
       return std::nullopt;
@@ -105,7 +166,7 @@ std::optional<std::vector<SubscriptionId>> SubscriptionStore::check_covered(
       // Only actives whose box intersects sub can take part in a group
       // covering it, so the engine runs over that set alone.
       const std::span<const Subscription* const> candidates =
-          intersecting_candidates(sub);
+          intersecting_candidates(sub, lanes);
       ++group_checks_;
       core::SubsumptionResult result;
       if (candidates.empty() && !active_.empty()) {
@@ -134,13 +195,13 @@ std::optional<std::vector<SubscriptionId>> SubscriptionStore::check_covered(
     }
     case CoveragePolicy::kExact: {
       // Pairwise fast path first.
-      if (const Subscription* coverer = first_coverer(sub)) {
+      if (const Subscription* coverer = first_coverer(sub, lanes)) {
         return std::vector<SubscriptionId>{coverer->id()};
       }
       // Exact group cover via recursive box subtraction over the
       // intersecting actives, none of which covers sub alone.
       const std::span<const Subscription* const> group =
-          intersecting_candidates(sub);
+          intersecting_candidates(sub, lanes);
       if (group.empty()) return std::nullopt;
       std::vector<SubscriptionId> coverers;
       coverers.reserve(group.size());
@@ -189,11 +250,11 @@ std::vector<SubscriptionId> SubscriptionStore::coverers_of(
 }
 
 void SubscriptionStore::demote_actives_covered_by(
-    const Subscription& sub, std::vector<SubscriptionId>& demoted) {
+    const Subscription& sub, std::vector<SubscriptionId>& demoted, Lanes lanes) {
   // Collect first (indices shift under erase), then demote by id. An
   // active covered by sub necessarily intersects it.
   std::vector<SubscriptionId> to_demote;
-  for (const Subscription* candidate : intersecting_candidates(sub)) {
+  for (const Subscription* candidate : intersecting_candidates(sub, lanes)) {
     if (sub.covers(*candidate)) to_demote.push_back(candidate->id());
   }
   for (const SubscriptionId id : to_demote) {
@@ -241,7 +302,7 @@ Subscription SubscriptionStore::erase_active_slot(std::size_t slot) {
   return removed;
 }
 
-InsertResult SubscriptionStore::insert(const Subscription& sub) {
+InsertResult SubscriptionStore::insert(const Subscription& sub, Lanes lanes) {
   if (sub.id() == core::kInvalidSubscriptionId) {
     throw std::invalid_argument("SubscriptionStore::insert: id must be non-zero");
   }
@@ -259,7 +320,7 @@ InsertResult SubscriptionStore::insert(const Subscription& sub) {
   }
   InsertResult result;
   std::optional<core::SubsumptionResult> diag;
-  auto coverers = check_covered(sub, &diag);
+  auto coverers = check_covered(sub, &diag, lanes);
   result.engine_result = std::move(diag);
   if (coverers) {
     result.covered = true;
@@ -268,17 +329,18 @@ InsertResult SubscriptionStore::insert(const Subscription& sub) {
     return result;
   }
   result.accepted_active = true;
-  add_active(sub, result.demoted);
+  add_active(sub, result.demoted, lanes);
   return result;
 }
 
 void SubscriptionStore::add_active(Subscription sub,
-                                   std::vector<SubscriptionId>& demoted) {
+                                   std::vector<SubscriptionId>& demoted,
+                                   Lanes lanes) {
   // kNone keeps every subscription active, so only a covering policy
   // demotes.
   if (config_.demote_covered_actives &&
       config_.policy != CoveragePolicy::kNone) {
-    demote_actives_covered_by(sub, demoted);
+    demote_actives_covered_by(sub, demoted, lanes);
   }
   index_insert_active(sub);
   active_index_[sub.id()] = active_.size();
@@ -286,7 +348,7 @@ void SubscriptionStore::add_active(Subscription sub,
 }
 
 SubscriptionStore::EraseResult SubscriptionStore::erase_reporting(
-    SubscriptionId id) {
+    SubscriptionId id, Lanes lanes) {
   EraseResult result;
   if (const auto covered_it = covered_.find(id); covered_it != covered_.end()) {
     unlink_coverers(id, covered_it->second.coverers);
@@ -297,6 +359,7 @@ SubscriptionStore::EraseResult SubscriptionStore::erase_reporting(
   const auto it = active_index_.find(id);
   if (it == active_index_.end()) return result;
   result.erased = true;
+  result.was_active = true;
   const Subscription erased = erase_active_slot(it->second);
   auto kids = children_.extract(id);
   if (kids.empty()) return result;
@@ -313,7 +376,7 @@ SubscriptionStore::EraseResult SubscriptionStore::erase_reporting(
     const auto node = covered_.find(cid);
     CoveredEntry& entry = node->second;
     std::erase(entry.coverers, id);
-    if (auto more = check_covered(entry.sub.intersect(erased), nullptr)) {
+    if (auto more = check_covered(entry.sub.intersect(erased), nullptr, lanes)) {
       for (const SubscriptionId coverer : *more) {
         if (std::find(entry.coverers.begin(), entry.coverers.end(), coverer) ==
             entry.coverers.end()) {
@@ -326,7 +389,7 @@ SubscriptionStore::EraseResult SubscriptionStore::erase_reporting(
     unlink_coverers(cid, entry.coverers);
     Subscription sub = std::move(entry.sub);
     covered_.erase(node);
-    add_active(std::move(sub), demoted);
+    add_active(std::move(sub), demoted, lanes);
     result.promoted.push_back(cid);
   }
   return result;

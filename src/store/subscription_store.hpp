@@ -14,7 +14,10 @@
 // policy and kExact's fast path) asks one question, "which active first in
 // slot order contains the new subscription?"; group and exact cover run
 // over the actives that intersect it. The interval index only changes how
-// either set is gathered, never the answer. A new active subscription
+// either set is gathered, never the answer: a standalone store indexes its
+// own actives, while a broker's link store keeps no index and asks the
+// broker's publish lanes, which hold a superset of its actives with the
+// same boxes, keeping only the ids active here. A new active subscription
 // additionally demotes existing actives it pairwise-covers (the classical
 // maintenance step, StoreConfig::demote_covered_actives); a demoted active
 // hands its own covered dependents to the subscription that demoted it.
@@ -79,22 +82,43 @@ struct StoreConfig {
   /// a covering policy demotes: under kNone every subscription stays
   /// active whatever this says.
   bool demote_covered_actives = true;
-  /// Maintain an IntervalIndex over the active set and route publication
-  /// matching (point-stab), pairwise cover (covering) and coverage-candidate
-  /// gathering (box-intersect) through it instead of flat O(k) scans. Off = flat scans,
-  /// kept for ablation (bench/index_scaling) and as the reference in the
-  /// equivalence property tests. Results are identical either way; only
-  /// the work differs. The index requires all subscriptions in the store
-  /// to share one attribute schema (coverage policies already require
-  /// this); on the first insert with a different arity the store drops
-  /// the index and continues on the flat scans for its remaining
-  /// lifetime, so mixed-arity kNone streams stay supported.
+  /// Answer publication matching (point-stab), pairwise cover (covering)
+  /// and coverage-candidate gathering (box-intersect) from an
+  /// IntervalIndex instead of flat O(k) scans. A standalone store
+  /// (IndexSource::kOwn) maintains the index over its own actives; a link
+  /// store (IndexSource::kLanes) builds none and runs the two coverage
+  /// queries on the indexes of the lanes passed to insert/erase_reporting,
+  /// or scans its own actives when they are few against the lanes.
+  /// Off = flat scans, kept for ablation (bench/index_scaling) and as the
+  /// reference in the equivalence property tests. Results are identical
+  /// either way; only the work differs. An index requires all
+  /// subscriptions in it to share one attribute schema (coverage policies
+  /// already require this); on the first insert with a different arity a
+  /// store drops its own index and continues on the flat scans for its
+  /// remaining lifetime, so mixed-arity kNone streams stay supported.
   bool use_index = true;
   /// Bucketing domain for the index (results never depend on it, but
   /// pruning power does: values outside the domain clamp to the edge
   /// buckets). Match it to the deployment's attribute value range.
   index::IndexConfig index;
 };
+
+/// Where a store's index-path queries find its actives.
+enum class IndexSource : std::uint8_t {
+  kOwn,    ///< an IntervalIndex the store maintains over its actives
+  kLanes,  ///< no index of its own: the lane stores passed to each
+           ///< insert/erase_reporting answer the coverage queries, or a
+           ///< flat scan of the store's actives does when that reads less
+           ///< (a few actives against large lanes); matching runs the flat
+           ///< scan. Every active must be an active of one of those lanes,
+           ///< with the same box.
+};
+
+class SubscriptionStore;
+
+/// The lanes a kLanes store's coverage queries run on (see IndexSource):
+/// stores whose actives together hold every active of the kLanes store.
+using Lanes = std::span<const SubscriptionStore* const>;
 
 /// A broker's subscription state machine (see file comment).
 ///
@@ -110,18 +134,23 @@ struct StoreConfig {
 class SubscriptionStore {
  public:
   explicit SubscriptionStore(StoreConfig config = {},
-                             std::uint64_t seed = 0xc0ffee11ULL);
+                             std::uint64_t seed = 0xc0ffee11ULL,
+                             IndexSource source = IndexSource::kOwn);
 
   /// Inserts a subscription and runs the configured coverage policy.
   /// Preconditions: a non-zero id not already in the store — violations
   /// throw std::invalid_argument and leave the store unchanged. The
   /// subscription itself is validated at construction (no empty ranges),
-  /// so every stored subscription is satisfiable.
-  InsertResult insert(const core::Subscription& sub);
+  /// so every stored subscription is satisfiable. `lanes` serves a kLanes
+  /// store's coverage queries (ignored by kOwn stores); a kLanes store
+  /// given none falls back to the flat scans, with the same decisions.
+  InsertResult insert(const core::Subscription& sub, Lanes lanes = {});
 
   /// Outcome of erasing a subscription.
   struct EraseResult {
     bool erased = false;
+    /// The erased subscription was an active (false when covered or absent).
+    bool was_active = false;
     /// Ids of previously-covered subscriptions that became ACTIVE because
     /// the erased subscription was among their coverers. The routing layer
     /// must re-announce these to neighbours (paper, Section 5).
@@ -134,8 +163,8 @@ class SubscriptionStore {
   /// current actives cover c ∩ a, c stays covered and its coverers become
   /// its old ones minus `a` followed by the new ones, without duplicates;
   /// otherwise c is promoted to active (demoting actives it covers, when
-  /// configured) and reported in `promoted`.
-  EraseResult erase_reporting(core::SubscriptionId id);
+  /// configured) and reported in `promoted`. `lanes` as for insert().
+  EraseResult erase_reporting(core::SubscriptionId id, Lanes lanes = {});
 
   /// Convenience wrapper; returns false if the id is unknown.
   bool erase(core::SubscriptionId id) { return erase_reporting(id).erased; }
@@ -261,12 +290,13 @@ class SubscriptionStore {
   };
 
   StoreConfig config_;
+  IndexSource source_;
   core::SubsumptionEngine engine_;
   std::vector<core::Subscription> active_;
   std::unordered_map<core::SubscriptionId, std::size_t> active_index_;
-  /// Candidate-pruning index over the actives (when config_.use_index).
-  /// Created lazily on the first insert because the schema width is not
-  /// known at construction time.
+  /// Candidate-pruning index over the actives (when config_.use_index and
+  /// the source is kOwn). Created lazily on the first insert because the
+  /// schema width is not known at construction time.
   std::optional<index::IntervalIndex> interval_index_;
   std::unordered_map<core::SubscriptionId, CoveredEntry> covered_;
   /// Cover DAG edges: coverer id -> covered ids listing it (Section 4.4).
@@ -291,15 +321,17 @@ class SubscriptionStore {
   /// Runs the configured policy on `sub`. Returns the coverer ids when
   /// covered.
   [[nodiscard]] std::optional<std::vector<core::SubscriptionId>> check_covered(
-      const core::Subscription& sub, std::optional<core::SubsumptionResult>* diag);
+      const core::Subscription& sub, std::optional<core::SubsumptionResult>* diag,
+      Lanes lanes);
 
   /// Active-insert tail shared by insert() and promotion: demotes the
   /// actives `sub` covers (when configured), then adds it to the slots and
   /// the index.
   void add_active(core::Subscription sub,
-                  std::vector<core::SubscriptionId>& demoted);
+                  std::vector<core::SubscriptionId>& demoted, Lanes lanes);
   void demote_actives_covered_by(const core::Subscription& sub,
-                                 std::vector<core::SubscriptionId>& demoted);
+                                 std::vector<core::SubscriptionId>& demoted,
+                                 Lanes lanes);
   /// Moves the demoted active's children under its coverer.
   void repoint_children(core::SubscriptionId demoted,
                         core::SubscriptionId coverer);
@@ -309,20 +341,34 @@ class SubscriptionStore {
   [[nodiscard]] bool index_enabled() const noexcept {
     return config_.use_index && interval_index_.has_value();
   }
+  /// True when a kLanes store answers its coverage queries from `lanes`
+  /// rather than a flat scan of its own actives (same answers; see the
+  /// definition for the work estimate that picks).
+  [[nodiscard]] bool lanes_serve(Lanes lanes) const noexcept;
   void index_insert_active(const core::Subscription& sub);
   /// The active in the lowest slot whose box contains `sub`, or nullptr
-  /// (always for a `sub` with an empty range): one index containment query
-  /// when the index is live, a flat slot-order scan otherwise, with the
-  /// same result either way. Pairwise cover asks only this.
+  /// (always for a `sub` with an empty range): one containment query on
+  /// the own index or on each lane, keeping the ids active here, or a flat
+  /// slot-order scan, with the same result on every path. Pairwise cover
+  /// asks only this.
   [[nodiscard]] const core::Subscription* first_coverer(
-      const core::Subscription& sub);
+      const core::Subscription& sub, Lanes lanes);
   /// Actives whose box intersects `box`, as pointers into active_, in
-  /// active-slot order: index-pruned when the index is live, a flat scan
-  /// otherwise, with the same result either way. Group cover, exact cover
-  /// and demotion gather their candidates here; pairwise cover does not
-  /// (first_coverer). Returns the reused scratch vector.
+  /// active-slot order: index-pruned (own index, or the lanes' answers
+  /// kept to the ids active here) or a flat scan, with the same result on
+  /// every path. Group cover, exact cover and demotion gather their
+  /// candidates here; pairwise cover does not (first_coverer). Returns the
+  /// reused scratch vector.
   [[nodiscard]] std::span<const core::Subscription* const>
-  intersecting_candidates(const core::Subscription& box);
+  intersecting_candidates(const core::Subscription& box, Lanes lanes);
+  /// Lane side of a kLanes store's queries: appends the ids of this
+  /// store's actives whose box contains (covering) or intersects `box`,
+  /// from the own index when it is live and a flat scan otherwise.
+  /// Unordered.
+  void append_covering(const core::Subscription& box,
+                       std::vector<core::SubscriptionId>& out) const;
+  void append_intersecting(const core::Subscription& box,
+                           std::vector<core::SubscriptionId>& out) const;
 };
 
 }  // namespace psc::store

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -19,6 +21,8 @@ namespace psc::routing {
 namespace {
 
 using core::Interval;
+using store::CoveragePolicy;
+using store::SubscriptionStore;
 using core::Publication;
 using core::Subscription;
 using core::SubscriptionId;
@@ -297,6 +301,272 @@ TEST(Broker, PublicationRoutesMatchBruteForceReference) {
     const auto& [sub, origin] = model.routes.at(record.sub.id());
     EXPECT_EQ(record.sub, sub);
     EXPECT_EQ(record.origin, origin);
+  }
+}
+
+// --- link-store snapshots must agree with the routing table ---------------
+
+/// A broker with one link (to 1) that holds both an active (#1) and a
+/// covered (#2) entry, plus its exported image.
+Broker::Snapshot two_entry_snapshot() {
+  Broker broker = make_broker({1, 2});
+  (void)broker.handle_subscription(box2(0, 10, 0, 10, 1), Origin{true, kInvalidBroker});
+  (void)broker.handle_subscription(box2(2, 8, 2, 8, 2), Origin{false, 2});
+  const auto* link = broker.forwarded_store(1);
+  EXPECT_TRUE(link->is_active(1));
+  EXPECT_TRUE(link->contains(2) && !link->is_active(2));
+  return broker.export_snapshot();
+}
+
+void expect_import_rejected(const Broker::Snapshot& snapshot, const std::string& what) {
+  Broker fresh = make_broker({1, 2});
+  EXPECT_THROW(fresh.import_snapshot(snapshot), std::invalid_argument) << what;
+}
+
+TEST(Broker, ImportRejectsLinkIdsTheRoutingTableDoesNotHold) {
+  {
+    Broker fresh = make_broker({1, 2});
+    EXPECT_NO_THROW(fresh.import_snapshot(two_entry_snapshot()));
+  }
+  for (const SubscriptionId id : {1u, 2u}) {  // active, then covered
+    const std::string which = id == 1 ? "active" : "covered";
+    const auto route_of =
+        [id](Broker::Snapshot& snapshot) -> Broker::Snapshot::RouteRecord& {
+      return *std::find_if(
+          snapshot.routes.begin(), snapshot.routes.end(),
+          [id](const auto& record) { return record.sub.id() == id; });
+    };
+
+    Broker::Snapshot unrouted = two_entry_snapshot();
+    std::erase_if(unrouted.routes,
+                  [id](const auto& record) { return record.sub.id() == id; });
+    expect_import_rejected(unrouted, which + " id not routed");
+
+    Broker::Snapshot other_box = two_entry_snapshot();
+    route_of(other_box).sub = box2(3, 7, 3, 7, id);
+    expect_import_rejected(other_box, which + " id routed with another box");
+
+    Broker::Snapshot from_link = two_entry_snapshot();
+    route_of(from_link).origin = Origin{false, 1};
+    expect_import_rejected(from_link, which + " id routed from the link's neighbour");
+  }
+}
+
+// --- link stores vs standalone own-index stores ---------------------------
+//
+// A link store keeps no index: on the index path its coverage queries run
+// on the broker's publish lanes and keep the ids active on the link. The
+// reference here is, per link, a standalone store with its own index, the
+// link's config and per-link seed, fed the insert/erase stream the broker
+// feeds that link. After every op (subscribe, duplicate subscribe,
+// unsubscribe, expiry, remove_neighbor, re-attach with announce_all_to)
+// each link store's actives in slot order, covered entries with their
+// coverer lists, cover DAG and engine RNG state must equal the
+// reference's, and so must the forwards, announcements and promotions the
+// broker reports.
+
+void expect_same_store(const SubscriptionStore& got, const SubscriptionStore& want,
+                       const std::string& what) {
+  const auto a = got.export_snapshot();
+  const auto b = want.export_snapshot();
+  const auto ids = [](const std::vector<Subscription>& subs) {
+    std::vector<SubscriptionId> out;
+    for (const Subscription& sub : subs) out.push_back(sub.id());
+    return out;
+  };
+  ASSERT_EQ(ids(a.actives), ids(b.actives)) << what << ": active slots";
+  ASSERT_EQ(a.covered.size(), b.covered.size()) << what << ": covered count";
+  for (std::size_t i = 0; i < a.covered.size(); ++i) {
+    ASSERT_EQ(a.covered[i].sub.id(), b.covered[i].sub.id()) << what << ": covered ids";
+    ASSERT_EQ(a.covered[i].coverers, b.covered[i].coverers)
+        << what << ": coverers of " << a.covered[i].sub.id();
+  }
+  ASSERT_EQ(a.children.size(), b.children.size()) << what << ": cover DAG";
+  for (std::size_t i = 0; i < a.children.size(); ++i) {
+    ASSERT_EQ(a.children[i].coverer, b.children[i].coverer) << what << ": cover DAG";
+    ASSERT_EQ(a.children[i].covered_ids, b.children[i].covered_ids)
+        << what << ": children of " << a.children[i].coverer;
+  }
+  ASSERT_EQ(a.group_checks, b.group_checks) << what << ": group checks";
+  ASSERT_EQ(a.engine_rng_state, b.engine_rng_state) << what << ": engine RNG";
+}
+
+/// A box on the integer grid [0, 20]^2, often wide enough to cover others.
+Subscription grid_box2(SubscriptionId id, util::Rng& rng) {
+  const bool wide = rng.bernoulli(0.2);
+  std::vector<Interval> ranges(2);
+  for (auto& range : ranges) {
+    const auto width = wide ? rng.uniform_int(6, 14) : rng.uniform_int(1, 6);
+    const auto lo = rng.uniform_int(0, 20 - width);
+    range = {static_cast<double>(lo), static_cast<double>(lo + width)};
+  }
+  return Subscription(std::move(ranges), id);
+}
+
+void run_link_store_differential(CoveragePolicy policy, std::uint64_t seed) {
+  constexpr std::uint64_t kBrokerSeed = 77;
+  store::StoreConfig config;
+  config.policy = policy;
+  config.index.domain_hi = 20.0;
+  config.index.bucket_count = 16;
+  store::StoreConfig link_config = config;
+  link_config.demote_covered_actives = false;
+
+  Broker broker(0, config, kBrokerSeed);
+  std::vector<BrokerId> attached = {1, 2, 3};
+  for (const BrokerId n : attached) broker.add_neighbor(n);
+
+  std::map<BrokerId, SubscriptionStore> reference;
+  const auto reference_link = [&](BrokerId n) -> SubscriptionStore& {
+    auto it = reference.find(n);
+    if (it == reference.end()) {
+      it = reference.try_emplace(n, link_config, link_seed(kBrokerSeed, 0, n)).first;
+    }
+    return it->second;
+  };
+  std::map<SubscriptionId, std::pair<Subscription, Origin>> routes;
+  util::Rng rng(seed);
+  SubscriptionId next_id = 1;
+  std::uint64_t promotions = 0;
+
+  // The reference's side of an unsubscription or expiry: `origin` is the
+  // arrival origin (local for an expiry).
+  const auto reference_erase = [&](SubscriptionId id, const Origin& origin) {
+    Broker::UnsubscriptionOutcome want;
+    for (const BrokerId n : attached) {
+      if (!origin.local && origin.neighbor == n) continue;
+      const auto it = reference.find(n);
+      if (it == reference.end()) continue;
+      const auto erased = it->second.erase_reporting(id);
+      if (erased.was_active) want.forward_to.push_back(n);
+      for (const SubscriptionId promoted : erased.promoted) {
+        want.reannounce.emplace_back(n, routes.at(promoted).first);
+      }
+    }
+    routes.erase(id);
+    return want;
+  };
+  const auto expect_same_reannounce =
+      [&](const std::vector<std::pair<BrokerId, Subscription>>& got,
+          const std::vector<std::pair<BrokerId, Subscription>>& want,
+          const std::string& what) {
+        ASSERT_EQ(got.size(), want.size()) << what << ": reannounce count";
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(got[i].first, want[i].first) << what;
+          ASSERT_EQ(got[i].second.id(), want[i].second.id()) << what;
+        }
+        promotions += got.size();
+      };
+  const auto random_route = [&]() {
+    auto it = routes.begin();
+    std::advance(it, static_cast<std::ptrdiff_t>(rng.next_below(routes.size())));
+    return it;
+  };
+
+  for (int op = 0; op < 1500; ++op) {
+    const std::string what = std::string(store::to_string(policy)) + " op " +
+                             std::to_string(op);
+    const auto draw = rng.next_below(100);
+    if (draw < 55 || routes.size() < 8) {
+      // Subscribe from the local side or an attached neighbour.
+      const auto pick = rng.next_below(attached.size() + 1);
+      const Origin origin = pick == attached.size()
+                                ? Origin{true, kInvalidBroker}
+                                : Origin{false, attached[pick]};
+      const Subscription sub = grid_box2(next_id++, rng);
+      const auto got = broker.handle_subscription(sub, origin);
+      std::vector<BrokerId> want;
+      for (const BrokerId n : attached) {
+        if (!origin.local && origin.neighbor == n) continue;
+        if (!reference_link(n).insert(sub).covered) want.push_back(n);
+      }
+      routes.emplace(sub.id(), std::make_pair(sub, origin));
+      ASSERT_EQ(got, want) << what << ": forwards";
+    } else if (draw < 58) {
+      // A duplicate arrival changes nothing.
+      const auto route = random_route();
+      ASSERT_TRUE(broker.handle_subscription(route->second.first,
+                                             Origin{true, kInvalidBroker})
+                      .empty())
+          << what;
+    } else if (draw < 80) {
+      const auto route = random_route();
+      const SubscriptionId id = route->first;
+      const Origin origin = route->second.second;
+      const auto got = broker.handle_unsubscription(id, origin);
+      const auto want = reference_erase(id, origin);
+      ASSERT_EQ(got.forward_to, want.forward_to) << what << ": unsubscription forwards";
+      ASSERT_NO_FATAL_FAILURE(
+          expect_same_reannounce(got.reannounce, want.reannounce, what));
+    } else if (draw < 92) {
+      const SubscriptionId id = random_route()->first;
+      const auto got = broker.handle_expiry(id);
+      const auto want = reference_erase(id, Origin{true, kInvalidBroker});
+      ASSERT_NO_FATAL_FAILURE(expect_same_reannounce(got, want.reannounce, what));
+    } else if (draw < 96) {
+      // Detach a link; its routes stay in their lane, and the other links
+      // keep querying it.
+      if (attached.size() < 2) continue;
+      const BrokerId n = attached[rng.next_below(attached.size())];
+      broker.remove_neighbor(n);
+      std::erase(attached, n);
+      reference.erase(n);
+    } else {
+      // Re-attach a detached link and announce the routing table over it.
+      BrokerId n = kInvalidBroker;
+      for (const BrokerId candidate : {1u, 2u, 3u}) {
+        if (std::find(attached.begin(), attached.end(), candidate) == attached.end()) {
+          n = candidate;
+        }
+      }
+      if (n == kInvalidBroker) continue;
+      broker.add_neighbor(n);
+      attached.push_back(n);
+      const auto got = broker.announce_all_to(n);
+      std::vector<SubscriptionId> want;
+      std::uint64_t suppressed = 0;
+      for (const auto& [id, route] : routes) {  // ascending id
+        if (!route.second.local && route.second.neighbor == n) continue;
+        if (reference_link(n).insert(route.first).covered) {
+          ++suppressed;
+        } else {
+          want.push_back(id);
+        }
+      }
+      std::vector<SubscriptionId> got_ids;
+      for (const Subscription& sub : got.announce) got_ids.push_back(sub.id());
+      ASSERT_EQ(got_ids, want) << what << ": announcements";
+      ASSERT_EQ(got.suppressed, suppressed) << what << ": suppressed";
+    }
+    for (const BrokerId n : {1u, 2u, 3u}) {
+      const SubscriptionStore* link = broker.forwarded_store(n);
+      const auto it = reference.find(n);
+      ASSERT_EQ(link != nullptr, it != reference.end()) << what << " link " << n;
+      if (link != nullptr) {
+        ASSERT_NO_FATAL_FAILURE(
+            expect_same_store(*link, it->second, what + " link " + std::to_string(n)));
+      }
+    }
+  }
+  // The stream must reach the re-check path it is meant to cover.
+  EXPECT_GT(promotions, 0u) << store::to_string(policy);
+}
+
+TEST(Broker, LinkStoresDecideAsOwnIndexStoresPairwise) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    ASSERT_NO_FATAL_FAILURE(run_link_store_differential(CoveragePolicy::kPairwise, seed));
+  }
+}
+
+TEST(Broker, LinkStoresDecideAsOwnIndexStoresGroup) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    ASSERT_NO_FATAL_FAILURE(run_link_store_differential(CoveragePolicy::kGroup, seed));
+  }
+}
+
+TEST(Broker, LinkStoresDecideAsOwnIndexStoresExact) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    ASSERT_NO_FATAL_FAILURE(run_link_store_differential(CoveragePolicy::kExact, seed));
   }
 }
 

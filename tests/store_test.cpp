@@ -185,6 +185,21 @@ TEST(Store, PromotionRechecksOnlyTheErasedPart) {
   EXPECT_TRUE(store.is_active(3));
 }
 
+TEST(Store, EraseReportsWhetherTheIdWasActive) {
+  SubscriptionStore store(policy(CoveragePolicy::kPairwise));
+  store.insert(box2(0, 10, 0, 10, 1));
+  ASSERT_TRUE(store.insert(box2(2, 8, 2, 8, 2)).covered);
+  const auto covered = store.erase_reporting(2);
+  EXPECT_TRUE(covered.erased);
+  EXPECT_FALSE(covered.was_active);
+  const auto active = store.erase_reporting(1);
+  EXPECT_TRUE(active.erased);
+  EXPECT_TRUE(active.was_active);
+  const auto absent = store.erase_reporting(1);
+  EXPECT_FALSE(absent.erased);
+  EXPECT_FALSE(absent.was_active);
+}
+
 TEST(Store, ExactPolicyDoesNotCoverAnEqualityPredicateForFree) {
   // x = 5 has zero measure, but [0,10]x[0,3] covers only y <= 3 of it: the
   // publication (5, 7) matches it and nothing else, so it must stay active.
