@@ -15,9 +15,10 @@
 // --actives is a comma-separated list of SCALE TIERS. The first tier is
 // the primary one and runs every section below; later tiers (the 1M-active
 // tier in the default full run) re-measure the index-bound sections only —
-// stab, box_intersect, covering, insert_erase_churn_amortized — and are
-// recorded (covering aside, see below) as separate "scales" blocks in the
-// JSON so scripts/check_bench.py can gate each tier independently.
+// stab, box_intersect, covering, stab_any, insert_erase_churn_amortized —
+// and are recorded (covering and stab_any aside, see below) as separate
+// "scales" blocks in the JSON so scripts/check_bench.py can gate each tier
+// independently.
 //
 // Sections (see docs/PERFORMANCE.md for the methodology):
 //   * stab           — point-stab on the interval index at tier size
@@ -25,12 +26,15 @@
 //   * covering       — the containment query (pairwise cover) on the same
 //     index, probed with fresh subscriptions from the fixture's stream;
 //     timed on every tier, written to the JSON's primary block only
+//   * stab_any       — the existence query (does stab find anything?) on
+//     the stab probes, each answer gated equal to stab's; timed and
+//     written like covering
 //   * insert_erase_churn_amortized — mutation-heavy steady state
 //     (erase+insert per op) on the index at tier size; its absolute floor
 //     at 100k actives lives in scripts/check_bench.py
 //   * broker_publish — Broker::handle_publication through PublishScratch
-//     (the zero-allocation publish path: a stab of the origin-partitioned
-//     publish lanes) against a routed table, one publication per latency
+//     (the zero-allocation publish path: a stab of the local publish lane
+//     and an existence query per neighbour lane) against a routed table, one publication per latency
 //     sample; routes are gated equal to a brute-force scan of the routed
 //     set in-run, from a local and a neighbour origin
 //   * broker_subscribe — Broker::handle_subscription followed by
@@ -100,6 +104,7 @@ struct ScaleResult {
   SectionResult stab;
   SectionResult box;
   SectionResult covering;
+  SectionResult stab_any;
   SectionResult churn_amortized;
   std::uint64_t checksum_index = 0;
   std::uint64_t checksum_flat = 0;
@@ -296,6 +301,22 @@ int main(int argc, char** argv) try {
       gate.check(sorted(got) == sorted(expected),
                  "covering probe " + std::to_string(i) + suffix);
     }
+
+    // --- stab_any ------------------------------------------------------
+    // The stab probes again, as the existence query the broker asks of a
+    // neighbour lane. Hits are counted outside checksum_sink (the
+    // cross-check below keeps them live), and every answer must equal
+    // whether stab finds anything.
+    std::vector<char> any_answers(queries);
+    scale.stab_any = time_section("stab_any", queries, [&](std::uint64_t i) {
+      any_answers[i] = index.stab_any(probes[i].values()) ? 1 : 0;
+    });
+    for (std::uint64_t i = 0; i < queries; ++i) {
+      out.clear();
+      index.stab(probes[i].values(), out);
+      gate.check((any_answers[i] != 0) == !out.empty(),
+                 "stab_any probe " + std::to_string(i) + suffix);
+    }
     gate.check(scale.checksum_index == scale.checksum_flat,
                "index/flat checksum mismatch" + suffix);
     sink += scale.checksum_index;
@@ -355,13 +376,13 @@ int main(int argc, char** argv) try {
         sink += route.local_matches.size() + route.destinations.size();
       });
   // Oracle: a brute-force scan of every route — box containment, local
-  // deliveries ascending, destinations by first (minimum) matching id,
-  // never back to the publication's origin.
+  // deliveries ascending, destinations every neighbour with a matching
+  // route in ascending id, never back to the publication's origin.
   for (std::uint64_t i = 0; i < queries; i += std::max<std::uint64_t>(queries / 8, 1)) {
     for (const routing::Origin& origin :
          {publish_origin, routing::Origin{false, 1}}) {
       std::vector<SubscriptionId> expected_local;
-      std::vector<std::pair<SubscriptionId, routing::BrokerId>> first_match;
+      std::vector<routing::BrokerId> expected_destinations;
       for (const auto& [sub, route_origin] : routes) {
         if (!primary_probes[i].matches(sub)) continue;
         if (route_origin.local) {
@@ -369,22 +390,13 @@ int main(int argc, char** argv) try {
           continue;
         }
         if (!origin.local && route_origin.neighbor == origin.neighbor) continue;
-        auto hit = std::find_if(first_match.begin(), first_match.end(),
-                                [&](const auto& entry) {
-                                  return entry.second == route_origin.neighbor;
-                                });
-        if (hit == first_match.end()) {
-          first_match.emplace_back(sub.id(), route_origin.neighbor);
-        } else {
-          hit->first = std::min(hit->first, sub.id());
-        }
+        expected_destinations.push_back(route_origin.neighbor);
       }
       std::sort(expected_local.begin(), expected_local.end());
-      std::sort(first_match.begin(), first_match.end());
-      std::vector<routing::BrokerId> expected_destinations;
-      for (const auto& entry : first_match) {
-        expected_destinations.push_back(entry.second);
-      }
+      std::sort(expected_destinations.begin(), expected_destinations.end());
+      expected_destinations.erase(std::unique(expected_destinations.begin(),
+                                              expected_destinations.end()),
+                                  expected_destinations.end());
       const auto& route =
           broker.handle_publication(primary_probes[i], origin, scratch);
       gate.check(route.local_matches == expected_local &&
@@ -468,7 +480,8 @@ int main(int argc, char** argv) try {
       {"section", "actives", "ops", "ops_per_sec", "p50_ns", "p99_ns"});
   for (const ScaleResult& scale : scales) {
     for (const SectionResult* r :
-         {&scale.stab, &scale.box, &scale.covering, &scale.churn_amortized}) {
+         {&scale.stab, &scale.box, &scale.covering, &scale.stab_any,
+          &scale.churn_amortized}) {
       table.add_row({r->name, static_cast<long long>(scale.actives),
                      static_cast<long long>(r->ops), r->ops_per_sec, r->p50_ns,
                      r->p99_ns});
@@ -512,8 +525,10 @@ int main(int argc, char** argv) try {
     write_section(json, primary.stab);
     write_section(json, primary.box);
     // Primary block only: check_bench gates every section a scale tier
-    // shares with BENCH_core.json, which has no covering figures yet.
+    // shares with BENCH_core.json, which has no covering or stab_any
+    // figures yet.
     write_section(json, primary.covering);
+    write_section(json, primary.stab_any);
     write_section(json, primary.churn_amortized);
     write_section(json, broker_publish);
     // Not in BENCH_core.json yet, so check_bench leaves it ungated.

@@ -21,7 +21,8 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 IntervalIndex::IntervalIndex(std::size_t attribute_count, IndexConfig config)
     : m_(attribute_count), config_(config), selective_count_(attribute_count, 0),
-      verify_groups_((attribute_count + kVerifyGroup - 1) / kVerifyGroup) {
+      verify_groups_((attribute_count + kVerifyGroup - 1) / kVerifyGroup),
+      row_scratch_(attribute_count) {
   if (!(config_.domain_lo < config_.domain_hi)) {
     throw std::invalid_argument("IndexConfig: domain_lo must be < domain_hi");
   }
@@ -337,6 +338,24 @@ std::uint64_t IntervalIndex::emit_box_candidates(
   });
 }
 
+void IntervalIndex::pad_point(std::span<const Value> point) const noexcept {
+  double* padded = query_pad_.data();
+  for (std::size_t lane = 0; lane < verify_groups_ * kVerifyGroup; ++lane) {
+    padded[lane] = lane < m_ ? point[lane] : 0.0;
+  }
+}
+
+bool IntervalIndex::contains_padded_point(std::uint32_t slot) const noexcept {
+  const double* padded = query_pad_.data();
+  const double* rec = verify_blob_.data() + slot * verify_row_doubles();
+  for (std::size_t g = 0; g < verify_groups_; ++g) {
+    if (!simd::contains4(padded + g * kVerifyGroup, rec + g * 2 * kVerifyGroup)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 void IntervalIndex::stab(std::span<const Value> point,
                          std::vector<SubscriptionId>& out) const {
   if (point.size() != m_) {
@@ -352,23 +371,66 @@ void IntervalIndex::stab(std::span<const Value> point,
           [&](std::size_t j) { return Interval::point(point[j]); })) {
     return;
   }
+  pad_point(point);
+  last_query_cost_ = emit_candidates(
+      out, [&](std::uint32_t slot) { return contains_padded_point(slot); });
+}
 
-  double* padded = query_pad_.data();
-  for (std::size_t lane = 0; lane < verify_groups_ * kVerifyGroup; ++lane) {
-    padded[lane] = lane < m_ ? point[lane] : 0.0;
+bool IntervalIndex::stab_any(std::span<const Value> point) const {
+  if (point.size() != m_) {
+    throw std::invalid_argument("IntervalIndex::stab_any: schema mismatch");
   }
-  const double* blob = verify_blob_.data();
-  const std::size_t row_doubles = verify_row_doubles();
-  last_query_cost_ = emit_candidates(out, [&](std::uint32_t slot) {
-    const double* rec = blob + slot * row_doubles;
-    for (std::size_t g = 0; g < verify_groups_; ++g) {
-      if (!simd::contains4(padded + g * kVerifyGroup,
-                           rec + g * 2 * kVerifyGroup)) {
-        return false;
+  last_query_cost_ = 0;
+  if (size_ == 0 || std::any_of(point.begin(), point.end(),
+                                [](Value v) { return std::isnan(v); })) {
+    return false;
+  }
+  // The same rows and trust rules as stab's sweep_endpoints, swept in the
+  // other order. sweep_endpoints is attribute-major: it ANDs each row over
+  // every slot group before the next attribute, which stab needs because
+  // it emits every survivor. An existence query needs only the first
+  // survivor, so this loop is word-major: it ANDs one slot group word of
+  // every row, answers from that word if it can, and reads the rest of
+  // the rows only when it cannot. A match in the first words touches a
+  // few cache lines per row instead of whole rows.
+  bool trusted = true;
+  std::size_t row_count = 0;
+  const Word** rows = row_scratch_.data();
+  for (std::size_t j = 0; j < m_; ++j) {
+    // Only an in-domain probe value may trust the certain lane (see the
+    // header); one untrusted attribute voids certainty for the probe.
+    if (!in_domain(point[j])) trusted = false;
+    // Nobody live constrains j selectively: every row is all-ones.
+    if (selective_count_[j] == 0) continue;
+    rows[row_count++] = pair_row(j, bucket_of(point[j]));
+  }
+  pad_point(point);
+  const Word trust = trusted ? ~Word{0} : Word{0};
+  const std::size_t paired = 2 * words_in_use();
+  for (std::size_t w = 0; w < paired; w += 2) {
+    Word possible = occupied_bits_[w];
+    Word certain = possible & trust;
+    for (std::size_t r = 0; r < row_count && possible != 0; ++r) {
+      possible &= rows[r][w];
+      certain &= rows[r][w + 1];
+    }
+    if (possible == 0) continue;
+    if ((possible & certain) != 0) {
+      ++last_query_cost_;
+      return true;
+    }
+    // No certain survivor in this word: verify its candidates in
+    // ascending slot order.
+    const auto base = static_cast<std::uint32_t>((w / 2) * kWordBits);
+    for (Word bits = possible; bits != 0; bits &= bits - 1) {
+      ++last_query_cost_;
+      if (contains_padded_point(
+              base + static_cast<std::uint32_t>(std::countr_zero(bits)))) {
+        return true;
       }
     }
-    return true;
-  });
+  }
+  return false;
 }
 
 std::vector<SubscriptionId> IntervalIndex::stab(

@@ -1,10 +1,13 @@
 // IntervalIndex — per-attribute candidate index over a set of box
 // subscriptions: fully incremental (insert and erase by subscription id)
-// and answering three queries:
+// and answering four queries:
 //
 //   * stab(point): ids of subscriptions whose box CONTAINS the point —
 //     publication matching (Algorithm 5's active scan) without touching
 //     subscriptions that cannot match;
+//   * stab_any(point): whether stab(point) would be non-empty — the
+//     paper's forwarding rule (send toward a neighbour if ANY subscription
+//     routed from it matches), answered at the first match;
 //   * box_intersect(box): ids of subscriptions whose box INTERSECTS the
 //     query box — the candidate-pruning step in front of group coverage
 //     and demotion: a subscription disjoint from s can neither be part of
@@ -55,7 +58,10 @@
 // sweep over two rows per attribute, bucket(lo_j) and bucket(hi_j) (a
 // point probe is the case lo_j = hi_j): a slot that contains both
 // endpoints survives, and one certain in both rows contains the whole
-// probe range. A box_intersect probe ORs
+// probe range. stab_any ANDs the same rows in the other order, one slot
+// group word across every attribute before the next word, so it can stop
+// at the first word holding a certain or verified match (see stab_any). A
+// box_intersect probe ORs
 // each attribute's possible lane over the query's bucket span; its
 // interior buckets double as the certainty contribution. Values outside
 // the configured domain clamp to the edge buckets, and the certain lane of
@@ -160,6 +166,12 @@ class IntervalIndex {
   [[nodiscard]] std::vector<core::SubscriptionId> stab(
       std::span<const core::Value> point) const;
 
+  /// True iff stab(point) would be non-empty, decided at the first match
+  /// in ascending slot order (throws std::invalid_argument on a size
+  /// mismatch). A NaN probe and an empty index get false. Its
+  /// last_query_cost counts the candidates examined up to that match.
+  [[nodiscard]] bool stab_any(std::span<const core::Value> point) const;
+
   /// Appends to `out` the ids of all subscriptions whose box shares at
   /// least one point with `box` (throws std::invalid_argument on a schema
   /// mismatch). Order is unspecified. Exact, identical to
@@ -248,6 +260,7 @@ class IntervalIndex {
   mutable std::vector<std::uint32_t> certain_scratch_;  ///< emitted directly
   mutable std::vector<std::uint32_t> verify_scratch_;   ///< exact-verified
   mutable simd::AlignedVector<double> query_pad_;  ///< padded probe values
+  mutable std::vector<const Word*> row_scratch_;  ///< stab_any's rows, <= m_
 
   /// True iff the interval cannot prune inside the configured domain.
   [[nodiscard]] bool is_wide(const core::Interval& iv) const noexcept;
@@ -276,6 +289,11 @@ class IntervalIndex {
   [[nodiscard]] std::size_t verify_row_doubles() const noexcept {
     return verify_groups_ * 2 * kVerifyGroup;
   }
+  /// Copies `point` into the padded probe row (padding lanes hold 0,
+  /// which the -inf/+inf padding lanes of every verify record pass).
+  void pad_point(std::span<const core::Value> point) const noexcept;
+  /// True iff the slot's box contains the probe pad_point wrote.
+  [[nodiscard]] bool contains_padded_point(std::uint32_t slot) const noexcept;
   /// Drains the paired accumulator: certain survivors emit their id
   /// directly, uncertain ones (possible & ~certain) go through `verify`
   /// (a slot -> bool predicate). Returns candidates examined.

@@ -233,22 +233,13 @@ const Broker::PublicationRoute& Broker::handle_publication(
   local_lane_.match_active_unsorted(pub, route.local_matches);
   util::radix_sort_u64(route.local_matches, scratch.sort_scratch);
 
-  // Neighbour lanes: a lane with any match is a destination, ordered by
-  // its minimum matching id — the first-match order over ascending ids.
-  // The origin's own lane is skipped: never send a publication back.
-  scratch.first_match.clear();
+  // Neighbour lanes: a lane with any match is a destination (the paper's
+  // forwarding rule), in the lane map's ascending neighbour-id order. The
+  // origin's own lane is skipped: never send a publication back.
+  route.destinations.clear();
   for (const auto& [neighbor, lane] : neighbor_lanes_) {
     if (!origin.local && neighbor == origin.neighbor) continue;
-    scratch.ids.clear();
-    lane.match_active_unsorted(pub, scratch.ids);
-    if (scratch.ids.empty()) continue;
-    scratch.first_match.emplace_back(
-        *std::min_element(scratch.ids.begin(), scratch.ids.end()), neighbor);
-  }
-  std::sort(scratch.first_match.begin(), scratch.first_match.end());
-  route.destinations.clear();
-  for (const auto& [first_id, neighbor] : scratch.first_match) {
-    route.destinations.push_back(neighbor);
+    if (lane.any_active_match(pub)) route.destinations.push_back(neighbor);
   }
   return route;
 }

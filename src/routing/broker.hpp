@@ -142,30 +142,27 @@ class Broker {
   /// Where one publication must travel.
   struct PublicationRoute {
     std::vector<core::SubscriptionId> local_matches;  ///< sorted by id
-    std::vector<BrokerId> destinations;  ///< first-match order, deduplicated
+    std::vector<BrokerId> destinations;  ///< ascending neighbour id
   };
 
-  /// Caller-owned scratch for the zero-allocation publish path: the lane
-  /// stab buffer, radix-sort and destination-ordering scratch, and the
-  /// route vectors are reused across calls, so once warm a steady-state
-  /// publish performs no heap allocations end to end (pinned by
-  /// tests/publish_alloc_test.cpp). One scratch per calling thread; its
-  /// contents are valid until the next call that uses it.
+  /// Caller-owned scratch for the zero-allocation publish path: the
+  /// radix-sort scratch and the route vectors are reused across calls, so
+  /// once warm a steady-state publish performs no heap allocations end to
+  /// end (pinned by tests/publish_alloc_test.cpp). One scratch per calling
+  /// thread; its contents are valid until the next call that uses it.
   struct PublishScratch {
-    std::vector<core::SubscriptionId> ids;
     std::vector<core::SubscriptionId> sort_scratch;
-    /// (minimum matching id, neighbour) per matching neighbour lane.
-    std::vector<std::pair<core::SubscriptionId, BrokerId>> first_match;
     PublicationRoute route;
   };
 
-  /// Handles a publication arriving from `origin`: stabs the publish lanes
-  /// into `scratch` and returns where it must travel (a reference into
-  /// `scratch.route`). `local_matches` comes back sorted by id and
-  /// destinations in first-match order (ascending minimum matching id),
-  /// both a pure function of the routed set and the publication. The
-  /// origin's own lane is never stabbed: a publication is never sent back
-  /// where it came from.
+  /// Handles a publication arriving from `origin` and returns where it
+  /// must travel (a reference into `scratch.route`). `local_matches` is
+  /// the local lane's stab, sorted by id: the local deliveries. A
+  /// neighbour is a destination iff any subscription routed from it
+  /// matches (its lane answers one existence query), and destinations
+  /// come in ascending neighbour id; both are a pure function of the
+  /// routed set and the publication. The origin's own lane is never
+  /// queried: a publication is never sent back where it came from.
   const PublicationRoute& handle_publication(const core::Publication& pub,
                                              const Origin& origin,
                                              PublishScratch& scratch) const;

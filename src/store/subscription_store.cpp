@@ -428,6 +428,15 @@ void SubscriptionStore::match_active_unsorted(
   // contains_point's size check makes it on the flat scan.
 }
 
+bool SubscriptionStore::any_active_match(const Publication& pub) const {
+  if (!index_enabled()) {
+    return std::any_of(active_.begin(), active_.end(),
+                       [&](const Subscription& sub) { return pub.matches(sub); });
+  }
+  return pub.attribute_count() == interval_index_->attribute_count() &&
+         interval_index_->stab_any(pub.values());
+}
+
 std::vector<SubscriptionId> SubscriptionStore::match_active(
     const Publication& pub) const {
   std::vector<SubscriptionId> ids;

@@ -208,6 +208,11 @@ class SubscriptionStore {
   void match_active_unsorted(const core::Publication& pub,
                              std::vector<core::SubscriptionId>& out) const;
 
+  /// True iff match_active(pub) would be non-empty, decided at the first
+  /// match (IntervalIndex::stab_any, or a flat any_of). A wrong-arity
+  /// publication gets false. Same concurrency contract as match().
+  [[nodiscard]] bool any_active_match(const core::Publication& pub) const;
+
   [[nodiscard]] std::size_t active_count() const noexcept { return active_.size(); }
   [[nodiscard]] std::size_t covered_count() const noexcept { return covered_.size(); }
   [[nodiscard]] std::size_t total_count() const noexcept {

@@ -167,10 +167,10 @@ TEST(Broker, AddNeighborIdempotent) {
 //
 // The reference scans routed_ids(), classifies each id by the origin the
 // test recorded for it, checks box containment, and applies never-send-back:
-// local deliveries ascending, destinations in first-match order (by the
-// minimum matching id of each neighbour). The broker must reproduce it
-// exactly — contents and order — from every origin, across subscribe,
-// unsubscribe, expiry, remove_neighbor, and import_snapshot.
+// local deliveries ascending, destinations every neighbour with a matching
+// route, ascending by neighbour id. The broker must reproduce it exactly —
+// contents and order — from every origin, across subscribe, unsubscribe,
+// expiry, remove_neighbor, and import_snapshot.
 
 constexpr std::size_t kAttrs = 4;
 
@@ -182,7 +182,6 @@ struct RouteModel {
                                     const Publication& pub,
                                     const Origin& from) const {
     Broker::PublicationRoute route;
-    std::vector<std::pair<SubscriptionId, BrokerId>> first_match;
     for (const SubscriptionId id : broker.routed_ids()) {  // ascending
       const auto& [sub, origin] = routes.at(id);
       if (!pub.matches(sub)) continue;
@@ -191,14 +190,12 @@ struct RouteModel {
         continue;
       }
       if (!from.local && origin.neighbor == from.neighbor) continue;
-      const bool seen = std::any_of(
-          first_match.begin(), first_match.end(),
-          [&](const auto& entry) { return entry.second == origin.neighbor; });
-      if (!seen) first_match.emplace_back(id, origin.neighbor);
+      route.destinations.push_back(origin.neighbor);
     }
-    for (const auto& entry : first_match) {
-      route.destinations.push_back(entry.second);
-    }
+    std::sort(route.destinations.begin(), route.destinations.end());
+    route.destinations.erase(
+        std::unique(route.destinations.begin(), route.destinations.end()),
+        route.destinations.end());
     return route;
   }
 };

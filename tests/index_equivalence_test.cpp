@@ -9,7 +9,7 @@
 // order, or a flat scan in slot order), in how it finds the first active
 // that contains one (the lowest active slot among the index's covering
 // ids, or the first hit of a slot-order scan) and in how match_active
-// stabs; each coverage policy is one piece of code over those answers. So
+// and any_active_match stab; each coverage policy is one piece of code over those answers. So
 // this holds exactly (not just as sets, coverer lists included), and the
 // engine draws the same RNG stream either way: its own prefilter keeps a
 // subset of the intersecting candidates.
@@ -105,6 +105,9 @@ void expect_identical_under_churn(CoveragePolicy policy, std::uint64_t seed,
         stream_config.attribute_count, 0.0, 1000.0, rng);
     EXPECT_EQ(indexed.match_active(pub), flat.match_active(pub)) << step;
     EXPECT_EQ(indexed.match(pub), flat.match(pub)) << step;
+    const bool any = !flat.match_active(pub).empty();
+    EXPECT_EQ(indexed.any_active_match(pub), any) << step;
+    EXPECT_EQ(flat.any_active_match(pub), any) << step;
   }
 
   // Per-id placement agrees at the end as well.
@@ -141,6 +144,8 @@ TEST(IndexEquivalence, WrongArityPublicationMatchesNothingOnBothPaths) {
   EXPECT_TRUE(indexed.match_active(wrong_arity).empty());
   EXPECT_TRUE(flat.match_active(wrong_arity).empty());
   EXPECT_TRUE(indexed.match(wrong_arity).empty());
+  EXPECT_FALSE(indexed.any_active_match(wrong_arity));
+  EXPECT_FALSE(flat.any_active_match(wrong_arity));
 }
 
 TEST(IndexEquivalence, BoundaryTouchingActiveIsACandidateOnBothPaths) {

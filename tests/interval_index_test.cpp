@@ -1,5 +1,5 @@
 // Tests for the IntervalIndex candidate-pruning structure: exactness of
-// point-stab, box-intersect and covering against flat scans, incremental
+// point-stab, stab_any, box-intersect and covering against flat scans, incremental
 // insert/erase, unbounded and unconstrained attributes, and slot and id
 // reuse after churn.
 #include "index/interval_index.hpp"
@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <vector>
 
@@ -111,8 +112,10 @@ TEST(IntervalIndex, EraseRemovesAndReusesSlots) {
   EXPECT_TRUE(index.erase(2));
   index.insert(box2(500, 600, 500, 600, 2));
   EXPECT_TRUE(index.stab(std::vector<Value>{5.0, 5.0}).empty());
+  EXPECT_FALSE(index.stab_any(std::vector<Value>{5.0, 5.0}));
   EXPECT_EQ(index.stab(std::vector<Value>{550.0, 550.0}),
             (std::vector<SubscriptionId>{2}));
+  EXPECT_TRUE(index.stab_any(std::vector<Value>{550.0, 550.0}));
   EXPECT_EQ(sorted(index.box_intersect(box2(0, 1000, 0, 1000, 99))),
             (std::vector<SubscriptionId>{2, 3}));
   EXPECT_TRUE(index.box_intersect(box2(0, 10, 0, 10, 99)).empty());
@@ -244,6 +247,8 @@ TEST(IntervalIndex, ReusedSlotRewritesEveryRowEitherOccupantSpans) {
   index.insert(box2(0, 10, 100, 200, 2));
   EXPECT_TRUE(index.covering(box2(2, 3, 500, 600, 99)).empty());
   EXPECT_TRUE(index.stab(std::vector<Value>{5.0, 550.0}).empty());
+  EXPECT_FALSE(index.stab_any(std::vector<Value>{5.0, 550.0}));
+  EXPECT_TRUE(index.stab_any(std::vector<Value>{5.0, 150.0}));
   EXPECT_TRUE(index.box_intersect(box2(2, 3, 500, 600, 99)).empty());
   EXPECT_EQ(index.covering(box2(2, 3, 120, 130, 99)),
             (std::vector<SubscriptionId>{2}));
@@ -257,6 +262,7 @@ TEST(IntervalIndex, ReusedSlotRewritesEveryRowEitherOccupantSpans) {
   index.insert(box2(400, 410, 400, 410, 4));
   EXPECT_TRUE(index.covering(box2(100, 200, 100, 200, 99)).empty());
   EXPECT_TRUE(index.stab(std::vector<Value>{150.0, 150.0}).empty());
+  EXPECT_FALSE(index.stab_any(std::vector<Value>{150.0, 150.0}));
   EXPECT_TRUE(index.box_intersect(box2(100, 200, 100, 200, 99)).empty());
   EXPECT_EQ(index.covering(box2(401, 402, 401, 402, 99)),
             (std::vector<SubscriptionId>{4}));
@@ -268,6 +274,7 @@ TEST(IntervalIndex, ReusedSlotRewritesEveryRowEitherOccupantSpans) {
             (std::vector<SubscriptionId>{5}));
   EXPECT_EQ(index.stab(std::vector<Value>{150.0, 750.0}),
             (std::vector<SubscriptionId>{5}));
+  EXPECT_TRUE(index.stab_any(std::vector<Value>{150.0, 750.0}));
 }
 
 TEST(IntervalIndex, DuplicateIdAndSchemaMismatchThrow) {
@@ -278,8 +285,84 @@ TEST(IntervalIndex, DuplicateIdAndSchemaMismatchThrow) {
                std::invalid_argument);
   EXPECT_THROW(index.insert(box2(0, 1, 0, 1, 0)), std::invalid_argument);
   EXPECT_THROW((void)index.stab(std::vector<Value>{1.0}), std::invalid_argument);
+  EXPECT_THROW((void)index.stab_any(std::vector<Value>{1.0}),
+               std::invalid_argument);
   EXPECT_THROW((void)index.covering(Subscription({Interval{0, 1}}, 99)),
                std::invalid_argument);
+}
+
+TEST(IntervalIndex, StabAnyOnEmptyIndexAndNaNProbe) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  IntervalIndex index(2);
+  EXPECT_FALSE(index.stab_any(std::vector<Value>{5.0, 5.0}));
+  index.insert(Subscription({Interval::everything(), Interval::everything()}, 1));
+  EXPECT_TRUE(index.stab_any(std::vector<Value>{5.0, 5.0}));
+  EXPECT_FALSE(index.stab_any(std::vector<Value>{nan, 5.0}));
+  EXPECT_EQ(index.last_query_cost(), 0u);
+  ASSERT_TRUE(index.erase(1));
+  EXPECT_FALSE(index.stab_any(std::vector<Value>{5.0, 5.0}));
+}
+
+TEST(IntervalIndex, StabAnyOutOfDomainProbeDistrustsWideSlot) {
+  // Default domain [0, 1000]. Slot 1 is wide without holding the whole
+  // line: its all-ones rows certify in-domain points only, so a probe past
+  // the domain must be verified against its bounds.
+  IntervalIndex index(1);
+  index.insert(Subscription({Interval{-5, 1200}}, 1));
+  index.insert(Subscription({Interval{400, 500}}, 2));  // keeps j selective
+  EXPECT_FALSE(index.stab_any(std::vector<Value>{1300.0}));
+  EXPECT_FALSE(index.stab_any(std::vector<Value>{-6.0}));
+  EXPECT_TRUE(index.stab_any(std::vector<Value>{1100.0}));
+  EXPECT_TRUE(index.stab_any(std::vector<Value>{-5.0}));
+  // Nobody selective on the attribute: the sweep skips its rows, so only
+  // the probe's domain check keeps slot 1 from being certified.
+  ASSERT_TRUE(index.erase(2));
+  EXPECT_FALSE(index.stab_any(std::vector<Value>{1300.0}));
+  EXPECT_TRUE(index.stab_any(std::vector<Value>{1200.0}));
+}
+
+TEST(IntervalIndex, StabAnyFindsAMatchOnlyVerificationCertifies) {
+  // [2, 5] lies inside one bucket, so no bucket is certain for it: every
+  // probe in that bucket is decided by the exact verify.
+  IntervalIndex index(1);
+  index.insert(Subscription({Interval{2, 5}}, 1));
+  EXPECT_TRUE(index.stab_any(std::vector<Value>{3.0}));
+  EXPECT_EQ(index.last_query_cost(), 1u);
+  EXPECT_TRUE(index.stab_any(std::vector<Value>{5.0}));
+  EXPECT_FALSE(index.stab_any(std::vector<Value>{5.5}));
+  EXPECT_FALSE(index.stab_any(std::vector<Value>{1.0}));
+  // Several uncertain candidates in one word: the miss is verified away
+  // and the next slot in ascending order answers.
+  index.insert(Subscription({Interval{1, 3}}, 2));
+  EXPECT_TRUE(index.stab_any(std::vector<Value>{4.0}));
+  EXPECT_EQ(index.last_query_cost(), 1u);
+  EXPECT_TRUE(index.stab_any(std::vector<Value>{1.5}));
+  EXPECT_EQ(index.last_query_cost(), 2u);
+}
+
+TEST(IntervalIndex, StabAnyFindsAFirstMatchPastEmptyWords) {
+  // Slots 0..298 hold far-away boxes, slot 299 a box sharing the probe's
+  // bucket without holding the probe, and slot 300 (word 4) the only box
+  // holding it. Freeing slots 0..255 empties words 0..3 outright; word 4
+  // still holds far boxes the sweep must AND away.
+  IntervalIndex index(1);
+  for (SubscriptionId id = 1; id <= 299; ++id) {
+    index.insert(Subscription({Interval{900, 910}}, id));
+  }
+  index.insert(Subscription({Interval{51, 52}}, 300));
+  index.insert(Subscription({Interval{0, 100}}, 301));
+  // Slot 300 is certain for the probe's bucket, so the word answers
+  // without verifying slot 299.
+  EXPECT_TRUE(index.stab_any(std::vector<Value>{50.0}));
+  EXPECT_EQ(index.last_query_cost(), 1u);
+  for (SubscriptionId id = 1; id <= 256; ++id) ASSERT_TRUE(index.erase(id));
+  EXPECT_TRUE(index.stab_any(std::vector<Value>{50.0}));
+  EXPECT_EQ(index.last_query_cost(), 1u);
+  EXPECT_FALSE(index.stab_any(std::vector<Value>{500.0}));
+  EXPECT_TRUE(index.stab_any(std::vector<Value>{905.0}));
+  ASSERT_TRUE(index.erase(301));
+  EXPECT_FALSE(index.stab_any(std::vector<Value>{50.0}));
+  EXPECT_TRUE(index.stab_any(std::vector<Value>{51.5}));
 }
 
 /// Interleaves inserts and erasures of a realistic power-law stream with
@@ -319,6 +402,7 @@ void expect_flat_equivalent_under_churn(std::size_t attributes,
       if (pub.matches(sub)) expected_stab.push_back(sub.id());
     }
     EXPECT_EQ(sorted(index.stab(pub.values())), sorted(expected_stab)) << step;
+    EXPECT_EQ(index.stab_any(pub.values()), !expected_stab.empty()) << step;
 
     workload::ScenarioConfig box_config;
     box_config.attribute_count = config.attribute_count;
@@ -340,6 +424,16 @@ void expect_flat_equivalent_under_churn(std::size_t attributes,
     if (!live.empty()) {
       const Subscription& own = live[rng.next_below(live.size())];
       EXPECT_EQ(sorted(index.covering(own)), flat_coverers(live, own)) << step;
+      // A corner of a live box (or 0 where it is unbounded both ways): at
+      // least that box contains it.
+      std::vector<Value> corner;
+      for (const Interval& iv : own.ranges()) {
+        corner.push_back(std::isfinite(iv.lo)   ? iv.lo
+                         : std::isfinite(iv.hi) ? iv.hi
+                                                : 0.0);
+      }
+      EXPECT_TRUE(index.stab_any(corner)) << step;
+      EXPECT_FALSE(index.stab(corner).empty()) << step;
     }
   }
 }
