@@ -77,6 +77,21 @@ void BM_WitnessEstimate(benchmark::State& state) {
 }
 BENCHMARK(BM_WitnessEstimate)->Arg(50)->Arg(200)->Arg(800);
 
+// The engine's path: rho_w over the rows MCS kept, read off MCS's final
+// column extremes (O(m)) instead of walking the kept rows.
+void BM_WitnessEstimateFromMcsColumns(benchmark::State& state) {
+  const auto inst = covering_instance(10, static_cast<std::size_t>(state.range(0)), 4);
+  const core::ConflictTable table(inst.tested, inst.existing);
+  core::McsResult mcs;
+  core::McsScratch scratch;
+  core::run_mcs(table, mcs, scratch);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::estimate_witness_probability(inst.tested, scratch.columns, 0.0).rho_w);
+  }
+}
+BENCHMARK(BM_WitnessEstimateFromMcsColumns)->Arg(50)->Arg(200)->Arg(800);
+
 void BM_RspcPerTrialCost(benchmark::State& state) {
   // Covered instance => every trial runs the full membership scan; the
   // per-iteration figure is time/trials.

@@ -3,6 +3,8 @@
 #include <iomanip>
 #include <stdexcept>
 
+#include "util/simd.hpp"
+
 namespace psc::core {
 
 ConflictTable::ConflictTable(const Subscription& s,
@@ -18,52 +20,94 @@ ConflictTable::ConflictTable(const Subscription& s,
 void ConflictTable::begin_rebuild(const Subscription& s, std::size_t row_count) {
   s_ = s;
   m_ = s.attribute_count();
-  // row_ids_ and bounds_ are fully overwritten by fill_row, so a plain
-  // resize avoids a redundant O(k * 2m) fill on every engine check; the
-  // definedness bitmap and counts genuinely start from zero.
+  // fill_row overwrites every entry of a row it writes, so a plain resize
+  // avoids a redundant O(k * 2m) fill on every engine check.
   row_ids_.resize(row_count);
   bounds_.resize(row_count * 2 * m_);
-  defined_.assign(row_count * 2 * m_, 0);
-  defined_counts_.assign(row_count, 0);
+  defined_.resize(row_count * 2 * m_);
+  defined_counts_.resize(row_count);
+  count_bins_.assign(2 * m_ + 1, 0);
+  first_all_undefined_.reset();
 }
 
-void ConflictTable::fill_row(std::size_t i, const Subscription& si) {
+bool ConflictTable::fill_row(std::size_t i, const Subscription& si) noexcept {
+  row_ids_[i] = si.id();
+  const Interval* sr = s_.ranges().data();
+  const Interval* ir = si.ranges().data();
+  Value* bounds = bounds_.data() + i * 2 * m_;
+  char* defined = defined_.data() + i * 2 * m_;
+  std::size_t count = 0;
+  bool overlaps = true;
+  bool covers = true;
+  for (std::size_t j = 0; j < m_; ++j) {
+    // Lower side: (s AND x_j < si.lo_j) has positive measure iff
+    // s.lo_j < si.lo_j; upper side iff s.hi_j > si.hi_j.
+    const bool lower = sr[j].lo < ir[j].lo;
+    const bool upper = sr[j].hi > ir[j].hi;
+    bounds[2 * j] = ir[j].lo;
+    bounds[2 * j + 1] = ir[j].hi;
+    defined[2 * j] = static_cast<char>(lower);
+    defined[2 * j + 1] = static_cast<char>(upper);
+    count += static_cast<std::size_t>(lower) + static_cast<std::size_t>(upper);
+    // The engine's prefilter, attribute by attribute exactly as
+    // Subscription::overlaps_interior and Subscription::covers test it.
+    overlaps &= sr[j].overlaps_interior(ir[j]);
+    covers &= ir[j].contains(sr[j]);
+  }
+  defined_counts_[i] = count;
+  return overlaps || covers;
+}
+
+void ConflictTable::tally_row(std::size_t i) noexcept {
+  const std::size_t count = defined_counts_[i];
+  ++count_bins_[count];
+  if (count == 0 && !first_all_undefined_) first_all_undefined_ = i;
+}
+
+void ConflictTable::fill_checked_row(std::size_t i, const Subscription& si) {
   if (si.attribute_count() != m_) {
     throw std::invalid_argument("ConflictTable: schema mismatch at row " +
                                 std::to_string(i));
   }
-  row_ids_[i] = si.id();
-  const std::size_t base = i * 2 * m_;
-  for (std::size_t j = 0; j < m_; ++j) {
-    const Interval& sr = s_.range(j);
-    const Interval& ir = si.range(j);
-    // Lower side: (s AND x_j < si.lo_j) has positive measure iff
-    // s.lo_j < si.lo_j.
-    if (sr.lo < ir.lo) {
-      defined_[base + 2 * j] = 1;
-      ++defined_counts_[i];
-    }
-    bounds_[base + 2 * j] = ir.lo;
-    // Upper side: (s AND x_j > si.hi_j) positive-measure iff
-    // s.hi_j > si.hi_j.
-    if (sr.hi > ir.hi) {
-      defined_[base + 2 * j + 1] = 1;
-      ++defined_counts_[i];
-    }
-    bounds_[base + 2 * j + 1] = ir.hi;
-  }
+  (void)fill_row(i, si);
+  tally_row(i);
 }
 
 void ConflictTable::rebuild(const Subscription& s,
                             std::span<const Subscription> set) {
   begin_rebuild(s, set.size());
-  for (std::size_t i = 0; i < set.size(); ++i) fill_row(i, set[i]);
+  for (std::size_t i = 0; i < set.size(); ++i) fill_checked_row(i, set[i]);
 }
 
 void ConflictTable::rebuild(const Subscription& s,
                             std::span<const Subscription* const> set) {
   begin_rebuild(s, set.size());
-  for (std::size_t i = 0; i < set.size(); ++i) fill_row(i, *set[i]);
+  for (std::size_t i = 0; i < set.size(); ++i) fill_checked_row(i, *set[i]);
+}
+
+void ConflictTable::rebuild_relevant(const Subscription& s,
+                                     std::span<const Subscription* const> set,
+                                     std::vector<std::size_t>& source) {
+  begin_rebuild(s, set.size());
+  source.clear();
+  std::size_t rows = 0;
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    // The candidates are scattered through the store: fetch a later one's
+    // object and its ranges while this one is read.
+    if (i + 8 < set.size()) simd::prefetch(set[i + 8]);
+    if (i + 4 < set.size()) simd::prefetch(set[i + 4]->ranges().data());
+    const Subscription& candidate = *set[i];
+    if (candidate.attribute_count() != m_) continue;
+    // A dropped candidate's row is overwritten by the next one.
+    if (!fill_row(rows, candidate)) continue;
+    tally_row(rows);
+    source.push_back(i);
+    ++rows;
+  }
+  row_ids_.resize(rows);
+  bounds_.resize(rows * 2 * m_);
+  defined_.resize(rows * 2 * m_);
+  defined_counts_.resize(rows);
 }
 
 std::optional<TableEntry> ConflictTable::entry(std::size_t row,

@@ -45,7 +45,12 @@ struct TableEntry {
 /// Row storage is a flat SoA layout (one bounds array, one definedness
 /// bitmap) so a table can be rebuilt in place without allocating once its
 /// buffers have grown to the working-set size — the SubsumptionEngine
-/// rebuilds its workspace tables on every check() this way.
+/// rebuilds its workspace table on every check() this way.
+///
+/// Every rebuild also tallies the rows by defined count (2m + 1 bins) and
+/// remembers the first row with no defined entry, so both fast decisions
+/// (Corollaries 1 and 3) read O(m) state instead of walking and sorting
+/// the rows.
 class ConflictTable {
  public:
   /// Empty table; fill with rebuild(). Queries on an empty table see zero
@@ -63,6 +68,17 @@ class ConflictTable {
   /// first call at a given size, rebuilding performs no heap allocation.
   void rebuild(const Subscription& s, std::span<const Subscription> set);
   void rebuild(const Subscription& s, std::span<const Subscription* const> set);
+
+  /// The engine's prefilter and rebuild in one pass over each candidate:
+  /// the rows are the candidates of `set` that share a positive-measure
+  /// region with s or cover it (s.overlaps_interior(c) || c.covers(s)), in
+  /// set order. A candidate of another arity fails both tests and is
+  /// dropped, not thrown on. `source` is cleared and receives, per row,
+  /// the position in `set` of its candidate. Allocation-free once the
+  /// buffers have grown to set.size() rows.
+  void rebuild_relevant(const Subscription& s,
+                        std::span<const Subscription* const> set,
+                        std::vector<std::size_t>& source);
 
   [[nodiscard]] std::size_t row_count() const noexcept { return row_ids_.size(); }
   [[nodiscard]] std::size_t attribute_count() const noexcept { return m_; }
@@ -97,10 +113,26 @@ class ConflictTable {
     return defined_counts_.at(row);
   }
 
+  /// Every row's t_i, in row order; the unchecked view for hot loops.
+  [[nodiscard]] std::span<const std::size_t> defined_counts() const noexcept {
+    return defined_counts_;
+  }
+
   /// True iff the row has no defined entries — s is covered by that single
   /// subscription (Corollary 1).
   [[nodiscard]] bool row_all_undefined(std::size_t row) const {
     return defined_counts_.at(row) == 0;
+  }
+
+  /// The first row with no defined entry, if any (Corollary 1's row).
+  [[nodiscard]] std::optional<std::size_t> first_all_undefined_row() const noexcept {
+    return first_all_undefined_;
+  }
+
+  /// Rows per defined count: bin t holds the number of rows with t_i = t,
+  /// for t in [0, 2m] (empty for a default-constructed table).
+  [[nodiscard]] std::span<const std::size_t> defined_count_bins() const noexcept {
+    return count_bins_;
   }
 
   /// Two defined entries *conflict* iff they come from different rows and
@@ -125,9 +157,17 @@ class ConflictTable {
   std::vector<Value> bounds_;
   std::vector<char> defined_;  ///< k * 2m bitmap (char for speed)
   std::vector<std::size_t> defined_counts_;
+  std::vector<std::size_t> count_bins_;  ///< 2m + 1 bins of defined counts
+  std::optional<std::size_t> first_all_undefined_;
 
   void begin_rebuild(const Subscription& s, std::size_t row_count);
-  void fill_row(std::size_t i, const Subscription& si);
+  /// Writes row i from si, which must share s's arity, and returns whether
+  /// si passes the engine's prefilter (see rebuild_relevant).
+  [[nodiscard]] bool fill_row(std::size_t i, const Subscription& si) noexcept;
+  /// Counts row i into the defined-count tally.
+  void tally_row(std::size_t i) noexcept;
+  /// fill_row + tally_row for the 1:1 rebuilds; throws on an arity mismatch.
+  void fill_checked_row(std::size_t i, const Subscription& si);
 };
 
 }  // namespace psc::core

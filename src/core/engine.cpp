@@ -59,31 +59,22 @@ SubsumptionResult SubsumptionEngine::check(
   // Prefilter: a candidate sharing no positive-measure region with s
   // cannot contribute to covering s (it adds nothing to the union over s);
   // dropping it up front skips its conflict-table row and all MCS work on
-  // it. Indices are remembered so diagnostics still refer to the caller's
-  // set.
-  ws_.filtered.clear();
-  ws_.original_index.clear();
-  for (std::size_t i = 0; i < set.size(); ++i) {
-    if (s.overlaps_interior(*set[i]) || set[i]->covers(s)) {
-      ws_.filtered.push_back(set[i]);
-      ws_.original_index.push_back(i);
-    }
-  }
-  set = ws_.filtered;
-  result.reduced_set_size = set.size();
+  // it. The same pass fills the survivors' rows and tallies their defined
+  // counts. Indices are remembered so diagnostics still refer to the
+  // caller's set.
+  ws_.table.rebuild_relevant(s, set, ws_.original_index);
+  const ConflictTable& table = ws_.table;
+  result.reduced_set_size = table.row_count();
 
-  if (set.empty()) {
+  if (table.row_count() == 0) {
     result.covered = false;
     result.path = result.original_set_size > 0 ? DecisionPath::kMcsEmpty
                                                : DecisionPath::kEmptySet;
     return result;
   }
 
-  ws_.table.rebuild(s, set);
-  const ConflictTable& table = ws_.table;
-
   if (config_.use_fast_decisions) {
-    const FastDecisionResult fast = run_fast_decisions(table, ws_.sorted_counts);
+    const FastDecisionResult fast = run_fast_decisions(table);
     if (fast.decision == FastDecision::kCoveredPairwise) {
       result.covered = true;
       result.path = DecisionPath::kPairwiseCover;
@@ -98,9 +89,14 @@ SubsumptionResult SubsumptionEngine::check(
   }
 
   // MCS keeps a subset of the table's rows; rho_w, d and RSPC all work on
-  // those rows. Without MCS every row is kept.
+  // those rows. Without MCS every row is kept. rho_w / d are estimated on
+  // the kept rows only: fewer rows can only widen the per-attribute
+  // minimum gaps, which is exactly the effect the paper's Figures 7 and 9
+  // measure. After MCS the gaps come from its column extremes, which
+  // already span exactly the kept rows.
+  WitnessEstimate estimate;
   if (config_.use_mcs) {
-    run_mcs(table, ws_.mcs, ws_.alive, ws_.mcs_columns);
+    run_mcs(table, ws_.mcs, ws_.mcs_scratch);
     result.mcs_ran = true;
     result.reduced_set_size = ws_.mcs.kept.size();
     if (ws_.mcs.empty()) {
@@ -108,17 +104,14 @@ SubsumptionResult SubsumptionEngine::check(
       result.path = DecisionPath::kMcsEmpty;
       return result;
     }
+    estimate = estimate_witness_probability(s, ws_.mcs_scratch.columns,
+                                            config_.grid_spacing);
   } else {
-    ws_.mcs.kept.resize(set.size());
+    ws_.mcs.kept.resize(table.row_count());
     std::iota(ws_.mcs.kept.begin(), ws_.mcs.kept.end(), std::size_t{0});
+    estimate = estimate_witness_probability(table, ws_.mcs.kept, config_.grid_spacing);
   }
   const std::span<const std::size_t> kept = ws_.mcs.kept;
-
-  // rho_w / d are estimated on the kept rows only: fewer rows can only
-  // widen the per-attribute minimum gaps, which is exactly the effect the
-  // paper's Figures 7 and 9 measure.
-  const WitnessEstimate estimate =
-      estimate_witness_probability(table, kept, config_.grid_spacing);
   result.rho_w = estimate.rho_w;
   result.theoretical_d =
       estimate.rho_w > 0.0
@@ -128,7 +121,7 @@ SubsumptionResult SubsumptionEngine::check(
       capped_trials(estimate.rho_w, config_.delta, config_.max_iterations);
 
   ws_.boxes.reset(s, kept.size());
-  for (const std::size_t row : kept) ws_.boxes.add(*set[row]);
+  for (const std::size_t row : kept) ws_.boxes.add_row(table.row_bounds(row));
   RspcResult rspc = run_rspc(ws_.boxes, result.trial_budget, rng_, ws_.point);
   result.iterations = rspc.iterations;
   if (!rspc.covered) {

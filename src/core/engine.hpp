@@ -1,12 +1,20 @@
 // SubsumptionEngine — the full decision pipeline of the paper's Algorithm 4:
 //
-//   prefilter                 (drop zero-measure intersections with s)
-//     -> build conflict table
-//     -> Corollary 1 fast YES   (pairwise cover)
-//     -> Corollary 3 fast NO    (sorted-row polyhedron witness)
+//   prefilter + conflict table (one pass per candidate: drop zero-measure
+//                               intersections with s, fill the kept rows,
+//                               tally their defined counts)
+//     -> Corollary 1 fast YES   (pairwise cover: the first all-undefined row)
+//     -> Corollary 3 fast NO    (sorted-row polyhedron witness: one walk
+//                               over the count tally)
 //     -> MCS reduction          (empty reduced set => definite NO)
-//     -> rho_w / d estimation   (Algorithm 2 + Equation 1)
+//     -> rho_w / d estimation   (Algorithm 2 + Equation 1, read off MCS's
+//                               column extremes in O(m))
 //     -> RSPC                   (definite NO or probabilistic YES)
+//
+// Each stage after the candidate read costs O(m) or O(defined entries) on
+// top of what an earlier stage already holds; the verdicts, draws and
+// iteration counts are those of running the public stage functions one
+// after another.
 //
 // A definite NO is always correct. A probabilistic YES errs with
 // probability at most delta = (1 - rho_w)^d, the paper's only error mode
@@ -85,13 +93,10 @@ struct EngineConfig {
 /// returned with a definite NO.
 struct EngineWorkspace {
   std::vector<const Subscription*> input;     ///< value-span adapter
-  std::vector<const Subscription*> filtered;  ///< prefilter survivors
-  std::vector<std::size_t> original_index;    ///< filtered -> caller index
-  ConflictTable table;                        ///< rebuilt per query
+  std::vector<std::size_t> original_index;    ///< table row -> caller index
+  ConflictTable table;                        ///< prefilter survivors' rows
   McsResult mcs;                              ///< kept rows (all without MCS)
-  std::vector<char> alive;                    ///< MCS alive mask
-  std::vector<McsColumn> mcs_columns;         ///< MCS per-column extremes
-  std::vector<std::size_t> sorted_counts;     ///< Corollary 3 scratch
+  McsScratch mcs_scratch;                     ///< alive mask, columns, lists
   PackedBoxes boxes;                          ///< RSPC rows: the kept rows
   std::vector<Value> point;                   ///< RSPC sample buffer
 };

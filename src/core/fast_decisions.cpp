@@ -1,57 +1,42 @@
 #include "core/fast_decisions.hpp"
 
-#include <algorithm>
-
 namespace psc::core {
 
 std::optional<std::size_t> find_pairwise_cover(const ConflictTable& table) {
-  for (std::size_t row = 0; row < table.row_count(); ++row) {
-    if (table.row_all_undefined(row)) return row;
-  }
-  return std::nullopt;
+  return table.first_all_undefined_row();
 }
 
-namespace {
-
-bool sorted_rows_prove_witness_scratch(const ConflictTable& table,
-                                       std::vector<std::size_t>& counts) {
-  const std::size_t k = table.row_count();
-  if (k == 0) return true;  // empty union covers nothing non-empty
-  counts.resize(k);
-  for (std::size_t row = 0; row < k; ++row) counts[row] = table.defined_count(row);
-  std::sort(counts.begin(), counts.end());
-  for (std::size_t j = 0; j < k; ++j) {
-    // 1-based position j+1 must not exceed t at that position.
-    if (counts[j] < j + 1) return false;
+bool sorted_rows_prove_witness(const ConflictTable& table) {
+  // In ascending order the rows with count t fill the positions up to
+  // `position`, the number of rows with count <= t; the last of them is
+  // the tightest, so every position holds iff t >= position for each
+  // occupied bin. No rows (an empty union) proves non-coverage too.
+  const std::span<const std::size_t> bins = table.defined_count_bins();
+  std::size_t position = 0;
+  for (std::size_t t = 0; t < bins.size(); ++t) {
+    if (bins[t] == 0) continue;
+    position += bins[t];
+    if (t < position) return false;
   }
   return true;
 }
 
-}  // namespace
-
-bool sorted_rows_prove_witness(const ConflictTable& table) {
-  std::vector<std::size_t> counts;
-  return sorted_rows_prove_witness_scratch(table, counts);
-}
-
-FastDecisionResult run_fast_decisions(const ConflictTable& table,
-                                      std::vector<std::size_t>& counts_scratch) {
+FastDecisionResult run_fast_decisions(const ConflictTable& table) {
   FastDecisionResult result;
   if (auto row = find_pairwise_cover(table)) {
     result.decision = FastDecision::kCoveredPairwise;
     result.covering_row = row;
     return result;
   }
-  if (sorted_rows_prove_witness_scratch(table, counts_scratch)) {
+  if (sorted_rows_prove_witness(table)) {
     result.decision = FastDecision::kNotCoveredWitness;
-    return result;
   }
   return result;
 }
 
-FastDecisionResult run_fast_decisions(const ConflictTable& table) {
-  std::vector<std::size_t> counts;
-  return run_fast_decisions(table, counts);
+FastDecisionResult run_fast_decisions(const ConflictTable& table,
+                                      std::vector<std::size_t>& /*counts_scratch*/) {
+  return run_fast_decisions(table);
 }
 
 }  // namespace psc::core

@@ -2,6 +2,11 @@
 //   1. Pairwise cover  -> definite YES   (Corollary 1: some row all-undefined)
 //   2. Sorted-row test -> definite NO    (Corollary 3: t_{i_j} >= j for all j,
 //      which proves a polyhedron witness exists)
+//
+// Both read the defined-count tally every ConflictTable rebuild keeps (the
+// first all-undefined row and 2m + 1 count bins), so a decision costs
+// O(m): Corollary 3's sorted order is the bins' order, walked once with no
+// copy and no sort.
 #pragma once
 
 #include <cstdint>
@@ -25,11 +30,11 @@ struct FastDecisionResult {
   std::optional<std::size_t> covering_row;
 };
 
-/// Runs Corollary 1 then Corollary 3 on a built conflict table. O(k log k + k m).
+/// Runs Corollary 1 then Corollary 3 on a built conflict table. O(m).
 [[nodiscard]] FastDecisionResult run_fast_decisions(const ConflictTable& table);
 
-/// Allocation-free variant: sorts row counts in `counts_scratch` (resized
-/// as needed, capacity reused across calls).
+/// As above. The scratch vector is not read or written; the overload stays
+/// for callers written against the earlier sort-based test.
 [[nodiscard]] FastDecisionResult run_fast_decisions(
     const ConflictTable& table, std::vector<std::size_t>& counts_scratch);
 

@@ -20,13 +20,25 @@
 // it: a lower entry x < a iff their max defined upper bound is >= a, an
 // upper entry x > b iff their min defined lower bound is <= b. Each column
 // keeps that extreme, the row holding it and the runner-up (McsColumn), so
-// the test is O(1) per entry and a sweep is O(m k). A column is recomputed
-// (O(k)) only when a removed row was its holder or runner-up, which costs
-// O(m k) per removal and O(m k^2) over a whole run. The paper's bound,
-// O(m^2 k^3), is looser.
+// the test is O(1) per entry. Each row keeps the list of its defined
+// columns, so a sweep costs O(defined entries of the alive rows), and each
+// column keeps a list of the rows where it is defined, in ascending order.
+// One row-major pass builds both and seeds the extremes. A column is
+// recomputed only when a removed row was its holder or runner-up, and a
+// recompute scans that column's list, dropping the rows removed since its
+// last scan: it costs O(defined entries still listed), not O(k), and finds
+// the same holder and runner-up with the same tie-breaks as a scan over
+// every row. A whole run is O(m k) to seed plus O(m k) per sweep plus the
+// recomputes, at most O(m k^2) in all. The paper's bound, O(m^2 k^3), is
+// looser.
+//
+// When MCS has run, the columns hold the extremes over the kept rows that
+// Algorithm 2 needs: the engine estimates rho_w from them in O(m) (see
+// witness_estimate.hpp).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/conflict_table.hpp"
@@ -57,6 +69,23 @@ struct McsColumn {
   std::size_t best_row = kNone;
   std::size_t second_row = kNone;
   bool degenerate = false;        ///< s has zero width on this attribute
+  /// Length of the column's list in McsScratch::entries; it may still
+  /// name rows removed since the column's last recompute.
+  std::size_t listed = 0;
+};
+
+/// MCS's reusable buffers. Capacity survives across runs, so once they
+/// have grown to a table's rows and entries, runs on tables no larger in
+/// either allocate nothing.
+struct McsScratch {
+  std::vector<char> alive;            ///< alive mask over the table's rows
+  std::vector<McsColumn> columns;     ///< per-column extremes (2m)
+  /// Column c's list of rows where it is defined, ascending:
+  /// entries[c * k, c * k + columns[c].listed), with k the table's row
+  /// count.
+  std::vector<std::uint32_t> entries;
+  /// Row r's defined columns, ascending: row_columns[r * 2m, r * 2m + t_r).
+  std::vector<std::uint32_t> row_columns;
 };
 
 /// Runs MCS on a built conflict table. The table itself is not mutated;
@@ -64,13 +93,13 @@ struct McsColumn {
 [[nodiscard]] McsResult run_mcs(const ConflictTable& table);
 
 /// Allocation-free variant: writes into `result` (its kept vector is
-/// cleared and refilled, capacity reused) with `alive_scratch` as the alive
-/// mask and `column_scratch` as the per-column extremes.
-void run_mcs(const ConflictTable& table, McsResult& result,
-             std::vector<char>& alive_scratch,
-             std::vector<McsColumn>& column_scratch);
+/// cleared and refilled, capacity reused) and works in `scratch`. On
+/// return, scratch.alive marks the kept rows and scratch.columns holds
+/// each column's extremes over them.
+void run_mcs(const ConflictTable& table, McsResult& result, McsScratch& scratch);
 
-/// As above with a local column buffer (allocates it).
+/// As above with `alive_scratch` as the alive mask and local column
+/// buffers (allocates them).
 void run_mcs(const ConflictTable& table, McsResult& result,
              std::vector<char>& alive_scratch);
 

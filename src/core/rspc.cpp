@@ -24,13 +24,23 @@ void PackedBoxes::reset(const Subscription& s, std::size_t rows) {
   }
 }
 
-void PackedBoxes::add(const Subscription& candidate) {
-  constexpr Value kInf = std::numeric_limits<Value>::infinity();
+Value* PackedBoxes::append_row() {
   const std::size_t base = boxes_.size();
   boxes_.resize(base + 2 * lanes_);
-  Value* lo = boxes_.data() + base;
-  Value* hi = lo + lanes_;
   ++rows_;
+  return boxes_.data() + base;
+}
+
+void PackedBoxes::pad_row(Value* lo) noexcept {
+  constexpr Value kInf = std::numeric_limits<Value>::infinity();
+  Value* hi = lo + lanes_;
+  std::fill(lo + m_, hi, -kInf);
+  std::fill(hi + m_, hi + lanes_, kInf);
+}
+
+void PackedBoxes::add(const Subscription& candidate) {
+  Value* lo = append_row();
+  Value* hi = lo + lanes_;
   const std::span<const Interval> ranges = candidate.ranges();
   if (ranges.size() != m_) {
     std::fill(lo, hi + lanes_, std::numeric_limits<Value>::quiet_NaN());
@@ -40,8 +50,17 @@ void PackedBoxes::add(const Subscription& candidate) {
     lo[j] = ranges[j].lo;
     hi[j] = ranges[j].hi;
   }
-  std::fill(lo + m_, hi, -kInf);
-  std::fill(hi + m_, hi + lanes_, kInf);
+  pad_row(lo);
+}
+
+void PackedBoxes::add_row(std::span<const Value> bounds) {
+  Value* lo = append_row();
+  Value* hi = lo + lanes_;
+  for (std::size_t j = 0; j < m_; ++j) {
+    lo[j] = bounds[2 * j];
+    hi[j] = bounds[2 * j + 1];
+  }
+  pad_row(lo);
 }
 
 void PackedBoxes::require_sampleable() const {

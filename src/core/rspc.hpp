@@ -52,6 +52,11 @@ class PackedBoxes {
   /// s's packs NaN bounds and contains no point, as contains_point.
   void add(const Subscription& candidate);
 
+  /// Packs one candidate of s's arity from its conflict-table row
+  /// (ConflictTable::row_bounds): bounds[2j] and bounds[2j + 1] are its
+  /// range on attribute j. The lanes are add()'s for that candidate.
+  void add_row(std::span<const Value> bounds);
+
   [[nodiscard]] std::size_t size() const noexcept { return rows_; }
   [[nodiscard]] std::size_t attribute_count() const noexcept { return m_; }
   /// M: the attribute count rounded up to a multiple of 4.
@@ -82,6 +87,11 @@ class PackedBoxes {
   std::vector<Value> lo_;     ///< s.lo_j
   std::vector<Value> width_;  ///< s.hi_j - s.lo_j
   simd::AlignedVector<Value> boxes_;
+
+  /// Appends one row's block and returns its lo half.
+  Value* append_row();
+  /// Fills the padding lanes of the row whose lo half is `lo`.
+  void pad_row(Value* lo) noexcept;
 };
 
 /// The RSPC trial kernel over packed rows: at most `budget` trials, early

@@ -15,10 +15,23 @@ Value slab_measure(Value width, double grid_spacing) {
   return std::floor(width / grid_spacing) + 1.0;
 }
 
+/// Algorithm 2's last step: rho_w from the witness and tested volumes.
+WitnessEstimate finish_estimate(Value witness_volume, Value tested_volume) {
+  WitnessEstimate est;
+  est.witness_volume = witness_volume;
+  est.tested_volume = tested_volume;
+  if (est.tested_volume > 0.0 && std::isfinite(est.tested_volume)) {
+    est.rho_w = static_cast<double>(witness_volume / est.tested_volume);
+    if (est.rho_w > 1.0) est.rho_w = 1.0;
+  } else {
+    est.rho_w = 0.0;
+  }
+  return est;
+}
+
 template <typename Rows>
 WitnessEstimate estimate_over(const ConflictTable& table, const Rows& rows,
                               double grid_spacing) {
-  WitnessEstimate est;
   const Subscription& s = table.tested();
 
   // Algorithm 2: per attribute, the width of the narrowest slab any single
@@ -43,16 +56,7 @@ WitnessEstimate estimate_over(const ConflictTable& table, const Rows& rows,
     witness_volume *= slab_measure(min_gap, grid_spacing);
     tested_volume *= slab_measure(sr.width(), grid_spacing);
   }
-  est.witness_volume = witness_volume;
-  est.tested_volume = tested_volume;
-
-  if (est.tested_volume > 0.0 && std::isfinite(est.tested_volume)) {
-    est.rho_w = static_cast<double>(witness_volume / est.tested_volume);
-    if (est.rho_w > 1.0) est.rho_w = 1.0;
-  } else {
-    est.rho_w = 0.0;
-  }
-  return est;
+  return finish_estimate(witness_volume, tested_volume);
 }
 
 }  // namespace
@@ -67,6 +71,37 @@ WitnessEstimate estimate_witness_probability(const ConflictTable& table,
                                              std::span<const std::size_t> rows,
                                              double grid_spacing) {
   return estimate_over(table, rows, grid_spacing);
+}
+
+WitnessEstimate estimate_witness_probability(const Subscription& s,
+                                             std::span<const McsColumn> columns,
+                                             double grid_spacing) {
+  Value witness_volume = 1.0;
+  Value tested_volume = 1.0;
+  const std::span<const Interval> ranges = s.ranges();
+  for (std::size_t j = 0; j < ranges.size(); ++j) {
+    const Interval& sr = ranges[j];
+    // Row i's lower slab is min(lo_i, s.hi) - s.lo wide and its upper slab
+    // s.hi - max(hi_i, s.lo), or 0 on an empty range. Where a clamp binds
+    // or the range is empty, that width and the plain difference are both
+    // >= s.width() (rounding is monotone), which the strict < never takes;
+    // elsewhere they are equal. So the plain differences at the extreme
+    // bounds give the row walk's minimum.
+    Value min_gap = sr.width();
+    const McsColumn& lower = columns[2 * j];
+    if (lower.best_row != McsColumn::kNone) {
+      const Value gap = -lower.best - sr.lo;
+      if (gap < min_gap) min_gap = gap;
+    }
+    const McsColumn& upper = columns[2 * j + 1];
+    if (upper.best_row != McsColumn::kNone) {
+      const Value gap = sr.hi - upper.best;
+      if (gap < min_gap) min_gap = gap;
+    }
+    witness_volume *= slab_measure(min_gap, grid_spacing);
+    tested_volume *= slab_measure(sr.width(), grid_spacing);
+  }
+  return finish_estimate(witness_volume, tested_volume);
 }
 
 double theoretical_trials(double rho_w, double delta) {

@@ -11,6 +11,14 @@
 //   d = ceil( ln(delta) / ln(1 - rho_w) )
 // so that (1 - rho_w)^d <= delta. Both quantities are computed in
 // polynomial time before running RSPC.
+//
+// Per attribute, the minimum gap depends on the rows only through their
+// smallest defined lower bound and largest defined upper bound: a lower
+// slab's width min(lo_i, s.hi) - s.lo grows with lo_i, and floating-point
+// subtraction of a constant is monotone, so the minimum over rows is the
+// width at the minimum bound (symmetrically for upper slabs). The engine
+// therefore reads rho_w off MCS's final column extremes in O(m); the
+// table overloads walk the rows (O(m k)) and give the same bits.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +26,7 @@
 #include <span>
 
 #include "core/conflict_table.hpp"
+#include "core/mcs.hpp"
 
 namespace psc::core {
 
@@ -50,6 +59,15 @@ struct WitnessEstimate {
 /// MCS kept).
 [[nodiscard]] WitnessEstimate estimate_witness_probability(
     const ConflictTable& table, std::span<const std::size_t> rows,
+    double grid_spacing);
+
+/// As above over the rows MCS kept, from the column extremes run_mcs left
+/// in `columns` (2m of them, over those rows): columns[2j].best is minus
+/// their minimum defined lower bound on attribute j, columns[2j+1].best
+/// their maximum defined upper bound. O(m); bit-identical to the row walk
+/// over result.kept.
+[[nodiscard]] WitnessEstimate estimate_witness_probability(
+    const Subscription& s, std::span<const McsColumn> columns,
     double grid_spacing);
 
 /// Number of RSPC trials for error bound delta given rho_w (Equation 1).

@@ -11,77 +11,14 @@
 #include <string>
 #include <vector>
 
+#include "reference_mcs.hpp"
 #include "util/rng.hpp"
 
 namespace psc::core {
 namespace {
 
-// --- reference ------------------------------------------------------------
-//
-// Algorithm 3 with Definition 5 applied literally: an entry is conflict-free
-// iff no defined opposite-side entry of another alive row on the same
-// attribute conflicts with it (ConflictTable::entries_conflict). O(k) per
-// entry, O(m k^2) per sweep.
-
-bool entry_has_conflict(const ConflictTable& table, std::size_t row,
-                        const TableEntry& entry, const std::vector<char>& alive) {
-  const std::size_t opposite_col = entry.side == BoundSide::kLower
-                                       ? 2 * entry.attribute + 1
-                                       : 2 * entry.attribute;
-  for (std::size_t other = 0; other < table.row_count(); ++other) {
-    if (other == row || !alive[other]) continue;
-    const auto other_entry = table.entry(other, opposite_col);
-    if (!other_entry) continue;
-    if (ConflictTable::entries_conflict(table.tested(), entry, *other_entry)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-/// fc_i for one row given an alive mask over rows.
-std::size_t count_conflict_free(const ConflictTable& table, std::size_t row,
-                                const std::vector<char>& alive) {
-  std::size_t conflict_free = 0;
-  for (std::size_t col = 0; col < table.column_count(); ++col) {
-    const auto entry = table.entry(row, col);
-    if (!entry) continue;
-    if (!entry_has_conflict(table, row, *entry, alive)) ++conflict_free;
-  }
-  return conflict_free;
-}
-
-McsResult reference_mcs(const ConflictTable& table) {
-  McsResult result;
-  const std::size_t n = table.row_count();
-  std::vector<char> alive(n, 1);
-  std::size_t alive_count = n;
-  bool changed = n > 0;
-  while (changed) {
-    changed = false;
-    ++result.sweeps;
-    for (std::size_t row = 0; row < n; ++row) {
-      if (!alive[row]) continue;
-      if (table.defined_count(row) >= alive_count) {
-        alive[row] = 0;
-        --alive_count;
-        ++result.removed_defined_count;
-        changed = true;
-        continue;
-      }
-      if (count_conflict_free(table, row, alive) >= 1) {
-        alive[row] = 0;
-        --alive_count;
-        ++result.removed_conflict_free;
-        changed = true;
-      }
-    }
-  }
-  for (std::size_t row = 0; row < n; ++row) {
-    if (alive[row]) result.kept.push_back(row);
-  }
-  return result;
-}
+using reference::count_conflict_free;
+using reference::reference_mcs;
 
 Subscription box2(double lo1, double hi1, double lo2, double hi2,
                   SubscriptionId id = 0) {
@@ -254,8 +191,7 @@ Value grid_bound(util::Rng& rng) {
 TEST(McsDifferential, ColumnExtremesMatchReferenceSweep) {
   util::Rng rng(1812);
   McsResult reused;
-  std::vector<char> alive;
-  std::vector<McsColumn> columns;  // reused across arities, as the engine does
+  McsScratch scratch;  // reused across arities and sizes, as the engine does
   std::size_t nonempty = 0, cascades = 0;
   for (int round = 0; round < 3000; ++round) {
     const std::size_t m = 1 + rng.next_below(6);
@@ -283,7 +219,7 @@ TEST(McsDifferential, ColumnExtremesMatchReferenceSweep) {
     const std::string where = "round " + std::to_string(round);
 
     const McsResult fresh = run_mcs(table);
-    run_mcs(table, reused, alive, columns);
+    run_mcs(table, reused, scratch);
     for (const McsResult* got : {&fresh, static_cast<const McsResult*>(&reused)}) {
       EXPECT_EQ(got->kept, want.kept) << where;
       EXPECT_EQ(got->sweeps, want.sweeps) << where;

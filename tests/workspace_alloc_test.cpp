@@ -10,6 +10,8 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <span>
+#include <vector>
 
 #include "core/engine.hpp"
 #include "workload/scenarios.hpp"
@@ -78,36 +80,76 @@ class AllocationGuard {
   }
 };
 
-/// Warm-up, then 50 guarded checks of one instance with m attributes.
+/// Three warm-up checks, then 50 guarded ones; every check must take
+/// `path`. The pointer-span overload is the store's entry point.
+void expect_warm_checks_allocation_free(SubsumptionEngine& engine,
+                                        const Subscription& s,
+                                        const std::vector<Subscription>& set,
+                                        DecisionPath path) {
+  std::vector<const Subscription*> pointers;
+  for (const Subscription& candidate : set) pointers.push_back(&candidate);
+  const std::span<const Subscription* const> span(pointers);
+  // Warm-up: grows every workspace buffer to the working-set size.
+  for (int i = 0; i < 3; ++i) ASSERT_EQ(engine.check(s, span).path, path);
+
+  AllocationGuard guard;
+  for (int i = 0; i < 50; ++i) {
+    const auto result = engine.check(s, span);
+    ASSERT_EQ(result.path, path);
+  }
+  EXPECT_EQ(guard.count(), 0u)
+      << "warm " << to_string(path) << " checks must reuse the workspace (m="
+      << s.attribute_count() << ")";
+}
+
+/// The MCS -> estimate -> RSPC path: redundant covering, so no pairwise
+/// fast path; MCS removes rows (its column lists are seeded, scanned and
+/// compacted) and the verdict is a probabilistic YES, with no witness copy.
 void expect_steady_state_allocation_free(std::size_t attribute_count) {
   workload::ScenarioConfig config;
   config.attribute_count = attribute_count;
   config.set_size = 120;
   util::Rng rng(2026);
-  // Redundant covering: no pairwise fast path, so the full pipeline runs
-  // (conflict table, fast decisions, MCS, estimate, packed RSPC rows) every
-  // check and the verdict is a probabilistic YES — no witness copy.
   const auto inst = workload::make_redundant_covering(config, rng);
 
   EngineConfig engine_config;
   engine_config.max_iterations = 2'000;
   SubsumptionEngine engine(engine_config, 7);
+  const auto first = engine.check(inst.tested, inst.existing);
+  ASSERT_TRUE(first.mcs_ran);
+  ASSERT_GT(first.reduced_set_size, 0u);
+  ASSERT_LT(first.reduced_set_size, inst.existing.size());
+  expect_warm_checks_allocation_free(engine, inst.tested, inst.existing,
+                                     DecisionPath::kRspcProbabilistic);
+}
 
-  // Warm-up: grows every workspace buffer to the working-set size.
-  for (int i = 0; i < 3; ++i) {
-    const auto warm = engine.check(inst.tested, inst.existing);
-    ASSERT_TRUE(warm.covered);
-    ASSERT_EQ(warm.path, DecisionPath::kRspcProbabilistic);
-  }
+/// Corollary 1: one candidate covers s.
+void expect_pairwise_path_allocation_free(std::size_t attribute_count) {
+  workload::ScenarioConfig config;
+  config.attribute_count = attribute_count;
+  config.set_size = 80;
+  util::Rng rng(11);
+  const auto inst = workload::make_pairwise_covering(config, rng);
+  SubsumptionEngine engine(EngineConfig{}, 13);
+  expect_warm_checks_allocation_free(engine, inst.tested, inst.existing,
+                                     DecisionPath::kPairwiseCover);
+}
 
-  AllocationGuard guard;
-  for (int i = 0; i < 50; ++i) {
-    const auto result = engine.check(inst.tested, inst.existing);
-    ASSERT_TRUE(result.covered);
+/// Corollary 3: 2m candidates strictly inside s (every entry defined),
+/// behind 100 candidates disjoint from s that the prefilter drops.
+void expect_polyhedron_path_allocation_free(std::size_t attribute_count) {
+  const Subscription s(std::vector<Interval>(attribute_count, Interval{0, 100}));
+  std::vector<Subscription> set;
+  for (std::size_t i = 0; i < 100; ++i) {
+    set.emplace_back(std::vector<Interval>(attribute_count, Interval{200, 300}), i + 1);
   }
-  EXPECT_EQ(guard.count(), 0u)
-      << "steady-state engine checks must reuse the workspace (m="
-      << attribute_count << ")";
+  for (std::size_t i = 0; i < 2 * attribute_count; ++i) {
+    const auto lo = static_cast<Value>(1 + i);
+    set.emplace_back(std::vector<Interval>(attribute_count, Interval{lo, 99 - lo}),
+                     101 + i);
+  }
+  SubsumptionEngine engine(EngineConfig{}, 17);
+  expect_warm_checks_allocation_free(engine, s, set, DecisionPath::kPolyhedronWitness);
 }
 
 TEST(EngineWorkspace, SteadyStateChecksDoNotAllocate) {
@@ -120,23 +162,13 @@ TEST(EngineWorkspace, SteadyStateChecksDoNotAllocateAtSixAttributes) {
 }
 
 TEST(EngineWorkspace, PairwiseFastPathDoesNotAllocate) {
-  workload::ScenarioConfig config;
-  config.attribute_count = 10;
-  config.set_size = 80;
-  util::Rng rng(11);
-  const auto inst = workload::make_pairwise_covering(config, rng);
+  expect_pairwise_path_allocation_free(10);
+  expect_pairwise_path_allocation_free(6);
+}
 
-  SubsumptionEngine engine(EngineConfig{}, 13);
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(engine.check(inst.tested, inst.existing).covered);
-  }
-
-  AllocationGuard guard;
-  for (int i = 0; i < 50; ++i) {
-    const auto result = engine.check(inst.tested, inst.existing);
-    ASSERT_EQ(result.path, DecisionPath::kPairwiseCover);
-  }
-  EXPECT_EQ(guard.count(), 0u);
+TEST(EngineWorkspace, PolyhedronWitnessFastPathDoesNotAllocate) {
+  expect_polyhedron_path_allocation_free(10);
+  expect_polyhedron_path_allocation_free(6);
 }
 
 TEST(EngineWorkspace, GrowingSetReusesAfterFirstGrowth) {
