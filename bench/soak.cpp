@@ -11,7 +11,7 @@
 //                                    default in its column ('-': rejected):
 //                             churn recovery membership lossy   tcp
 //     --duration=S              60      60         40     -      -
-//     --brokers=N                -       -         60    24      8
+//     --brokers=N                -       -         20    24      8
 //     --ops=N  (work per run)    -       -          -   400    300
 //     --seeds=N                  -       -          -     3      2
 //     --latency=S                -       -      0.001 0.0001     -
@@ -141,7 +141,10 @@ Options parse(int argc, char** argv) {
   o.seed = flags.get_uint64("seed", 2006);
   o.policy = store::parse_coverage_policy(flags.get_string("policy", "exact"));
   o.differential = flags.get_bool("differential", true);
-  o.brokers = size("brokers", membership ? 60 : lossy ? 24 : 8);
+  // Membership: about 16 subscriptions are live at a time, so the brokers
+  // must be few for crashed ones to home some and their replacements to
+  // restore routes (ctest membership_soak_default requires it).
+  o.brokers = size("brokers", membership ? 20 : lossy ? 24 : 8);
   o.ops = size("ops", lossy ? 400 : 300);
   o.seeds = size("seeds", lossy ? 3 : tcp ? 2 : 1);
   o.with_membership = flags.get_bool("membership", true);

@@ -52,12 +52,25 @@ void Broker::add_neighbor(BrokerId neighbor) {
     return;
   }
   neighbors_.push_back(neighbor);
+  for (auto& [origin, lane] : neighbor_lanes_) sync_lane_index(origin, lane);
 }
 
 void Broker::remove_neighbor(BrokerId neighbor) {
   neighbors_.erase(std::remove(neighbors_.begin(), neighbors_.end(), neighbor),
                    neighbors_.end());
   forwarded_.erase(neighbor);
+  for (auto& [origin, lane] : neighbor_lanes_) sync_lane_index(origin, lane);
+}
+
+void Broker::sync_lane_index(BrokerId origin, store::SubscriptionStore& lane) {
+  // link_lanes hands the lane to the link store of every neighbour but
+  // `origin`; with no such neighbour nothing reads its index.
+  if (std::any_of(neighbors_.begin(), neighbors_.end(),
+                  [&](BrokerId n) { return n != origin; })) {
+    lane.rebuild_index();
+  } else {
+    lane.drop_index();
+  }
 }
 
 Broker::AnnounceOutcome Broker::announce_all_to(BrokerId neighbor) {
@@ -133,6 +146,12 @@ const store::SubscriptionStore* Broker::forwarded_store(BrokerId neighbor) const
   return it == forwarded_.end() ? nullptr : it->second.get();
 }
 
+const store::SubscriptionStore* Broker::publish_lane(const Origin& origin) const {
+  if (origin.local) return &local_lane_;
+  const auto it = neighbor_lanes_.find(origin.neighbor);
+  return it == neighbor_lanes_.end() ? nullptr : &it->second;
+}
+
 bool Broker::add_route(const Subscription& sub, const Origin& origin) {
   if (!routing_table_.try_emplace(sub.id(), origin).second) return false;
   if (origin.local) {
@@ -144,6 +163,7 @@ bool Broker::add_route(const Subscription& sub, const Origin& origin) {
     lane = neighbor_lanes_
                .try_emplace(origin.neighbor, lane_config(store_config_), seed_)
                .first;
+    sync_lane_index(origin.neighbor, lane->second);
   }
   (void)lane->second.insert(sub);
   return true;
@@ -163,9 +183,8 @@ void Broker::drop_route(SubscriptionId id, Origin origin) {
 
 const Subscription* Broker::lane_find(SubscriptionId id,
                                       const Origin& origin) const {
-  if (origin.local) return local_lane_.find(id);
-  const auto lane = neighbor_lanes_.find(origin.neighbor);
-  return lane == neighbor_lanes_.end() ? nullptr : lane->second.find(id);
+  const store::SubscriptionStore* lane = publish_lane(origin);
+  return lane == nullptr ? nullptr : lane->find(id);
 }
 
 const Subscription* Broker::routed_subscription(SubscriptionId id) const {

@@ -12,6 +12,12 @@
 //     origin's lane. Publication matching stabs the lanes: local-lane
 //     matches ARE the local deliveries, and a neighbour lane with any
 //     match IS a destination, so no matched id is ever looked up again.
+//     The local lane keeps an interval index; neighbor_lanes_[n] keeps
+//     one only while the broker has a neighbour other than n, the only
+//     readers of its coverage queries (see forwarded_ below). On a leaf,
+//     the one lane holds nearly every route and nothing reads its index,
+//     so it answers publications with a flat early-exit scan instead of
+//     paying an index insert per route.
 //   * forwarded_[n]: store of subscriptions this broker has propagated to
 //     neighbour n. A new subscription is forwarded to n only if it is not
 //     covered (per the configured policy) by what n already received —
@@ -190,10 +196,17 @@ class Broker {
   [[nodiscard]] const store::SubscriptionStore* forwarded_store(
       BrokerId neighbor) const;
 
+  /// Publish lane of `origin`: the local lane, or the lane of the routes
+  /// from a neighbour (nullptr when none are routed from it). Tests
+  /// introspect which lanes keep an index.
+  [[nodiscard]] const store::SubscriptionStore* publish_lane(
+      const Origin& origin) const;
+
   /// Complete serializable state of a broker: the routing table (with
   /// reverse-path origins), every per-link forwarded store (full coverage
   /// state incl. engine RNG — see store::SubscriptionStore::Snapshot). The
-  /// lane indexes are rebuilt on import.
+  /// lanes are refilled from the routes on import, each with an index iff
+  /// the lane rule above gives it one under the attached neighbours.
   /// Binary codec: wire/snapshot.hpp (embedded in the network snapshot).
   struct Snapshot {
     BrokerId id = kInvalidBroker;
@@ -236,7 +249,8 @@ class Broker {
 
   /// Publish lanes: local-origin routes, and routes per neighbour origin.
   /// Ordered map so lane iteration (and so the work schedule) is
-  /// deterministic; results do not depend on it.
+  /// deterministic; results do not depend on it. Lane n keeps an index iff
+  /// some attached neighbour is not n (sync_lane_index).
   store::SubscriptionStore local_lane_;
   std::map<BrokerId, store::SubscriptionStore> neighbor_lanes_;
 
@@ -249,6 +263,11 @@ class Broker {
   std::unordered_map<BrokerId, std::unique_ptr<store::SubscriptionStore>> forwarded_;
 
   store::SubscriptionStore& forwarded_mutable(BrokerId neighbor);
+  /// Gives the lane of routes from `origin` an index iff a link store
+  /// reads it, i.e. iff a neighbour other than `origin` is attached; run
+  /// when the lane is created and after every neighbour change. Flat and
+  /// indexed lanes answer alike, so this moves work, never a decision.
+  void sync_lane_index(BrokerId origin, store::SubscriptionStore& lane);
   /// The lanes a link store toward `neighbor` queries: every lane but
   /// `neighbor`'s own, whose routes never enter that link store. Built per
   /// call, after the call's route changes.

@@ -77,11 +77,34 @@ void SubscriptionStore::append_intersecting(
 }
 
 void SubscriptionStore::index_insert_active(const Subscription& sub) {
-  if (!config_.use_index || source_ == IndexSource::kLanes) return;
+  if (!config_.use_index || source_ == IndexSource::kLanes || index_dropped_) {
+    return;
+  }
   if (!interval_index_) {
     interval_index_.emplace(sub.attribute_count(), config_.index);
   }
   interval_index_->insert(sub);
+}
+
+void SubscriptionStore::drop_index() {
+  interval_index_.reset();
+  index_dropped_ = true;
+}
+
+void SubscriptionStore::rebuild_index() {
+  index_dropped_ = false;
+  if (!config_.use_index || source_ == IndexSource::kLanes || interval_index_ ||
+      active_.empty()) {
+    return;
+  }
+  const std::size_t arity = active_.front().attribute_count();
+  if (std::any_of(active_.begin(), active_.end(), [&](const Subscription& sub) {
+        return sub.attribute_count() != arity;
+      })) {
+    config_.use_index = false;
+    return;
+  }
+  for (const Subscription& active : active_) index_insert_active(active);
 }
 
 std::span<const Subscription* const> SubscriptionStore::intersecting_candidates(

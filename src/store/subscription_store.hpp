@@ -85,10 +85,13 @@ struct StoreConfig {
   /// Answer publication matching (point-stab), pairwise cover (covering)
   /// and coverage-candidate gathering (box-intersect) from an
   /// IntervalIndex instead of flat O(k) scans. A standalone store
-  /// (IndexSource::kOwn) maintains the index over its own actives; a link
-  /// store (IndexSource::kLanes) builds none and runs the two coverage
-  /// queries on the indexes of the lanes passed to insert/erase_reporting,
-  /// or scans its own actives when they are few against the lanes.
+  /// (IndexSource::kOwn) maintains the index over its own actives, except
+  /// between drop_index() and rebuild_index(): a broker drops the index of
+  /// a publish lane that no link store reads, and rebuilds it when one
+  /// does. A link store (IndexSource::kLanes) builds none and runs the two
+  /// coverage queries on the indexes of the lanes passed to
+  /// insert/erase_reporting, or scans its own actives when they are few
+  /// against the lanes.
   /// Off = flat scans, kept for ablation (bench/index_scaling) and as the
   /// reference in the equivalence property tests. Results are identical
   /// either way; only the work differs. An index requires all
@@ -106,6 +109,10 @@ struct StoreConfig {
 /// Where a store's index-path queries find its actives.
 enum class IndexSource : std::uint8_t {
   kOwn,    ///< an IntervalIndex the store maintains over its actives
+           ///< (none while dropped: see drop_index). A broker's local lane
+           ///< always keeps it; a neighbour lane n keeps it only while a
+           ///< link store reads it, i.e. while a neighbour other than n is
+           ///< attached.
   kLanes,  ///< no index of its own: the lane stores passed to each
            ///< insert/erase_reporting answer the coverage queries, or a
            ///< flat scan of the store's actives does when that reads less
@@ -270,6 +277,24 @@ class SubscriptionStore {
 
   [[nodiscard]] const StoreConfig& config() const noexcept { return config_; }
 
+  /// Drops the store's own index: every query runs the flat scans, with
+  /// the same answers, and inserts maintain no index until
+  /// rebuild_index(). A broker drops the index of a publish lane that no
+  /// link store reads.
+  void drop_index();
+
+  /// Undoes drop_index(): builds the own index over the actives in slot
+  /// order, or leaves it to the next insert when there are none. A no-op
+  /// while the index is live, for a kLanes store, and for a store whose
+  /// use_index is off (as a mixed-arity insert turns it). Actives of mixed
+  /// arity turn it off here too, as insert would have.
+  void rebuild_index();
+
+  /// True while the store's own index answers its queries.
+  [[nodiscard]] bool index_enabled() const noexcept {
+    return config_.use_index && interval_index_.has_value();
+  }
+
   /// Number of engine (group) checks executed so far — cost metric.
   [[nodiscard]] std::uint64_t group_checks() const noexcept { return group_checks_; }
 
@@ -303,6 +328,8 @@ class SubscriptionStore {
   /// the source is kOwn). Created lazily on the first insert because the
   /// schema width is not known at construction time.
   std::optional<index::IntervalIndex> interval_index_;
+  /// Set by drop_index(), cleared by rebuild_index(): no index is kept.
+  bool index_dropped_ = false;
   std::unordered_map<core::SubscriptionId, CoveredEntry> covered_;
   /// Cover DAG edges: coverer id -> covered ids listing it (Section 4.4).
   std::unordered_map<core::SubscriptionId, std::vector<core::SubscriptionId>>
@@ -343,9 +370,6 @@ class SubscriptionStore {
   /// Removes the active in `slot` and returns it.
   core::Subscription erase_active_slot(std::size_t slot);
 
-  [[nodiscard]] bool index_enabled() const noexcept {
-    return config_.use_index && interval_index_.has_value();
-  }
   /// True when a kLanes store answers its coverage queries from `lanes`
   /// rather than a flat scan of its own actives (same answers; see the
   /// definition for the work estimate that picks).

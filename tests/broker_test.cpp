@@ -360,7 +360,11 @@ TEST(Broker, ImportRejectsLinkIdsTheRoutingTableDoesNotHold) {
 // each link store's actives in slot order, covered entries with their
 // coverer lists, cover DAG and engine RNG state must equal the
 // reference's, and so must the forwards, announcements and promotions the
-// broker reports.
+// broker reports. After every op the routed ids, one publication's local
+// deliveries and destinations (from a brute-force scan of the routes) and
+// the publish lanes' indexes are checked as well: a neighbour lane keeps
+// an index iff a neighbour other than its own is attached, since only
+// those neighbours' link stores read it.
 
 void expect_same_store(const SubscriptionStore& got, const SubscriptionStore& want,
                        const std::string& what) {
@@ -400,7 +404,15 @@ Subscription grid_box2(SubscriptionId id, util::Rng& rng) {
   return Subscription(std::move(ranges), id);
 }
 
-void run_link_store_differential(CoveragePolicy policy, std::uint64_t seed) {
+/// How the differential changes the broker's links. kRandom detaches and
+/// re-attaches links at random draws, never below one attached link;
+/// kLeafHubLeaf starts isolated and walks the broker from leaf (link 1) to
+/// hub (links 1-3) and back to leaf, detaching 3 and purging its routes at
+/// once, then detaching 2 and purging its routes only 100 ops later.
+enum class LinkSchedule { kRandom, kLeafHubLeaf };
+
+void run_link_store_differential(CoveragePolicy policy, std::uint64_t seed,
+                                 LinkSchedule schedule = LinkSchedule::kRandom) {
   constexpr std::uint64_t kBrokerSeed = 77;
   store::StoreConfig config;
   config.policy = policy;
@@ -410,7 +422,8 @@ void run_link_store_differential(CoveragePolicy policy, std::uint64_t seed) {
   link_config.demote_covered_actives = false;
 
   Broker broker(0, config, kBrokerSeed);
-  std::vector<BrokerId> attached = {1, 2, 3};
+  std::vector<BrokerId> attached;
+  if (schedule == LinkSchedule::kRandom) attached = {1, 2, 3};
   for (const BrokerId n : attached) broker.add_neighbor(n);
 
   std::map<BrokerId, SubscriptionStore> reference;
@@ -423,6 +436,9 @@ void run_link_store_differential(CoveragePolicy policy, std::uint64_t seed) {
   };
   std::map<SubscriptionId, std::pair<Subscription, Origin>> routes;
   util::Rng rng(seed);
+  // Publications draw from their own stream, so the op stream stays the
+  // same with or without them.
+  util::Rng pub_rng(seed ^ 0x9e3779b9ULL);
   SubscriptionId next_id = 1;
   std::uint64_t promotions = 0;
 
@@ -459,10 +475,116 @@ void run_link_store_differential(CoveragePolicy policy, std::uint64_t seed) {
     std::advance(it, static_cast<std::ptrdiff_t>(rng.next_below(routes.size())));
     return it;
   };
+  // Re-attach `n` and announce the routing table over it.
+  const auto attach = [&](BrokerId n, const std::string& what) {
+    broker.add_neighbor(n);
+    attached.push_back(n);
+    const auto got = broker.announce_all_to(n);
+    std::vector<SubscriptionId> want;
+    std::uint64_t suppressed = 0;
+    for (const auto& [id, route] : routes) {  // ascending id
+      if (!route.second.local && route.second.neighbor == n) continue;
+      if (reference_link(n).insert(route.first).covered) {
+        ++suppressed;
+      } else {
+        want.push_back(id);
+      }
+    }
+    std::vector<SubscriptionId> got_ids;
+    for (const Subscription& sub : got.announce) got_ids.push_back(sub.id());
+    ASSERT_EQ(got_ids, want) << what << ": announcements";
+    ASSERT_EQ(got.suppressed, suppressed) << what << ": suppressed";
+  };
+  // Detach a link; its routes stay in their lane, and the other links
+  // keep querying it.
+  const auto detach = [&](BrokerId n) {
+    broker.remove_neighbor(n);
+    std::erase(attached, n);
+    reference.erase(n);
+  };
+  // Unsubscribe every route from `n`, ascending, as the network's purge
+  // of a dead peer does.
+  const auto purge = [&](BrokerId n, const std::string& what) {
+    const Origin dead{false, n};
+    std::vector<SubscriptionId> ids = broker.subscriptions_from(dead);
+    std::sort(ids.begin(), ids.end());
+    for (const SubscriptionId id : ids) {
+      const auto got = broker.handle_unsubscription(id, dead);
+      const auto want = reference_erase(id, dead);
+      ASSERT_EQ(got.forward_to, want.forward_to) << what << ": purge forwards";
+      ASSERT_NO_FATAL_FAILURE(
+          expect_same_reannounce(got.reannounce, want.reannounce, what));
+    }
+  };
+  // Routes, one publication's route and the lanes' indexes after an op.
+  Broker::PublishScratch scratch;
+  const auto expect_routes_and_lanes = [&](const std::string& what) {
+    std::vector<SubscriptionId> ids;
+    for (const auto& [id, route] : routes) ids.push_back(id);
+    ASSERT_EQ(broker.routed_ids(), ids) << what << ": routes";
 
+    const Publication pub({pub_rng.uniform(0, 20), pub_rng.uniform(0, 20)});
+    const auto pick = pub_rng.next_below(attached.size() + 1);
+    const Origin from = pick == attached.size() ? Origin{true, kInvalidBroker}
+                                                : Origin{false, attached[pick]};
+    Broker::PublicationRoute want;
+    for (const auto& [id, route] : routes) {  // ascending id
+      const auto& [sub, origin] = route;
+      if (!pub.matches(sub)) continue;
+      if (origin.local) {
+        want.local_matches.push_back(id);
+      } else if (from.local || origin.neighbor != from.neighbor) {
+        want.destinations.push_back(origin.neighbor);
+      }
+    }
+    std::sort(want.destinations.begin(), want.destinations.end());
+    want.destinations.erase(
+        std::unique(want.destinations.begin(), want.destinations.end()),
+        want.destinations.end());
+    const Broker::PublicationRoute& got = broker.handle_publication(pub, from, scratch);
+    ASSERT_EQ(got.local_matches, want.local_matches) << what << ": local deliveries";
+    ASSERT_EQ(got.destinations, want.destinations) << what << ": destinations";
+
+    std::map<BrokerId, std::size_t> from_neighbor;
+    std::size_t local_routes = 0;
+    for (const auto& [id, route] : routes) {
+      if (route.second.local) {
+        ++local_routes;
+      } else {
+        ++from_neighbor[route.second.neighbor];
+      }
+    }
+    if (local_routes > 0) {
+      ASSERT_TRUE(broker.publish_lane(Origin{true, kInvalidBroker})->index_enabled())
+          << what << ": local lane";
+    }
+    for (const BrokerId n : {1u, 2u, 3u}) {
+      const SubscriptionStore* lane = broker.publish_lane(Origin{false, n});
+      ASSERT_EQ(lane != nullptr, from_neighbor.count(n) > 0) << what << " lane " << n;
+      if (lane == nullptr) continue;
+      ASSERT_EQ(lane->total_count(), from_neighbor[n]) << what << " lane " << n;
+      const bool read = std::any_of(attached.begin(), attached.end(),
+                                    [&](BrokerId m) { return m != n; });
+      ASSERT_EQ(lane->index_enabled(), read) << what << " lane " << n;
+    }
+  };
   for (int op = 0; op < 1500; ++op) {
     const std::string what = std::string(store::to_string(policy)) + " op " +
                              std::to_string(op);
+    if (schedule == LinkSchedule::kLeafHubLeaf) {
+      switch (op) {
+        case 50: ASSERT_NO_FATAL_FAILURE(attach(1, what)); break;
+        case 400: ASSERT_NO_FATAL_FAILURE(attach(2, what)); break;
+        case 500: ASSERT_NO_FATAL_FAILURE(attach(3, what)); break;
+        case 900:
+          detach(3);
+          ASSERT_NO_FATAL_FAILURE(purge(3, what));
+          break;
+        case 1000: detach(2); break;
+        case 1100: ASSERT_NO_FATAL_FAILURE(purge(2, what)); break;
+        default: break;
+      }
+    }
     const auto draw = rng.next_below(100);
     if (draw < 55 || routes.size() < 8) {
       // Subscribe from the local side or an attached neighbour.
@@ -500,16 +622,12 @@ void run_link_store_differential(CoveragePolicy policy, std::uint64_t seed) {
       const auto got = broker.handle_expiry(id);
       const auto want = reference_erase(id, Origin{true, kInvalidBroker});
       ASSERT_NO_FATAL_FAILURE(expect_same_reannounce(got, want.reannounce, what));
+    } else if (schedule == LinkSchedule::kLeafHubLeaf) {
+      // The walk's link changes are scripted above.
     } else if (draw < 96) {
-      // Detach a link; its routes stay in their lane, and the other links
-      // keep querying it.
       if (attached.size() < 2) continue;
-      const BrokerId n = attached[rng.next_below(attached.size())];
-      broker.remove_neighbor(n);
-      std::erase(attached, n);
-      reference.erase(n);
+      detach(attached[rng.next_below(attached.size())]);
     } else {
-      // Re-attach a detached link and announce the routing table over it.
       BrokerId n = kInvalidBroker;
       for (const BrokerId candidate : {1u, 2u, 3u}) {
         if (std::find(attached.begin(), attached.end(), candidate) == attached.end()) {
@@ -517,23 +635,7 @@ void run_link_store_differential(CoveragePolicy policy, std::uint64_t seed) {
         }
       }
       if (n == kInvalidBroker) continue;
-      broker.add_neighbor(n);
-      attached.push_back(n);
-      const auto got = broker.announce_all_to(n);
-      std::vector<SubscriptionId> want;
-      std::uint64_t suppressed = 0;
-      for (const auto& [id, route] : routes) {  // ascending id
-        if (!route.second.local && route.second.neighbor == n) continue;
-        if (reference_link(n).insert(route.first).covered) {
-          ++suppressed;
-        } else {
-          want.push_back(id);
-        }
-      }
-      std::vector<SubscriptionId> got_ids;
-      for (const Subscription& sub : got.announce) got_ids.push_back(sub.id());
-      ASSERT_EQ(got_ids, want) << what << ": announcements";
-      ASSERT_EQ(got.suppressed, suppressed) << what << ": suppressed";
+      ASSERT_NO_FATAL_FAILURE(attach(n, what));
     }
     for (const BrokerId n : {1u, 2u, 3u}) {
       const SubscriptionStore* link = broker.forwarded_store(n);
@@ -544,6 +646,7 @@ void run_link_store_differential(CoveragePolicy policy, std::uint64_t seed) {
             expect_same_store(*link, it->second, what + " link " + std::to_string(n)));
       }
     }
+    ASSERT_NO_FATAL_FAILURE(expect_routes_and_lanes(what));
   }
   // The stream must reach the re-check path it is meant to cover.
   EXPECT_GT(promotions, 0u) << store::to_string(policy);
@@ -564,6 +667,16 @@ TEST(Broker, LinkStoresDecideAsOwnIndexStoresGroup) {
 TEST(Broker, LinkStoresDecideAsOwnIndexStoresExact) {
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     ASSERT_NO_FATAL_FAILURE(run_link_store_differential(CoveragePolicy::kExact, seed));
+  }
+}
+
+TEST(Broker, LeafHubLeafWalkIndexesOnlyTheLanesLinkStoresRead) {
+  for (const CoveragePolicy policy :
+       {CoveragePolicy::kPairwise, CoveragePolicy::kGroup, CoveragePolicy::kExact}) {
+    for (const std::uint64_t seed : {4u, 5u}) {
+      ASSERT_NO_FATAL_FAILURE(
+          run_link_store_differential(policy, seed, LinkSchedule::kLeafHubLeaf));
+    }
   }
 }
 

@@ -12,7 +12,10 @@
 // and any_active_match stab; each coverage policy is one piece of code over those answers. So
 // this holds exactly (not just as sets, coverer lists included), and the
 // engine draws the same RNG stream either way: its own prefilter keeps a
-// subset of the intersecting candidates.
+// subset of the intersecting candidates. A store whose index is dropped
+// and rebuilt mid-stream (a broker's publish lane as its neighbours come
+// and go) answers the same way at every step, for its own decisions and
+// as a lane that a kLanes store queries.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -131,6 +134,160 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, IndexEquivalence,
                          [](const auto& info) {
                            return std::string(to_string(info.param));
                          });
+
+/// Drives a store whose index is dropped and rebuilt at random steps next
+/// to an always-flat and an always-indexed store, each three times: as a
+/// store of `policy` with its own index, and as a coverage-free lane that
+/// a kLanes store of `policy` queries. Pairwise cover shows first_coverer's
+/// answer (the coverer), group and exact cover and demotion show
+/// intersecting_candidates' (the coverer list, in slot order, and the
+/// demoted ids), and erase re-checks ask both again; every store is held
+/// to the always-flat own store's decisions and matches at every step.
+void expect_identical_across_index_toggles(CoveragePolicy policy,
+                                           std::uint64_t seed,
+                                           std::uint64_t stream_seed,
+                                           std::uint64_t rng_seed,
+                                           int steps) {
+  // Index 0 is always flat, 1 always indexed, 2 toggled.
+  constexpr int kFlat = 0, kToggled = 2;
+  std::vector<SubscriptionStore> own;
+  std::vector<SubscriptionStore> lanes;
+  std::vector<SubscriptionStore> links;
+  for (const bool use_index : {false, true, true}) {
+    own.emplace_back(make_config(policy, use_index), seed);
+    lanes.emplace_back(make_config(CoveragePolicy::kNone, use_index), seed);
+    links.emplace_back(make_config(policy, true), seed, IndexSource::kLanes);
+  }
+  const auto lane_of = [&](int i) {
+    return std::vector<const SubscriptionStore*>{&lanes[i]};
+  };
+
+  workload::ComparisonConfig stream_config;
+  stream_config.attribute_count = 6;
+  workload::ComparisonStream stream(stream_config, stream_seed);
+  util::Rng rng(rng_seed);
+  std::vector<SubscriptionId> live;
+  bool dropped = false;
+  int toggles = 0;
+
+  for (int step = 0; step < steps; ++step) {
+    if (rng.bernoulli(0.15)) {
+      dropped = !dropped;
+      ++toggles;
+      for (SubscriptionStore* store : {&own[kToggled], &lanes[kToggled]}) {
+        if (dropped) {
+          store->drop_index();
+        } else {
+          store->rebuild_index();
+        }
+        ASSERT_EQ(store->index_enabled(), !dropped && store->active_count() > 0)
+            << step;
+      }
+    }
+    if (!live.empty() && rng.bernoulli(0.3)) {
+      const SubscriptionId victim = live[rng.next_below(live.size())];
+      const auto want = own[kFlat].erase_reporting(victim);
+      for (int i = 0; i < 3; ++i) {
+        if (i != kFlat) {
+          const auto got = own[i].erase_reporting(victim);
+          EXPECT_EQ(got.erased, want.erased) << step << " own " << i;
+          EXPECT_EQ(got.promoted, want.promoted) << step << " own " << i;
+        }
+        // A broker drops the route from its lane before the link erase.
+        ASSERT_TRUE(lanes[i].erase(victim)) << step;
+        const auto got = links[i].erase_reporting(victim, lane_of(i));
+        EXPECT_EQ(got.erased, want.erased) << step << " link " << i;
+        EXPECT_EQ(got.promoted, want.promoted) << step << " link " << i;
+      }
+      live.erase(std::find(live.begin(), live.end(), victim));
+    } else {
+      const Subscription sub = stream.next();
+      const auto want = own[kFlat].insert(sub);
+      for (int i = 0; i < 3; ++i) {
+        if (i != kFlat) expect_same_insert(own[i].insert(sub), want, step);
+        (void)lanes[i].insert(sub);
+        expect_same_insert(links[i].insert(sub, lane_of(i)), want, step);
+        EXPECT_EQ(own[i].coverers_of(sub.id()), own[kFlat].coverers_of(sub.id()))
+            << step;
+        EXPECT_EQ(links[i].coverers_of(sub.id()),
+                  own[kFlat].coverers_of(sub.id()))
+            << step;
+      }
+      live.push_back(sub.id());
+    }
+
+    const Publication pub = workload::uniform_publication(
+        stream_config.attribute_count, 0.0, 1000.0, rng);
+    const auto want_active = own[kFlat].match_active(pub);
+    const auto want_all = own[kFlat].match(pub);
+    const auto want_lane = lanes[kFlat].match_active(pub);
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_EQ(own[i].active_count(), own[kFlat].active_count()) << step;
+      ASSERT_EQ(links[i].active_count(), own[kFlat].active_count()) << step;
+      EXPECT_EQ(own[i].match_active(pub), want_active) << step << " own " << i;
+      EXPECT_EQ(own[i].match(pub), want_all) << step << " own " << i;
+      EXPECT_EQ(own[i].any_active_match(pub), !want_active.empty()) << step;
+      EXPECT_EQ(links[i].match(pub), want_all) << step << " link " << i;
+      EXPECT_EQ(lanes[i].match_active(pub), want_lane) << step << " lane " << i;
+      EXPECT_EQ(lanes[i].any_active_match(pub), !want_lane.empty()) << step;
+    }
+  }
+  // The stream must cross both transitions several times.
+  EXPECT_GT(toggles, 10);
+}
+
+TEST_P(IndexEquivalence, DroppedAndRebuiltIndexAnswersAsFlatAndIndexed) {
+  expect_identical_across_index_toggles(GetParam(), 0xbeefULL, 2718, 31, 400);
+}
+
+TEST(IndexEquivalence, MixedArityStoreStaysFlatAfterRebuild) {
+  using core::Interval;
+  const Subscription two({Interval{0, 10}, Interval{0, 10}}, 1);
+  const Subscription three({Interval{0, 10}, Interval{0, 10}, Interval{0, 10}}, 2);
+  const Publication pub2({5.0, 5.0});
+  const Publication pub3({5.0, 5.0, 5.0});
+  const std::vector<SubscriptionId> only_two{1}, only_three{2};
+
+  // Fallen back at insert: a rebuild request keeps the flat scans, also
+  // once the actives share one arity again.
+  SubscriptionStore store(make_config(CoveragePolicy::kNone, true), 1);
+  (void)store.insert(two);
+  ASSERT_TRUE(store.index_enabled());
+  (void)store.insert(three);
+  ASSERT_FALSE(store.index_enabled());
+  store.rebuild_index();
+  EXPECT_FALSE(store.index_enabled());
+  EXPECT_FALSE(store.config().use_index);
+  EXPECT_EQ(store.match_active(pub2), only_two);
+  EXPECT_EQ(store.match_active(pub3), only_three);
+  ASSERT_TRUE(store.erase(2));
+  store.drop_index();
+  store.rebuild_index();
+  EXPECT_FALSE(store.index_enabled());
+  EXPECT_EQ(store.match_active(pub2), only_two);
+  EXPECT_TRUE(store.any_active_match(pub2));
+
+  // Mixed arity inserted while the index was dropped: the rebuild falls
+  // back as the insert would have.
+  SubscriptionStore dropped(make_config(CoveragePolicy::kNone, true), 1);
+  dropped.drop_index();
+  (void)dropped.insert(two);
+  (void)dropped.insert(three);
+  dropped.rebuild_index();
+  EXPECT_FALSE(dropped.index_enabled());
+  EXPECT_FALSE(dropped.config().use_index);
+  EXPECT_EQ(dropped.match_active(pub2), only_two);
+  EXPECT_EQ(dropped.match_active(pub3), only_three);
+  EXPECT_TRUE(dropped.any_active_match(pub3));
+
+  // A kLanes store owns no index to rebuild.
+  SubscriptionStore link(make_config(CoveragePolicy::kPairwise, true), 1,
+                         IndexSource::kLanes);
+  (void)link.insert(two);
+  link.rebuild_index();
+  EXPECT_FALSE(link.index_enabled());
+  EXPECT_TRUE(link.config().use_index);
+}
 
 TEST(IndexEquivalence, WrongArityPublicationMatchesNothingOnBothPaths) {
   SubscriptionStore indexed(make_config(CoveragePolicy::kNone, true), 1);
