@@ -6,11 +6,15 @@
 // amplified in the network diameter". Measures subscription messages,
 // publication messages and delivery ratio for flooding / pairwise / group
 // across chain, star, balanced-tree and 3x5 grid (comb spanning tree)
-// topologies of 15 brokers.
+// topologies of 15 brokers. Delivery and loss are judged against a
+// FlatOracle fed the same subscriptions.
 #include <iostream>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "routing/broker_network.hpp"
+#include "routing/flat_oracle.hpp"
+#include "sim/churn_driver.hpp"
 #include "util/flags.hpp"
 #include "workload/comparison_stream.hpp"
 #include "workload/publications.hpp"
@@ -82,26 +86,36 @@ int main(int argc, char** argv) try {
       config.store.engine.delta = 1e-6;
       config.store.engine.max_iterations = 20'000;
       auto net = make_topology(topology, config);
+      routing::FlatOracle oracle;
+      sim::Metrics judged;  // delivered and lost, against the oracle
+      std::vector<core::SubscriptionId> expected;
 
       workload::ComparisonStream stream(stream_config, args.seed);
       util::Rng rng(args.seed ^ 0x70f0);
       for (std::size_t i = 0; i < subs; ++i) {
-        net.subscribe(static_cast<BrokerId>(rng.next_below(kBrokers)),
-                      stream.next());
+        const auto home = static_cast<BrokerId>(rng.next_below(kBrokers));
+        const core::Subscription sub = stream.next();
+        net.subscribe(home, sub);
+        oracle.subscribe(home, sub);
       }
       for (std::size_t i = 0; i < pubs; ++i) {
-        (void)net.publish(static_cast<BrokerId>(rng.next_below(kBrokers)),
-                          workload::uniform_publication(
-                              stream_config.attribute_count,
-                              stream_config.domain_lo, stream_config.domain_hi,
-                              rng));
+        const core::Publication pub = workload::uniform_publication(
+            stream_config.attribute_count, stream_config.domain_lo,
+            stream_config.domain_hi, rng);
+        const auto from = static_cast<BrokerId>(rng.next_below(kBrokers));
+        const auto delivered = net.publish(from, pub);
+        oracle.publish(pub, expected);
+        const sim::PublishVerdict verdict =
+            sim::judge_publish(delivered, expected, expected);
+        judged.notifications_delivered += verdict.delivered;
+        judged.notifications_lost += verdict.lost;
       }
       table.add_row({topology, std::string(policy_name(policy)),
                      static_cast<long long>(net.metrics().subscription_messages),
                      static_cast<long long>(net.metrics().subscriptions_suppressed),
                      static_cast<long long>(net.metrics().publication_messages),
-                     net.metrics().delivery_ratio(),
-                     static_cast<long long>(net.metrics().notifications_lost)});
+                     judged.delivery_ratio(),
+                     static_cast<long long>(judged.notifications_lost)});
     }
   }
   bench::finish(table, args, timer);

@@ -15,33 +15,11 @@ using core::Publication;
 using core::Subscription;
 using core::SubscriptionId;
 
-namespace {
-
-store::StoreConfig registry_store_config(const index::IndexConfig& index) {
-  // FlatOracle's ground-truth configuration, but indexed: no coverage, so
-  // every registered subscription stays active and individually
-  // matchable. Mixed-arity registries fall back to flat scans inside the
-  // store.
-  store::StoreConfig config;
-  config.policy = store::CoveragePolicy::kNone;
-  config.use_index = true;
-  config.index = index;
-  return config;
-}
-
-}  // namespace
-
-BrokerNetwork::BrokerNetwork(NetworkConfig config)
-    : config_(config),
-      registry_subs_(registry_store_config(config_.store.index), /*seed=*/0) {}
+BrokerNetwork::BrokerNetwork(NetworkConfig config) : config_(config) {}
 
 bool BrokerNetwork::register_local(BrokerId home, const Subscription& sub,
                                    std::optional<sim::SimTime> expiry) {
-  if (!local_subs_.emplace(sub.id(), LocalSub{home, expiry}).second) {
-    return false;
-  }
-  (void)registry_subs_.insert(sub);
-  return true;
+  return local_subs_.try_emplace(sub.id(), LocalSub{sub, home, expiry}).second;
 }
 
 void BrokerNetwork::forget_local(SubscriptionId id) {
@@ -49,7 +27,6 @@ void BrokerNetwork::forget_local(SubscriptionId id) {
   if (it == local_subs_.end()) return;
   if (transport_) transport_->cancel_timer(it->second.timer);
   local_subs_.erase(it);
-  (void)registry_subs_.erase(id);
 }
 
 Broker BrokerNetwork::make_broker(BrokerId id) const {
@@ -404,8 +381,7 @@ BrokerNetwork::ReplaceOutcome BrokerNetwork::replace_peer(BrokerId broker) {
   homed.id = broker;
   for (const auto& [sid, local] : local_subs_) {
     if (local.home != broker) continue;
-    homed.routes.push_back(
-        {*registry_subs_.find(sid), Origin{true, kInvalidBroker}});
+    homed.routes.push_back({local.sub, Origin{true, kInvalidBroker}});
   }
   std::sort(homed.routes.begin(), homed.routes.end(),
             [](const auto& a, const auto& b) { return a.sub.id() < b.sub.id(); });
@@ -500,9 +476,10 @@ std::vector<SubscriptionId> BrokerNetwork::publish(BrokerId broker,
   runtime(broker).publish(pub, Origin{true, kInvalidBroker},
                           ++publication_token_);
   run_cascade();
-  // Escalations fire BEFORE accounting: a link the protocol gave up on is
-  // already effectively down for this publication, so the expected set
-  // must be computed against the post-fail_link components.
+  // Escalations fire before returning: a link the protocol gave up on is
+  // already effectively down for this publication, so a driver that
+  // mirrors take_escalated_links() into its oracle judges the delivered
+  // set against the post-fail_link components.
   drain_escalations();
   sink_ = nullptr;
 
@@ -511,15 +488,6 @@ std::vector<SubscriptionId> BrokerNetwork::publish(BrokerId broker,
   delivered.erase(std::unique(delivered.begin(), delivered.end()),
                   delivered.end());
   metrics_.notifications_duplicated += raw - delivered.size();
-  // Loss accounting against ground truth (component-aware: a partitioned
-  // or crashed subscriber is unreachable, not lost).
-  for (const SubscriptionId id : expected_recipients(broker, pub)) {
-    if (std::binary_search(delivered.begin(), delivered.end(), id)) {
-      ++metrics_.notifications_delivered;
-    } else {
-      ++metrics_.notifications_lost;
-    }
-  }
   return delivered;
 }
 
@@ -577,7 +545,7 @@ std::vector<std::uint8_t> BrokerNetwork::snapshot_all() const {
   for (const SubscriptionId sid : ids) {
     const LocalSub& local = local_subs_.at(sid);
     out.varint(local.home);
-    wire::write_subscription(out, *registry_subs_.find(sid));
+    wire::write_subscription(out, local.sub);
     out.u8(local.expiry.has_value() ? 1 : 0);
     if (local.expiry) out.f64(*local.expiry);
   }
@@ -598,8 +566,6 @@ void BrokerNetwork::restore_all(std::span<const std::uint8_t> bytes) {
   runtimes_.clear();
   brokers_.clear();
   local_subs_.clear();
-  registry_subs_ =
-      store::SubscriptionStore(registry_store_config(config_.store.index), 0);
   queue_ = sim::EventQueue{};
   metrics_.reset();
   publication_token_ = 0;
@@ -723,7 +689,10 @@ void BrokerNetwork::restore_all(std::span<const std::uint8_t> bytes) {
 std::vector<SubscriptionId> BrokerNetwork::expected_recipients(
     const Publication& pub) const {
   std::vector<SubscriptionId> ids;
-  registry_subs_.match_active(pub, ids);
+  for (const auto& [sid, local] : local_subs_) {
+    if (pub.matches(local.sub)) ids.push_back(sid);
+  }
+  std::sort(ids.begin(), ids.end());
   return ids;
 }
 

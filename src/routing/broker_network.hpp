@@ -2,7 +2,7 @@
 // the discrete-event simulator. Each broker runs the routing protocol
 // (paper, Section 2 and Figure 1) in its BrokerRuntime over one shared
 // SimTransport; the network owns the topology, runtime membership, the
-// client registry, traffic and loss accounting, and snapshots.
+// client registry, traffic accounting, and snapshots.
 //
 // One overlay model: the live links always form a spanning forest of the
 // alive brokers (the paper's acyclic broker tree, Figure 1). connect() and
@@ -11,12 +11,13 @@
 // cycle, so a publication reaches each broker at most once and no broker
 // keeps per-publication state.
 //
-// Loss accounting: when a publication is injected, the network computes the
-// ground-truth recipient set (every local subscription anywhere whose box
-// contains the point, by stabbing the client registry's own coverage-free
-// interval index) and compares it with the set that actually received a
-// notification. A shortfall is a lost notification — the paper's
-// probabilistic-error cost (Section 5).
+// Loss accounting is not the network's job: publish() returns the set
+// that actually received a notification and counts duplicates, nothing
+// more. Code that runs a FlatOracle beside the network (sim::ChurnDriver,
+// topology_policies, the broker_network example) counts delivered and
+// lost notifications against the oracle's set (sim::judge_publish). A
+// shortfall is a lost notification, the paper's probabilistic-error cost
+// (Section 5).
 #pragma once
 
 #include <cstdint>
@@ -256,19 +257,18 @@ class BrokerNetwork {
   void reset_metrics() noexcept { metrics_.reset(); }
 
   /// Ground truth: ids of local subscriptions (anywhere) matching `pub`,
-  /// sorted ascending, ignoring liveness and components. One stab of the
-  /// client registry's index: every registered subscription is an active
-  /// entry there (no coverage, no demotion).
+  /// sorted ascending, ignoring liveness and components. A flat scan of
+  /// the client registry; no publish path calls it. It stays only for
+  /// perfbench's traced routing.expected_recipients span and goes with
+  /// that span (ROADMAP item 9); FlatOracle is the ground truth.
   [[nodiscard]] std::vector<core::SubscriptionId> expected_recipients(
       const core::Publication& pub) const;
 
-  /// Component-aware ground truth: ids of matching local subscriptions
-  /// whose home broker is alive and reachable from `from` over the live
-  /// link set, sorted ascending. The registry stab comes first; only its
-  /// matches are filtered by home liveness and component. Identical to
-  /// the overload above while every broker is alive and the live links
-  /// form one tree. This is what publish()'s loss accounting uses — a
-  /// partition is not a loss, it is a smaller ground-truth set.
+  /// Component-aware form: only ids whose home broker is alive and
+  /// reachable from `from` over the live link set (a partition is not a
+  /// loss, it is a smaller ground-truth set). Identical to the overload
+  /// above while every broker is alive and the live links form one tree.
+  /// Kept, like it, only until ROADMAP item 9.
   [[nodiscard]] std::vector<core::SubscriptionId> expected_recipients(
       BrokerId from, const core::Publication& pub) const;
 
@@ -313,9 +313,11 @@ class BrokerNetwork {
   /// neighbour lists by add_broker, connect and the membership operations.
   LinkState link_state_;
 
-  /// Client registry: where each live client subscription is homed and
-  /// when it expires. The subscription itself lives in registry_subs_.
+  /// Client registry: every live client subscription, where it is homed
+  /// and when it expires. replace_peer rebuilds a broker's homed routes
+  /// from it; register_local and forget_local are its only writers.
   struct LocalSub {
+    core::Subscription sub;
     BrokerId home;
     /// Absolute expiry for TTL subscriptions. Promotion re-announcements
     /// must carry it: a promoted TTL subscription delivered without its
@@ -326,11 +328,6 @@ class BrokerNetwork {
     Transport::TimerId timer = Transport::kNoTimer;
   };
   std::unordered_map<core::SubscriptionId, LocalSub> local_subs_;
-  /// The registry's subscriptions (the only copy), in a coverage-free
-  /// indexed store: every one stays active, so expected_recipients is one
-  /// stab. Kept in lockstep with local_subs_: register_local and
-  /// forget_local write both, and restore_all resets both.
-  store::SubscriptionStore registry_subs_;
   sim::Metrics metrics_;
   std::uint64_t publication_token_ = 0;
   /// Publish scratch shared by every runtime: the cascade is

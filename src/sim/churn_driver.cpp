@@ -47,21 +47,6 @@ bool link_healable(const BrokerNetwork& net, BrokerId a, BrokerId b) {
          state.has_failed_link(a, b) && !state.same_component(a, b);
 }
 
-/// The differential verdict for one publish, given the oracle's sets before
-/// and after mirroring the links that escalated during it (equal when none
-/// did). A notification that crossed a link before the link gave up is a
-/// real delivery, so the network must deliver at least `after` and at most
-/// `before`; with no escalation that is exact equality. All three are
-/// sorted and deduplicated.
-bool delivered_within(const std::vector<core::SubscriptionId>& delivered,
-                      const std::vector<core::SubscriptionId>& after,
-                      const std::vector<core::SubscriptionId>& before) {
-  return std::includes(delivered.begin(), delivered.end(), after.begin(),
-                       after.end()) &&
-         std::includes(before.begin(), before.end(), delivered.begin(),
-                       delivered.end());
-}
-
 /// Applies one trace op to `net` alone — the WAL replay path after a
 /// restore (the oracle already consumed the op in its first life).
 /// Returns the delivered set for publishes (empty otherwise). Membership
@@ -127,6 +112,22 @@ std::vector<core::SubscriptionId> replay_op(BrokerNetwork& net,
 }
 
 }  // namespace
+
+PublishVerdict judge_publish(std::span<const core::SubscriptionId> delivered,
+                             std::span<const core::SubscriptionId> after,
+                             std::span<const core::SubscriptionId> before) {
+  PublishVerdict verdict;
+  for (const core::SubscriptionId id : after) {
+    if (std::binary_search(delivered.begin(), delivered.end(), id)) {
+      ++verdict.delivered;
+    }
+  }
+  verdict.lost = after.size() - verdict.delivered;
+  verdict.mismatched =
+      verdict.lost > 0 || !std::includes(before.begin(), before.end(),
+                                         delivered.begin(), delivered.end());
+  return verdict;
+}
 
 ChurnReport ChurnDriver::run(BrokerNetwork& net, const ChurnTrace& trace,
                              Options options) {
@@ -217,8 +218,6 @@ ChurnReport ChurnDriver::run(BrokerNetwork& net, const ChurnTrace& trace,
     if (options.differential) oracle.advance_time(epoch_end);
     epoch.end_time = epoch_end;
     const Metrics delta = epoch_accum + (net.metrics() - at_epoch_start);
-    epoch.delivered = delta.notifications_delivered;
-    epoch.lost = delta.notifications_lost;
     epoch.subscription_messages = delta.subscription_messages;
     epoch.unsubscription_messages = delta.unsubscription_messages;
     epoch.publication_messages = delta.publication_messages;
@@ -300,7 +299,7 @@ ChurnReport ChurnDriver::run(BrokerNetwork& net, const ChurnTrace& trace,
           ++report.recovery.gap_publishes_replayed;
           if (options.differential) {
             const auto& [after, before] = gap_oracle_sets.at(publish_cursor);
-            if (!delivered_within(delivered, after, before)) {
+            if (judge_publish(delivered, after, before).mismatched) {
               ++report.recovery.replay_mismatches;
             }
             ++publish_cursor;
@@ -337,9 +336,9 @@ ChurnReport ChurnDriver::run(BrokerNetwork& net, const ChurnTrace& trace,
         ++epoch.publishes;
         ++report.publishes;
         const auto delivered = net.publish(op.broker, op.pub);
-        // Escalations fire inside net.publish before its own delivery
-        // accounting. The oracle's set is taken before and after the same
-        // fail_links, and the delivered set must lie between the two.
+        // Escalations fire inside net.publish before it returns. The
+        // oracle's set is taken before and after the same fail_links, and
+        // the delivered set must lie between the two.
         const auto escalated = net.take_escalated_links();
         if (options.differential && !escalated.empty()) {
           oracle.publish(op.broker, op.pub, oracle_before);
@@ -348,9 +347,11 @@ ChurnReport ChurnDriver::run(BrokerNetwork& net, const ChurnTrace& trace,
         if (options.differential) {
           oracle.publish(op.broker, op.pub, oracle_delivered);
           if (escalated.empty()) oracle_before = oracle_delivered;
-          if (!delivered_within(delivered, oracle_delivered, oracle_before)) {
-            ++epoch.mismatched_publishes;
-          }
+          const PublishVerdict verdict =
+              judge_publish(delivered, oracle_delivered, oracle_before);
+          epoch.delivered += verdict.delivered;
+          epoch.lost += verdict.lost;
+          if (verdict.mismatched) ++epoch.mismatched_publishes;
           if (failure.enabled) {
             gap_oracle_sets.emplace_back(oracle_delivered, oracle_before);
           }
@@ -440,6 +441,10 @@ ChurnReport ChurnDriver::run(BrokerNetwork& net, const ChurnTrace& trace,
   close_epoch();
 
   report.totals = run_accum + (net.metrics() - run_base);
+  for (const ChurnEpoch& closed : report.epochs) {
+    report.totals.notifications_delivered += closed.delivered;
+    report.totals.notifications_lost += closed.lost;
+  }
   report.final_live_subscriptions = net.local_subscription_count();
   report.membership.final_alive_brokers = net.link_state().alive_count();
   return report;

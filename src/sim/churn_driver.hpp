@@ -1,7 +1,8 @@
 // ChurnDriver — replays a workload::ChurnTrace against a BrokerNetwork and
 // reports a per-epoch metrics time series; optionally replays the same
-// trace against routing::FlatOracle in lockstep and differentially checks
-// every publication's delivered set.
+// trace against routing::FlatOracle in lockstep, differentially checks
+// every publication's delivered set and counts delivered and lost
+// notifications against the oracle's.
 //
 // Layering note: unlike the event-queue core (which sits at the bottom of
 // the stack), the driver is a harness — it sits ABOVE routing/ and
@@ -16,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "routing/broker_network.hpp"
@@ -25,6 +27,28 @@
 
 namespace psc::sim {
 
+/// One publish judged against the oracle. `after` is the oracle's set once
+/// the links that escalated during the publish are mirrored into it,
+/// `before` its set without them (equal when none escalated). A
+/// notification that crossed a link before the link gave up is a real
+/// delivery, so the network must deliver at least `after` and at most
+/// `before`.
+struct PublishVerdict {
+  std::uint64_t delivered = 0;  ///< |after ∩ delivered|
+  std::uint64_t lost = 0;       ///< |after \ delivered|
+  /// The delivered set falls outside [after, before]: some id is lost or
+  /// was never expected. An id in before \ after counts as neither.
+  bool mismatched = false;
+};
+
+/// The per-publish arithmetic of ChurnDriver. All three sets are sorted
+/// ascending and deduplicated (BrokerNetwork::publish and
+/// FlatOracle::publish return them so).
+[[nodiscard]] PublishVerdict judge_publish(
+    std::span<const core::SubscriptionId> delivered,
+    std::span<const core::SubscriptionId> after,
+    std::span<const core::SubscriptionId> before);
+
 /// One epoch of the soak: deltas over (epoch_start, epoch_end] plus
 /// end-of-epoch state snapshots.
 struct ChurnEpoch {
@@ -33,8 +57,10 @@ struct ChurnEpoch {
   // --- deltas within the epoch ---------------------------------------
   std::size_t ops = 0;             ///< client ops issued
   std::size_t publishes = 0;
-  std::uint64_t delivered = 0;     ///< notifications delivered
-  std::uint64_t lost = 0;          ///< notifications lost
+  /// Notifications delivered and lost, judged against the oracle (both 0
+  /// without Options::differential).
+  std::uint64_t delivered = 0;
+  std::uint64_t lost = 0;
   std::uint64_t subscription_messages = 0;
   std::uint64_t unsubscription_messages = 0;
   std::uint64_t publication_messages = 0;
@@ -112,7 +138,9 @@ struct MembershipStats {
 /// Whole-run result: the epoch series plus totals.
 struct ChurnReport {
   std::vector<ChurnEpoch> epochs;
-  Metrics totals;                  ///< network metrics for the whole run
+  /// Network metrics for the whole run, except notifications_delivered and
+  /// notifications_lost: the sums of the epochs' oracle-judged counts.
+  Metrics totals;
   std::size_t ops = 0;
   std::size_t publishes = 0;
   std::uint64_t mismatched_publishes = 0;  ///< 0 unless differential found drift
@@ -153,8 +181,9 @@ class ChurnDriver {
   };
 
   struct Options {
-    /// Replay the trace against a FlatOracle in lockstep and count
-    /// publications whose delivered set diverges from the network's.
+    /// Replay the trace against a FlatOracle in lockstep, judge every
+    /// publish against it (judge_publish): count delivered and lost
+    /// notifications and the publications whose delivered set diverges.
     bool differential = false;
     FailureInjection failure;
   };

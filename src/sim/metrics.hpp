@@ -11,8 +11,12 @@ struct Metrics {
   std::uint64_t subscription_messages = 0;   ///< per-hop subscription sends
   std::uint64_t unsubscription_messages = 0;
   std::uint64_t publication_messages = 0;    ///< per-hop publication sends
-  std::uint64_t notifications_delivered = 0; ///< matched at the subscriber
-  std::uint64_t notifications_lost = 0;      ///< should have matched, didn't
+  /// Delivered and lost notifications exist only against a ground truth,
+  /// so only code that runs a FlatOracle counts them (sim::ChurnDriver
+  /// with Options::differential, via sim::judge_publish); a network's own
+  /// Metrics leave both at 0.
+  std::uint64_t notifications_delivered = 0; ///< expected and received
+  std::uint64_t notifications_lost = 0;      ///< expected, never received
   std::uint64_t notifications_duplicated = 0;///< same sub notified twice
   std::uint64_t subscriptions_suppressed = 0;///< withheld by coverage
   std::uint64_t membership_events = 0;       ///< join/leave/crash/fail/heal

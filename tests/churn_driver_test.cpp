@@ -1,7 +1,7 @@
 // Tests for the churn workload generator and the churn driver: trace
 // determinism and shape (the slot/mid-slot time discipline the
-// differential oracle depends on), driver replay determinism, and the
-// epoch-series bookkeeping.
+// differential oracle depends on), driver replay determinism, the
+// epoch-series bookkeeping, and the per-publish verdict against the oracle.
 #include "sim/churn_driver.hpp"
 
 #include <gtest/gtest.h>
@@ -9,14 +9,17 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
+#include "routing/link_channel.hpp"
 #include "routing/topology.hpp"
 #include "workload/churn_workload.hpp"
 
 namespace psc::sim {
 namespace {
 
+using core::SubscriptionId;
 using routing::BrokerNetwork;
 using routing::NetworkConfig;
 using workload::ChurnConfig;
@@ -149,7 +152,9 @@ TEST(ChurnDriver, EpochSeriesAccountsForEveryOpAndMessage) {
   config.epoch_length = 5.0;
   const ChurnTrace trace = generate_churn_trace(config, 8, 3);
   auto net = BrokerNetwork::chain_topology(8);
-  const ChurnReport report = ChurnDriver::run(net, trace);
+  ChurnDriver::Options options;
+  options.differential = true;  // delivered counts exist only against it
+  const ChurnReport report = ChurnDriver::run(net, trace, options);
   ASSERT_FALSE(report.epochs.empty());
   std::size_t ops = 0, publishes = 0;
   std::uint64_t delivered = 0, messages = 0;
@@ -167,6 +172,7 @@ TEST(ChurnDriver, EpochSeriesAccountsForEveryOpAndMessage) {
   }
   EXPECT_EQ(ops, report.ops);
   EXPECT_EQ(publishes, report.publishes);
+  EXPECT_GT(delivered, 0u);
   EXPECT_EQ(delivered, report.totals.notifications_delivered);
   EXPECT_EQ(messages, report.totals.total_messages());
   EXPECT_EQ(peak, report.peak_routing_entries);
@@ -197,6 +203,109 @@ TEST(ChurnDriver, ExactPolicySoakIsLossFreeWithLiveChurn) {
   // Churn actually happened: subscriptions arrived and left.
   EXPECT_GT(report.ops, 100u);
   EXPECT_LT(report.final_live_subscriptions, trace.subscribe_count);
+}
+
+TEST(JudgePublish, ExactDeliveryCountsEveryIdDelivered) {
+  const std::vector<SubscriptionId> expected{2, 5, 9};
+  const PublishVerdict verdict = judge_publish(expected, expected, expected);
+  EXPECT_EQ(verdict.delivered, 3u);
+  EXPECT_EQ(verdict.lost, 0u);
+  EXPECT_FALSE(verdict.mismatched);
+}
+
+TEST(JudgePublish, MissingExpectedIdIsLostAndMismatched) {
+  const std::vector<SubscriptionId> expected{2, 5, 9};
+  const PublishVerdict verdict =
+      judge_publish(std::vector<SubscriptionId>{2, 9}, expected, expected);
+  EXPECT_EQ(verdict.delivered, 2u);
+  EXPECT_EQ(verdict.lost, 1u);
+  EXPECT_TRUE(verdict.mismatched);
+}
+
+TEST(JudgePublish, ExtraIdIsMismatchedOnly) {
+  const std::vector<SubscriptionId> expected{2, 5};
+  const PublishVerdict verdict =
+      judge_publish(std::vector<SubscriptionId>{2, 4, 5}, expected, expected);
+  EXPECT_EQ(verdict.delivered, 2u);
+  EXPECT_EQ(verdict.lost, 0u);
+  EXPECT_TRUE(verdict.mismatched);
+}
+
+TEST(JudgePublish, IdThatCrossedBeforeItsLinkEscalatedIsNeither) {
+  // 7 was reachable before a link escalated mid-publish and not after; the
+  // notification crossed first, so delivering it or not is both fine.
+  const std::vector<SubscriptionId> after{2, 5};
+  const std::vector<SubscriptionId> before{2, 5, 7};
+  for (const std::vector<SubscriptionId>& delivered :
+       {std::vector<SubscriptionId>{2, 5, 7}, std::vector<SubscriptionId>{2, 5}}) {
+    const PublishVerdict verdict = judge_publish(delivered, after, before);
+    EXPECT_EQ(verdict.delivered, 2u);
+    EXPECT_EQ(verdict.lost, 0u);
+    EXPECT_FALSE(verdict.mismatched);
+  }
+}
+
+/// A lossy grid whose only membership churn is link failures and heals,
+/// shaped like the lossy soak (12 brokers, 150 op slots) with four burst
+/// windows of 0.05 slots, seed 2027. One burst escalates a link while a
+/// publication is in flight: its notification crossed that link first,
+/// so the oracle's sets before and after mirroring the escalation differ.
+ChurnReport run_mid_publish_escalation() {
+  constexpr double kLatency = 1e-4;
+  constexpr std::uint64_t kSeed = 2027;
+  routing::LinkConfig link;
+  link.enabled = true;
+  link.rto = 4 * kLatency;
+  link.rto_max = 8 * kLatency;
+  link.max_retries = 12;
+  link.window = 128;
+  link.faults.drop_probability = 0.2;
+  link.faults.dup_probability = 0.1;
+  link.faults.reorder_probability = 0.1;
+  link.faults.delay_jitter = 0.5;
+
+  const auto topologies = routing::membership_topologies(12, 2006);
+  const auto grid = std::find_if(topologies.begin(), topologies.end(),
+                                 [](const auto& t) { return t.name == "grid"; });
+  if (grid == topologies.end()) throw std::logic_error("no grid topology");
+  const std::size_t max_brokers = grid->brokers + 8;
+
+  ChurnConfig churn;
+  churn.link_latency = kLatency;
+  churn.publication_rate = 4.0;
+  churn.faults.link = link.faults;
+  churn.faults.cascade_hop_bound = link.worst_hop_delay(kLatency);
+  churn.slot = 2.2 * static_cast<double>(max_brokers + 1) *
+               churn.faults.cascade_hop_bound;
+  churn.epoch_length = churn.slot * 50;
+  churn.duration = churn.slot * 150;
+  churn.membership.max_brokers = max_brokers;
+  churn.membership.partition_rate = 0.4 / churn.slot;
+  churn.faults.burst_count = 4;
+  churn.faults.burst_length = churn.slot * 0.05;
+
+  NetworkConfig config;
+  config.store.policy = store::CoveragePolicy::kExact;
+  config.link_latency = kLatency;
+  config.link = link;
+  config.seed = kSeed;
+  auto net = grid->build(config);
+  const ChurnTrace trace =
+      generate_churn_trace(churn, grid->universe(net), kSeed);
+  ChurnDriver::Options options;
+  options.differential = true;
+  return ChurnDriver::run(net, trace, options);
+}
+
+TEST(ChurnDriver, LossyEscalationsKeepTheDeliveredAndLostTotals) {
+  // Pinned figures: the same run counted 173 delivered and 0 lost when the
+  // network still counted them against its own client registry.
+  const ChurnReport report = run_mid_publish_escalation();
+  EXPECT_EQ(report.membership.link_escalations, 1u);
+  EXPECT_EQ(report.publishes, 298u);
+  EXPECT_EQ(report.mismatched_publishes, 0u);
+  EXPECT_EQ(report.totals.notifications_delivered, 173u);
+  EXPECT_EQ(report.totals.notifications_lost, 0u);
 }
 
 }  // namespace

@@ -134,13 +134,16 @@ TEST(Membership, FailLinkPartitionsAndHealReconverges) {
 
   net.fail_link(2, 3);  // cut the B3-B4 backbone
   EXPECT_TRUE(net.publish(7, pub).empty());
-  // Unreachable is not lost: the publisher's component has no matching sub.
-  EXPECT_EQ(net.metrics().notifications_lost, 0u);
+  // Unreachable is not lost: the subscriber's own component still
+  // delivers it.
+  EXPECT_EQ(net.publish(1, pub), std::vector<SubscriptionId>{1});
   EXPECT_EQ(net.ghost_route_count(), 0u);
 
   net.heal_link(2, 3);
-  EXPECT_EQ(net.publish(7, pub), std::vector<SubscriptionId>{1});
-  EXPECT_EQ(net.metrics().notifications_lost, 0u);
+  for (BrokerId from = 0; from < 9; ++from) {
+    EXPECT_EQ(net.publish(from, pub), std::vector<SubscriptionId>{1})
+        << "publisher " << from;
+  }
   EXPECT_EQ(net.metrics().notifications_duplicated, 0u);
   EXPECT_EQ(net.ghost_route_count(), 0u);
   EXPECT_GT(net.metrics().reannounced_subscriptions, 0u);
@@ -157,7 +160,11 @@ TEST(Membership, LeaveRepairsAroundTheHubAndDropsItsClients) {
   EXPECT_EQ(net.link_state().component_count(), 1u);
   // Its client went with it; B1's subscription still delivers from B8.
   EXPECT_EQ(net.publish(7, point(150, 150)), std::vector<SubscriptionId>{1});
-  EXPECT_EQ(net.metrics().notifications_lost, 0u);
+  for (const BrokerId from : {0u, 1u, 2u, 4u, 5u, 6u, 8u}) {
+    EXPECT_EQ(net.publish(from, point(150, 150)),
+              std::vector<SubscriptionId>{1})
+        << "publisher " << from;
+  }
   EXPECT_EQ(net.ghost_route_count(), 0u);
   EXPECT_THROW(net.publish(3, point(150, 150)), std::invalid_argument);
 }
@@ -171,7 +178,8 @@ TEST(Membership, JoinReceivesExistingSubscriptionsByReannouncement) {
   net.subscribe(id, box(2, 100, 200));
   EXPECT_EQ(net.publish(0, point(150, 150)),
             (std::vector<SubscriptionId>{1, 2}));
-  EXPECT_EQ(net.metrics().notifications_lost, 0u);
+  EXPECT_EQ(net.publish(id, point(150, 150)),
+            (std::vector<SubscriptionId>{1, 2}));
   EXPECT_EQ(net.ghost_route_count(), 0u);
 }
 
@@ -191,7 +199,7 @@ TEST(Membership, TtlExpiringExactlyAtThePartitionInstant) {
   EXPECT_TRUE(net.publish(7, pub).empty());
   net.heal_link(2, 3);
   EXPECT_TRUE(net.publish(7, pub).empty());  // stayed expired through repair
-  EXPECT_EQ(net.metrics().notifications_lost, 0u);
+  EXPECT_TRUE(net.publish(0, pub).empty());  // at its home broker too
   EXPECT_EQ(net.ghost_route_count(), 0u);
 }
 
@@ -204,7 +212,7 @@ TEST(Membership, CrashKeepsClientsRegisteredUntilReplacement) {
   // B8 and B9 are cut off; the crashed broker's clients are unreachable
   // but still registered (component-aware accounting, not loss).
   EXPECT_TRUE(net.publish(0, point(150, 150)).empty());
-  EXPECT_EQ(net.metrics().notifications_lost, 0u);
+  EXPECT_TRUE(net.publish(0, point(350, 350)).empty());
   EXPECT_EQ(net.ghost_route_count(), 0u);
 
   const auto outcome = net.replace_peer(6);
@@ -214,7 +222,11 @@ TEST(Membership, CrashKeepsClientsRegisteredUntilReplacement) {
 
   EXPECT_EQ(net.publish(0, point(150, 150)), std::vector<SubscriptionId>{1});
   EXPECT_EQ(net.publish(8, point(350, 350)), std::vector<SubscriptionId>{2});
-  EXPECT_EQ(net.metrics().notifications_lost, 0u);
+  for (BrokerId from = 0; from < 9; ++from) {
+    EXPECT_EQ(net.publish(from, point(150, 150)),
+              std::vector<SubscriptionId>{1})
+        << "publisher " << from;
+  }
   EXPECT_EQ(net.metrics().notifications_duplicated, 0u);
   EXPECT_EQ(net.ghost_route_count(), 0u);
 }
@@ -240,7 +252,9 @@ TEST(Membership, ReplacementEqualsNeverCrashedRun) {
           << "publisher " << from;
     }
   }
-  EXPECT_EQ(crashed.metrics().notifications_lost, 0u);
+  // The control itself delivers the ground truth.
+  EXPECT_EQ(control.publish(0, point(150, 150)),
+            (std::vector<SubscriptionId>{1, 2}));
   EXPECT_EQ(crashed.ghost_route_count(), 0u);
 }
 
@@ -256,7 +270,7 @@ TEST(Membership, ReplacementRestoresTheCurrentBoxOfAReusedId) {
 
   EXPECT_EQ(net.publish(0, point(350, 350)), std::vector<SubscriptionId>{1});
   EXPECT_TRUE(net.publish(0, point(150, 150)).empty());
-  EXPECT_EQ(net.metrics().notifications_lost, 0u);
+  EXPECT_EQ(net.publish(8, point(350, 350)), std::vector<SubscriptionId>{1});
   EXPECT_EQ(net.ghost_route_count(), 0u);
 }
 
@@ -295,7 +309,7 @@ TEST(Membership, TimerLeftOnACrashedBrokerSparesTheNextIncarnation) {
   (void)net.replace_peer(6);
   net.advance_time(1.5);
   EXPECT_EQ(net.publish(8, point(150, 150)), std::vector<SubscriptionId>{1});
-  EXPECT_EQ(net.metrics().notifications_lost, 0u);
+  EXPECT_EQ(net.publish(0, point(150, 150)), std::vector<SubscriptionId>{1});
   EXPECT_EQ(net.ghost_route_count(), 0u);
 }
 
