@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <limits>
 #include <optional>
 #include <queue>
 #include <set>
@@ -24,6 +25,9 @@ using core::SubscriptionId;
 using routing::BrokerId;
 
 namespace {
+
+/// Expiry slot of a subscription that never expires.
+constexpr std::uint64_t kNoExpiry = std::numeric_limits<std::uint64_t>::max();
 
 /// Exponential variate with the given mean (inverse-CDF, one rng call).
 double sample_exponential(util::Rng& rng, double mean) {
@@ -253,11 +257,46 @@ ChurnTrace generate_impl(const ChurnConfig& config, std::size_t broker_count,
   std::uint64_t last_slot = 0;  // slot 0 is reserved: time 0 issues nothing
   SubscriptionId next_id = 1;
 
-  // Explicit-unsubscribe protos outstanding, by home broker: a graceful
-  // leave takes its registry entries with it, so their unsubscribes must
-  // be dropped from the trace (a crash keeps the registry — those stay).
-  std::unordered_map<SubscriptionId, BrokerId> pending_unsub;
+  // The client registry as the network will hold it: each live
+  // subscription's home and, for a TTL one, the slot whose middle is its
+  // expiry instant. A graceful leave takes its registry entries with it,
+  // so the explicit unsubscribes still pending for them must be dropped
+  // from the trace (a crash keeps the registry — those stay).
+  struct Registered {
+    BrokerId home = 0;
+    std::uint64_t expiry_slot = kNoExpiry;
+  };
+  std::unordered_map<SubscriptionId, Registered> registered;
   std::set<SubscriptionId> gone;
+
+  // A membership op whose protocol runs several cascades back to back (a
+  // leave: one per homed unsubscription, the purge, one per star-repair
+  // link; a replacement: one per healed link) owns one slot per cascade,
+  // so each cascade keeps the one-slot bound. It starts at the first slot
+  // from `first` on whose run of slots holds no expiry instant, or the
+  // network would expire a subscription mid-op while the oracle's clock
+  // stands still. `cascades()` counts the op's cascades against the
+  // registry as it stands at the op's slot. Claims the slots and returns
+  // the op's time.
+  const auto reserve_slots = [&](std::uint64_t first, const auto& cascades) {
+    while (true) {
+      std::erase_if(registered, [&](const auto& entry) {
+        return entry.second.expiry_slot < first;  // expired before the op
+      });
+      const std::uint64_t count = std::max<std::uint64_t>(1, cascades());
+      std::optional<std::uint64_t> blocked;
+      for (const auto& [sid, entry] : registered) {
+        if (entry.expiry_slot < first + count) {
+          blocked = std::max(blocked.value_or(0), entry.expiry_slot);
+        }
+      }
+      if (!blocked) {
+        last_slot = first + count - 1;
+        return static_cast<double>(first) * config.slot;
+      }
+      first = *blocked + 1;
+    }
+  };
 
   // Uniform target over the currently-alive brokers (all of them when
   // membership is off).
@@ -274,11 +313,10 @@ ChurnTrace generate_impl(const ChurnConfig& config, std::size_t broker_count,
     pending.pop();
     if (proto.t >= config.duration) continue;
     const std::uint64_t op_slot = std::max(slot_of(proto.t), last_slot + 1);
-    const double op_time = static_cast<double>(op_slot) * config.slot;
     last_slot = op_slot;
 
     ChurnOp op;
-    op.time = op_time;
+    op.time = static_cast<double>(op_slot) * config.slot;
     switch (proto.kind) {
       case ChurnOpKind::kSubscribe: {
         // Box around a Zipf-popular hotspot: popular regions accumulate
@@ -311,13 +349,15 @@ ChurnTrace generate_impl(const ChurnConfig& config, std::size_t broker_count,
           // Whole slots plus half a slot: the expiry instant sits mid-slot,
           // clear of every cascade window (see header contract).
           op.ttl = static_cast<double>(ttl_slots) * config.slot + config.slot / 2;
+          registered[op.sub.id()] = {op.broker, op_slot + ttl_slots};
+          break;
         } else {
           op.kind = ChurnOpKind::kSubscribe;
           const double lifetime = sample_exponential(rng, config.mean_lifetime);
           pending.push(Proto{proto.t + lifetime, ChurnOpKind::kUnsubscribe,
                              seq++, op.sub.id(), op.broker});
-          pending_unsub.emplace(op.sub.id(), op.broker);
         }
+        registered[op.sub.id()] = {op.broker, kNoExpiry};
         break;
       }
       case ChurnOpKind::kPublish: {
@@ -336,7 +376,7 @@ ChurnTrace generate_impl(const ChurnConfig& config, std::size_t broker_count,
       }
       case ChurnOpKind::kUnsubscribe:
         if (gone.count(proto.unsub_id) > 0) continue;  // home broker left
-        pending_unsub.erase(proto.unsub_id);
+        registered.erase(proto.unsub_id);
         op.kind = ChurnOpKind::kUnsubscribe;
         op.id = proto.unsub_id;
         op.broker = proto.unsub_home;
@@ -360,10 +400,18 @@ ChurnTrace generate_impl(const ChurnConfig& config, std::size_t broker_count,
           case MembershipOpKind::kLeave: {
             if (state->alive_count() <= config.membership.min_brokers) continue;
             const BrokerId b = pick_broker();
-            for (const auto& [sid, home] : pending_unsub) {
-              if (home == b) gone.insert(sid);
-            }
-            (void)state->remove_peer(b);
+            const std::size_t repairs = state->remove_peer(b).size();
+            op.time = reserve_slots(op_slot, [&] {
+              const auto homed = std::count_if(
+                  registered.begin(), registered.end(),
+                  [&](const auto& entry) { return entry.second.home == b; });
+              return static_cast<std::uint64_t>(homed) + 1 + repairs;
+            });
+            std::erase_if(registered, [&](const auto& entry) {
+              if (entry.second.home != b) return false;
+              gone.insert(entry.first);
+              return true;
+            });
             drop_alive(b);
             op.broker = b;
             break;
@@ -386,7 +434,8 @@ ChurnTrace generate_impl(const ChurnConfig& config, std::size_t broker_count,
             // One replace proto per crash, and only replace revives, so the
             // target must still be down; guard anyway for robustness.
             if (state->is_alive(proto.target)) continue;
-            (void)state->replace_peer(proto.target);
+            const std::size_t heals = state->replace_peer(proto.target).size();
+            op.time = reserve_slots(op_slot, [&] { return heals; });
             alive.insert(std::lower_bound(alive.begin(), alive.end(),
                                           proto.target),
                          proto.target);

@@ -15,8 +15,11 @@
 // mid-slot instants, strictly after any publish/subscribe cascade started
 // at the preceding boundary has quiesced (cascades span at most
 // (brokers + 1) * link_latency, and generation validates
-// slot / 2 > that bound). This keeps the network's cascade-time clock
-// drift invisible to the flat oracle, whose clock only moves on
+// slot / 2 > that bound). A membership op that runs several cascades (a
+// leave: one per homed unsubscription, the purge, one per star-repair
+// link; a replacement: one per healed link) owns one slot per cascade,
+// none holding an expiry instant. This keeps the network's cascade-time
+// clock drift invisible to the flat oracle, whose clock only moves on
 // advance_time.
 #pragma once
 

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -77,6 +78,99 @@ TEST(ChurnWorkload, TraceHonorsTheSlotTimeDiscipline) {
       EXPECT_GE(op.ttl, config.slot);
     }
   }
+}
+
+TEST(ChurnWorkload, MultiCascadeMembershipOpsOwnASlotPerCascade) {
+  // Replays the trace's client registry and link state beside it. A leave
+  // runs a cascade per homed unsubscription, the purge and a cascade per
+  // star-repair link; a replacement a cascade per healed link. Each must
+  // own that many slots before the next op, with no expiry inside them.
+  ChurnConfig config;
+  config.duration = 60.0;
+  config.subscription_rate = 6.0;
+  config.membership.join_rate = 0.15;
+  config.membership.leave_rate = 0.3;
+  config.membership.crash_rate = 0.2;
+  config.membership.partition_rate = 0.3;
+  config.membership.max_brokers = 32;
+  const auto topologies = routing::membership_topologies(24, 2006);
+  const routing::MembershipTopology& topology = topologies.front();
+  auto net = topology.build(NetworkConfig{});
+  const ChurnTrace trace =
+      generate_churn_trace(config, topology.universe(net), 7);
+
+  routing::LinkState state(trace.universe);
+  struct Entry {
+    routing::BrokerId home;
+    double expiry;
+  };
+  std::map<SubscriptionId, Entry> registry;
+  std::size_t busy_leaves = 0;
+  for (std::size_t i = 0; i + 1 < trace.ops.size(); ++i) {
+    const ChurnOp& op = trace.ops[i];
+    std::erase_if(registry,
+                  [&](const auto& e) { return e.second.expiry <= op.time; });
+    std::size_t cascades = 1;
+    switch (op.kind) {
+      case ChurnOpKind::kSubscribe:
+        registry[op.sub.id()] = {op.broker, INFINITY};
+        break;
+      case ChurnOpKind::kSubscribeTtl:
+        registry[op.sub.id()] = {op.broker, op.time + op.ttl};
+        break;
+      case ChurnOpKind::kUnsubscribe:
+        registry.erase(op.id);
+        break;
+      case ChurnOpKind::kPublish:
+      case ChurnOpKind::kAdvance:
+        break;
+      case ChurnOpKind::kMembership:
+        switch (static_cast<routing::MembershipOpKind>(op.member)) {
+          case routing::MembershipOpKind::kJoin:
+            (void)state.add_broker();
+            state.add_link(op.broker, op.peer);
+            break;
+          case routing::MembershipOpKind::kLeave: {
+            const auto homed = static_cast<std::size_t>(std::count_if(
+                registry.begin(), registry.end(),
+                [&](const auto& e) { return e.second.home == op.broker; }));
+            cascades = homed + 1 + state.remove_peer(op.broker).size();
+            busy_leaves += cascades > 2 ? 1 : 0;
+            break;
+          }
+          case routing::MembershipOpKind::kCrash:
+            (void)state.crash_peer(op.broker);
+            break;
+          case routing::MembershipOpKind::kReplace:
+            cascades = std::max<std::size_t>(
+                1, state.replace_peer(op.broker).size());
+            break;
+          case routing::MembershipOpKind::kFailLink:
+            state.fail_link(op.broker, op.peer);
+            break;
+          case routing::MembershipOpKind::kHealLink:
+            state.heal_link(op.broker, op.peer);
+            break;
+        }
+        break;
+    }
+    // A slot per cascade; each cascade quiesces within half a slot.
+    const auto n = static_cast<double>(cascades);
+    EXPECT_GE(trace.ops[i + 1].time, op.time + n * config.slot - 1e-9)
+        << "op " << i;
+    const double busy_until = op.time + n * config.slot / 2 - 1e-9;
+    for (const auto& [sid, entry] : registry) {
+      EXPECT_FALSE(entry.expiry > op.time && entry.expiry < busy_until)
+          << "op " << i << " expires " << sid << " inside its cascades";
+    }
+    if (op.kind == ChurnOpKind::kMembership &&
+        static_cast<routing::MembershipOpKind>(op.member) ==
+            routing::MembershipOpKind::kLeave) {
+      std::erase_if(registry,
+                    [&](const auto& e) { return e.second.home == op.broker; });
+    }
+  }
+  EXPECT_GT(busy_leaves, 0u);
 }
 
 TEST(ChurnWorkload, TraceMixesAllOpKinds) {
