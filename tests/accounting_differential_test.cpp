@@ -1,14 +1,14 @@
 // Ground-truth accounting differential: BrokerNetwork answers
-// expected_recipients by stabbing its client registry's coverage-free
-// interval index. Seeded random op sequences (subscribe, TTL subscribe,
-// unsubscribe, expiry, crash/replace, link fail/heal, snapshot/restore,
-// publish) on a small tree and a small grid must keep both overloads equal
-// to the flat oracle's sets after every op, for points inside and outside
-// the index's bucketing domain, with the registry size in lockstep. Ids
-// come back: a subscribe sometimes reuses a retired (unsubscribed or
-// expired) id, and an unsubscribe is sometimes followed at once by a
-// subscribe of the same id, each with a fresh box, so nothing left behind
-// by an earlier subscription may affect the current one.
+// expected_recipients with a flat scan of its client registry. Seeded
+// random op sequences (subscribe, TTL subscribe, unsubscribe, expiry,
+// crash/replace, link fail/heal, snapshot/restore, publish) on a small
+// tree and a small grid must keep both overloads equal to the flat
+// oracle's sets after every op, for points inside and outside the default
+// index domain, with the registry size in lockstep. Ids come back: a
+// subscribe sometimes reuses a retired (unsubscribed or expired) id, and
+// an unsubscribe is sometimes followed at once by a subscribe of the same
+// id, each with a fresh box, so nothing left behind by an earlier
+// subscription may affect the current one.
 #include <gtest/gtest.h>
 
 #include <cstdint>
